@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .network import Branch, Bus, Network, NetworkError, build_ybus
 from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
-from .devices import DeviceError, DeviceModel, VoltageSource
+from .devices import DeviceError, DeviceModel
 from .syncgen import SyncGen, SyncGenParams
 from .dfig import Dfig, DfigParams, DroopParams
 from .system import (DynamicSystem, FaultSpec, GridModel, SystemModelError,
@@ -45,7 +45,7 @@ __all__ = [
     "Branch", "Bus", "Network", "NetworkError", "build_ybus",
     "PowerFlowError", "PowerFlowSolution", "solve_power_flow",
     # devices
-    "DeviceError", "DeviceModel", "VoltageSource",
+    "DeviceError", "DeviceModel",
     "SyncGen", "SyncGenParams", "Dfig", "DfigParams", "DroopParams",
     # system assembly
     "DynamicSystem", "FaultSpec", "GridModel", "SystemModelError", "assemble",

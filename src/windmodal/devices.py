@@ -23,8 +23,10 @@ class DeviceModel:
     #: "synchronous" or "converter"; drives participation bookkeeping.
     device_class = "synchronous"
 
-    #: True when ``source_current`` depends on the terminal voltage, which
-    #: forces an inner iteration in the network solve.
+    #: True when ``source_current`` is ``c·V/|V|``: a current of fixed size
+    #: that follows the terminal-voltage angle.  ``source_current(x, None,
+    #: base)`` then returns ``c``; the network solve places the angle in
+    #: closed form and accepts at most one such device.
     source_depends_on_v = False
 
     state_names: tuple[str, ...] = ()
@@ -62,65 +64,3 @@ class DeviceModel:
         """Per-device trace quantities (per unit on the device base)."""
         return {}
 
-
-class VoltageSource(DeviceModel):
-    """Stiff voltage source behind a small reactance; no states.
-
-    Stands in for the rest of the grid in single-device studies.
-    """
-
-    state_names = ()
-
-    def __init__(self, device_id: str, bus_id: int, voltage: complex = 1.0 + 0.0j,
-                 x_source: float = 1e-4):
-        super().__init__(device_id, bus_id)
-        self.voltage = complex(voltage)
-        self.x_source = float(x_source)
-
-    def initialize(self, v, s_gen_system, system_base_mva, omega_s):
-        return np.empty(0)
-
-    def norton_admittance(self, system_base_mva):
-        return 1.0 / (1j * self.x_source)
-
-    def source_current(self, x, v, system_base_mva):
-        return self.voltage / (1j * self.x_source)
-
-    def outputs(self, x, v):
-        return {}
-
-
-class DriftingVoltageSource(DeviceModel):
-    """Voltage source whose angle ramps at a fixed frequency offset.
-
-    One state (the source angle) turns a constant per-unit frequency
-    deviation into an autonomous model, which is how frequency-perturbation
-    tests drive a device under test.
-    """
-
-    state_names = ("angle",)
-
-    def __init__(self, device_id: str, bus_id: int, delta_f_pu: float,
-                 voltage_mag: float = 1.0, x_source: float = 1e-4):
-        super().__init__(device_id, bus_id)
-        self.delta_f_pu = float(delta_f_pu)
-        self.voltage_mag = float(voltage_mag)
-        self.x_source = float(x_source)
-        self._omega_s = None
-
-    def initialize(self, v, s_gen_system, system_base_mva, omega_s):
-        self._omega_s = omega_s
-        return np.array([np.angle(v) if v != 0 else 0.0])
-
-    def norton_admittance(self, system_base_mva):
-        return 1.0 / (1j * self.x_source)
-
-    def source_current(self, x, v, system_base_mva):
-        e = self.voltage_mag * np.exp(1j * x[0])
-        return e / (1j * self.x_source)
-
-    def derivatives(self, x, v):
-        return np.array([self._omega_s * self.delta_f_pu])
-
-    def outputs(self, x, v):
-        return {"bus_frequency": 1.0 + self.delta_f_pu}

@@ -7,10 +7,12 @@ dynamic admittance matrix, and the bus voltages solve
     Y_dyn V = sum of device source currents.
 
 Machine sources depend only on machine states, so scenario A reduces to one
-LU solve per evaluation; converter sources see their own terminal voltage,
-which adds a (rapidly contracting) fixed-point loop.  The assembled object
-implements the model protocol used by ``modal.linearize`` and the
-time-domain integrator: ``rhs``, ``equilibrium``, ``state_labels``.
+LU solve per evaluation.  A converter source ``c·V_r/|V_r|`` follows its own
+terminal voltage; with Z = Y_dyn^-1 reduced onto that one bus (Kron
+reduction) the magnitude |V_r| solves a scalar quadratic, so the converter
+case also costs one LU solve plus one cached impedance column per grid.  The
+assembled object implements the model protocol used by ``modal.linearize``
+and the time-domain integrator: ``rhs``, ``equilibrium``, ``state_labels``.
 
 Event support lives here as grid variants: a three-phase fault (bus shunt,
 or midpoint shunt on a split branch), a tripped branch, a scaled load.  Each
@@ -30,8 +32,6 @@ from .modal import StateLabel
 from .network import Branch, Network, NetworkError, build_ybus
 from .powerflow import PowerFlowSolution
 
-ALGEBRAIC_TOL = 1e-12
-ALGEBRAIC_MAX_ITER = 80
 EQUILIBRIUM_TOL = 1e-8
 DEFAULT_FAULT_ADMITTANCE = 1e4
 
@@ -48,6 +48,8 @@ class GridModel:
     n_bus: int                     # base bus count; device rows live here
     note: str = "base"
     lu: tuple = field(default=None, repr=False)
+    # impedance columns Z[:, row] by row, filled on first use
+    z_columns: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.lu is None:
@@ -94,6 +96,11 @@ class DynamicSystem:
                     "cannot be split unambiguously"
                 )
             seen_buses.add(dev.bus_id)
+        if sum(dev.source_depends_on_v for dev in self.devices) > 1:
+            raise SystemModelError(
+                "more than one device has a voltage-dependent source; the "
+                "network solve handles a single converter bus"
+            )
 
         # state bookkeeping
         self._labels: list[StateLabel] = []
@@ -124,7 +131,6 @@ class DynamicSystem:
         for dev, row in zip(self.devices, self._rows):
             y[row, row] += dev.norton_admittance(base)
         self._base_grid = GridModel(y=y, n_bus=network.n_bus)
-        self._v_dependent = [dev.source_depends_on_v for dev in self.devices]
 
         # device equilibria from the power-flow point
         x0_parts = []
@@ -135,8 +141,7 @@ class DynamicSystem:
                 dev.initialize(v_bus, s_gen, base, self.omega_s), dtype=float))
         self._x0 = np.concatenate(x0_parts) if x0_parts else np.empty(0)
 
-        v_pf = np.array([pf.voltage(b.id) for b in network.buses])
-        self._v_eq = self.solve_network(self._x0, v_guess=v_pf)
+        self._v_eq = self.solve_network(self._x0)
 
         r = self.rhs(self._x0)
         worst = int(np.argmax(np.abs(r)))
@@ -155,9 +160,8 @@ class DynamicSystem:
     def equilibrium(self) -> np.ndarray:
         return self._x0.copy()
 
-    def rhs(self, x: np.ndarray, grid: GridModel | None = None,
-            v_guess: np.ndarray | None = None) -> np.ndarray:
-        v = self.solve_network(x, grid=grid, v_guess=v_guess)
+    def rhs(self, x: np.ndarray, grid: GridModel | None = None) -> np.ndarray:
+        v = self.solve_network(x, grid=grid)
         dx = np.empty(self.n_states)
         for dev, sl, row in zip(self.devices, self._slices, self._rows):
             dx[sl] = dev.derivatives(x[sl], v[row])
@@ -173,49 +177,48 @@ class DynamicSystem:
     def equilibrium_voltages(self) -> np.ndarray:
         return self._v_eq.copy()
 
-    def solve_network(self, x: np.ndarray, grid: GridModel | None = None,
-                      v_guess: np.ndarray | None = None) -> np.ndarray:
+    def solve_network(self, x: np.ndarray,
+                      grid: GridModel | None = None) -> np.ndarray:
         """Bus voltages for the current states.
 
-        Returns the full (possibly event-augmented) voltage vector.  The
-        fixed-point loop only runs when voltage-dependent sources exist and
-        iterates to ``ALGEBRAIC_TOL`` in the infinity norm.
+        Returns the full (possibly event-augmented) voltage vector.  Fixed
+        sources give ``w = Z I_fixed``.  A converter at bus ``r`` adds
+        ``c u`` with ``u = V_r/|V_r|``; writing ``z = Z[r, r]`` and
+        ``m = |V_r|``, ``V_r = w_r + z c u`` gives ``|m - z c| = |w_r|``,
+        whose larger root is the operating (high-voltage) solution.  When
+        no positive root exists the network cannot carry the injection
+        (voltage collapse) and ``SystemModelError`` is raised.
         """
         grid = grid if grid is not None else self._base_grid
-        n_aug = grid.y.shape[0]
         base = self.network.base_mva
-        i_fixed = np.zeros(n_aug, dtype=complex)
-        variable = []
-        for dev, sl, row, dep in zip(self.devices, self._slices, self._rows,
-                                     self._v_dependent):
-            if dep:
-                variable.append((dev, sl, row))
+        i_fixed = np.zeros(grid.y.shape[0], dtype=complex)
+        converter = None
+        for dev, sl, row in zip(self.devices, self._slices, self._rows):
+            if dev.source_depends_on_v:
+                converter = (dev, sl, row)
             else:
                 i_fixed[row] += dev.source_current(x[sl], None, base)
-        if not variable:
-            return lu_solve(grid.lu, i_fixed)
+        w = lu_solve(grid.lu, i_fixed)
+        if converter is None:
+            return w
 
-        if v_guess is not None:
-            v = np.ones(n_aug, dtype=complex)
-            v[:min(n_aug, v_guess.size)] = v_guess[:min(n_aug, v_guess.size)]
-        elif getattr(self, "_v_eq", None) is not None:
-            v = np.ones(n_aug, dtype=complex)
-            v[:self.network.n_bus] = self._v_eq[:self.network.n_bus]
-        else:
-            v = np.ones(n_aug, dtype=complex)
-
-        for _ in range(ALGEBRAIC_MAX_ITER):
-            i = i_fixed.copy()
-            for dev, sl, row in variable:
-                i[row] += dev.source_current(x[sl], v[row], base)
-            v_new = lu_solve(grid.lu, i)
-            delta = float(np.max(np.abs(v_new - v)))
-            v = v_new
-            if delta <= ALGEBRAIC_TOL:
-                return v
-        raise SystemModelError(
-            f"network algebraic loop did not converge (last step {delta:.3e})"
-        )
+        dev, sl, r = converter
+        z_col = grid.z_columns.get(r)
+        if z_col is None:
+            unit = np.zeros_like(i_fixed)
+            unit[r] = 1.0
+            z_col = grid.z_columns[r] = lu_solve(grid.lu, unit)
+        c = dev.source_current(x[sl], None, base)
+        zc = z_col[r] * c
+        disc = abs(w[r]) ** 2 - zc.imag ** 2
+        m = zc.real + np.sqrt(max(disc, 0.0))
+        if disc < 0.0 or m <= 0.0:
+            raise SystemModelError(
+                f"no network solution: converter {dev.device_id} injects "
+                f"more current than bus {dev.bus_id} can carry (voltage "
+                "collapse)"
+            )
+        return w + z_col * (c * w[r] / (m - zc))
 
     # -- event grid variants -------------------------------------------------
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 
 from .system import (DEFAULT_FAULT_ADMITTANCE, DynamicSystem, FaultSpec,
                      GridModel, SystemModelError)
@@ -234,14 +233,14 @@ class _GridState:
 # integrator
 
 
-def _finite_difference_jacobian(model, x, grid, v_guess, f0):
+def _finite_difference_jacobian(model, x, grid, f0):
     n = x.size
     a = np.empty((n, n))
     for j in range(n):
         h = 1e-6 * max(1.0, abs(x[j]))
         xp = x.copy()
         xp[j] += h
-        a[:, j] = (model.rhs(xp, grid=grid, v_guess=v_guess) - f0) / h
+        a[:, j] = (model.rhs(xp, grid=grid) - f0) / h
     return a
 
 
@@ -289,8 +288,9 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     iteration matrix I - (dt/2)*J is factored once per segment and step
     size, and J is refreshed whenever convergence degrades.  Integration
     lands exactly on every event time and restarts there with the updated
-    admittance view.  On an unrecoverable step the partial history is
-    attached to the raised :class:`SimulationError`.
+    admittance view.  On an unrecoverable step, or a network solve that
+    fails anywhere in the run, the partial history is attached to the
+    raised :class:`SimulationError`.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -322,7 +322,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
 
     def refresh_jacobian(x_at, f_at):
         nonlocal jac
-        jac = _finite_difference_jacobian(model, x_at, grid, v, f_at)
+        jac = _finite_difference_jacobian(model, x_at, grid, f_at)
         factor_cache.clear()
 
     def iteration_matrix(dt):
@@ -335,7 +335,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
         """One trapezoidal step; returns (x1, f1) or None if stalled."""
         x1 = x0 + dt * f0
         for _ in range(max_newton):
-            f1 = model.rhs(x1, grid=grid, v_guess=v)
+            f1 = model.rhs(x1, grid=grid)
             r = x1 - x0 - 0.5 * dt * (f0 + f1)
             if not np.all(np.isfinite(r)):
                 return None
@@ -344,47 +344,51 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
             x1 = x1 - lu_solve(iteration_matrix(dt), r)
         return None
 
-    for seg_start, seg_end in zip(boundaries[:-1], boundaries[1:]):
-        if seg_start > 0.0 and seg_start in marks:
-            state.apply(seg_start, marks[seg_start])
-            grid = state.grid()
-        try:
-            v = model.solve_network(x, grid=grid, v_guess=v)
-            f = model.rhs(x, grid=grid, v_guess=v)
-        except SystemModelError as exc:
-            raise SimulationError(
-                f"network solution failed entering segment at "
-                f"t={seg_start:.4f}s: {exc}", rec.trace(events)) from exc
-        refresh_jacobian(x, f)
+    t_sub = 0.0
+    try:
+        for seg_start, seg_end in zip(boundaries[:-1], boundaries[1:]):
+            if seg_start > 0.0 and seg_start in marks:
+                state.apply(seg_start, marks[seg_start])
+                grid = state.grid()
+            t_sub = seg_start
+            v = model.solve_network(x, grid=grid)
+            f = model.rhs(x, grid=grid)
+            refresh_jacobian(x, f)
 
-        n_steps = max(1, int(np.ceil((seg_end - seg_start) / dt_max - 1e-9)))
-        dt_seg = (seg_end - seg_start) / n_steps
-        for i in range(n_steps):
-            target = seg_start + (i + 1) * dt_seg
-            t_sub = seg_start + i * dt_seg
-            dt = dt_seg
-            remaining = dt_seg
-            while remaining > 1e-12 * max(1.0, seg_end):
-                result = newton_step(x, f, dt)
-                if result is None:
-                    # slow or divergent: refresh the chord, then halve
-                    refresh_jacobian(x, f)
+            n_steps = max(1, int(np.ceil((seg_end - seg_start) / dt_max
+                                         - 1e-9)))
+            dt_seg = (seg_end - seg_start) / n_steps
+            for i in range(n_steps):
+                target = seg_start + (i + 1) * dt_seg
+                t_sub = seg_start + i * dt_seg
+                dt = dt_seg
+                remaining = dt_seg
+                while remaining > 1e-12 * max(1.0, seg_end):
                     result = newton_step(x, f, dt)
-                if result is None:
-                    if dt / 2.0 < dt_min:
-                        raise SimulationError(
-                            f"integration stalled at t={t_sub:.6f}s "
-                            f"(dt={dt:.2e}s has reached the floor)",
-                            rec.trace(events))
-                    dt /= 2.0
-                    continue
-                x, f = result
-                t_sub += dt
-                remaining -= dt
-                if 0 < remaining < dt:
-                    dt = remaining
-                v = model.solve_network(x, grid=grid, v_guess=v)
-            rec.add(target, x, v, grid)
+                    if result is None:
+                        # slow or divergent: refresh the chord, then halve
+                        refresh_jacobian(x, f)
+                        result = newton_step(x, f, dt)
+                    if result is None:
+                        if dt / 2.0 < dt_min:
+                            raise SimulationError(
+                                f"integration stalled at t={t_sub:.6f}s "
+                                f"(dt={dt:.2e}s has reached the floor)",
+                                rec.trace(events))
+                        dt /= 2.0
+                        continue
+                    x, f = result
+                    t_sub += dt
+                    remaining -= dt
+                    if 0 < remaining < dt:
+                        dt = remaining
+                    v = model.solve_network(x, grid=grid)
+                rec.add(target, x, v, grid)
+    except SystemModelError as exc:
+        # no network solution at some state (e.g. voltage collapse)
+        raise SimulationError(
+            f"network solution failed at t={t_sub:.6f}s: {exc}",
+            rec.trace(events)) from exc
 
     return rec.trace(events)
 
@@ -414,6 +418,31 @@ class RingdownFit:
         return -self.sigma / mag if mag > 0 else 0.0
 
 
+def _find_peaks(y: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of local maxima with prominence >= ``min_prominence``.
+
+    Same definition as ``scipy.signal.find_peaks(y, prominence=...)``: a
+    flat top counts once, at its middle sample (rounded down); a peak's
+    prominence is its height above the higher of the two lowest points
+    reached on each side before the signal first rises above the peak.
+    """
+    # collapse runs of equal samples; a peak is a run above both neighbours
+    starts = np.flatnonzero(np.diff(y, prepend=np.nan) != 0.0)
+    ends = np.append(starts[1:] - 1, y.size - 1)
+    level = y[starts]
+    top = np.flatnonzero((level[1:-1] > level[:-2])
+                         & (level[1:-1] > level[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+    keep = []
+    for p in peaks:
+        higher = np.flatnonzero(y[:p] > y[p])
+        left = y[higher[-1] + 1 if higher.size else 0:p + 1].min()
+        higher = np.flatnonzero(y[p:] > y[p])
+        right = y[p:p + higher[0] if higher.size else y.size].min()
+        keep.append(y[p] - max(left, right) >= min_prominence)
+    return peaks[np.array(keep, dtype=bool)]
+
+
 def ringdown_fit(time: np.ndarray, signal: np.ndarray,
                  window: tuple[float, float] | None = None) -> RingdownFit:
     """Fit one damped sinusoid to a signal section.
@@ -437,7 +466,7 @@ def ringdown_fit(time: np.ndarray, signal: np.ndarray,
     offset0 = float(np.mean(y))
     yc = y - offset0
 
-    peaks, _ = find_peaks(yc, prominence=0.02 * float(np.max(np.abs(yc))))
+    peaks = _find_peaks(yc, 0.02 * float(np.max(np.abs(yc))))
     if peaks.size < 3:
         raise RingdownError(
             f"found {peaks.size} peaks in the window; need at least 3 for "

@@ -2,7 +2,8 @@
 
 Grid-variant oracles are built by re-solving a modified network from scratch
 (branch removed, load rescaled) rather than by reusing the stamping code
-under test.
+under test.  The closed-form converter solve is checked against the
+fixed-point iteration it replaced, kept here as a test-local reference.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from windmodal.network import Bus, Network
 from windmodal.powerflow import solve_power_flow
+from windmodal.scenario import build_scenario_system, load_packaged_scenario
 from windmodal.syncgen import SyncGen, SyncGenParams
 from windmodal.system import (DEFAULT_FAULT_ADMITTANCE, FaultSpec,
                               SystemModelError, assemble)
@@ -195,3 +197,88 @@ def test_rhs_perturbation_responds_through_the_network(system_a):
     # advancing G1's angle loads it up: its speed derivative goes negative
     idx = [str(l) for l in system_a.state_labels()].index("G1.speed")
     assert dx[idx] < 0.0
+
+
+# -- closed-form network solve ---------------------------------------------------------
+
+def packaged_system(name):
+    net, devices = build_scenario_system(load_packaged_scenario(name))
+    return assemble(net, devices, solve_power_flow(net, tol=1e-12))
+
+
+def reference_solve(model, x, grid, tol=1e-14, max_iter=2000):
+    """The fixed-point iteration the closed form replaced: re-inject every
+    source at the last voltage iterate until the voltages stop moving."""
+    base = model.network.base_mva
+    rows = model.network.index()
+    v = np.ones(grid.y.shape[0], dtype=complex)
+    v[:model.network.n_bus] = model.equilibrium_voltages
+    for _ in range(max_iter):
+        i = np.zeros_like(v)
+        pos = 0
+        for dev in model.devices:
+            row = rows[dev.bus_id]
+            i[row] += dev.source_current(x[pos:pos + dev.n_states], v[row],
+                                         base)
+            pos += dev.n_states
+        v_new = np.linalg.solve(grid.y, i)
+        delta = np.max(np.abs(v_new - v))
+        v = v_new
+        if delta <= tol:
+            return v
+    raise AssertionError(f"reference iteration stalled at step {delta:.2e}")
+
+
+@pytest.mark.parametrize("name", ["B_voltage_support",
+                                  "C_reactive_power_support"])
+def test_closed_form_network_solve_matches_the_fixed_point(name):
+    model = packaged_system(name)
+    rng = np.random.default_rng(7)
+    x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
+    grids = [
+        model.base_grid,
+        model.grid_variant(faults=[FaultSpec(bus=12)]),
+        model.grid_variant(faults=[FaultSpec(branch="L8-9a")]),
+        model.grid_variant(out_branches=["L8-9b"]),
+        model.grid_variant(load_scales={9: 1.2}),
+    ]
+    for g in grids:
+        v = model.solve_network(x, grid=g)
+        assert np.max(np.abs(v - reference_solve(model, x, g))) <= 1e-10, \
+            g.note
+
+
+def test_network_solve_names_voltage_collapse():
+    model = packaged_system("B_voltage_support")
+    names = [str(lab) for lab in model.state_labels()]
+    x = model.equilibrium()
+    x[names.index("W1.i_p")] = x[names.index("W1.i_q")] = 20.0
+    with pytest.raises(SystemModelError, match="no network solution"):
+        model.solve_network(x)
+
+
+def test_assembly_rejects_two_converter_buses():
+    net, devices = build_two_area("B")
+    pf = solve_power_flow(net, tol=1e-12)
+    w1 = devices[-1]
+    second = type(w1)("W2", 7, w1.params)
+    with pytest.raises(SystemModelError, match="voltage-dependent source"):
+        assemble(net, devices + [second], pf)
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_network_solve_costs_one_lu_solve(monkeypatch, system_a, system_b,
+                                          case):
+    import windmodal.system as system_module
+    model = system_a if case == "A" else system_b
+    grid = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    x = model.equilibrium()
+    model.solve_network(x, grid=grid)           # caches Z[:, r] for grid
+    calls = []
+    real = system_module.lu_solve
+    monkeypatch.setattr(system_module, "lu_solve",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for k in range(5):
+        model.solve_network(x * (1.0 + 1e-3 * k), grid=grid)
+    model.rhs(x, grid=grid)
+    assert len(calls) == 6

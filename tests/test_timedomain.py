@@ -10,15 +10,23 @@ the recorded trace, and the damped-sinusoid fit against synthetic signals.
 import csv
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import windmodal
 from windmodal.modal import linearize
+from windmodal.scenario import load_packaged_scenario, simulate_scenario
+from windmodal.system import SystemModelError
 from windmodal.timedomain import (Event, RingdownError, SimulationError,
-                                  Trace, cycles, cleared_grid, fault_grid,
-                                  ringdown_fit, simulate)
+                                  Trace, _find_peaks, cycles, cleared_grid,
+                                  fault_grid, ringdown_fit, simulate)
+
+from conftest import build_system
 
 
 def test_cycles_converts_to_seconds():
@@ -182,6 +190,30 @@ def test_newton_stall_reports_partial_progress(system_a):
     assert err.value.trace.time.size > 0
 
 
+# the 60th network solve falls in a Newton iterate's rhs, the 61st is the
+# solve after an accepted step
+@pytest.mark.parametrize("fail_after", [59, 60])
+def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
+                                                         fail_after):
+    model = build_system("A")
+    solve = model.solve_network
+    calls = []
+
+    def failing(x, grid=None):
+        calls.append(1)
+        if len(calls) > fail_after:
+            raise SystemModelError("injected network failure")
+        return solve(x, grid=grid)
+
+    monkeypatch.setattr(model, "solve_network", failing)
+    with pytest.raises(SimulationError,
+                       match="network solution failed at t=.*injected"
+                       ) as err:
+        simulate(model, t_end=0.5, dt_max=1e-3)
+    assert err.value.trace is not None
+    assert err.value.trace.time.size > 1
+
+
 # -- fault grid helpers ----------------------------------------------------------------
 
 
@@ -280,3 +312,42 @@ def test_ringdown_fit_of_an_undamped_tone():
     fit = ringdown_fit(t, np.sin(2.2 * t))
     assert abs(fit.sigma) < 1e-8
     assert fit.omega == pytest.approx(2.2, rel=1e-9)
+
+
+def scipy_peaks(y, prominence):
+    from scipy.signal import find_peaks
+    return find_peaks(y, prominence=prominence)[0]
+
+
+def test_peak_finder_matches_scipy_on_the_criterion_7_swing():
+    tr = simulate_scenario(load_packaged_scenario("A"), t_end=6.0,
+                           dt_max=1e-3)
+    swing = tr.column("G1.rotor_speed") - tr.column("G3.rotor_speed")
+    power = tr.column("G1.active_power")     # fault ripple: more maxima
+    for y in (swing - swing.mean(), power - power.mean()):
+        for frac in (0.0, 0.02, 0.3):
+            prom = frac * float(np.max(np.abs(y)))
+            assert np.array_equal(_find_peaks(y, prom), scipy_peaks(y, prom))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_peak_finder_matches_scipy_on_noisy_ringdowns(seed):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 20.0, 2001)
+    y = synth(t, -rng.uniform(0.0, 0.3), rng.uniform(1.0, 8.0),
+              noise=rng.uniform(0.0, 0.05), seed=seed)
+    for signal in (y, np.round(y, 2)):     # rounding makes flat tops
+        for frac in (0.0, 0.02, 0.2):
+            prom = frac * float(np.max(np.abs(signal)))
+            assert np.array_equal(_find_peaks(signal, prom),
+                                  scipy_peaks(signal, prom))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = os.path.dirname(os.path.dirname(windmodal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, windmodal; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
