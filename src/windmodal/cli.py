@@ -167,8 +167,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     scen = _load(args.scenario)
     sweep = sc.run_sensitivity_sweep(scen, kp_values=args.kp,
-                                     kin_values=args.kin,
-                                     threads=args.threads)
+                                     kin_values=args.kin)
     failed = [c for c in sweep.cells if c.error]
     print(f"sweep {sweep.scenario_name}: {len(sweep.cells)} cells "
           f"({len(sweep.kp_values)} kp x {len(sweep.kin_values)} kin), "
@@ -277,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="K_p grid as start:stop:step (default 0:50:10)")
     p.add_argument("--kin", type=_gain_values, default=None,
                    help="K_in grid as start:stop:step (default 0:50:10)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="concurrent cells (default 1)")
     add_formats(p)
     add_out(p)
     p.set_defaults(fn=cmd_sweep)

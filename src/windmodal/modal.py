@@ -193,11 +193,18 @@ def ccbg_pi(participation: np.ndarray, labels: list[StateLabel]) -> float:
     is sum(converter states) / sum(all states), zero for an all-synchronous
     system, in [0, 1] by construction.
     """
-    p = np.abs(np.asarray(participation, dtype=float))
+    return _converter_share(np.abs(np.asarray(participation, dtype=float)),
+                            _converter_mask(labels))
+
+
+def _converter_mask(labels: list[StateLabel]) -> np.ndarray:
+    return np.array([lab.device_class == "converter" for lab in labels])
+
+
+def _converter_share(p: np.ndarray, mask: np.ndarray) -> float:
     total = p.sum()
     if total == 0.0:
         return 0.0
-    mask = np.array([lab.device_class == "converter" for lab in labels])
     return float(p[mask].sum() / total)
 
 
@@ -243,13 +250,14 @@ def analyze_modes(state_matrix: StateMatrix,
     """
     dec = decompose(state_matrix)
     pf = participation_factors(dec)
+    converter = _converter_mask(dec.labels)
     modes = []
     for i, lam in enumerate(dec.eigenvalues):
         if lam.imag < 0.0:
             continue  # conjugate partner carries the same information
         if abs(lam) <= zero_tol:
             continue
-        share = ccbg_pi(pf[:, i], dec.labels)
+        share = _converter_share(pf[:, i], converter)
         cls = classify_mode(lam, share)
         modes.append(Mode(
             eigenvalue=complex(lam),

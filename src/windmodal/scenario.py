@@ -4,10 +4,11 @@ A scenario file picks one benchmark case, the farm's reactive-control mode,
 whether frequency support is active, optional parameter overrides, and a
 disturbance script.  ``run_scenario`` drives power flow, assembly,
 linearization and modal analysis, annotating any failure with the pipeline
-stage that raised it.  ``run_sensitivity_sweep`` repeats the analysis over a
-droop-gain grid.  Reports and sweeps export as CSV or as structured text
-that parses back into an equal object, so archived results can be diffed
-and reloaded faithfully.
+stage that raised it.  ``run_sensitivity_sweep`` maps the dominant modes
+over a droop-gain grid from one power flow and four linearizations, since
+the state matrix is affine in the gains.  Reports and sweeps export as CSV or
+as structured text that parses back into an equal object, so archived
+results can be diffed and reloaded faithfully.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dfig import DroopParams
-from .modal import Mode, analyze_modes, dominant_modes, linearize
+from .modal import (Mode, StateMatrix, analyze_modes, dominant_modes,
+                    linearize)
 from .powerflow import solve_power_flow
 from .system import assemble
 from .timedomain import Event, Trace, cycles, simulate
@@ -35,6 +38,9 @@ DEFAULT_SUPPORT_KIN = 0.0
 DEFAULT_GAIN_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 POWER_FLOW_TOL = 1e-12
 CONTROL_MODE_FLAG_THRESHOLD = 0.05
+# Largest relative gap between the affine sweep matrix and a direct
+# linearization at the check point (see _affine_gain_model).
+AFFINE_TOL = 1e-9
 
 _MODE_CLASSES = ("inter_area", "local", "converter_control", "other")
 
@@ -516,13 +522,51 @@ def _with_gains(scenario: Scenario, kp: float, kin: float) -> Scenario:
                                sha256="")
 
 
-def run_sensitivity_sweep(scenario: Scenario, kp_values=None, kin_values=None,
-                          threads: int = 1) -> SweepResult:
+def _affine_gain_model(scenario: Scenario, kp_star: float, kin_star: float):
+    """``A00, G_p, G_i, labels`` of A(K_p, K_in) = A00 + K_p*G_p + K_in*G_i.
+
+    One power flow serves four linearizations: the basis points (0, 0),
+    (K_p*, 0) and (0, K_in*), and the check point (K_p*/2, K_in*/2), where
+    the affine matrix must match a direct linearization to AFFINE_TOL.
+    """
+    net, _ = _stage("build", build_scenario_system,
+                    _with_gains(scenario, 0.0, 0.0))
+    pf = _stage("powerflow", solve_power_flow, net, tol=POWER_FLOW_TOL)
+
+    def linearized_at(kp, kin):
+        net, devices = _stage("build", build_scenario_system,
+                              _with_gains(scenario, kp, kin))
+        system = _stage("assemble", assemble, net, devices, pf)
+        return _stage("linearize", linearize, system)
+
+    base = linearized_at(0.0, 0.0)
+    g_p = (linearized_at(kp_star, 0.0).a - base.a) / kp_star
+    g_i = (linearized_at(0.0, kin_star).a - base.a) / kin_star
+    kp_c, kin_c = kp_star / 2.0, kin_star / 2.0
+    direct = linearized_at(kp_c, kin_c).a
+    residual = (np.max(np.abs(direct - (base.a + kp_c * g_p + kin_c * g_i)))
+                / max(1.0, np.max(np.abs(direct))))
+    if residual > AFFINE_TOL:
+        raise PipelineError(
+            "linearize", f"state matrix is not affine in the droop gains: "
+            f"relative residual {residual:.3e} at (kp={kp_c:g}, "
+            f"kin={kin_c:g}) exceeds the tolerance {AFFINE_TOL:g}")
+    return base.a, g_p, g_i, base.labels
+
+
+def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
+                          kin_values=None) -> SweepResult:
     """Dominant modes over a droop-gain grid.
 
-    Every (K_in, K_p) cell re-runs the whole pipeline with support enabled
-    at those gains.  A failing cell records its error and the sweep
-    continues.  ``threads`` > 1 runs cells concurrently.
+    The gains enter the model only through the farm's droop target, linearly,
+    and leave the equilibrium unchanged, so the state matrix is affine in
+    them.  The sweep solves the power flow once, linearizes four systems on
+    it (see ``_affine_gain_model``; K* is the largest grid value of each
+    gain, or 1 if that is 0) and runs one modal analysis per (K_in, K_p)
+    cell on A00 + K_p*G_p + K_in*G_i.  A failure in the shared work is
+    recorded, with its stage tag, in every cell; a cell with invalid gains
+    or a failed modal analysis records its own error, and the sweep
+    continues.
     """
     if scenario.base_case == "A":
         raise PipelineError("build", "sweep needs a wind farm; case A has "
@@ -530,24 +574,31 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None, kin_values=None,
     kp_values = tuple(DEFAULT_GAIN_GRID if kp_values is None else kp_values)
     kin_values = tuple(DEFAULT_GAIN_GRID if kin_values is None else kin_values)
 
-    grid = [(kp, kin) for kin in kin_values for kp in kp_values]
+    shared_error = ""
+    try:
+        a00, g_p, g_i, labels = _affine_gain_model(
+            scenario, max((0.0, *kp_values)) or 1.0,
+            max((0.0, *kin_values)) or 1.0)
+    except PipelineError as exc:
+        shared_error = str(exc)
 
-    def cell(args):
-        kp, kin = args
-        try:
-            report = run_scenario(_with_gains(scenario, kp, kin))
-            return SweepCell(kp=kp, kin=kin, dominant=report.dominant)
-        except Exception as exc:
-            return SweepCell(kp=kp, kin=kin, dominant=(), error=str(exc))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = tuple(pool.map(cell, grid))
-    else:
-        cells = tuple(cell(g) for g in grid)
+    cells = []
+    for kin in kin_values:
+        for kp in kp_values:
+            dominant, error = (), shared_error
+            try:
+                DroopParams(kp=kp, kin=kin)     # rejects invalid gains
+                if not error:
+                    a = StateMatrix(a00 + kp * g_p + kin * g_i, labels)
+                    dominant = _dominant_rows(
+                        _stage("modal", analyze_modes, a))
+            except Exception as exc:
+                error = str(exc)
+            cells.append(SweepCell(kp=kp, kin=kin, dominant=dominant,
+                                   error=error))
     return SweepResult(
         scenario_name=scenario.name or scenario.base_case,
-        kp_values=kp_values, kin_values=kin_values, cells=cells,
+        kp_values=kp_values, kin_values=kin_values, cells=tuple(cells),
         scenario_sha256=scenario.sha256, version=__version__,
     )
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import least_squares
 
 from .system import (DEFAULT_FAULT_ADMITTANCE, DynamicSystem, FaultSpec,
                      GridModel, SystemModelError)
@@ -486,6 +485,9 @@ def ringdown_fit(time: np.ndarray, signal: np.ndarray,
 
     def residuals(p):
         return model(p) - y
+
+    # imported here so that ``import windmodal`` does not load scipy.optimize
+    from scipy.optimize import least_squares
 
     p0 = [amp0, sigma0, omega0, phase0, offset0]
     fit = least_squares(residuals, p0, method="lm", max_nfev=20000)

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import windmodal
 from windmodal import __version__
 from windmodal.cli import OUTPUT_DIR_ENV, _gain_values, main
 
@@ -85,13 +86,26 @@ def test_simulate_writes_a_trace(tmp_path, capsys):
 
 def test_sweep_command(tmp_path, capsys):
     assert main(["sweep", "--scenario", "B_voltage", "--kp", "0:10:10",
-                 "--kin", "0", "--threads", "2", "--out",
+                 "--kin", "0", "--out",
                  str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "2 cells (2 kp x 1 kin), 0 failed" in out
     sweep = tmp_path / "sweep_B_voltage.csv"
     assert sweep.is_file()
     assert len(sweep.read_text().strip().splitlines()) == 1 + 2
+
+
+def test_sweep_exits_1_when_the_gain_model_is_not_affine(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(
+        windmodal.dfig, "frequency_support_reference",
+        lambda p_opt, delta_f, rocof, droop:
+            p_opt - droop.kp ** 2 * delta_f - droop.kin * rocof)
+    assert main(["sweep", "--scenario", "B_voltage", "--kp", "0:10:10",
+                 "--kin", "0", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "2 cells (2 kp x 1 kin), 2 failed" in captured.out
+    assert "[linearize] state matrix is not affine" in captured.err
 
 
 def test_output_dir_env_var_and_override(tmp_path, monkeypatch):

@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from windmodal.modal import (ModalError, Mode, StateLabel, StateMatrix,
-                             analyze_modes, ccbg_pi, classify_mode,
+from windmodal.modal import (ZERO_MODE_TOL, ModalError, Mode, StateLabel,
+                             StateMatrix, analyze_modes, ccbg_pi, classify_mode,
                              damping_ratio, decompose, dominant_modes,
                              linearize, participation_factors,
                              participation_products)
@@ -179,6 +179,25 @@ def test_ccbg_random_mixtures_stay_in_unit_interval():
                 for k in range(n)]
         share = ccbg_pi(p, labs)
         assert 0.0 <= share <= 1.0
+
+
+def test_analyze_modes_share_equals_ccbg_pi_on_a_wind_study():
+    # analyze_modes builds the converter mask once per call; each mode's
+    # share must still be exactly what ccbg_pi gives for its column
+    from windmodal.scenario import (assemble, build_scenario_system,
+                                    load_packaged_scenario, solve_power_flow)
+    net, devices = build_scenario_system(
+        load_packaged_scenario("B_voltage_support"))
+    a = linearize(assemble(net, devices, solve_power_flow(net, tol=1e-12)))
+    dec = decompose(a)
+    pf = participation_factors(dec)
+    want = sorted((lam.real, lam.imag, ccbg_pi(pf[:, i], a.labels))
+                  for i, lam in enumerate(dec.eigenvalues)
+                  if lam.imag >= 0.0 and abs(lam) > ZERO_MODE_TOL)
+    got = sorted((m.eigenvalue.real, m.eigenvalue.imag, m.ccbg_pi)
+                 for m in analyze_modes(a))
+    assert any(share > 0.5 for _, _, share in got)
+    assert got == want
 
 
 # -- classification -----------------------------------------------------------------

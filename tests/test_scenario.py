@@ -14,7 +14,7 @@ import pytest
 import windmodal
 from windmodal.dfig import DroopParams
 from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
-                                Report, Scenario, ScenarioError,
+                                Report, Scenario, ScenarioError, _with_gains,
                                 build_scenario_system, compare_control_modes,
                                 export_report, load_packaged_scenario,
                                 load_scenario, make_scenario,
@@ -305,16 +305,53 @@ def test_export_report_writes_stable_bytes(tmp_path, report_a):
 # -- gain sweeps ------------------------------------------------------------------------
 
 
-def test_sweep_grid_ordering_and_thread_equivalence(scenario_b):
+def test_sweep_grid_ordering_and_affine_equivalence():
+    # the sweep builds every cell from four linearizations; each cell must
+    # match a full run_scenario at its gains
     assert len(DEFAULT_GAIN_GRID) == 6
-    serial = run_sensitivity_sweep(scenario_b, kp_values=(0.0, 10.0),
-                                   kin_values=(0.0, 50.0))
-    assert [(c.kp, c.kin) for c in serial.cells] == [
-        (0.0, 0.0), (10.0, 0.0), (0.0, 50.0), (10.0, 50.0)]
-    assert all(not c.error and c.dominant for c in serial.cells)
-    threaded = run_sensitivity_sweep(scenario_b, kp_values=(0.0, 10.0),
-                                     kin_values=(0.0, 50.0), threads=4)
-    assert threaded == serial
+    kp_values, kin_values = (0.0, 10.0, 35.0), (0.0, 20.0, 50.0)
+    for name in ("B_voltage", "C_reactive_power"):
+        scenario = load_packaged_scenario(name)
+        sweep = run_sensitivity_sweep(scenario, kp_values=kp_values,
+                                      kin_values=kin_values)
+        assert [(c.kp, c.kin) for c in sweep.cells] == [
+            (kp, kin) for kin in kin_values for kp in kp_values]
+        for cell in sweep.cells:
+            assert not cell.error and cell.dominant
+            direct = run_scenario(_with_gains(scenario, cell.kp, cell.kin))
+            assert [m.classification for m in cell.dominant] == \
+                [m.classification for m in direct.dominant]
+            for got, want in zip(cell.dominant, direct.dominant):
+                for f in ("real", "imag", "damping", "frequency_hz",
+                          "ccbg_pi"):
+                    assert abs(getattr(got, f) - getattr(want, f)) <= 1e-9, \
+                        (name, cell.kp, cell.kin, f)
+
+
+def test_sweep_rejects_a_model_that_is_not_affine_in_the_gains(
+        scenario_b, monkeypatch):
+    # a support law quadratic in kp: the basis points cannot see it, the
+    # check point (kp*/2, kin*/2) must
+    def quadratic(p_opt, delta_f, rocof, droop):
+        return p_opt - droop.kp ** 2 * delta_f - droop.kin * rocof
+
+    monkeypatch.setattr(windmodal.dfig, "frequency_support_reference",
+                        quadratic)
+    sweep = run_sensitivity_sweep(scenario_b, kp_values=(0.0, 20.0),
+                                  kin_values=(0.0, 10.0))
+    assert len(sweep.cells) == 4
+    for cell in sweep.cells:
+        assert not cell.dominant
+        assert cell.error.startswith("[linearize] state matrix is not affine")
+        assert "relative residual" in cell.error and "1e-09" in cell.error
+
+
+def test_sweep_cell_with_invalid_gains_fails_alone(scenario_b):
+    sweep = run_sensitivity_sweep(scenario_b, kp_values=(-5.0, 10.0),
+                                  kin_values=(0.0,))
+    bad, good = sweep.cells
+    assert "nonnegative" in bad.error and not bad.dominant
+    assert not good.error and good.dominant
 
 
 def test_sweep_records_failed_cells_and_continues(scenario_b):
