@@ -19,7 +19,9 @@ winds the reference back down, and the rotor recovers.
 
 from __future__ import annotations
 
+import cmath
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +44,13 @@ class DroopParams:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.kp < 0.0 or self.kin < 0.0:
+        if not (0.0 <= self.kp < math.inf and 0.0 <= self.kin < math.inf):
             raise DeviceError(
-                f"droop gains must be nonnegative (kp={self.kp}, kin={self.kin})"
+                "droop gains must be finite and nonnegative "
+                f"(kp={self.kp}, kin={self.kin})"
             )
-        if self.rocof_filter_time <= 0.0:
-            raise DeviceError("rocof_filter_time must be positive")
+        if not 0.0 < self.rocof_filter_time < math.inf:
+            raise DeviceError("rocof_filter_time must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -278,13 +281,13 @@ class Dfig(DeviceModel):
 
     def source_current(self, x, v, system_base_mva):
         direction = v / abs(v) if v is not None and abs(v) > 1e-12 else 1.0 + 0.0j
-        i_dev = (x[5] - 1j * x[8]) * direction
+        i_dev = complex(x[5], -x[8]) * direction
         return i_dev * self.params.base_mva / system_base_mva
 
     def _measurements(self, x, v):
         p = self.params
         vm = abs(v)
-        theta = np.angle(v)
+        theta = cmath.phase(v)
         # washout frequency estimate from the bus angle; wrap-safe difference
         dth = _wrap_angle(theta - x[9])
         delta_f = dth / (p.freq_filter_time * self._omega_s)
@@ -293,6 +296,7 @@ class Dfig(DeviceModel):
 
     def derivatives(self, x, v):
         p = self.params
+        x = x.tolist()
         (speed, p_cmd, p_rate, droop_p, droop_rate,
          i_p, v_filt, q_ctrl, i_q) = x[:9]
         vm, dth, delta_f, rocof = self._measurements(x, v)
@@ -311,7 +315,7 @@ class Dfig(DeviceModel):
         d_p_cmd = p_rate
         d_p_rate = (p.p_ctrl_omega ** 2) * (p_ref - p_cmd) \
             - 2.0 * p.p_ctrl_zeta * p.p_ctrl_omega * p_rate
-        i_cmd = np.clip(p_cmd / max(v_filt, p.v_floor), 0.0, p.i_pmax)
+        i_cmd = min(max(p_cmd / max(v_filt, p.v_floor), 0.0), p.i_pmax)
         d_i_p = (i_cmd - i_p) / p.t_current
         d_v_filt = (vm - v_filt) / p.v_filter_time
 
@@ -332,7 +336,7 @@ class Dfig(DeviceModel):
         if (q_ctrl >= p.i_qmax and d_q_ctrl > 0.0) or \
            (q_ctrl <= -p.i_qmax and d_q_ctrl < 0.0):
             d_q_ctrl = 0.0
-        d_i_q = (np.clip(iq_cmd, -p.i_qmax, p.i_qmax) - i_q) / p.t_current
+        d_i_q = (min(max(iq_cmd, -p.i_qmax), p.i_qmax) - i_q) / p.t_current
 
         return np.array([
             d_speed,
@@ -371,4 +375,4 @@ class Dfig(DeviceModel):
 
 def _wrap_angle(angle: float) -> float:
     """Map an angle difference into (-pi, pi]."""
-    return (angle + np.pi) % (2.0 * np.pi) - np.pi
+    return (angle + math.pi) % (2.0 * math.pi) - math.pi

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -546,7 +547,7 @@ def _affine_gain_model(scenario: Scenario, kp_star: float, kin_star: float):
     direct = linearized_at(kp_c, kin_c).a
     residual = (np.max(np.abs(direct - (base.a + kp_c * g_p + kin_c * g_i)))
                 / max(1.0, np.max(np.abs(direct))))
-    if residual > AFFINE_TOL:
+    if not residual <= AFFINE_TOL:       # a NaN residual fails too
         raise PipelineError(
             "linearize", f"state matrix is not affine in the droop gains: "
             f"relative residual {residual:.3e} at (kp={kp_c:g}, "
@@ -561,8 +562,8 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
     The gains enter the model only through the farm's droop target, linearly,
     and leave the equilibrium unchanged, so the state matrix is affine in
     them.  The sweep solves the power flow once, linearizes four systems on
-    it (see ``_affine_gain_model``; K* is the largest grid value of each
-    gain, or 1 if that is 0) and runs one modal analysis per (K_in, K_p)
+    it (see ``_affine_gain_model``; K* is the largest finite grid value of
+    each gain, or 1 if that is 0) and runs one modal analysis per (K_in, K_p)
     cell on A00 + K_p*G_p + K_in*G_i.  A failure in the shared work is
     recorded, with its stage tag, in every cell; a cell with invalid gains
     or a failed modal analysis records its own error, and the sweep
@@ -574,11 +575,13 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
     kp_values = tuple(DEFAULT_GAIN_GRID if kp_values is None else kp_values)
     kin_values = tuple(DEFAULT_GAIN_GRID if kin_values is None else kin_values)
 
+    def k_star(values):
+        return max((0.0, *(k for k in values if math.isfinite(k)))) or 1.0
+
     shared_error = ""
     try:
         a00, g_p, g_i, labels = _affine_gain_model(
-            scenario, max((0.0, *kp_values)) or 1.0,
-            max((0.0, *kin_values)) or 1.0)
+            scenario, k_star(kp_values), k_star(kin_values))
     except PipelineError as exc:
         shared_error = str(exc)
 

@@ -11,6 +11,8 @@ power and stabilizer output are enforced as non-windup clamps.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +111,14 @@ class SyncGen(DeviceModel):
         return y_dev * e_net * p.base_mva / system_base_mva
 
     def _subtransient_emf(self, x):
-        delta, eq_st, ed_st = x[0], x[4], x[5]
-        return (ed_st + 1j * eq_st) * np.exp(1j * (delta - np.pi / 2.0))
+        return complex(x[5], x[4]) * _machine_to_network(x[0])
 
     def _dq_currents(self, x, v):
         """Stator currents in the machine frame, device per unit."""
         p = self.params
-        i_net = (self._subtransient_emf(x) - v) / complex(p.ra, p.xd_st)
-        i_dq = i_net * np.exp(-1j * (x[0] - np.pi / 2.0))
+        rot = _machine_to_network(x[0])
+        i_net = (complex(x[5], x[4]) * rot - v) / complex(p.ra, p.xd_st)
+        i_dq = i_net * rot.conjugate()
         return i_dq.real, i_dq.imag
 
     # -- initialization ----------------------------------------------------
@@ -152,8 +154,9 @@ class SyncGen(DeviceModel):
                 f"{self.device_id}: mechanical power {te0:.3f} pu at the "
                 "operating point violates the governor limits"
             )
-        self.v_ref = abs(v) + efd0 / p.ka
-        self.pm_ref = te0
+        # plain floats, so that derivatives() does no numpy scalar arithmetic
+        self.v_ref = float(abs(v) + efd0 / p.ka)
+        self.pm_ref = float(te0)
         return np.array([
             delta0, 0.0, eq_t, ed_t, eq_st, ed_st, efd0, te0, 0.0, 0.0, 0.0,
         ])
@@ -162,6 +165,7 @@ class SyncGen(DeviceModel):
 
     def derivatives(self, x, v):
         p = self.params
+        x = x.tolist()
         (delta, speed, eq_t, ed_t, eq_st, ed_st, efd, pm,
          pss_w, pss_a, pss_b) = x
         id_, iq = self._dq_currents(x, v)
@@ -171,7 +175,7 @@ class SyncGen(DeviceModel):
         y_w = speed - pss_w
         y_1 = (p.t1 / p.t2) * y_w + (1.0 - p.t1 / p.t2) * pss_a
         y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
-        v_s = float(np.clip(p.k_pss * y_2, -p.vs_max, p.vs_max))
+        v_s = min(max(p.k_pss * y_2, -p.vs_max), p.vs_max)
 
         d_efd = (p.ka * (self.v_ref - abs(v) + v_s) - efd) / p.ta
         if (efd >= p.efd_max and d_efd > 0.0) or \
@@ -208,3 +212,8 @@ class SyncGen(DeviceModel):
             "reactive_power": float(s_dev.imag),
             "bus_frequency": float(1.0 + x[1]),
         }
+
+
+def _machine_to_network(delta: float) -> complex:
+    """Rotation from the machine d-q frame onto the network frame."""
+    return cmath.exp(1j * (delta - math.pi / 2.0))

@@ -6,13 +6,16 @@ dynamic admittance matrix, and the bus voltages solve
 
     Y_dyn V = sum of device source currents.
 
-Machine sources depend only on machine states, so scenario A reduces to one
-LU solve per evaluation.  A converter source ``c·V_r/|V_r|`` follows its own
-terminal voltage; with Z = Y_dyn^-1 reduced onto that one bus (Kron
-reduction) the magnitude |V_r| solves a scalar quadratic, so the converter
-case also costs one LU solve plus one cached impedance column per grid.  The
-assembled object implements the model protocol used by ``modal.linearize``
-and the time-domain integrator: ``rhs``, ``equilibrium``, ``state_labels``.
+Sources are injected only at the k device buses, so each grid keeps the
+impedance columns Z[:, device rows] of Z = Y_dyn^-1 (Kron reduction onto the
+device buses), computed by one multi-column LU solve when the grid is built.
+Machine sources depend only on machine states; a converter source
+``c·V_r/|V_r|`` follows its own terminal voltage, and on the k×k block
+Z[rows, rows] its magnitude |V_r| solves a scalar quadratic.  Either way a
+network solve is k source currents and one small matrix-vector product,
+with no LU solve.  The assembled object implements the model protocol used
+by ``modal.linearize`` and the time-domain integrator: ``rhs``,
+``equilibrium``, ``state_labels``.
 
 Event support lives here as grid variants: a three-phase fault (bus shunt,
 or midpoint shunt on a split branch), a tripped branch, a scaled load.  Each
@@ -22,6 +25,7 @@ event is exact by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,14 +50,9 @@ class GridModel:
 
     y: np.ndarray
     n_bus: int                     # base bus count; device rows live here
+    # impedance columns Z[:, device rows] (n_aug × k), in device order
+    z_dev: np.ndarray = field(repr=False)
     note: str = "base"
-    lu: tuple = field(default=None, repr=False)
-    # impedance columns Z[:, row] by row, filled on first use
-    z_columns: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.lu is None:
-            self.lu = lu_factor(self.y)
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,14 @@ class DynamicSystem:
                     "cannot be split unambiguously"
                 )
             seen_buses.add(dev.bus_id)
-        if sum(dev.source_depends_on_v for dev in self.devices) > 1:
+        converters = [k for k, dev in enumerate(self.devices)
+                      if dev.source_depends_on_v]
+        if len(converters) > 1:
             raise SystemModelError(
                 "more than one device has a voltage-dependent source; the "
                 "network solve handles a single converter bus"
             )
+        self._converter = converters[0] if converters else None
 
         # state bookkeeping
         self._labels: list[StateLabel] = []
@@ -130,7 +132,7 @@ class DynamicSystem:
                     complex(b.p_load, -b.q_load) / vm[b.id] ** 2
         for dev, row in zip(self.devices, self._rows):
             y[row, row] += dev.norton_admittance(base)
-        self._base_grid = GridModel(y=y, n_bus=network.n_bus)
+        self._base_grid = self._grid(y, "base")
 
         # device equilibria from the power-flow point
         x0_parts = []
@@ -141,11 +143,9 @@ class DynamicSystem:
                 dev.initialize(v_bus, s_gen, base, self.omega_s), dtype=float))
         self._x0 = np.concatenate(x0_parts) if x0_parts else np.empty(0)
 
-        self._v_eq = self.solve_network(self._x0)
-
-        r = self.rhs(self._x0)
+        r, self._v_eq = self._evaluate(self._x0)
         worst = int(np.argmax(np.abs(r)))
-        if abs(r[worst]) > EQUILIBRIUM_TOL:
+        if not abs(r[worst]) <= EQUILIBRIUM_TOL:     # NaN fails too
             raise SystemModelError(
                 "assembled system is not at equilibrium: d/dt of "
                 f"'{self._labels[worst]}' is {r[worst]:.3e}; device "
@@ -161,11 +161,19 @@ class DynamicSystem:
         return self._x0.copy()
 
     def rhs(self, x: np.ndarray, grid: GridModel | None = None) -> np.ndarray:
+        return self._evaluate(x, grid)[0]
+
+    def _evaluate(self, x: np.ndarray, grid: GridModel | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """``(dx, v)``: the derivatives and the network solution behind
+        them, so that the integrator keeps the voltages of an accepted step
+        instead of solving the network again."""
         v = self.solve_network(x, grid=grid)
+        v_dev = v[self._rows].tolist()
         dx = np.empty(self.n_states)
-        for dev, sl, row in zip(self.devices, self._slices, self._rows):
-            dx[sl] = dev.derivatives(x[sl], v[row])
-        return dx
+        for dev, sl, v_k in zip(self.devices, self._slices, v_dev):
+            dx[sl] = dev.derivatives(x[sl], v_k)
+        return dx, v
 
     # -- network solution --------------------------------------------------
 
@@ -181,44 +189,41 @@ class DynamicSystem:
                       grid: GridModel | None = None) -> np.ndarray:
         """Bus voltages for the current states.
 
-        Returns the full (possibly event-augmented) voltage vector.  Fixed
-        sources give ``w = Z I_fixed``.  A converter at bus ``r`` adds
-        ``c u`` with ``u = V_r/|V_r|``; writing ``z = Z[r, r]`` and
-        ``m = |V_r|``, ``V_r = w_r + z c u`` gives ``|m - z c| = |w_r|``,
-        whose larger root is the operating (high-voltage) solution.  When
-        no positive root exists the network cannot carry the injection
+        Returns the full (possibly event-augmented) voltage vector
+        ``V = Z[:, rows] i``, with ``i`` the k device source currents; the
+        grid holds those impedance columns, so no LU solve runs here.  A
+        converter at bus ``r`` injects ``c u`` with ``u = V_r/|V_r|``.  The
+        other sources give ``w_r = Z[r, rows] i_fixed``; writing
+        ``z = Z[r, r]`` and ``m = |V_r|``, ``V_r = w_r + z c u`` gives
+        ``|m - z c| = |w_r|``, whose larger root is the operating
+        (high-voltage) solution, and then ``u = w_r / (m - z c)``.  When no
+        positive root exists the network cannot carry the injection
         (voltage collapse) and ``SystemModelError`` is raised.
         """
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
-        i_fixed = np.zeros(grid.y.shape[0], dtype=complex)
-        converter = None
-        for dev, sl, row in zip(self.devices, self._slices, self._rows):
-            if dev.source_depends_on_v:
-                converter = (dev, sl, row)
-            else:
-                i_fixed[row] += dev.source_current(x[sl], None, base)
-        w = lu_solve(grid.lu, i_fixed)
-        if converter is None:
-            return w
+        i = [dev.source_current(x[sl], None, base)
+             for dev, sl in zip(self.devices, self._slices)]
+        k = self._converter
+        if k is None:
+            return grid.z_dev @ i
 
-        dev, sl, r = converter
-        z_col = grid.z_columns.get(r)
-        if z_col is None:
-            unit = np.zeros_like(i_fixed)
-            unit[r] = 1.0
-            z_col = grid.z_columns[r] = lu_solve(grid.lu, unit)
-        c = dev.source_current(x[sl], None, base)
-        zc = z_col[r] * c
-        disc = abs(w[r]) ** 2 - zc.imag ** 2
-        m = zc.real + np.sqrt(max(disc, 0.0))
+        dev, r = self.devices[k], self._rows[k]
+        c = i[k]
+        i[k] = 0.0
+        z_r = grid.z_dev[r]
+        w_r = z_r @ i
+        zc = z_r[k] * c
+        disc = abs(w_r) ** 2 - zc.imag ** 2
+        m = zc.real + math.sqrt(max(disc, 0.0))
         if disc < 0.0 or m <= 0.0:
             raise SystemModelError(
                 f"no network solution: converter {dev.device_id} injects "
                 f"more current than bus {dev.bus_id} can carry (voltage "
                 "collapse)"
             )
-        return w + z_col * (c * w[r] / (m - zc))
+        i[k] = c * w_r / (m - zc)
+        return grid.z_dev @ i
 
     # -- event grid variants -------------------------------------------------
 
@@ -290,7 +295,16 @@ class DynamicSystem:
                 y[row, row] += (scale - 1.0) * self._load_admittance[row]
                 notes.append(f"load:{bus_id}x{scale:g}")
 
-        return GridModel(y=y, n_bus=n, note=",".join(notes) or "base")
+        return self._grid(y, ",".join(notes) or "base")
+
+    def _grid(self, y: np.ndarray, note: str) -> GridModel:
+        """A grid view with its device-bus impedance columns: one LU
+        factorization and one multi-column solve, paid once per grid."""
+        k = len(self._rows)
+        unit = np.zeros((y.shape[0], k), dtype=complex)
+        unit[self._rows, np.arange(k)] = 1.0
+        return GridModel(y=y, n_bus=self.network.n_bus,
+                         z_dev=lu_solve(lu_factor(y), unit), note=note)
 
     def _stamp(self, y, br: Branch, sign: float):
         fi, ti = self._idx[br.from_bus], self._idx[br.to_bus]

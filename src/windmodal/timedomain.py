@@ -285,7 +285,9 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
 
     Implicit trapezoidal rule with chord-Newton inner iterations: the
     iteration matrix I - (dt/2)*J is factored once per segment and step
-    size, and J is refreshed whenever convergence degrades.  Integration
+    size, and J is refreshed whenever convergence degrades.  Each Newton
+    iterate solves the network once; an accepted step records the voltages
+    of its last iterate, so no step solves the network again.  Integration
     lands exactly on every event time and restarts there with the updated
     admittance view.  On an unrecoverable step, or a network solve that
     fails anywhere in the run, the partial history is attached to the
@@ -331,16 +333,16 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
         return factor_cache[dt]
 
     def newton_step(x0, f0, dt):
-        """One trapezoidal step; returns (x1, f1) or None if stalled."""
+        """One trapezoidal step; returns (x1, f1, v1) or None if stalled."""
         x1 = x0 + dt * f0
         for _ in range(max_newton):
-            f1 = model.rhs(x1, grid=grid)
+            f1, v1 = model._evaluate(x1, grid=grid)
             r = x1 - x0 - 0.5 * dt * (f0 + f1)
             if not np.all(np.isfinite(r)):
                 return None
             if float(np.max(np.abs(r))) <= newton_tol:
-                return x1, f1
-            x1 = x1 - lu_solve(iteration_matrix(dt), r)
+                return x1, f1, v1
+            x1 = x1 - lu_solve(iteration_matrix(dt), r, check_finite=False)
         return None
 
     t_sub = 0.0
@@ -350,8 +352,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                 state.apply(seg_start, marks[seg_start])
                 grid = state.grid()
             t_sub = seg_start
-            v = model.solve_network(x, grid=grid)
-            f = model.rhs(x, grid=grid)
+            f, v = model._evaluate(x, grid=grid)
             refresh_jacobian(x, f)
 
             n_steps = max(1, int(np.ceil((seg_end - seg_start) / dt_max
@@ -376,12 +377,11 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                                 rec.trace(events))
                         dt /= 2.0
                         continue
-                    x, f = result
+                    x, f, v = result
                     t_sub += dt
                     remaining -= dt
                     if 0 < remaining < dt:
                         dt = remaining
-                    v = model.solve_network(x, grid=grid)
                 rec.add(target, x, v, grid)
     except SystemModelError as exc:
         # no network solution at some state (e.g. voltage collapse)

@@ -165,6 +165,13 @@ def test_droop_params_validation():
         DroopParams(kin=-0.5)
     with pytest.raises(DeviceError, match="rocof_filter_time"):
         DroopParams(rocof_filter_time=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DeviceError, match="finite and nonnegative"):
+            DroopParams(kp=bad)
+        with pytest.raises(DeviceError, match="finite and nonnegative"):
+            DroopParams(kin=bad)
+        with pytest.raises(DeviceError, match="positive and finite"):
+            DroopParams(rocof_filter_time=bad)
 
 
 # -- ROCOF washout ------------------------------------------------------------

@@ -8,11 +8,14 @@ the strict parser and check that every rejection names the offending key.
 import dataclasses
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 import windmodal
 from windmodal.dfig import DroopParams
+from windmodal.modal import StateMatrix
 from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
                                 Report, Scenario, ScenarioError, _with_gains,
                                 build_scenario_system, compare_control_modes,
@@ -346,11 +349,44 @@ def test_sweep_rejects_a_model_that_is_not_affine_in_the_gains(
         assert "relative residual" in cell.error and "1e-09" in cell.error
 
 
+def test_sweep_affinity_guard_fires_on_a_nan_residual(scenario_b,
+                                                      monkeypatch):
+    # poison the check-point linearization, the last of the four
+    real = windmodal.scenario.linearize
+    calls = []
+
+    def poisoned(system):
+        calls.append(1)
+        sm = real(system)
+        return StateMatrix(sm.a * np.nan, sm.labels) if len(calls) == 4 \
+            else sm
+
+    monkeypatch.setattr(windmodal.scenario, "linearize", poisoned)
+    sweep = run_sensitivity_sweep(scenario_b, kp_values=(0.0, 20.0),
+                                  kin_values=(0.0,))
+    assert len(calls) == 4
+    for cell in sweep.cells:
+        assert not cell.dominant
+        assert cell.error.startswith("[linearize] state matrix is not affine")
+        assert "relative residual nan" in cell.error
+
+
 def test_sweep_cell_with_invalid_gains_fails_alone(scenario_b):
     sweep = run_sensitivity_sweep(scenario_b, kp_values=(-5.0, 10.0),
                                   kin_values=(0.0,))
     bad, good = sweep.cells
     assert "nonnegative" in bad.error and not bad.dominant
+    assert not good.error and good.dominant
+
+
+@pytest.mark.parametrize("bad_kp", [math.nan, math.inf])
+def test_sweep_cell_with_a_non_finite_gain_fails_alone(scenario_b, bad_kp):
+    # the bad value must neither reach the modal stage nor become K*
+    sweep = run_sensitivity_sweep(scenario_b, kp_values=(bad_kp, 10.0),
+                                  kin_values=(0.0,))
+    bad, good = sweep.cells
+    assert bad.error.startswith("droop gains must be finite and nonnegative")
+    assert not bad.dominant
     assert not good.error and good.dominant
 
 

@@ -188,6 +188,21 @@ def test_assembly_rejects_inconsistent_initialization():
         assemble(net, devices, pf)
 
 
+def test_assembly_rejects_a_non_finite_derivative_at_equilibrium():
+    net, devices = build_two_area("A")
+    pf = solve_power_flow(net, tol=1e-12)
+
+    class Poisoned(SyncGen):
+        def initialize(self, v, s, base, omega_s):
+            x0 = super().initialize(v, s, base, omega_s)
+            self.pm_ref = float("nan")
+            return x0
+
+    devices[0] = Poisoned("G1", 1, SyncGenParams())
+    with pytest.raises(SystemModelError, match="'G1.pm' is nan"):
+        assemble(net, devices, pf)
+
+
 def test_rhs_perturbation_responds_through_the_network(system_a):
     x = system_a.equilibrium()
     x[system_a.state_labels().index(
@@ -229,18 +244,23 @@ def reference_solve(model, x, grid, tol=1e-14, max_iter=2000):
     raise AssertionError(f"reference iteration stalled at step {delta:.2e}")
 
 
-@pytest.mark.parametrize("name", ["B_voltage_support",
+@pytest.mark.parametrize("name", ["A", "B_voltage_support",
                                   "C_reactive_power_support"])
 def test_closed_form_network_solve_matches_the_fixed_point(name):
+    # every device-bus impedance column enters each solve, so the variants
+    # check them all, on the base and on an augmented grid
     model = packaged_system(name)
     rng = np.random.default_rng(7)
     x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
+    last_bus = model.devices[-1].bus_id     # the converter bus, if any
     grids = [
         model.base_grid,
-        model.grid_variant(faults=[FaultSpec(bus=12)]),
+        model.grid_variant(faults=[FaultSpec(bus=last_bus)]),
         model.grid_variant(faults=[FaultSpec(branch="L8-9a")]),
         model.grid_variant(out_branches=["L8-9b"]),
         model.grid_variant(load_scales={9: 1.2}),
+        model.grid_variant(faults=[FaultSpec(branch="L8-9a")],
+                           out_branches=["L8-9b"], load_scales={9: 1.2}),
     ]
     for g in grids:
         v = model.solve_network(x, grid=g)
@@ -267,18 +287,19 @@ def test_assembly_rejects_two_converter_buses():
 
 
 @pytest.mark.parametrize("case", ["A", "B"])
-def test_network_solve_costs_one_lu_solve(monkeypatch, system_a, system_b,
-                                          case):
+def test_network_solve_makes_no_lu_solve_on_a_built_grid(monkeypatch,
+                                                         system_a, system_b,
+                                                         case):
     import windmodal.system as system_module
     model = system_a if case == "A" else system_b
-    grid = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
-    x = model.equilibrium()
-    model.solve_network(x, grid=grid)           # caches Z[:, r] for grid
     calls = []
     real = system_module.lu_solve
     monkeypatch.setattr(system_module, "lu_solve",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
+    grid = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    assert len(calls) == 1          # the grid's device-bus impedance columns
+    x = model.equilibrium()
     for k in range(5):
         model.solve_network(x * (1.0 + 1e-3 * k), grid=grid)
     model.rhs(x, grid=grid)
-    assert len(calls) == 6
+    assert len(calls) == 1

@@ -20,8 +20,10 @@ from scipy.linalg import expm
 
 import windmodal
 from windmodal.modal import linearize
-from windmodal.scenario import load_packaged_scenario, simulate_scenario
-from windmodal.system import SystemModelError
+from windmodal.powerflow import solve_power_flow
+from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
+                                simulate_scenario)
+from windmodal.system import FaultSpec, SystemModelError, assemble
 from windmodal.timedomain import (Event, RingdownError, SimulationError,
                                   Trace, _find_peaks, cycles, cleared_grid,
                                   fault_grid, ringdown_fit, simulate)
@@ -190,11 +192,15 @@ def test_newton_stall_reports_partial_progress(system_a):
     assert err.value.trace.time.size > 0
 
 
-# the 60th network solve falls in a Newton iterate's rhs, the 61st is the
-# solve after an accepted step
+# with a load step at t = 14 ms: solve 1 records t = 0, solve 2 enters the
+# first segment, solves 3-46 build its Jacobian (44 states), and each of the
+# 14 steps at equilibrium takes one Newton rhs (solves 47-60).  So the 60th
+# network solve falls in a Newton iterate's rhs (the step from 13 ms), and
+# the 61st is the segment-entry solve after the event.
 @pytest.mark.parametrize("fail_after", [59, 60])
 def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
                                                          fail_after):
+    t_fail = {59: 0.013, 60: 0.014}[fail_after]
     model = build_system("A")
     solve = model.solve_network
     calls = []
@@ -207,11 +213,27 @@ def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
 
     monkeypatch.setattr(model, "solve_network", failing)
     with pytest.raises(SimulationError,
-                       match="network solution failed at t=.*injected"
-                       ) as err:
-        simulate(model, t_end=0.5, dt_max=1e-3)
+                       match=f"network solution failed at t={t_fail:.6f}s"
+                             ".*injected") as err:
+        simulate(model, events=[Event("load_step", 0.014, bus=7, scale=1.1)],
+                 t_end=0.5, dt_max=1e-3)
     assert err.value.trace is not None
     assert err.value.trace.time.size > 1
+
+
+def test_recorded_voltages_are_the_network_solution_of_each_sample():
+    # the integrator keeps the voltages of each accepted step's last Newton
+    # iterate; on a grid that never changes they must be the network
+    # solution at the recorded state
+    scenario = load_packaged_scenario("B_voltage_support")
+    net, devices = build_scenario_system(scenario)
+    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
+    tr = simulate(model, events=[Event("three_phase_fault", 0.0, bus=8)],
+                  t_end=0.3)
+    grid = model.grid_variant(faults=[FaultSpec(bus=8)])
+    for x, v in zip(tr.states, tr.voltages):
+        want = model.solve_network(x, grid=grid)[:net.n_bus]
+        assert np.max(np.abs(v - want)) <= 1e-12
 
 
 # -- fault grid helpers ----------------------------------------------------------------
