@@ -4,7 +4,9 @@ Builds the state matrix of a nonlinear model by central finite differences,
 decomposes it into modes, and attaches the quantities used throughout the
 toolkit: damping ratio, modal frequency, participation factors, the share of
 participation carried by converter-based devices, and a coarse mode
-classification (inter-area / local / converter control).
+classification (inter-area / local / converter control).  The same
+central-difference routine, ``jacobian``, also gives the time-domain
+integrator its chord matrix.
 """
 
 from __future__ import annotations
@@ -107,29 +109,10 @@ def damping_ratio(eigenvalue: complex) -> float:
     return -eigenvalue.real / mag
 
 
-def linearize(model, equilibrium: np.ndarray | None = None,
-              step: float = 1e-6) -> StateMatrix:
-    """Central-difference state matrix of ``model`` about an equilibrium.
-
-    ``model`` must expose ``rhs(x) -> dx/dt``, ``equilibrium() -> x`` and
-    ``state_labels() -> list[StateLabel]``.  The point is verified to be an
-    equilibrium first: any residual derivative above 1e-8 aborts with the
-    name of the offending state, because differencing around a drifting
-    point produces a meaningless matrix.
-
-    The per-state step is ``step * max(1, |x_k|)``.
-    """
-    x0 = np.asarray(model.equilibrium() if equilibrium is None else equilibrium,
-                    dtype=float)
-    labels = model.state_labels()
+def jacobian(f, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of ``f`` at ``x0``; the per-state step
+    is ``step * max(1, |x_k|)``."""
     n = x0.size
-    f0 = np.asarray(model.rhs(x0), dtype=float)
-    worst = int(np.argmax(np.abs(f0)))
-    if abs(f0[worst]) > EQUILIBRIUM_TOL:
-        raise ModalError(
-            "not an equilibrium: d/dt of state "
-            f"'{labels[worst]}' is {f0[worst]:.3e} (tolerance {EQUILIBRIUM_TOL:g})"
-        )
     a = np.empty((n, n))
     for k in range(n):
         h = step * max(1.0, abs(x0[k]))
@@ -137,8 +120,33 @@ def linearize(model, equilibrium: np.ndarray | None = None,
         xm = x0.copy()
         xp[k] += h
         xm[k] -= h
-        a[:, k] = (np.asarray(model.rhs(xp)) - np.asarray(model.rhs(xm))) / (2.0 * h)
-    return StateMatrix(a=a, labels=list(labels))
+        a[:, k] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+    return a
+
+
+def linearize(model, equilibrium: np.ndarray | None = None,
+              step: float = 1e-6) -> StateMatrix:
+    """Central-difference state matrix of ``model`` about an equilibrium.
+
+    ``model`` must expose ``rhs(x) -> dx/dt``, ``equilibrium() -> x`` and
+    ``state_labels() -> list[StateLabel]``.  The point is verified to be an
+    equilibrium first: any residual derivative above 1e-8, or one that is
+    not a number, aborts with the name of the offending state, because
+    differencing around a drifting point produces a meaningless matrix.
+
+    The per-state step is ``step * max(1, |x_k|)``.
+    """
+    x0 = np.asarray(model.equilibrium() if equilibrium is None else equilibrium,
+                    dtype=float)
+    labels = model.state_labels()
+    f0 = np.asarray(model.rhs(x0), dtype=float)
+    worst = int(np.argmax(np.abs(f0)))
+    if not abs(f0[worst]) <= EQUILIBRIUM_TOL:     # NaN fails too
+        raise ModalError(
+            "not an equilibrium: d/dt of state "
+            f"'{labels[worst]}' is {f0[worst]:.3e} (tolerance {EQUILIBRIUM_TOL:g})"
+        )
+    return StateMatrix(a=jacobian(model.rhs, x0, step), labels=list(labels))
 
 
 def decompose(state_matrix: StateMatrix) -> ModalDecomposition:

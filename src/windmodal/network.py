@@ -183,15 +183,9 @@ def build_ybus(network: Network, include_load_shunts: bool = False,
     n = network.n_bus
     y = np.zeros((n, n), dtype=complex)
     for br in network.branches:
-        if not br.in_service:
-            continue
-        f, t = idx[br.from_bus], idx[br.to_bus]
-        ys = br.y_series
-        sh = 1j * br.b_shunt / 2.0
-        y[f, f] += (ys + sh) / br.tap ** 2
-        y[t, t] += ys + sh
-        y[f, t] -= ys / br.tap
-        y[t, f] -= ys / br.tap
+        if br.in_service:
+            stamp_branch(y, idx[br.from_bus], idx[br.to_bus], br.y_series,
+                         br.b_shunt, br.tap)
     if include_load_shunts:
         for b in network.buses:
             if b.p_load == 0.0 and b.q_load == 0.0:
@@ -201,3 +195,15 @@ def build_ybus(network: Network, include_load_shunts: bool = False,
                 raise NetworkError(f"bus {b.id}: load voltage must be positive")
             y[idx[b.id], idx[b.id]] += complex(b.p_load, -b.q_load) / vm ** 2
     return y, idx
+
+
+def stamp_branch(y: np.ndarray, f: int, t: int, y_series: complex,
+                 b_shunt: float, tap: float = 1.0, sign: float = 1.0) -> None:
+    """Add (``sign=1``) or remove (``sign=-1``) one pi branch between rows
+    ``f`` and ``t`` of ``y``: series admittance ``y_series``, total line
+    charging ``b_shunt`` and an off-nominal ``tap`` on the from side."""
+    sh = 1j * b_shunt / 2.0
+    y[f, f] += sign * (y_series + sh) / tap ** 2
+    y[t, t] += sign * (y_series + sh)
+    y[f, t] -= sign * y_series / tap
+    y[t, f] -= sign * y_series / tap

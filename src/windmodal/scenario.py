@@ -475,11 +475,16 @@ def _stage(stage: str, fn, *args, **kwargs):
         raise PipelineError(stage, str(exc)) from exc
 
 
-def run_scenario(scenario: Scenario) -> Report:
-    """Power flow, assembly, linearization and modal workup in one pass."""
+def _assembled(scenario: Scenario):
+    """``(net, pf, system)``: the staged build, power flow and assembly."""
     net, devices = _stage("build", build_scenario_system, scenario)
     pf = _stage("powerflow", solve_power_flow, net, tol=POWER_FLOW_TOL)
-    system = _stage("assemble", assemble, net, devices, pf)
+    return net, pf, _stage("assemble", assemble, net, devices, pf)
+
+
+def run_scenario(scenario: Scenario) -> Report:
+    """Power flow, assembly, linearization and modal workup in one pass."""
+    net, pf, system = _assembled(scenario)
     a = _stage("linearize", linearize, system)
     modes = _stage("modal", analyze_modes, a)
 
@@ -508,9 +513,7 @@ def run_scenario(scenario: Scenario) -> Report:
 def simulate_scenario(scenario: Scenario, t_end: float = 25.0,
                       dt_max: float = 1e-3) -> Trace:
     """Time-domain run of the scenario's event script."""
-    net, devices = _stage("build", build_scenario_system, scenario)
-    pf = _stage("powerflow", solve_power_flow, net, tol=POWER_FLOW_TOL)
-    system = _stage("assemble", assemble, net, devices, pf)
+    _, _, system = _assembled(scenario)
     return _stage("simulate", simulate, system, events=list(scenario.events),
                   t_end=t_end, dt_max=dt_max)
 

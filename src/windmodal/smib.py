@@ -60,16 +60,18 @@ class SmibParams:
 
     @property
     def effective_inertia(self) -> float:
-        return 2.0 * self.h_s + self.active_gains[1]
+        """2H + K_in; raises ``SmibError`` unless it is positive."""
+        m = 2.0 * self.h_s + self.active_gains[1]
+        if not m > 0.0:
+            raise SmibError(
+                f"effective inertia 2H + K_in = {m:.4f} must be positive"
+            )
+        return m
 
 
 def smib_system_matrix(params: SmibParams) -> np.ndarray:
     """2x2 state matrix in (frequency deviation, angle deviation) order."""
     m = params.effective_inertia
-    if m <= 0.0:
-        raise SmibError(
-            f"effective inertia 2H + K_in = {m:.4f} must be positive"
-        )
     kd_total = params.k_damping + params.active_gains[0]
     return np.array([
         [-kd_total / m, -params.k_synchronizing / m],
@@ -85,10 +87,6 @@ def smib_eigenvalues(params: SmibParams) -> tuple[np.ndarray, bool]:
     otherwise two real roots come back with ``oscillatory=False``.
     """
     m = params.effective_inertia
-    if m <= 0.0:
-        raise SmibError(
-            f"effective inertia 2H + K_in = {m:.4f} must be positive"
-        )
     kd_total = params.k_damping + params.active_gains[0]
     # characteristic polynomial: m*s^2 + kd_total*s + K_S*omega0 = 0
     disc = kd_total ** 2 - 4.0 * m * params.k_synchronizing * params.omega0
@@ -107,8 +105,6 @@ def smib_damping_check(params: SmibParams) -> float:
     eigenvalue-based definition; used as an independent cross-check.
     """
     m = params.effective_inertia
-    if m <= 0.0:
-        raise SmibError("effective inertia must be positive")
     return (params.k_damping + params.active_gains[0]) / math.sqrt(
         4.0 * params.k_synchronizing * params.omega0 * m
     )
@@ -184,9 +180,7 @@ class SmibModel:
 
     def __init__(self, params: SmibParams):
         self.params = params
-        m = params.effective_inertia
-        if m <= 0.0:
-            raise SmibError("effective inertia must be positive")
+        params.effective_inertia  # raises unless positive
 
     def state_labels(self):
         return [

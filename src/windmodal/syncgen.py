@@ -202,7 +202,6 @@ class SyncGen(DeviceModel):
         ])
 
     def outputs(self, x, v):
-        id_, iq = self._dq_currents(x, v)
         i_net = (self._subtransient_emf(x) - v) / complex(self.params.ra,
                                                           self.params.xd_st)
         s_dev = v * np.conj(i_net)

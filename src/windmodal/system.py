@@ -32,11 +32,10 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .devices import DeviceModel
-from .modal import StateLabel
-from .network import Branch, Network, NetworkError, build_ybus
+from .modal import EQUILIBRIUM_TOL, StateLabel
+from .network import Network, build_ybus, stamp_branch
 from .powerflow import PowerFlowSolution
 
-EQUILIBRIUM_TOL = 1e-8
 DEFAULT_FAULT_ADMITTANCE = 1e4
 
 
@@ -247,7 +246,8 @@ class DynamicSystem:
             br = self.network.branch(name)
             if not br.in_service:
                 raise SystemModelError(f"branch {name!r} is already out")
-            self._stamp(y, br, sign=-1.0)
+            stamp_branch(y, self._idx[br.from_bus], self._idx[br.to_bus],
+                         br.y_series, br.b_shunt, br.tap, sign=-1.0)
             notes.append(f"out:{name}")
 
         for k, f in enumerate(midpoint):
@@ -261,16 +261,12 @@ class DynamicSystem:
                 raise SystemModelError(
                     f"branch {f.branch!r} cannot be both faulted and out"
                 )
+            # the branch becomes two half sections through the fault bus
             m = n + k
             fi, ti = self._idx[br.from_bus], self._idx[br.to_bus]
-            self._stamp(y, br, sign=-1.0)
-            y_half = 2.0 * br.y_series
-            sh_half = 1j * br.b_shunt / 4.0
-            for a, bidx in ((fi, m), (m, ti)):
-                y[a, a] += y_half + sh_half
-                y[bidx, bidx] += y_half + sh_half
-                y[a, bidx] -= y_half
-                y[bidx, a] -= y_half
+            stamp_branch(y, fi, ti, br.y_series, br.b_shunt, sign=-1.0)
+            for a, b in ((fi, m), (m, ti)):
+                stamp_branch(y, a, b, 2.0 * br.y_series, br.b_shunt / 2.0)
             y[m, m] += f.admittance
             notes.append(f"fault:{f.branch}")
 
@@ -306,15 +302,6 @@ class DynamicSystem:
         return GridModel(y=y, n_bus=self.network.n_bus,
                          z_dev=lu_solve(lu_factor(y), unit), note=note)
 
-    def _stamp(self, y, br: Branch, sign: float):
-        fi, ti = self._idx[br.from_bus], self._idx[br.to_bus]
-        ys = br.y_series
-        sh = 1j * br.b_shunt / 2.0
-        y[fi, fi] += sign * (ys + sh) / br.tap ** 2
-        y[ti, ti] += sign * (ys + sh)
-        y[fi, ti] -= sign * ys / br.tap
-        y[ti, fi] -= sign * ys / br.tap
-
     # -- diagnostics ---------------------------------------------------------
 
     def device_outputs(self, x: np.ndarray, v: np.ndarray) -> dict[str, float]:
@@ -327,18 +314,17 @@ class DynamicSystem:
     def power_balance_residual(self, x: np.ndarray, v: np.ndarray,
                                grid: GridModel | None = None) -> float:
         """|device injection - network absorption| in pu; an audit of the
-        algebraic solution, tiny whenever the solve converged."""
+        algebraic solution, tiny whenever the solve converged.  The device
+        Norton shunts are folded into ``grid.y`` and would appear on both
+        sides, so they are left out of both: ``sum_r Re(V_r conj(I_src,r))
+        - Re(V^H Y V)``."""
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
         p_dev = 0.0
         for dev, sl, row in zip(self.devices, self._slices, self._rows):
-            i = dev.source_current(x[sl], v[row], base) \
-                - dev.norton_admittance(base) * v[row]
+            i = dev.source_current(x[sl], v[row], base)
             p_dev += (v[row] * np.conj(i)).real
         p_net = float((v @ np.conj(grid.y @ v)).real)
-        # remove the Norton parts that were folded into the matrix
-        for dev, sl, row in zip(self.devices, self._slices, self._rows):
-            p_net -= (v[row] * np.conj(dev.norton_admittance(base) * v[row])).real
         return abs(p_dev - p_net)
 
 

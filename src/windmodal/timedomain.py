@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from .modal import jacobian
 from .system import (DEFAULT_FAULT_ADMITTANCE, DynamicSystem, FaultSpec,
                      GridModel, SystemModelError)
 
@@ -232,17 +233,6 @@ class _GridState:
 # integrator
 
 
-def _finite_difference_jacobian(model, x, grid, f0):
-    n = x.size
-    a = np.empty((n, n))
-    for j in range(n):
-        h = 1e-6 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        a[:, j] = (model.rhs(xp, grid=grid) - f0) / h
-    return a
-
-
 class _Recorder:
     def __init__(self, model: DynamicSystem):
         self.model = model
@@ -285,7 +275,9 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
 
     Implicit trapezoidal rule with chord-Newton inner iterations: the
     iteration matrix I - (dt/2)*J is factored once per segment and step
-    size, and J is refreshed whenever convergence degrades.  Each Newton
+    size, and J is refreshed whenever convergence degrades.  J comes from
+    the same central differences as ``modal.linearize``
+    (``modal.jacobian``), taken on the active grid.  Each Newton
     iterate solves the network once; an accepted step records the voltages
     of its last iterate, so no step solves the network again.  Integration
     lands exactly on every event time and restarts there with the updated
@@ -321,9 +313,9 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     jac = None
     factor_cache: dict[float, tuple] = {}
 
-    def refresh_jacobian(x_at, f_at):
+    def refresh_jacobian(x_at):
         nonlocal jac
-        jac = _finite_difference_jacobian(model, x_at, grid, f_at)
+        jac = jacobian(lambda z: model.rhs(z, grid=grid), x_at)
         factor_cache.clear()
 
     def iteration_matrix(dt):
@@ -353,7 +345,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                 grid = state.grid()
             t_sub = seg_start
             f, v = model._evaluate(x, grid=grid)
-            refresh_jacobian(x, f)
+            refresh_jacobian(x)
 
             n_steps = max(1, int(np.ceil((seg_end - seg_start) / dt_max
                                          - 1e-9)))
@@ -367,7 +359,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                     result = newton_step(x, f, dt)
                     if result is None:
                         # slow or divergent: refresh the chord, then halve
-                        refresh_jacobian(x, f)
+                        refresh_jacobian(x)
                         result = newton_step(x, f, dt)
                     if result is None:
                         if dt / 2.0 < dt_min:

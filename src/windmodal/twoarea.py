@@ -40,6 +40,7 @@ LINE_X = 0.001
 LINE_B = 0.00175
 
 CASES = ("A", "B", "C")
+DEFAULT_WIND_MVA = {"B": 300.0, "C": 600.0}   # farm rating per wind case
 
 
 def _line(name: str, f: int, t: int, km: float) -> Branch:
@@ -81,8 +82,8 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
     q9 = (100.0 - 350.0) * LOAD_SCALE / SYSTEM_BASE_MVA
     disp = DISPATCH_MW / SYSTEM_BASE_MVA
 
-    if case in ("B", "C") and wind_mva is None:
-        wind_mva = 300.0 if case == "B" else 600.0
+    if wind_mva is None:
+        wind_mva = DEFAULT_WIND_MVA.get(case)
     wind_p = WIND_FRACTION * wind_mva / SYSTEM_BASE_MVA if wind_mva else 0.0
 
     # The farm displaces output from the unit it sits next to: in case B that
@@ -148,7 +149,7 @@ def two_area_devices(case: str = "A", droop: DroopParams | None = None,
         devices.append(SyncGen("G4", 4, machine_params(2, k_pss)))
     if case in ("B", "C"):
         if wind_mva is None:
-            wind_mva = 300.0 if case == "B" else 600.0
+            wind_mva = DEFAULT_WIND_MVA[case]
         params = DfigParams(
             base_mva=wind_mva,
             control_mode=control_mode,

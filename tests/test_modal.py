@@ -93,6 +93,17 @@ def test_linearize_rejects_non_equilibrium_points():
         linearize(model, equilibrium=np.array([0.0, 1.0]))
 
 
+def test_linearize_rejects_a_nan_derivative_at_the_point():
+    class NanModel(LinearModel):
+        def rhs(self, x):
+            dx = self.a @ x
+            dx[1] = np.nan
+            return dx
+
+    with pytest.raises(ModalError, match="not an equilibrium.*g1.*nan"):
+        linearize(NanModel(np.eye(3)))
+
+
 def test_linearize_is_second_order_in_the_step():
     class Cubic:
         """dx/dt has a cubic term, so the FD error scales with step^2."""

@@ -82,6 +82,15 @@ def test_gains_apply_only_when_enabled():
     assert g.effective_inertia == 17.0
 
 
+@pytest.mark.parametrize("entry", [smib_system_matrix, smib_eigenvalues,
+                                   smib_damping_check, SmibModel])
+def test_nonpositive_effective_inertia_is_rejected(entry):
+    with pytest.raises(SmibError,
+                       match=r"effective inertia 2H \+ K_in = -2\.0000 must "
+                             "be positive"):
+        entry(SmibParams(h_s=-1.0))
+
+
 def test_inertial_gain_lowers_damping_proportional_gain_raises_it():
     base = smib_damping_check(SmibParams())
     assert smib_damping_check(SmibParams().with_gains(10.0, 0.0)) > base

@@ -9,12 +9,13 @@ fixed-point iteration it replaced, kept here as a test-local reference.
 import numpy as np
 import pytest
 
-from windmodal.network import Bus, Network
+from windmodal.network import Branch, Bus, Network, build_ybus
 from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import build_scenario_system, load_packaged_scenario
 from windmodal.syncgen import SyncGen, SyncGenParams
 from windmodal.system import (DEFAULT_FAULT_ADMITTANCE, FaultSpec,
                               SystemModelError, assemble)
+from windmodal.timedomain import Event, simulate
 from windmodal.twoarea import build_two_area
 
 from conftest import build_system
@@ -60,6 +61,37 @@ def test_power_balance_residual_is_tiny_at_equilibrium(system_a, system_b):
         assert res < 1e-10
 
 
+def _two_loop_balance_residual(model, x, v, grid):
+    """The residual as first written: Norton shunts subtracted from the
+    device currents, then again from the network absorption."""
+    base = model.network.base_mva
+    p_dev = 0.0
+    for dev, sl, row in zip(model.devices, model._slices, model._rows):
+        i = dev.source_current(x[sl], v[row], base) \
+            - dev.norton_admittance(base) * v[row]
+        p_dev += (v[row] * np.conj(i)).real
+    p_net = float((v @ np.conj(grid.y @ v)).real)
+    for dev, sl, row in zip(model.devices, model._slices, model._rows):
+        p_net -= (v[row] * np.conj(dev.norton_admittance(base) * v[row])).real
+    return abs(p_dev - p_net)
+
+
+def test_power_balance_residual_matches_the_two_loop_formula(system_b):
+    # on the grid the trace ran on the residual is tiny; against the
+    # unfaulted grid the fault current is unaccounted for and it is large
+    tr = simulate(system_b, events=[Event("three_phase_fault", 0.0, bus=8)],
+                  t_end=0.1)
+    faulted = system_b.grid_variant(faults=[FaultSpec(bus=8)])
+    large = 0.0
+    for x, v in zip(tr.states[::10], tr.voltages[::10]):
+        for grid in (faulted, system_b.base_grid):
+            want = _two_loop_balance_residual(system_b, x, v, grid)
+            got = system_b.power_balance_residual(x, v, grid=grid)
+            assert abs(got - want) <= 1e-12
+            large = max(large, want)
+    assert large > 1e-2
+
+
 def test_bus_fault_variant_adds_the_shunt(system_a):
     g = system_a.grid_variant(faults=[FaultSpec(bus=8, admittance=500.0)])
     delta = g.y - system_a.base_grid.y
@@ -76,6 +108,30 @@ def test_midpoint_fault_depresses_the_voltage(system_a):
     v = system_a.solve_network(system_a.equilibrium(), grid=g)
     assert abs(v[-1]) < 0.05           # faulted midpoint collapses
     assert abs(v[system_a.network.index()[8]]) < 0.7
+
+
+def test_midpoint_fault_matches_a_network_with_the_branch_split(system_a):
+    g = system_a.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+
+    net, _ = build_two_area("A")
+    br = net.branch("L8-9a")
+    half = dict(r=br.r / 2.0, x=br.x / 2.0, b_shunt=br.b_shunt / 2.0)
+    net_split = Network(
+        buses=net.buses + [Bus(id=99)],
+        branches=([b for b in net.branches if b.label != "L8-9a"]
+                  + [Branch(br.from_bus, 99, name="L8-m", **half),
+                     Branch(99, br.to_bus, name="Lm-9", **half)]),
+        base_mva=net.base_mva, frequency_hz=net.frequency_hz)
+    pf = solve_power_flow(net, tol=1e-12)  # same operating point as model
+    vm = {b.id: abs(pf.voltage(b.id)) for b in net.buses}
+    y_expect, idx = build_ybus(net_split, include_load_shunts=True,
+                               load_voltages=vm)
+    for dev in system_a.devices:
+        row = idx[dev.bus_id]
+        y_expect[row, row] += dev.norton_admittance(net.base_mva)
+    y_expect[idx[99], idx[99]] += DEFAULT_FAULT_ADMITTANCE
+    assert idx[99] == g.y.shape[0] - 1
+    assert np.max(np.abs(g.y - y_expect)) <= 1e-12
 
 
 def test_line_trip_variant_matches_a_network_built_without_the_branch():

@@ -193,14 +193,15 @@ def test_newton_stall_reports_partial_progress(system_a):
 
 
 # with a load step at t = 14 ms: solve 1 records t = 0, solve 2 enters the
-# first segment, solves 3-46 build its Jacobian (44 states), and each of the
-# 14 steps at equilibrium takes one Newton rhs (solves 47-60).  So the 60th
-# network solve falls in a Newton iterate's rhs (the step from 13 ms), and
-# the 61st is the segment-entry solve after the event.
-@pytest.mark.parametrize("fail_after", [59, 60])
+# first segment, solves 3-90 build its central-difference Jacobian (two per
+# state, 44 states), and each of the 14 steps at equilibrium takes one
+# Newton rhs (solves 91-104).  So the 104th network solve falls in a Newton
+# iterate's rhs (the step from 13 ms), and the 105th is the segment-entry
+# solve after the event.
+@pytest.mark.parametrize("fail_after", [103, 104])
 def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
                                                          fail_after):
-    t_fail = {59: 0.013, 60: 0.014}[fail_after]
+    t_fail = {103: 0.013, 104: 0.014}[fail_after]
     model = build_system("A")
     solve = model.solve_network
     calls = []
