@@ -4,9 +4,11 @@ Builds the state matrix of a nonlinear model by central finite differences,
 decomposes it into modes, and attaches the quantities used throughout the
 toolkit: damping ratio, modal frequency, participation factors, the share of
 participation carried by converter-based devices, and a coarse mode
-classification (inter-area / local / converter control).  The same
-central-difference routine, ``jacobian``, also gives the time-domain
-integrator its chord matrix.
+classification (inter-area / local / converter control).  Every state
+matrix and integrator chord matrix in the toolkit uses one step rule and
+one column formula, ``central_column``: ``jacobian`` applies it to any
+model's ``rhs``, and ``DynamicSystem.jacobian`` applies it with
+device-only evaluations for the states that do not reach the network.
 """
 
 from __future__ import annotations
@@ -109,18 +111,26 @@ def damping_ratio(eigenvalue: complex) -> float:
     return -eigenvalue.real / mag
 
 
+def central_column(f, x0: np.ndarray, k: int, step: float) -> np.ndarray:
+    """Column ``k`` of the central-difference Jacobian of ``f`` at ``x0``:
+    ``(f(x0 + h e_k) - f(x0 - h e_k)) / 2h`` with ``h = step * max(1,
+    |x0_k|)``.  The one step rule and column formula of every Jacobian in
+    the toolkit; ``x0`` is left untouched."""
+    h = step * max(1.0, abs(x0[k]))
+    xp = x0.copy()
+    xm = x0.copy()
+    xp[k] += h
+    xm[k] -= h
+    return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+
+
 def jacobian(f, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``x0``; the per-state step
-    is ``step * max(1, |x_k|)``."""
+    """Central-difference Jacobian of ``f`` at ``x0``, column by column
+    through ``central_column``."""
     n = x0.size
     a = np.empty((n, n))
     for k in range(n):
-        h = step * max(1.0, abs(x0[k]))
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[k] += h
-        xm[k] -= h
-        a[:, k] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
+        a[:, k] = central_column(f, x0, k, step)
     return a
 
 
@@ -134,7 +144,10 @@ def linearize(model, equilibrium: np.ndarray | None = None,
     not a number, aborts with the name of the offending state, because
     differencing around a drifting point produces a meaningless matrix.
 
-    The per-state step is ``step * max(1, |x_k|)``.
+    A model that has its own ``jacobian(x, step=...)`` (the assembled
+    ``DynamicSystem``, which skips the network for states that do not reach
+    it) supplies the matrix; any other model gets ``jacobian(model.rhs,
+    ...)``.  Either way the per-state step is ``step * max(1, |x_k|)``.
     """
     x0 = np.asarray(model.equilibrium() if equilibrium is None else equilibrium,
                     dtype=float)
@@ -146,7 +159,11 @@ def linearize(model, equilibrium: np.ndarray | None = None,
             "not an equilibrium: d/dt of state "
             f"'{labels[worst]}' is {f0[worst]:.3e} (tolerance {EQUILIBRIUM_TOL:g})"
         )
-    return StateMatrix(a=jacobian(model.rhs, x0, step), labels=list(labels))
+    if hasattr(model, "jacobian"):
+        a = model.jacobian(x0, step=step)
+    else:
+        a = jacobian(model.rhs, x0, step)
+    return StateMatrix(a=a, labels=list(labels))
 
 
 def decompose(state_matrix: StateMatrix) -> ModalDecomposition:

@@ -15,7 +15,11 @@ Z[rows, rows] its magnitude |V_r| solves a scalar quadratic.  Either way a
 network solve is k source currents and one small matrix-vector product,
 with no LU solve.  The assembled object implements the model protocol used
 by ``modal.linearize`` and the time-domain integrator: ``rhs``,
-``equilibrium``, ``state_labels``.
+``equilibrium``, ``state_labels`` and ``jacobian``.  A state enters the
+network only through its device's source current, so ``jacobian`` solves
+the network only for the columns of states that move one (3 of a machine's
+11 states, 2 of the DFIG's 12); every other column is one device's own
+difference at its fixed bus voltage, with the same bits.
 
 Event support lives here as grid variants: a three-phase fault (bus shunt,
 or midpoint shunt on a split branch), a tripped branch, a scaled load.  Each
@@ -32,7 +36,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .devices import DeviceModel
-from .modal import EQUILIBRIUM_TOL, StateLabel
+from .modal import EQUILIBRIUM_TOL, StateLabel, central_column
 from .network import Network, build_ybus, stamp_branch
 from .powerflow import PowerFlowSolution
 
@@ -65,8 +69,9 @@ class FaultSpec:
     def __post_init__(self):
         if (self.bus is None) == (self.branch is None):
             raise SystemModelError("fault needs exactly one of bus or branch")
-        if self.admittance <= 0.0:
-            raise SystemModelError("fault admittance must be positive")
+        if not (math.isfinite(self.admittance) and self.admittance > 0.0):
+            raise SystemModelError("fault admittance must be finite and "
+                                   "positive")
 
 
 class DynamicSystem:
@@ -162,6 +167,42 @@ class DynamicSystem:
     def rhs(self, x: np.ndarray, grid: GridModel | None = None) -> np.ndarray:
         return self._evaluate(x, grid)[0]
 
+    def jacobian(self, x: np.ndarray, grid: GridModel | None = None,
+                 step: float = 1e-6) -> np.ndarray:
+        """Central-difference Jacobian of ``rhs`` on ``grid``; bit for bit
+        ``modal.jacobian(lambda z: self.rhs(z, grid), x, step)``.
+
+        At a perturbed point whose device source current equals the one at
+        ``x`` exactly, the network gets the same injections, so the bus
+        voltages and every other device's rows of ``rhs`` are those at
+        ``x``, bit for bit: only the device's own rows are re-evaluated, at
+        its fixed bus voltage, and no network solve runs.  The untouched
+        rows difference to ``rhs(x) - rhs(x)`` as in the generic routine,
+        so a row that is not a number at ``x`` stays one.  Every other
+        point takes a full ``rhs``.  The equality test is made at each
+        point, so no device declares which of its states reach the
+        network.  Nothing is mutated.
+        """
+        x = np.asarray(x, dtype=float)
+        f0, v = self._evaluate(x, grid)
+        base = self.network.base_mva
+        a = np.empty((self.n_states, self.n_states))
+        for dev, sl, v_k in zip(self.devices, self._slices,
+                                v[self._rows].tolist()):
+            i0 = dev.source_current(x[sl], None, base)
+
+            def f(z):      # rhs(z), z differing from x only in dev's slice
+                z_dev = z[sl]
+                if dev.source_current(z_dev, None, base) != i0:
+                    return self.rhs(z, grid)
+                fz = f0.copy()
+                fz[sl] = dev.derivatives(z_dev, v_k)
+                return fz
+
+            for k in range(sl.start, sl.stop):
+                a[:, k] = central_column(f, x, k, step)
+        return a
+
     def _evaluate(self, x: np.ndarray, grid: GridModel | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
         """``(dx, v)``: the derivatives and the network solution behind
@@ -252,6 +293,8 @@ class DynamicSystem:
 
         for k, f in enumerate(midpoint):
             br = self.network.branch(f.branch)
+            if not br.in_service:
+                raise SystemModelError(f"branch {f.branch!r} is already out")
             if br.tap != 1.0:
                 raise SystemModelError(
                     f"midpoint fault on off-nominal-tap branch {f.branch!r} "

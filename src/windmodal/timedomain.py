@@ -15,12 +15,12 @@ response after a fault.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .modal import jacobian
 from .system import (DEFAULT_FAULT_ADMITTANCE, DynamicSystem, FaultSpec,
                      GridModel, SystemModelError)
 
@@ -74,24 +74,27 @@ class Event:
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}; "
                              f"expected one of {EVENT_KINDS}")
-        if self.t_start < 0.0:
-            raise ValueError("event t_start must be non-negative")
+        if not (math.isfinite(self.t_start) and self.t_start >= 0.0):
+            raise ValueError("event t_start must be finite and non-negative")
         if self.kind in ("three_phase_fault", "clear_fault"):
             if (self.bus is None) == (self.branch is None):
                 raise ValueError(f"{self.kind} needs exactly one of bus "
                                  "or branch")
         if self.kind == "three_phase_fault":
-            if self.duration is not None and self.duration <= 0.0:
-                raise ValueError("fault duration must be positive")
-            if self.admittance <= 0.0:
-                raise ValueError("fault admittance must be positive")
+            if self.duration is not None and not (
+                    math.isfinite(self.duration) and self.duration > 0.0):
+                raise ValueError("fault duration must be finite and positive")
+            if not (math.isfinite(self.admittance) and self.admittance > 0.0):
+                raise ValueError("fault admittance must be finite and "
+                                 "positive")
         if self.kind == "line_trip" and self.branch is None:
             raise ValueError("line_trip needs a branch name")
         if self.kind == "load_step":
             if self.bus is None:
                 raise ValueError("load_step needs a bus id")
-            if self.scale < 0.0:
-                raise ValueError("load_step scale must be non-negative")
+            if not (math.isfinite(self.scale) and self.scale >= 0.0):
+                raise ValueError("load_step scale must be finite and "
+                                 "non-negative")
 
 
 @dataclass
@@ -135,20 +138,6 @@ class Trace:
         data = np.column_stack(cols)
         np.savetxt(path, data, delimiter=",", comments="",
                    header=",".join(header), fmt="%.10g")
-
-
-def fault_grid(model: DynamicSystem, bus: int | None = None,
-               branch: str | None = None,
-               admittance: float = DEFAULT_FAULT_ADMITTANCE) -> GridModel:
-    """Admittance view of the system with one three-phase fault applied."""
-    spec = FaultSpec(bus=bus, branch=branch, admittance=admittance)
-    return model.grid_variant(faults=[spec])
-
-
-def cleared_grid(model: DynamicSystem) -> GridModel:
-    """The unfaulted admittance view; applying then clearing a fault
-    returns exactly this matrix."""
-    return model.base_grid
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +264,10 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
 
     Implicit trapezoidal rule with chord-Newton inner iterations: the
     iteration matrix I - (dt/2)*J is factored once per segment and step
-    size, and J is refreshed whenever convergence degrades.  J comes from
-    the same central differences as ``modal.linearize``
-    (``modal.jacobian``), taken on the active grid.  Each Newton
+    size, and J is refreshed whenever convergence degrades.  J is
+    ``model.jacobian`` on the active grid: the same central differences,
+    and the same bits, as ``modal.linearize``, with device-only
+    evaluations for the states that do not reach the network.  Each Newton
     iterate solves the network once; an accepted step records the voltages
     of its last iterate, so no step solves the network again.  Integration
     lands exactly on every event time and restarts there with the updated
@@ -315,7 +305,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
 
     def refresh_jacobian(x_at):
         nonlocal jac
-        jac = jacobian(lambda z: model.rhs(z, grid=grid), x_at)
+        jac = model.jacobian(x_at, grid)
         factor_cache.clear()
 
     def iteration_matrix(dt):

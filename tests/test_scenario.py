@@ -145,6 +145,17 @@ def test_parse_event_duration_forms():
             {"kind": "earthquake", "t_start": 1.0}]})
 
 
+def test_scenario_file_with_a_nan_event_time_is_rejected(tmp_path):
+    # Python's json reads NaN; a fault at t = NaN would never be applied
+    path = tmp_path / "nan_fault.json"
+    path.write_text('{"base_case": "A", "events": [{"kind": '
+                    '"three_phase_fault", "t_start": NaN, "bus": 8, '
+                    '"duration": 0.1}]}')
+    with pytest.raises(ScenarioError, match=r"events\[0\].*t_start must "
+                                            "be finite"):
+        load_scenario(path)
+
+
 def test_parse_type_checks():
     with pytest.raises(ScenarioError, match="must be a number"):
         parse_scenario({"base_case": "B", "k_pss": "ten"})

@@ -1,17 +1,26 @@
-"""Assembled-system tests: equilibrium fidelity, network solve, grid variants.
+"""Assembled-system tests: equilibrium fidelity, network solve, grid variants,
+structured Jacobian.
 
 Grid-variant oracles are built by re-solving a modified network from scratch
 (branch removed, load rescaled) rather than by reusing the stamping code
 under test.  The closed-form converter solve is checked against the
 fixed-point iteration it replaced, kept here as a test-local reference.
+``DynamicSystem.jacobian`` is checked bit for bit against the generic
+central differences of ``rhs``.
 """
+
+import dataclasses
+import math
+import pickle
 
 import numpy as np
 import pytest
 
+from windmodal.modal import jacobian, linearize
 from windmodal.network import Branch, Bus, Network, build_ybus
 from windmodal.powerflow import solve_power_flow
-from windmodal.scenario import build_scenario_system, load_packaged_scenario
+from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
+                                packaged_scenario_names)
 from windmodal.syncgen import SyncGen, SyncGenParams
 from windmodal.system import (DEFAULT_FAULT_ADMITTANCE, FaultSpec,
                               SystemModelError, assemble)
@@ -178,6 +187,24 @@ def test_variant_validation_errors(system_a):
         system_a.grid_variant(load_scales={99: 1.1})
 
 
+def test_midpoint_fault_rejects_a_branch_already_out_of_service():
+    # the base network carries no stamp for an out-of-service branch, so a
+    # midpoint fault there would subtract one that was never added
+    net, devices = build_two_area("A")
+    net_out = Network(
+        buses=net.buses,
+        branches=[dataclasses.replace(br, in_service=False)
+                  if br.label == "L8-9b" else br for br in net.branches],
+        base_mva=net.base_mva, frequency_hz=net.frequency_hz)
+    model = assemble(net_out, devices, solve_power_flow(net_out, tol=1e-12))
+    with pytest.raises(SystemModelError, match="'L8-9b' is already out"):
+        model.grid_variant(faults=[FaultSpec(branch="L8-9b")])
+    with pytest.raises(SystemModelError, match="'L8-9b' is already out"):
+        model.grid_variant(out_branches=["L8-9b"])
+    g = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    assert g.y.shape[0] == net.n_bus + 1      # one bus for the midpoint
+
+
 def test_midpoint_fault_rejects_off_nominal_taps():
     model = build_system("A")
     # transformers carry the machine step-up impedance on tap 1.0, so build
@@ -205,6 +232,9 @@ def test_fault_spec_validation():
         FaultSpec(bus=8, branch="L8-9a")
     with pytest.raises(SystemModelError, match="positive"):
         FaultSpec(bus=8, admittance=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SystemModelError, match="finite"):
+            FaultSpec(branch="L8-9a", admittance=bad)
     assert FaultSpec(bus=8).admittance == DEFAULT_FAULT_ADMITTANCE
 
 
@@ -359,3 +389,113 @@ def test_network_solve_makes_no_lu_solve_on_a_built_grid(monkeypatch,
         model.solve_network(x * (1.0 + 1e-3 * k), grid=grid)
     model.rhs(x, grid=grid)
     assert len(calls) == 1
+
+
+# -- structured Jacobian ---------------------------------------------------------------
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def generic_jacobian(model, x, grid=None):
+    return jacobian(lambda z: model.rhs(z, grid), x)
+
+
+def count_full_rhs(monkeypatch, model):
+    calls = []
+    full = model.rhs
+    monkeypatch.setattr(model, "rhs",
+                        lambda z, grid=None: calls.append(1) or full(z, grid))
+    return calls
+
+
+@pytest.mark.parametrize("name", packaged_scenario_names())
+def test_structured_jacobian_is_the_generic_one_at_equilibrium(name):
+    model = packaged_system(name)
+    x = model.equilibrium()
+    assert np.array_equal(bits(model.jacobian(x)),
+                          bits(generic_jacobian(model, x)))
+
+
+@pytest.mark.parametrize("name", ["A", "B_voltage_support",
+                                  "C_reactive_power_support"])
+def test_structured_jacobian_is_the_generic_one_off_equilibrium(name):
+    model = packaged_system(name)
+    rng = np.random.default_rng(11)
+    grids = [
+        model.grid_variant(faults=[FaultSpec(bus=8)]),
+        model.grid_variant(faults=[FaultSpec(branch="L8-9a")]),
+        model.grid_variant(out_branches=["L8-9b"]),
+        model.grid_variant(load_scales={9: 1.2}),
+    ]
+    for g in grids:
+        x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
+        assert np.array_equal(bits(model.jacobian(x, g)),
+                              bits(generic_jacobian(model, x, g))), g.note
+
+
+@pytest.mark.parametrize("name", packaged_scenario_names())
+def test_linearize_makes_full_rhs_calls_only_for_network_states(monkeypatch,
+                                                                 name):
+    # 3 network states per machine (delta, eq_st, ed_st), 2 for the DFIG
+    # (i_p, i_q): A has 4 machines, B adds the farm, C has 3 machines and
+    # the farm; the extra call is linearize's equilibrium check
+    model = packaged_system(name)
+    calls = count_full_rhs(monkeypatch, model)
+    linearize(model)
+    network_states = {"A": 12, "B": 14, "C": 11}[name[0]]
+    assert len(calls) == 2 * network_states + 1
+
+
+def test_a_source_that_follows_every_state_takes_only_full_columns(
+        monkeypatch):
+    class Coupled(SyncGen):
+        """A machine whose source current moves with each of its states;
+        unchanged at the equilibrium, so assembly still accepts it."""
+
+        def initialize(self, *args):
+            self._x_ref = super().initialize(*args)
+            return self._x_ref
+
+        def source_current(self, x, v, system_base_mva):
+            scale = 1.0 + 1e-3 * float(np.sum(x - self._x_ref))
+            return super().source_current(x, v, system_base_mva) * scale
+
+    net, devices = build_two_area("A")
+    devices[0] = Coupled(devices[0].device_id, devices[0].bus_id,
+                         devices[0].params)
+    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
+    x = model.equilibrium()
+    x[0] += 1e-3
+    want = generic_jacobian(model, x)
+    calls = count_full_rhs(monkeypatch, model)
+    got = model.jacobian(x)
+    assert len(calls) == 2 * (devices[0].n_states + 3 * 3)
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_structured_jacobian_keeps_rows_that_are_not_a_number(monkeypatch):
+    # rows that are NaN at x must not turn into zeros in the columns that
+    # skip the network
+    model = packaged_system("A")
+    g2 = model.devices[1]
+    finite = g2.derivatives
+    monkeypatch.setattr(g2, "derivatives",
+                        lambda x, v: finite(x, v) * np.array(
+                            [math.nan] + [1.0] * (g2.n_states - 1)))
+    x = model.equilibrium()
+    got = model.jacobian(x)
+    assert np.isnan(got[model.n_states // 4]).all()    # G2.delta's row
+    assert np.array_equal(bits(got), bits(generic_jacobian(model, x)))
+
+
+def test_structured_jacobian_mutates_nothing():
+    model = packaged_system("B_voltage_support")
+    grid = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    rng = np.random.default_rng(5)
+    x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
+    x_before = x.copy()
+    before = pickle.dumps((model, grid))
+    model.jacobian(x, grid)
+    assert np.array_equal(bits(x), bits(x_before))
+    assert pickle.dumps((model, grid)) == before

@@ -25,8 +25,8 @@ from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
                                 simulate_scenario)
 from windmodal.system import FaultSpec, SystemModelError, assemble
 from windmodal.timedomain import (Event, RingdownError, SimulationError,
-                                  Trace, _find_peaks, cycles, cleared_grid,
-                                  fault_grid, ringdown_fit, simulate)
+                                  Trace, _find_peaks, cycles, ringdown_fit,
+                                  simulate)
 
 from conftest import build_system
 
@@ -61,6 +61,18 @@ def test_event_validation():
         Event("earthquake", 1.0)
     with pytest.raises(ValueError, match="t_start"):
         Event("load_step", -1.0, bus=7)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_event_rejects_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match="t_start must be finite"):
+        Event("three_phase_fault", bad, bus=8, duration=0.1)
+    with pytest.raises(ValueError, match="duration must be finite"):
+        Event("three_phase_fault", 1.0, bus=8, duration=bad)
+    with pytest.raises(ValueError, match="admittance must be finite"):
+        Event("three_phase_fault", 1.0, branch="L8-9a", admittance=bad)
+    with pytest.raises(ValueError, match="scale must be finite"):
+        Event("load_step", 1.0, bus=7, scale=bad)
 
 
 # -- equilibrium persistence and the matrix-exponential oracle --------------------
@@ -193,15 +205,17 @@ def test_newton_stall_reports_partial_progress(system_a):
 
 
 # with a load step at t = 14 ms: solve 1 records t = 0, solve 2 enters the
-# first segment, solves 3-90 build its central-difference Jacobian (two per
-# state, 44 states), and each of the 14 steps at equilibrium takes one
-# Newton rhs (solves 91-104).  So the 104th network solve falls in a Newton
-# iterate's rhs (the step from 13 ms), and the 105th is the segment-entry
-# solve after the event.
-@pytest.mark.parametrize("fail_after", [103, 104])
+# first segment, and solves 3-27 build its Jacobian: 1 solve at the point
+# itself plus 2 for each of the 12 states that move a source current (delta,
+# eq_st and ed_st of 4 machines), 1 + 24 = 25; the other 32 columns solve
+# nothing.  Each of the 14 steps at equilibrium takes one Newton rhs
+# (solves 28-41).  So the 41st network solve falls in a Newton iterate's
+# rhs (the step from 13 ms), and the 42nd is the segment-entry solve after
+# the event.
+@pytest.mark.parametrize("fail_after, t_fail", [(40, 0.013), (41, 0.014)],
+                         ids=["newton_rhs", "segment_entry"])
 def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
-                                                         fail_after):
-    t_fail = {103: 0.013, 104: 0.014}[fail_after]
+                                                         fail_after, t_fail):
     model = build_system("A")
     solve = model.solve_network
     calls = []
@@ -235,16 +249,6 @@ def test_recorded_voltages_are_the_network_solution_of_each_sample():
     for x, v in zip(tr.states, tr.voltages):
         want = model.solve_network(x, grid=grid)[:net.n_bus]
         assert np.max(np.abs(v - want)) <= 1e-12
-
-
-# -- fault grid helpers ----------------------------------------------------------------
-
-
-def test_fault_and_cleared_grid_helpers(system_a):
-    fg = fault_grid(system_a, branch="L8-9a")
-    assert fg.y.shape[0] == system_a.network.n_bus + 1
-    cg = cleared_grid(system_a)
-    assert cg is system_a.base_grid
 
 
 # -- trace bookkeeping -------------------------------------------------------------------
