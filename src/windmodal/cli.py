@@ -12,6 +12,7 @@ All failures exit nonzero with a stage-tagged message on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -50,7 +51,8 @@ def _gain_values(text: str) -> tuple[float, ...]:
             return (float(parts[0]),)
         if len(parts) == 3:
             start, stop, step = (float(p) for p in parts)
-            if step <= 0 or stop < start:
+            if not (math.isfinite(start) and math.isfinite(stop)
+                    and 0 < step < math.inf and start <= stop):
                 raise ValueError
             n = int(round((stop - start) / step))
             values = tuple(start + i * step for i in range(n + 1))

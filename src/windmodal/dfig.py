@@ -69,8 +69,8 @@ class MpptCurve:
     def __post_init__(self):
         if not 0.0 < self.speed_cutin < self.speed_rated:
             raise DeviceError("need 0 < speed_cutin < speed_rated")
-        if self.k_opt <= 0.0:
-            raise DeviceError("k_opt must be positive")
+        if not 0.0 < self.k_opt < math.inf:
+            raise DeviceError("k_opt must be positive and finite")
 
     @property
     def p_rated(self) -> float:
@@ -102,11 +102,6 @@ class MpptCurve:
         return speed
 
 
-def mppt_reference(speed: float, curve: MpptCurve) -> float:
-    """Tracking-curve power for a rotor speed, per unit on the device base."""
-    return curve.p_opt(speed)
-
-
 def frequency_support_reference(p_opt: float, delta_f: float, rocof: float,
                                 droop: DroopParams) -> float:
     """Active-power reference with the droop terms applied.
@@ -118,37 +113,6 @@ def frequency_support_reference(p_opt: float, delta_f: float, rocof: float,
     if not droop.enabled:
         return p_opt
     return p_opt - droop.kp * delta_f - droop.kin * rocof
-
-
-def rocof_estimate(times: np.ndarray, frequency: np.ndarray,
-                   filter_time: float = 0.1) -> np.ndarray:
-    """Washout s/(1 + s*T) applied to a sampled frequency signal.
-
-    Integrates the filter state trapezoidally over the (possibly nonuniform)
-    sample grid and returns the filtered df/dt at each sample.  A raw
-    difference quotient would amplify measurement noise; the washout trades
-    a little lag (settled after ~5 T) for a bounded high-frequency gain.
-    """
-    t = np.asarray(times, dtype=float)
-    f = np.asarray(frequency, dtype=float)
-    if t.shape != f.shape or t.ndim != 1:
-        raise DeviceError("times and frequency must be 1-D arrays of equal length")
-    if t.size < 2:
-        raise DeviceError("need at least two samples")
-    if filter_time <= 0.0:
-        raise DeviceError("filter_time must be positive")
-    x = f[0]  # filter state; starting at f means zero initial output
-    out = np.empty_like(f)
-    out[0] = (f[0] - x) / filter_time
-    for k in range(1, t.size):
-        h = t[k] - t[k - 1]
-        if h <= 0.0:
-            raise DeviceError("times must be strictly increasing")
-        # trapezoidal update of dx/dt = (f - x)/T
-        a = h / (2.0 * filter_time)
-        x = ((1.0 - a) * x + a * (f[k] + f[k - 1])) / (1.0 + a)
-        out[k] = (f[k] - x) / filter_time
-    return out
 
 
 @dataclass(frozen=True)
@@ -213,8 +177,8 @@ class DfigParams:
         for name in ("base_mva", "h_turbine", "t_current", "v_filter_time",
                      "mppt_filter_time", "freq_filter_time", "droop_omega",
                      "droop_zeta"):
-            if getattr(self, name) <= 0.0:
-                raise DeviceError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DeviceError(f"{name} must be positive and finite")
 
     @property
     def x_transient(self) -> float:
@@ -305,10 +269,7 @@ class Dfig(DeviceModel):
 
         p_opt = p.mppt.p_opt(speed)
         p_track = x[11]
-        if p.droop.enabled:
-            droop_target = frequency_support_reference(0.0, delta_f, rocof, p.droop)
-        else:
-            droop_target = 0.0
+        droop_target = frequency_support_reference(0.0, delta_f, rocof, p.droop)
         p_ref = p_track + droop_p
 
         # active channel

@@ -8,9 +8,7 @@ matrix as constant impedances for dynamic studies.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,32 +140,6 @@ class Network:
             raise NetworkError(
                 f"network is not connected; unreachable buses: {missing}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "base_mva": self.base_mva,
-            "frequency_hz": self.frequency_hz,
-            "buses": [asdict(b) for b in self.buses],
-            "branches": [asdict(br) for br in self.branches],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Network":
-        try:
-            buses = [Bus(**b) for b in data["buses"]]
-            branches = [Branch(**br) for br in data["branches"]]
-        except TypeError as exc:
-            raise NetworkError(f"bad network record: {exc}") from exc
-        return cls(buses=buses, branches=branches,
-                   base_mva=data.get("base_mva", 100.0),
-                   frequency_hz=data.get("frequency_hz", 60.0))
-
-    def save(self, path: str | Path):
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Network":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def build_ybus(network: Network, include_load_shunts: bool = False,

@@ -106,10 +106,10 @@ class Scenario:
             raise ScenarioError(
                 "droop.enabled must match frequency_support "
                 f"({self.droop.enabled} vs {self.frequency_support})")
-        if self.wind_mva is not None and self.wind_mva <= 0.0:
-            raise ScenarioError("wind_mva: must be positive")
-        if self.k_pss < 0.0:
-            raise ScenarioError("k_pss: must be non-negative")
+        if self.wind_mva is not None and not 0.0 < self.wind_mva < math.inf:
+            raise ScenarioError("wind_mva: must be positive and finite")
+        if not 0.0 <= self.k_pss < math.inf:
+            raise ScenarioError("k_pss: must be non-negative and finite")
         if not self.sha256:
             object.__setattr__(self, "sha256", _canonical_hash(self))
 

@@ -198,50 +198,3 @@ class SmibModel:
         accel = (-(p.k_damping + p.active_gains[0]) * df
                  - p.k_synchronizing * dd) / m
         return np.array([accel, p.omega0 * df])
-
-
-@dataclass
-class AggregateModel:
-    """One-bus center-of-inertia frequency model.
-
-    ``p_reg`` maps absolute per-unit frequency to regulating power (e.g.
-    ``lambda f: -20.0 * (f - 1.0)`` for a 20 pu/pu droop).
-    """
-
-    h_sys: float
-    p_gen: float
-    p_load: float
-    p_reg: callable = None
-    f0: float = 1.0
-
-
-def aggregate_frequency_response(model: AggregateModel, power_step: float,
-                                 t_end: float, dt: float = 1e-3
-                                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency trajectory after a load step at t = 0.
-
-    Integrates 2 H_sys df/dt = P_gen + P_reg(f) - (P_load + step) with a
-    fixed-step fourth-order Runge-Kutta scheme and returns (t, f) arrays.
-    """
-    if model.h_sys <= 0.0:
-        raise SmibError("system inertia must be positive")
-    if dt <= 0.0 or t_end <= dt:
-        raise SmibError("need 0 < dt < t_end")
-    p_reg = model.p_reg if model.p_reg is not None else (lambda f: 0.0)
-    load = model.p_load + power_step
-
-    def deriv(f):
-        return (model.p_gen + p_reg(f) - load) / (2.0 * model.h_sys)
-
-    n = int(round(t_end / dt))
-    t = np.linspace(0.0, n * dt, n + 1)
-    f = np.empty(n + 1)
-    f[0] = model.f0
-    for k in range(n):
-        y = f[k]
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * dt * k1)
-        k3 = deriv(y + 0.5 * dt * k2)
-        k4 = deriv(y + dt * k3)
-        f[k + 1] = y + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return t, f

@@ -74,8 +74,8 @@ class SyncGenParams:
             raise DeviceError("need xq > xq_t > xq_st > 0")
         for name in ("h_s", "td0_t", "tq0_t", "td0_st", "tq0_st", "ta",
                      "t_gov", "t_washout", "t2", "t4", "base_mva"):
-            if getattr(self, name) <= 0.0:
-                raise DeviceError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DeviceError(f"{name} must be positive and finite")
 
 
 class SyncGen(DeviceModel):

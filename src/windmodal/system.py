@@ -52,7 +52,6 @@ class GridModel:
     """One admittance view of the system (base case or event variant)."""
 
     y: np.ndarray
-    n_bus: int                     # base bus count; device rows live here
     # impedance columns Z[:, device rows] (n_aug × k), in device order
     z_dev: np.ndarray = field(repr=False)
     note: str = "base"
@@ -83,7 +82,6 @@ class DynamicSystem:
             raise SystemModelError("no devices to assemble")
         self.network = network
         self.devices = list(devices)
-        self.pf = pf
         self.omega_s = 2.0 * np.pi * network.frequency_hz
         self._idx = network.index()
 
@@ -342,8 +340,7 @@ class DynamicSystem:
         k = len(self._rows)
         unit = np.zeros((y.shape[0], k), dtype=complex)
         unit[self._rows, np.arange(k)] = 1.0
-        return GridModel(y=y, n_bus=self.network.n_bus,
-                         z_dev=lu_solve(lu_factor(y), unit), note=note)
+        return GridModel(y=y, z_dev=lu_solve(lu_factor(y), unit), note=note)
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -127,10 +127,11 @@ def test_unknown_scenario_exits_nonzero_with_stage(capsys):
 
 
 def test_invalid_gain_spec_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--scenario", "B_voltage", "--kp", "5:1:1"])
-    assert exc.value.code == 2
-    assert "start:stop:step" in capsys.readouterr().err
+    for spec in ("5:1:1", "0:inf:10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scenario", "B_voltage", "--kp", spec])
+        assert exc.value.code == 2
+        assert "start:stop:step" in capsys.readouterr().err
 
 
 def test_report_all_canned_studies(tmp_path, capsys):

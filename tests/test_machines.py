@@ -13,8 +13,7 @@ import pytest
 
 from windmodal.devices import DeviceError
 from windmodal.dfig import (Dfig, DfigParams, DroopParams, MpptCurve,
-                            frequency_support_reference, mppt_reference,
-                            rocof_estimate)
+                            frequency_support_reference)
 from windmodal.syncgen import SyncGen, SyncGenParams
 
 OMEGA_S = 2.0 * math.pi * 60.0
@@ -98,6 +97,8 @@ def test_syncgen_rejects_dispatch_outside_limits():
     (dict(xq_t=1.9), "xq > xq_t"),
     (dict(h_s=0.0), "must be positive"),
     (dict(ta=-0.01), "must be positive"),
+    (dict(h_s=math.nan), "h_s must be positive and finite"),
+    (dict(td0_t=math.inf), "td0_t must be positive and finite"),
 ])
 def test_syncgen_parameter_validation(kwargs, match):
     with pytest.raises(DeviceError, match=match):
@@ -140,11 +141,6 @@ def test_mppt_inverse_rejects_untrackable_power():
         c.speed_at(0.01)
 
 
-def test_mppt_reference_is_the_curve():
-    c = MpptCurve(k_opt=0.9)
-    assert mppt_reference(0.9, c) == c.p_opt(0.9)
-
-
 # -- droop law ---------------------------------------------------------------
 
 
@@ -172,51 +168,6 @@ def test_droop_params_validation():
             DroopParams(kin=bad)
         with pytest.raises(DeviceError, match="positive and finite"):
             DroopParams(rocof_filter_time=bad)
-
-
-# -- ROCOF washout ------------------------------------------------------------
-
-
-def test_rocof_estimate_of_a_ramp_settles_to_the_slope():
-    # washout of f = a*t starting from rest: out(t) = a (1 - exp(-t/T))
-    a, t_filt = 0.004, 0.1
-    t = np.linspace(0.0, 1.0, 2001)
-    out = rocof_estimate(t, a * t, filter_time=t_filt)
-    expect = a * (1.0 - np.exp(-t / t_filt))
-    assert np.max(np.abs(out - expect)) < 1e-8
-    assert abs(out[-1] - a) < 1e-6
-
-
-def test_rocof_estimate_sinusoid_gain_and_phase():
-    # steady-state response to sin(w t) is |H| sin(w t + phase) with
-    # H = jw/(1 + jwT)
-    w, t_filt = 3.0, 0.1
-    t = np.linspace(0.0, 40.0, 40001)
-    out = rocof_estimate(t, np.sin(w * t), filter_time=t_filt)
-    h = 1j * w / (1.0 + 1j * w * t_filt)
-    expect = np.abs(h) * np.sin(w * t + np.angle(h))
-    tail = t > 2.0  # past the washout transient
-    assert np.max(np.abs(out[tail] - expect[tail])) < 1e-5
-
-
-def test_rocof_estimate_handles_nonuniform_sampling():
-    rng = np.random.default_rng(3)
-    t = np.unique(np.cumsum(rng.uniform(1e-4, 5e-3, 4000)))
-    a = 0.01
-    out = rocof_estimate(t, a * t, filter_time=0.05)
-    assert abs(out[-1] - a) < 1e-6
-
-
-def test_rocof_estimate_argument_validation():
-    t = np.array([0.0, 0.1, 0.1])
-    with pytest.raises(DeviceError, match="strictly increasing"):
-        rocof_estimate(t, np.zeros(3))
-    with pytest.raises(DeviceError, match="equal length"):
-        rocof_estimate(np.arange(3.0), np.zeros(4))
-    with pytest.raises(DeviceError, match="two samples"):
-        rocof_estimate(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(DeviceError, match="filter_time"):
-        rocof_estimate(np.arange(3.0), np.zeros(3), filter_time=-1.0)
 
 
 # -- DFIG ----------------------------------------------------------------------
@@ -338,6 +289,13 @@ def test_dfig_params_validation():
         DfigParams(h_turbine=0.0)
     with pytest.raises(DeviceError, match="must be positive"):
         DfigParams(mppt_filter_time=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DeviceError, match="h_turbine must be positive "
+                           "and finite"):
+            DfigParams(h_turbine=bad)
+        with pytest.raises(DeviceError, match="k_opt must be positive and "
+                           "finite"):
+            MpptCurve(k_opt=bad)
 
 
 def test_dfig_transient_reactance_formula():

@@ -9,8 +9,6 @@ the from side), giving
     Y33 = y23
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -89,28 +87,6 @@ def test_bus_and_branch_lookup():
         net.bus(99)
     with pytest.raises(NetworkError, match="no branch"):
         net.branch("T99")
-
-
-def test_round_trip_through_dict_and_file(tmp_path):
-    net = three_bus()
-    rebuilt = Network.from_dict(net.to_dict())
-    assert rebuilt.buses == net.buses
-    assert rebuilt.branches == net.branches
-    path = tmp_path / "net.json"
-    net.save(path)
-    loaded = Network.load(path)
-    assert loaded.buses == net.buses
-    assert loaded.base_mva == net.base_mva
-    # saved form is plain JSON
-    data = json.loads(path.read_text())
-    assert data["frequency_hz"] == 60.0
-
-
-def test_from_dict_rejects_unknown_fields():
-    data = three_bus().to_dict()
-    data["buses"][0]["colour"] = "blue"
-    with pytest.raises(NetworkError, match="bad network record"):
-        Network.from_dict(data)
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -95,6 +95,10 @@ def test_make_scenario_fills_support_gain_defaults():
     (dict(base_case="B", k_pss=-2.0), "k_pss"),
     (dict(base_case="B", frequency_support=False,
           droop=DroopParams(kp=20.0, enabled=True)), "must match"),
+    (dict(base_case="B", wind_mva=math.nan), "wind_mva"),
+    (dict(base_case="B", wind_mva=math.inf), "wind_mva"),
+    (dict(base_case="B", k_pss=math.nan), "k_pss"),
+    (dict(base_case="B", k_pss=math.inf), "k_pss"),
 ])
 def test_scenario_object_validation(kwargs, message):
     with pytest.raises(ScenarioError, match=message):
@@ -273,6 +277,22 @@ def test_overrides_patch_device_parameters():
     with pytest.raises(ScenarioError, match="not a parameter"):
         build_scenario_system(dataclasses.replace(
             sc, overrides=(Override("G1", "inertia", 7.0),), sha256=""))
+
+
+@pytest.mark.parametrize("case, device, name, value", [
+    ("A", "G1", "h_s", math.nan),
+    ("A", "G1", "h_s", math.inf),
+    ("B", "W1", "h_turbine", math.nan),
+])
+def test_nonfinite_override_fails_at_build_naming_the_field(case, device,
+                                                            name, value):
+    bad = dataclasses.replace(make_scenario(case),
+                              overrides=(Override(device, name, value),),
+                              sha256="")
+    with pytest.raises(PipelineError, match=rf"\[build\] {name} must be "
+                       "positive and finite") as err:
+        run_scenario(bad)
+    assert err.value.stage == "build"
 
 
 def test_simulate_scenario_runs_the_packaged_fault(report_a):

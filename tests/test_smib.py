@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from windmodal.modal import damping_ratio, linearize
-from windmodal.smib import (AggregateModel, SmibError, SmibModel, SmibParams,
-                            aggregate_frequency_response, smib_damping_check,
-                            smib_eigenvalues, smib_sensitivity_grid,
-                            smib_system_matrix, write_grid_csv)
+from windmodal.smib import (SmibError, SmibModel, SmibParams,
+                            smib_damping_check, smib_eigenvalues,
+                            smib_sensitivity_grid, smib_system_matrix,
+                            write_grid_csv)
 
 BASE_RE = -0.7142857142857143
 BASE_IM = 6.315271416275352
@@ -140,31 +140,3 @@ def test_numerical_linearization_recovers_the_closed_form_matrix():
         p = SmibParams().with_gains(kp, kin)
         a_fd = linearize(SmibModel(p)).a
         assert np.max(np.abs(a_fd - smib_system_matrix(p))) < 1e-6
-
-
-def test_aggregate_frequency_response_matches_first_order_analytic():
-    # 2H f' = -step - R (f - 1)  =>  f = 1 - step/R (1 - exp(-R t / 2H))
-    h, r, step = 4.0, 20.0, 0.1
-    model = AggregateModel(h_sys=h, p_gen=1.0, p_load=1.0,
-                           p_reg=lambda f: -r * (f - 1.0))
-    t, f = aggregate_frequency_response(model, power_step=step, t_end=6.0,
-                                        dt=1e-3)
-    expect = 1.0 - step / r * (1.0 - np.exp(-r * t / (2.0 * h)))
-    assert np.max(np.abs(f - expect)) < 1e-9
-    # fifteen time constants in: settled to the droop-governed frequency
-    assert f[-1] == pytest.approx(1.0 - step / r, abs=1e-6)
-
-
-def test_aggregate_response_without_regulation_is_a_ramp():
-    model = AggregateModel(h_sys=5.0, p_gen=1.0, p_load=1.0)
-    t, f = aggregate_frequency_response(model, power_step=0.05, t_end=2.0)
-    assert np.max(np.abs((f - 1.0) + 0.05 * t / 10.0)) < 1e-12
-
-
-def test_aggregate_response_argument_validation():
-    model = AggregateModel(h_sys=0.0, p_gen=1.0, p_load=1.0)
-    with pytest.raises(SmibError, match="inertia"):
-        aggregate_frequency_response(model, 0.1, 1.0)
-    model = AggregateModel(h_sys=1.0, p_gen=1.0, p_load=1.0)
-    with pytest.raises(SmibError, match="dt"):
-        aggregate_frequency_response(model, 0.1, t_end=0.0)
