@@ -10,11 +10,22 @@ stays on the device base.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 class DeviceError(ValueError):
     pass
+
+
+def require_finite(params) -> None:
+    """Reject a parameter dataclass with a NaN or infinite float field,
+    naming the field.  Comparison checks let NaN through, so without this a
+    NaN limit such as ``i_pmax`` silently switches the limit off."""
+    for name, value in vars(params).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DeviceError(f"{name} must be finite")
 
 
 class DeviceModel:
@@ -57,10 +68,28 @@ class DeviceModel:
                        system_base_mva: float) -> complex:
         raise NotImplementedError
 
-    def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
+    def limits(self) -> tuple[tuple[int, float, float], ...]:
+        """Non-windup limits as ``(state index, lower, upper)``.
+
+        The limiter status belongs to the integrator, not to the device: it
+        holds a limited state at the bound it crossed and releases it when
+        the free derivative points back inside (IEEE Std 421.5 non-windup
+        limiter).  ``derivatives`` without ``held`` is the free model, which
+        is what linearization sees.
+        """
+        return ()
+
+    def derivatives(self, x: np.ndarray, v: complex,
+                    held: tuple[int, ...] = ()) -> np.ndarray:
+        """State derivatives at terminal voltage ``v``; the limited states
+        whose indices are in ``held`` have a zero derivative."""
         raise NotImplementedError
 
-    def outputs(self, x: np.ndarray, v: complex) -> dict[str, float]:
-        """Per-device trace quantities (per unit on the device base)."""
+    def outputs(self, x: np.ndarray, v) -> dict:
+        """Per-device trace quantities (per unit on the device base).
+
+        ``x`` may carry a leading sample axis, with ``v`` the matching
+        terminal voltages; each quantity then has that axis too.
+        """
         return {}
 

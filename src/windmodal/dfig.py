@@ -26,12 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import DeviceError, DeviceModel
+from .devices import DeviceError, DeviceModel, require_finite
 
 logger = logging.getLogger(__name__)
 
 # Rotor-speed protection band, per unit. Excursions are logged, not tripped.
 ROTOR_SPEED_BOUNDS = (0.6, 1.3)
+
+# index of the reactive-channel integrator, whose limit is non-windup
+Q_CTRL = 7
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,7 @@ class MpptCurve:
             raise DeviceError("need 0 < speed_cutin < speed_rated")
         if not 0.0 < self.k_opt < math.inf:
             raise DeviceError("k_opt must be positive and finite")
+        require_finite(self)
 
     @property
     def p_rated(self) -> float:
@@ -179,6 +183,7 @@ class DfigParams:
                      "droop_zeta"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DeviceError(f"{name} must be positive and finite")
+        require_finite(self)
 
     @property
     def x_transient(self) -> float:
@@ -248,22 +253,19 @@ class Dfig(DeviceModel):
         i_dev = complex(x[5], -x[8]) * direction
         return i_dev * self.params.base_mva / system_base_mva
 
-    def _measurements(self, x, v):
-        p = self.params
-        vm = abs(v)
-        theta = cmath.phase(v)
-        # washout frequency estimate from the bus angle; wrap-safe difference
-        dth = _wrap_angle(theta - x[9])
-        delta_f = dth / (p.freq_filter_time * self._omega_s)
-        rocof = (delta_f - x[10]) / p.droop.rocof_filter_time
-        return vm, dth, delta_f, rocof
+    def limits(self):
+        return ((Q_CTRL, -self.params.i_qmax, self.params.i_qmax),)
 
-    def derivatives(self, x, v):
+    def derivatives(self, x, v, held=()):
         p = self.params
         x = x.tolist()
         (speed, p_cmd, p_rate, droop_p, droop_rate,
          i_p, v_filt, q_ctrl, i_q) = x[:9]
-        vm, dth, delta_f, rocof = self._measurements(x, v)
+        vm = abs(v)
+        # washout frequency estimate from the bus angle; wrap-safe difference
+        dth = _wrap_angle(cmath.phase(v) - x[9])
+        delta_f = dth / (p.freq_filter_time * self._omega_s)
+        rocof = (delta_f - x[10]) / p.droop.rocof_filter_time
 
         self._check_speed(speed)
 
@@ -293,9 +295,7 @@ class Dfig(DeviceModel):
             err = self.q_ref - vm * i_q
             d_q_ctrl = p.kq_i * err
             iq_cmd = q_ctrl + p.kq_p * err
-        # conditional anti-windup on the integrator
-        if (q_ctrl >= p.i_qmax and d_q_ctrl > 0.0) or \
-           (q_ctrl <= -p.i_qmax and d_q_ctrl < 0.0):
+        if Q_CTRL in held:          # anti-windup: the integrator is held
             d_q_ctrl = 0.0
         d_i_q = (min(max(iq_cmd, -p.i_qmax), p.i_qmax) - i_q) / p.t_current
 
@@ -316,12 +316,15 @@ class Dfig(DeviceModel):
         ])
 
     def outputs(self, x, v):
-        vm, _, delta_f, _ = self._measurements(x, v)
+        x, v = np.asarray(x), np.asarray(v)
+        vm = np.hypot(v.real, v.imag)     # the bits of abs() of a complex
+        dth = _wrap_angle(np.arctan2(v.imag, v.real) - x[..., 9])
+        delta_f = dth / (self.params.freq_filter_time * self._omega_s)
         return {
-            "rotor_speed": float(x[0]),
-            "active_power": float(vm * x[5]),
-            "reactive_power": float(vm * x[8]),
-            "bus_frequency": float(1.0 + delta_f),
+            "rotor_speed": x[..., 0],
+            "active_power": vm * x[..., 5],
+            "reactive_power": vm * x[..., 8],
+            "bus_frequency": 1.0 + delta_f,
         }
 
     def _check_speed(self, speed):

@@ -17,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import DeviceError, DeviceModel
+from .devices import DeviceError, DeviceModel, require_finite
+
+# indices of the limited states: field voltage and mechanical power
+EFD, PM = 6, 7
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,7 @@ class SyncGenParams:
                      "t_gov", "t_washout", "t2", "t4", "base_mva"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DeviceError(f"{name} must be positive and finite")
+        require_finite(self)
 
 
 class SyncGen(DeviceModel):
@@ -163,7 +167,11 @@ class SyncGen(DeviceModel):
 
     # -- dynamics ----------------------------------------------------------
 
-    def derivatives(self, x, v):
+    def limits(self):
+        p = self.params
+        return ((EFD, p.efd_min, p.efd_max), (PM, p.pm_min, p.pm_max))
+
+    def derivatives(self, x, v, held=()):
         p = self.params
         x = x.tolist()
         (delta, speed, eq_t, ed_t, eq_st, ed_st, efd, pm,
@@ -177,15 +185,11 @@ class SyncGen(DeviceModel):
         y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
         v_s = min(max(p.k_pss * y_2, -p.vs_max), p.vs_max)
 
-        d_efd = (p.ka * (self.v_ref - abs(v) + v_s) - efd) / p.ta
-        if (efd >= p.efd_max and d_efd > 0.0) or \
-           (efd <= p.efd_min and d_efd < 0.0):
-            d_efd = 0.0
+        d_efd = (0.0 if EFD in held
+                 else (p.ka * (self.v_ref - abs(v) + v_s) - efd) / p.ta)
 
         droop = speed / p.r_droop if p.has_governor else 0.0
-        d_pm = (self.pm_ref - droop - pm) / p.t_gov
-        if (pm >= p.pm_max and d_pm > 0.0) or (pm <= p.pm_min and d_pm < 0.0):
-            d_pm = 0.0
+        d_pm = 0.0 if PM in held else (self.pm_ref - droop - pm) / p.t_gov
 
         return np.array([
             self._omega_s * speed,
@@ -202,14 +206,22 @@ class SyncGen(DeviceModel):
         ])
 
     def outputs(self, x, v):
-        i_net = (self._subtransient_emf(x) - v) / complex(self.params.ra,
-                                                          self.params.xd_st)
-        s_dev = v * np.conj(i_net)
-        return {
-            "rotor_speed": float(1.0 + x[1]),
-            "active_power": float(s_dev.real),
-            "reactive_power": float(s_dev.imag),
-            "bus_frequency": float(1.0 + x[1]),
+        # The complex products are written out as the scalar complex
+        # arithmetic does them, (ac - bd) + (ad + bc)j, so that a batch of
+        # samples gives the bits of one sample at a time; numpy's
+        # vectorized complex product rounds differently.
+        x, v = np.asarray(x), np.asarray(v)
+        rot = np.exp(1j * (x[..., 0] - math.pi / 2.0))
+        ed, eq = x[..., 5], x[..., 4]
+        e_net = ((ed * rot.real - eq * rot.imag)
+                 + 1j * (ed * rot.imag + eq * rot.real))
+        i_net = (e_net - v) / complex(self.params.ra, self.params.xd_st)
+        speed = 1.0 + x[..., 1]
+        return {       # v * conj(i_net)
+            "rotor_speed": speed,
+            "active_power": v.real * i_net.real + v.imag * i_net.imag,
+            "reactive_power": v.imag * i_net.real - v.real * i_net.imag,
+            "bus_frequency": speed,
         }
 
 

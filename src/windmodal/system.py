@@ -119,6 +119,7 @@ class DynamicSystem:
                                                dev.device_class))
             pos += dev.n_states
         self.n_states = pos
+        self._free = ((),) * len(self.devices)     # no limiter held
         names = [str(lab) for lab in self._labels]
         if len(set(names)) != len(names):
             raise SystemModelError("device ids produce duplicate state labels")
@@ -201,17 +202,27 @@ class DynamicSystem:
                 a[:, k] = central_column(f, x, k, step)
         return a
 
-    def _evaluate(self, x: np.ndarray, grid: GridModel | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate(self, x: np.ndarray, grid: GridModel | None = None,
+                  held=None) -> tuple[np.ndarray, np.ndarray]:
         """``(dx, v)``: the derivatives and the network solution behind
         them, so that the integrator keeps the voltages of an accepted step
-        instead of solving the network again."""
+        instead of solving the network again.  ``held`` is the integrator's
+        limiter status, one tuple of held state indices per device (see
+        ``DeviceModel.limits``); ``None`` is the free model."""
         v = self.solve_network(x, grid=grid)
-        v_dev = v[self._rows].tolist()
+        return self._derivatives(x, v, held), v
+
+    def _derivatives(self, x: np.ndarray, v: np.ndarray,
+                     held=None) -> np.ndarray:
+        """Device derivatives at the given bus voltages; no network solve."""
         dx = np.empty(self.n_states)
-        for dev, sl, v_k in zip(self.devices, self._slices, v_dev):
-            dx[sl] = dev.derivatives(x[sl], v_k)
-        return dx, v
+        for dev, sl, v_k, h in zip(self.devices, self._slices,
+                                   v[self._rows].tolist(),
+                                   held or self._free):
+            # with nothing held, the two-argument call of the model protocol
+            dx[sl] = (dev.derivatives(x[sl], v_k, h) if h
+                      else dev.derivatives(x[sl], v_k))
+        return dx
 
     # -- network solution --------------------------------------------------
 
@@ -344,28 +355,36 @@ class DynamicSystem:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def device_outputs(self, x: np.ndarray, v: np.ndarray) -> dict[str, float]:
-        out: dict[str, float] = {}
+    def device_outputs(self, x: np.ndarray, v: np.ndarray) -> dict:
+        """Trace quantities keyed ``"<device>.<quantity>"``.  ``x`` and
+        ``v`` may carry a leading sample axis; the values then have it."""
+        out = {}
         for dev, sl, row in zip(self.devices, self._slices, self._rows):
-            for key, val in dev.outputs(x[sl], v[row]).items():
+            for key, val in dev.outputs(x[..., sl], v[..., row]).items():
                 out[f"{dev.device_id}.{key}"] = val
         return out
 
     def power_balance_residual(self, x: np.ndarray, v: np.ndarray,
-                               grid: GridModel | None = None) -> float:
+                               grid: GridModel | None = None):
         """|device injection - network absorption| in pu; an audit of the
         algebraic solution, tiny whenever the solve converged.  The device
-        Norton shunts are folded into ``grid.y`` and would appear on both
-        sides, so they are left out of both: ``sum_r Re(V_r conj(I_src,r))
-        - Re(V^H Y V)``."""
+        side is the terminal active power of ``device_outputs``; the device
+        Norton shunts are folded into ``grid.y``, so they are taken out of
+        it for the network side: ``sum_r P_r - Re(V^T conj(Y_nf V))``.
+        ``x`` and ``v`` may carry a leading sample axis, and the residual
+        then has one value per sample."""
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
+        out = self.device_outputs(x, v)
+        y_nf = grid.y.copy()
         p_dev = 0.0
-        for dev, sl, row in zip(self.devices, self._slices, self._rows):
-            i = dev.source_current(x[sl], v[row], base)
-            p_dev += (v[row] * np.conj(i)).real
-        p_net = float((v @ np.conj(grid.y @ v)).real)
-        return abs(p_dev - p_net)
+        for dev, row in zip(self.devices, self._rows):
+            y_nf[row, row] -= dev.norton_admittance(base)
+            p_dev += (out[f"{dev.device_id}.active_power"]
+                      * dev.params.base_mva / base)
+        i_net = v @ y_nf.T
+        p_net = (v.real * i_net.real + v.imag * i_net.imag).sum(axis=-1)
+        return np.abs(p_dev - p_net)
 
 
 def assemble(network: Network, devices: list[DeviceModel],

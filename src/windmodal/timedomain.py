@@ -5,7 +5,11 @@ trapezoidal rule, re-solving the network algebra inside every residual
 evaluation so the differential and algebraic parts stay consistent at all
 times.  Disturbances never mutate the model: each event swaps in an
 admittance variant rebuilt from the unmodified base, so clearing a fault
-restores the pre-fault matrices exactly.
+restores the pre-fault matrices exactly.  The devices' non-windup limiters
+(field voltage, governor power, the converter's reactive integrator) are
+held and released by the integrator between steps, never inside one.  The
+step loop only integrates: device outputs and the power-balance audit are
+computed afterwards, once per segment of constant grid.
 
 ``ringdown_fit`` recovers the dominant decaying sinusoid from a simulated
 signal, which lets eigenvalue predictions be checked against the nonlinear
@@ -19,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .system import (DEFAULT_FAULT_ADMITTANCE, DynamicSystem, FaultSpec,
                      GridModel, SystemModelError)
@@ -223,6 +228,11 @@ class _GridState:
 
 
 class _Recorder:
+    """Samples of the run.  ``add`` only stores ``t``, ``x``, the full
+    voltage vector and the grid; when the grid changes, and in ``trace``,
+    the device outputs and the power-balance residual of the finished
+    segment are computed at once over its stacked samples."""
+
     def __init__(self, model: DynamicSystem):
         self.model = model
         self.names = [str(lab) for lab in model.state_labels()]
@@ -230,30 +240,86 @@ class _Recorder:
         self.t: list[float] = []
         self.x: list[np.ndarray] = []
         self.v: list[np.ndarray] = []
-        self.out: dict[str, list[float]] = {}
+        self.grid: GridModel | None = None
+        # (states, voltages, outputs) of each finished segment
+        self.done: list[tuple] = []
         self.max_residual = 0.0
 
     def add(self, t, x, v, grid):
-        n_bus = len(self.bus_ids)
+        if grid is not self.grid:
+            self._close_segment()
+            self.grid = grid
         self.t.append(t)
         self.x.append(x.copy())
-        self.v.append(v[:n_bus].copy())
-        for key, val in self.model.device_outputs(x, v).items():
-            self.out.setdefault(key, []).append(val)
-        res = self.model.power_balance_residual(x, v, grid=grid)
-        self.max_residual = max(self.max_residual, res)
+        self.v.append(v.copy())
+
+    def _close_segment(self):
+        if not self.x:
+            return
+        x, v = np.array(self.x), np.array(self.v)
+        outputs = self.model.device_outputs(x, v)
+        res = self.model.power_balance_residual(x, v, grid=self.grid)
+        self.max_residual = max(self.max_residual, float(res.max()))
+        self.done.append((x, v[:, :len(self.bus_ids)], outputs))
+        self.x, self.v = [], []
 
     def trace(self, events) -> Trace:
+        self._close_segment()
+        xs, vs, outs = zip(*self.done)
         return Trace(
             time=np.array(self.t),
-            states=np.array(self.x),
+            states=np.concatenate(xs),
             state_names=self.names,
-            voltages=np.array(self.v),
+            voltages=np.concatenate(vs),
             bus_ids=self.bus_ids,
-            outputs={k: np.array(v) for k, v in self.out.items()},
+            outputs={k: np.concatenate([o[k] for o in outs])
+                     for k in outs[0]},
             events=tuple(events),
             max_balance_residual=self.max_residual,
         )
+
+
+class _Limiters:
+    """The status of the devices' non-windup limiters during a run (see
+    ``simulate``).  A held state's derivative is zero, and so is its row of
+    the chord Jacobian: holding changes no other derivative."""
+
+    def __init__(self, model: DynamicSystem):
+        self.model = model
+        # (device number, state index in the device, in the system, lo, hi)
+        self.entries = [(j, k, sl.start + k, lo, hi)
+                        for j, (dev, sl) in enumerate(zip(model.devices,
+                                                          model._slices))
+                        for k, lo, hi in dev.limits()]
+        self.held: set[int] = set()       # system indices of held states
+        # the held state indices of each device, as ``_evaluate`` takes them
+        self.status = ((),) * len(model.devices)
+
+    def switch(self, x, v) -> bool:
+        """Clamp crossings and release limiters at an accepted state ``x``
+        (changed in place) with bus voltages ``v``; True on any switch."""
+        free = None
+        switched = False
+        for _, _, g, lo, hi in self.entries:
+            xg = x[g]
+            if g in self.held:
+                if free is None:
+                    free = self.model._derivatives(x, v)
+                # held means on a bound; release if pointing back inside
+                if free[g] < 0.0 if xg >= hi else free[g] > 0.0:
+                    self.held.discard(g)
+                    switched = True
+            elif not lo <= xg <= hi:
+                x[g] = min(max(xg, lo), hi)
+                self.held.add(g)
+                switched = True
+        if switched:
+            status = [[] for _ in self.model.devices]
+            for j, k, g, _, _ in self.entries:
+                if g in self.held:
+                    status[j].append(k)
+            self.status = tuple(map(tuple, status))
+        return switched
 
 
 def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
@@ -268,12 +334,23 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     ``model.jacobian`` on the active grid: the same central differences,
     and the same bits, as ``modal.linearize``, with device-only
     evaluations for the states that do not reach the network.  Each Newton
-    iterate solves the network once; an accepted step records the voltages
-    of its last iterate, so no step solves the network again.  Integration
-    lands exactly on every event time and restarts there with the updated
-    admittance view.  On an unrecoverable step, or a network solve that
-    fails anywhere in the run, the partial history is attached to the
-    raised :class:`SimulationError`.
+    iterate solves the network once and back-substitutes with LAPACK
+    ``dgetrs`` on the cached factors; an accepted step records the voltages
+    of its last iterate, so no step solves the network again.
+
+    Limited states (``DeviceModel.limits``) are held by the integrator:
+    the status is frozen within a step, so the Newton residual is smooth.
+    At an accepted step a state that crossed a bound is clamped onto it and
+    held, and a held state is released once its free derivative points back
+    inside; after any switch ``f`` is re-evaluated and the chord refreshed.
+    A run in which no limiter switches makes no extra evaluation.
+
+    Integration lands exactly on every event time and restarts there with
+    the updated admittance view.  The trace's device outputs and
+    ``max_balance_residual`` are computed over the stacked samples of each
+    segment.  On an unrecoverable step, or a network solve that fails
+    anywhere in the run, the partial history is attached to the raised
+    :class:`SimulationError`.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -300,12 +377,14 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     v = model.solve_network(x, grid=grid)
     rec.add(0.0, x, v, grid)
 
+    limiters = _Limiters(model)
     jac = None
     factor_cache: dict[float, tuple] = {}
 
     def refresh_jacobian(x_at):
         nonlocal jac
         jac = model.jacobian(x_at, grid)
+        jac[list(limiters.held)] = 0.0
         factor_cache.clear()
 
     def iteration_matrix(dt):
@@ -318,13 +397,16 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
         """One trapezoidal step; returns (x1, f1, v1) or None if stalled."""
         x1 = x0 + dt * f0
         for _ in range(max_newton):
-            f1, v1 = model._evaluate(x1, grid=grid)
+            f1, v1 = model._evaluate(x1, grid, limiters.status)
             r = x1 - x0 - 0.5 * dt * (f0 + f1)
-            if not np.all(np.isfinite(r)):
-                return None
-            if float(np.max(np.abs(r))) <= newton_tol:
+            err = np.abs(r).max()
+            if err <= newton_tol:
                 return x1, f1, v1
-            x1 = x1 - lu_solve(iteration_matrix(dt), r, check_finite=False)
+            if not math.isfinite(err):
+                return None
+            # the bits of lu_solve, without its argument checks
+            lu, piv = iteration_matrix(dt)
+            x1 = x1 - dgetrs(lu, piv, r)[0]
         return None
 
     t_sub = 0.0
@@ -334,7 +416,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                 state.apply(seg_start, marks[seg_start])
                 grid = state.grid()
             t_sub = seg_start
-            f, v = model._evaluate(x, grid=grid)
+            f, v = model._evaluate(x, grid, limiters.status)
             refresh_jacobian(x)
 
             n_steps = max(1, int(np.ceil((seg_end - seg_start) / dt_max
@@ -362,6 +444,9 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                     x, f, v = result
                     t_sub += dt
                     remaining -= dt
+                    if limiters.switch(x, v):
+                        f, v = model._evaluate(x, grid, limiters.status)
+                        refresh_jacobian(x)
                     if 0 < remaining < dt:
                         dt = remaining
                 rec.add(target, x, v, grid)

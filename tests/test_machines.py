@@ -6,15 +6,16 @@ voltage has to give (numerically) zero, otherwise the device would drift
 away from the power-flow point it was anchored to.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from windmodal.devices import DeviceError
-from windmodal.dfig import (Dfig, DfigParams, DroopParams, MpptCurve,
-                            frequency_support_reference)
-from windmodal.syncgen import SyncGen, SyncGenParams
+from windmodal.dfig import (Q_CTRL, Dfig, DfigParams, DroopParams,
+                            MpptCurve, frequency_support_reference)
+from windmodal.syncgen import EFD, PM, SyncGen, SyncGenParams
 
 OMEGA_S = 2.0 * math.pi * 60.0
 
@@ -74,15 +75,33 @@ def test_syncgen_exciter_limit_is_non_windup():
     gen = SyncGen("G", 1, p)
     v = 1.0 + 0.0j
     x0 = gen.initialize(v, 4.0 + 0.8j, 100.0, OMEGA_S)
+    assert (EFD, p.efd_min, p.efd_max) in gen.limits()
     x = x0.copy()
     x[6] = p.efd_max
     sag = 0.8 * v  # deep sag drives the exciter up against its ceiling
-    dx = gen.derivatives(x, sag)
+    assert gen.derivatives(x, sag)[6] > 0.0     # free, as linearized
+    dx = gen.derivatives(x, sag, held=(EFD,))
     assert dx[6] == 0.0
     x[6] = p.efd_min
     swell = 1.2 * v
-    dx = gen.derivatives(x, swell)
+    assert gen.derivatives(x, swell)[6] < 0.0
+    dx = gen.derivatives(x, swell, held=(EFD,))
     assert dx[6] == 0.0
+
+
+def test_syncgen_governor_limit_is_non_windup():
+    p = SyncGenParams()
+    gen = SyncGen("G", 1, p)
+    v = 1.0 + 0.0j
+    x0 = gen.initialize(v, 4.0 + 0.8j, 100.0, OMEGA_S)
+    assert (PM, p.pm_min, p.pm_max) in gen.limits()
+    x = x0.copy()
+    x[1] = -0.05         # slow rotor: the droop governor opens up
+    x[7] = p.pm_max
+    assert gen.derivatives(x, v)[7] > 0.0
+    dx = gen.derivatives(x, v, held=(PM,))
+    assert dx[7] == 0.0
+    assert dx[6] == gen.derivatives(x, v)[6]     # only its own row moves
 
 
 def test_syncgen_rejects_dispatch_outside_limits():
@@ -254,10 +273,13 @@ def test_dfig_anti_windup_freezes_the_reactive_integrator():
     dev = Dfig("W", 12, p)
     v = 1.0 + 0.0j
     x0 = dev.initialize(v, 2.4 + 0.3j, 100.0, OMEGA_S)
+    assert dev.limits() == ((Q_CTRL, -p.i_qmax, p.i_qmax),)
     x = x0.copy()
     x[7] = p.i_qmax
-    assert dev.derivatives(x, 0.9 * v)[7] == 0.0  # sag pushes up: frozen
-    assert dev.derivatives(x, 1.1 * v)[7] < 0.0   # swell pulls back: active
+    assert dev.derivatives(x, 0.9 * v)[7] > 0.0   # free, as linearized
+    # held: frozen, and the free derivative under a swell points back in
+    assert dev.derivatives(x, 0.9 * v, held=(Q_CTRL,))[7] == 0.0
+    assert dev.derivatives(x, 1.1 * v)[7] < 0.0
 
 
 def test_dfig_rotor_decelerates_when_command_exceeds_wind_power():
@@ -296,6 +318,17 @@ def test_dfig_params_validation():
         with pytest.raises(DeviceError, match="k_opt must be positive and "
                            "finite"):
             MpptCurve(k_opt=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (SyncGenParams, DfigParams, MpptCurve)
+    for f in dataclasses.fields(cls) if isinstance(f.default, float)])
+def test_every_float_parameter_must_be_finite(cls, name, bad):
+    # a NaN limit would fail every comparison and so switch the limit off
+    with pytest.raises(DeviceError, match=rf"\b{name}\b"):
+        cls(**{name: bad})
 
 
 def test_dfig_transient_reactance_formula():

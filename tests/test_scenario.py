@@ -295,6 +295,26 @@ def test_nonfinite_override_fails_at_build_naming_the_field(case, device,
     assert err.value.stage == "build"
 
 
+@pytest.mark.parametrize("case, device, name, value", [
+    ("B", "W1", "i_pmax", math.nan),
+    ("B", "W1", "i_qmax", math.nan),
+    ("B", "W1", "kv_i", math.nan),
+    ("A", "G1", "ka", math.nan),
+    ("A", "G1", "k_pss", math.nan),
+    ("A", "G1", "d_pu", math.nan),
+    ("A", "G1", "xd", math.inf),
+])
+def test_nonfinite_limit_or_gain_fails_at_build_naming_the_field(
+        case, device, name, value):
+    bad = dataclasses.replace(make_scenario(case),
+                              overrides=(Override(device, name, value),),
+                              sha256="")
+    with pytest.raises(PipelineError, match=rf"\[build\] {name} must be "
+                       "finite") as err:
+        run_scenario(bad)
+    assert err.value.stage == "build"
+
+
 def test_simulate_scenario_runs_the_packaged_fault(report_a):
     tr = simulate_scenario(load_packaged_scenario("A"), t_end=1.2)
     v8 = tr.voltage_magnitude(8)

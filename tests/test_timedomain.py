@@ -4,10 +4,12 @@ The core oracle is the matrix exponential: released from a small
 perturbation with no events, the nonlinear trajectory must follow
 x0 + e^{At} dx to within the linearization error, where A comes from the
 finite-difference state matrix.  Everything else checks event mechanics,
-the recorded trace, and the damped-sinusoid fit against synthetic signals.
+the non-windup limiters, the recorded trace, and the damped-sinusoid fit
+against synthetic signals.
 """
 
 import csv
+import dataclasses
 import logging
 import math
 import os
@@ -21,8 +23,8 @@ from scipy.linalg import expm
 import windmodal
 from windmodal.modal import linearize
 from windmodal.powerflow import solve_power_flow
-from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
-                                simulate_scenario)
+from windmodal.scenario import (Override, build_scenario_system,
+                                load_packaged_scenario, simulate_scenario)
 from windmodal.system import FaultSpec, SystemModelError, assemble
 from windmodal.timedomain import (Event, RingdownError, SimulationError,
                                   Trace, _find_peaks, cycles, ringdown_fit,
@@ -232,8 +234,10 @@ def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
                              ".*injected") as err:
         simulate(model, events=[Event("load_step", 0.014, bus=7, scale=1.1)],
                  t_end=0.5, dt_max=1e-3)
-    assert err.value.trace is not None
-    assert err.value.trace.time.size > 1
+    tr = err.value.trace
+    assert tr.time.size > 1
+    assert len(tr.outputs) == 4 * len(model.devices)
+    assert all(col.shape == tr.time.shape for col in tr.outputs.values())
 
 
 def test_recorded_voltages_are_the_network_solution_of_each_sample():
@@ -249,6 +253,131 @@ def test_recorded_voltages_are_the_network_solution_of_each_sample():
     for x, v in zip(tr.states, tr.voltages):
         want = model.solve_network(x, grid=grid)[:net.n_bus]
         assert np.max(np.abs(v - want)) <= 1e-12
+
+
+def test_newton_stalls_on_a_derivative_that_turns_nan(monkeypatch):
+    # a NaN residual must fail the convergence test and the step, never be
+    # accepted: the run ends in a stall with the finite part of its history
+    model = build_system("A")
+    g2 = model.devices[1]
+    finite = g2.derivatives
+    calls = []
+
+    def turns_nan(x, v, *held):
+        calls.append(1)
+        dx = finite(x, v, *held)
+        return dx * math.nan if len(calls) > 300 else dx
+
+    monkeypatch.setattr(g2, "derivatives", turns_nan)
+    with pytest.raises(SimulationError, match="integration stalled") as err:
+        simulate(model, events=[Event("load_step", 0.01, bus=7, scale=1.1)],
+                 t_end=0.5)
+    tr = err.value.trace
+    assert 1 < tr.time.size < 501
+    assert np.all(np.isfinite(tr.states))
+    assert all(col.size == tr.time.size for col in tr.outputs.values())
+
+
+# -- non-windup limiters ---------------------------------------------------------------
+
+
+def test_exciter_limiter_holds_each_bound_exactly_then_releases():
+    model = build_system("A")
+    ev = [Event("three_phase_fault", 0.1, branch="L8-9a", duration=cycles(6))]
+    tr = simulate(model, events=ev, t_end=1.0)
+    for dev in model.devices:
+        p = dev.params
+        efd = tr.column(f"{dev.device_id}.efd")
+        assert np.all((efd >= p.efd_min) & (efd <= p.efd_max))
+        for bound in (p.efd_max, p.efd_min):
+            # held: one unbroken run of samples exactly on the bound ...
+            at = np.flatnonzero(efd == bound)
+            assert at.size >= 20
+            assert np.array_equal(at, np.arange(at[0], at[-1] + 1))
+            # ... then released, back strictly inside
+            assert p.efd_min < efd[at[-1] + 1] < p.efd_max
+        assert p.efd_min < efd[-1] < p.efd_max
+
+
+@pytest.mark.parametrize("study, column, bound, events, overrides, t_end", [
+    # load shed with the governors switched on: they close down to
+    # pm_min = 0 and stay there
+    ("A", "G1.pm", 0.0, (Event("load_step", 0.1, bus=9, scale=0.0),
+                         Event("load_step", 0.1, bus=7, scale=0.0)),
+     tuple(Override(f"G{k}", "has_governor", True) for k in range(1, 5)),
+     2.0),
+    # a fault at the farm bus winds the reactive integrator up to i_qmax;
+    # with the anti-windup in the derivatives this run stalled at 0.524 s
+    ("C_voltage_support", "W1.q_ctrl", 0.66,
+     (Event("three_phase_fault", 0.5, bus=12, duration=cycles(10)),), (),
+     1.0),
+], ids=["governor", "converter"])
+def test_governor_and_converter_limits_hold_their_bound(study, column, bound,
+                                                       events, overrides,
+                                                       t_end):
+    scenario = load_packaged_scenario(study)
+    tr = simulate_scenario(dataclasses.replace(
+        scenario, overrides=scenario.overrides + overrides, events=events,
+        sha256=""), t_end=t_end)
+    y = tr.column(column)
+    at = np.flatnonzero(y == bound)
+    assert at.size >= 20
+    assert np.array_equal(at, np.arange(at[0], at[-1] + 1))
+    assert np.all(y >= bound) if bound == 0.0 else np.all(y <= bound)
+
+
+@pytest.mark.parametrize("study, cycles_on, t_end", [
+    ("B_voltage_support", 9.0, 4.0),
+    ("B_voltage_support", 5.9, 2.0),
+    ("A", 6.55, 2.0),
+])
+def test_faults_that_stalled_at_the_exciter_limit_run_through(study,
+                                                             cycles_on,
+                                                             t_end):
+    # with a limiter that zeroed d_efd wherever efd sat on a bound, these
+    # runs stopped with "integration stalled" just after clearing
+    scenario = load_packaged_scenario(study)
+    ev = Event("three_phase_fault", 1.0, branch="L8-9a",
+               duration=cycles(cycles_on))
+    tr = simulate_scenario(dataclasses.replace(scenario, events=(ev,),
+                                               sha256=""), t_end=t_end)
+    assert tr.time[-1] == pytest.approx(t_end)
+    efd = tr.column("G1.efd")
+    assert efd.max() == 6.0 and efd.min() == 0.0
+
+
+# -- trace bookkeeping -------------------------------------------------------------------
+
+
+def test_recorded_outputs_equal_the_single_sample_formulas():
+    # the recorder computes outputs and the balance residual per segment
+    # over stacked samples; one call per sample must give the same values.
+    # Segments: base, L8-9a midpoint fault (one extra bus), base, bus-9
+    # load step.
+    scenario = load_packaged_scenario("B_voltage_support")
+    net, devices = build_scenario_system(scenario)
+    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
+    t_fault, t_clear, t_step = 0.05, 0.05 + cycles(6), 0.2
+    tr = simulate(model, t_end=0.3, events=[
+        Event("three_phase_fault", t_fault, branch="L8-9a",
+              duration=cycles(6)),
+        Event("load_step", t_step, bus=9, scale=1.1)])
+    fault = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    step = model.grid_variant(load_scales={9: 1.1})
+    worst = 0.0
+    for i, (t, x) in enumerate(zip(tr.time, tr.states)):
+        # a sample at an event time closes the segment before it
+        grid = (step if t > t_step + 1e-9 else
+                fault if t_fault + 1e-9 < t <= t_clear + 1e-9 else
+                model.base_grid)
+        v = model.solve_network(x, grid=grid)
+        assert np.array_equal(v[:net.n_bus], tr.voltages[i])
+        for key, val in model.device_outputs(x, v).items():
+            assert abs(tr.outputs[key][i] - val) <= 1e-12, (key, t)
+        worst = max(worst, model.power_balance_residual(x, v, grid=grid))
+    assert sorted(tr.outputs) == sorted(model.device_outputs(x, v))
+    assert abs(tr.max_balance_residual - worst) <= 1e-12
+    assert worst < 1e-10
 
 
 # -- trace bookkeeping -------------------------------------------------------------------
