@@ -26,6 +26,9 @@ LOCAL_BAND_HZ = (1.0, 3.1)
 # to converter controls regardless of its frequency.
 CONVERTER_SHARE_THRESHOLD = 0.5
 
+# An eigenvalue whose imaginary part is at most this is non-oscillatory.
+REAL_MODE_TOL = 1e-9
+
 CRITICAL_DAMPING = 0.05
 
 EQUILIBRIUM_TOL = 1e-8
@@ -233,15 +236,14 @@ def _converter_share(p: np.ndarray, mask: np.ndarray) -> float:
     return float(p[mask].sum() / total)
 
 
-def classify_mode(eigenvalue: complex, converter_share: float,
-                  beta_tol: float = 1e-9) -> str:
+def classify_mode(eigenvalue: complex, converter_share: float) -> str:
     """Coarse mode class from frequency and converter participation.
 
     Converter attribution takes precedence over the frequency bands so that
     converter-control modes falling inside the electromechanical range are
     not mislabelled.
     """
-    if abs(eigenvalue.imag) <= beta_tol:
+    if abs(eigenvalue.imag) <= REAL_MODE_TOL:
         return "non_oscillatory"
     if converter_share >= CONVERTER_SHARE_THRESHOLD:
         return "converter_control"
@@ -264,14 +266,13 @@ magnitude, far below any physical mode (the slowest here are ~0.1 rad/s
 washouts) yet far above the splitting."""
 
 
-def analyze_modes(state_matrix: StateMatrix,
-                  zero_tol: float = ZERO_MODE_TOL) -> list[Mode]:
+def analyze_modes(state_matrix: StateMatrix) -> list[Mode]:
     """Full modal workup of a state matrix.
 
     Conjugate pairs are reported once, by their positive-frequency member.
-    Reference zero modes (|eigenvalue| below ``zero_tol``) carry no damping
-    information and are omitted.  Modes come back sorted by damping ratio,
-    least damped first.
+    Reference zero modes (|eigenvalue| below ``ZERO_MODE_TOL``) carry no
+    damping information and are omitted.  Modes come back sorted by damping
+    ratio, least damped first.
     """
     dec = decompose(state_matrix)
     pf = participation_factors(dec)
@@ -280,7 +281,7 @@ def analyze_modes(state_matrix: StateMatrix,
     for i, lam in enumerate(dec.eigenvalues):
         if lam.imag < 0.0:
             continue  # conjugate partner carries the same information
-        if abs(lam) <= zero_tol:
+        if abs(lam) <= ZERO_MODE_TOL:
             continue
         share = _converter_share(pf[:, i], converter)
         cls = classify_mode(lam, share)

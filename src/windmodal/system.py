@@ -54,7 +54,6 @@ class GridModel:
     y: np.ndarray
     # impedance columns Z[:, device rows] (n_aug × k), in device order
     z_dev: np.ndarray = field(repr=False)
-    note: str = "base"
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class DynamicSystem:
                     complex(b.p_load, -b.q_load) / vm[b.id] ** 2
         for dev, row in zip(self.devices, self._rows):
             y[row, row] += dev.norton_admittance(base)
-        self._base_grid = self._grid(y, "base")
+        self._base_grid = self._grid(y)
 
         # device equilibria from the power-flow point
         x0_parts = []
@@ -290,7 +289,6 @@ class DynamicSystem:
         n_aug = n + len(midpoint)
         y = np.zeros((n_aug, n_aug), dtype=complex)
         y[:n, :n] = self._base_grid.y
-        notes = []
 
         for name in out_branches:
             br = self.network.branch(name)
@@ -298,7 +296,6 @@ class DynamicSystem:
                 raise SystemModelError(f"branch {name!r} is already out")
             stamp_branch(y, self._idx[br.from_bus], self._idx[br.to_bus],
                          br.y_series, br.b_shunt, br.tap, sign=-1.0)
-            notes.append(f"out:{name}")
 
         for k, f in enumerate(midpoint):
             br = self.network.branch(f.branch)
@@ -320,14 +317,12 @@ class DynamicSystem:
             for a, b in ((fi, m), (m, ti)):
                 stamp_branch(y, a, b, 2.0 * br.y_series, br.b_shunt / 2.0)
             y[m, m] += f.admittance
-            notes.append(f"fault:{f.branch}")
 
         for f in faults:
             if f.bus is not None:
                 if f.bus not in self._idx:
                     raise SystemModelError(f"fault targets unknown bus {f.bus}")
                 y[self._idx[f.bus], self._idx[f.bus]] += f.admittance
-                notes.append(f"fault:bus{f.bus}")
 
         if load_scales:
             for bus_id, scale in load_scales.items():
@@ -341,17 +336,16 @@ class DynamicSystem:
                         f"bus {bus_id} has no load to step"
                     )
                 y[row, row] += (scale - 1.0) * self._load_admittance[row]
-                notes.append(f"load:{bus_id}x{scale:g}")
 
-        return self._grid(y, ",".join(notes) or "base")
+        return self._grid(y)
 
-    def _grid(self, y: np.ndarray, note: str) -> GridModel:
+    def _grid(self, y: np.ndarray) -> GridModel:
         """A grid view with its device-bus impedance columns: one LU
         factorization and one multi-column solve, paid once per grid."""
         k = len(self._rows)
         unit = np.zeros((y.shape[0], k), dtype=complex)
         unit[self._rows, np.arange(k)] = 1.0
-        return GridModel(y=y, z_dev=lu_solve(lu_factor(y), unit), note=note)
+        return GridModel(y=y, z_dev=lu_solve(lu_factor(y), unit))
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -8,8 +8,10 @@ admittance variant rebuilt from the unmodified base, so clearing a fault
 restores the pre-fault matrices exactly.  The devices' non-windup limiters
 (field voltage, governor power, the converter's reactive integrator) are
 held and released by the integrator between steps, never inside one.  The
-step loop only integrates: device outputs and the power-balance audit are
-computed afterwards, once per segment of constant grid.
+event script becomes a list of segments of constant grid before the first
+step, so a script error fails before anything is integrated.  The step
+loop only integrates: device outputs and the power-balance audit are
+computed afterwards, once per segment.
 
 ``ringdown_fit`` recovers the dominant decaying sinusoid from a simulated
 signal, which lets eigenvalue predictions be checked against the nonlinear
@@ -146,81 +148,66 @@ class Trace:
 
 
 # --------------------------------------------------------------------------
-# event script compilation
+# event schedule
 
 
-def _compile_marks(events, t_end: float):
-    """Map each event to timed grid-state changes, validated up front."""
-    marks: dict[float, list] = {}
+def _segments(model: DynamicSystem, events, t_end: float):
+    """``[(t0, t1, grid)]``: the stretches of constant grid that partition
+    ``[0, t_end]``, every grid built before integration starts.
 
-    def add(t, change):
-        marks.setdefault(t, []).append(change)
-
+    Events apply in stable order of ``t_start``; a fault with a
+    ``duration`` expires at ``t_start + duration``, before the events that
+    start at that time.  Each time at which anything happens starts a
+    segment with a freshly built grid (the base grid once nothing is
+    active); changes at or after ``t_end`` never apply.
+    """
+    # time -> its events, and the FaultSpec of each timed fault expiring
+    # then (appended first, since its fault started earlier)
+    changes: dict[float, list] = {}
     for ev in sorted(events, key=lambda e: e.t_start):
         if ev.t_start > t_end:
             logger.warning("event at t=%.3fs is beyond t_end=%.3fs; ignored",
                            ev.t_start, t_end)
             continue
-        if ev.kind == "three_phase_fault":
-            spec = FaultSpec(bus=ev.bus, branch=ev.branch,
-                             admittance=ev.admittance)
-            add(ev.t_start, ("fault_on", spec))
-            if ev.duration is not None:
-                add(ev.t_start + ev.duration, ("fault_expire", spec))
-        elif ev.kind == "clear_fault":
-            add(ev.t_start, ("fault_clear", (ev.bus, ev.branch)))
-        elif ev.kind == "line_trip":
-            add(ev.t_start, ("trip", ev.branch))
-        elif ev.kind == "load_step":
-            add(ev.t_start, ("load", (ev.bus, ev.scale)))
-    return dict(sorted(marks.items()))
+        changes.setdefault(ev.t_start, []).append(ev)
+        if ev.kind == "three_phase_fault" and ev.duration is not None:
+            changes.setdefault(ev.t_start + ev.duration, []).append(
+                FaultSpec(ev.bus, ev.branch, ev.admittance))
 
-
-class _GridState:
-    """Active faults/outages/load scales, turned into GridModel variants."""
-
-    def __init__(self, model: DynamicSystem):
-        self.model = model
-        self.faults: list[FaultSpec] = []
-        self.outs: list[str] = []
-        self.scales: dict[int, float] = {}
-
-    def apply(self, t: float, changes) -> None:
-        for kind, payload in changes:
-            if kind == "fault_on":
-                self.faults.append(payload)
-            elif kind == "fault_expire":
-                if payload in self.faults:
-                    self.faults.remove(payload)
-            elif kind == "fault_clear":
-                bus, branch = payload
-                match = [f for f in self.faults
-                         if f.bus == bus and f.branch == branch]
-                if not match:
+    faults, outs, scales = [], [], {}
+    segments, t0, grid = [], 0.0, model.base_grid
+    for t in sorted(t for t in changes if t < t_end):
+        if t > 0.0:
+            segments.append((t0, t, grid))
+            t0 = t
+        for ev in changes[t]:
+            if isinstance(ev, FaultSpec):
+                if ev in faults:
+                    faults.remove(ev)
+            elif ev.kind == "three_phase_fault":
+                faults.append(FaultSpec(ev.bus, ev.branch, ev.admittance))
+            elif ev.kind == "clear_fault":
+                kept = [f for f in faults
+                        if (f.bus, f.branch) != (ev.bus, ev.branch)]
+                if len(kept) == len(faults):
+                    where = f"bus {ev.bus}" if ev.branch is None else ev.branch
+                    raise SimulationError(f"clear_fault at t={t:.4f}s: no "
+                                          f"active fault on {where}")
+                faults = kept
+            elif ev.kind == "line_trip":
+                if ev.branch in outs:
                     raise SimulationError(
-                        f"clear_fault at t={t:.4f}s: no active fault on "
-                        f"{'bus %s' % bus if bus is not None else branch}")
-                for f in match:
-                    self.faults.remove(f)
-            elif kind == "trip":
-                if payload in self.outs:
-                    raise SimulationError(
-                        f"line_trip at t={t:.4f}s: branch {payload!r} is "
+                        f"line_trip at t={t:.4f}s: branch {ev.branch!r} is "
                         "already out of service")
-                self.outs.append(payload)
-            elif kind == "load":
-                bus, scale = payload
-                self.scales[bus] = scale
-
-    def grid(self) -> GridModel:
-        if not self.faults and not self.outs and not self.scales:
-            return self.model.base_grid
+                outs.append(ev.branch)
+            else:
+                scales[ev.bus] = ev.scale
         try:
-            return self.model.grid_variant(faults=list(self.faults),
-                                           out_branches=list(self.outs),
-                                           load_scales=dict(self.scales))
+            grid = (model.grid_variant(faults, outs, scales)
+                    if faults or outs or scales else model.base_grid)
         except SystemModelError as exc:
             raise SimulationError(f"cannot build event grid: {exc}") from exc
+    return segments + [(t0, t_end, grid)]
 
 
 # --------------------------------------------------------------------------
@@ -345,17 +332,23 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     inside; after any switch ``f`` is re-evaluated and the chord refreshed.
     A run in which no limiter switches makes no extra evaluation.
 
-    Integration lands exactly on every event time and restarts there with
-    the updated admittance view.  The trace's device outputs and
+    The event script is turned into segments of constant grid before the
+    first step, so a script error (clearing a fault that is not on,
+    tripping a branch twice, a grid that cannot be built) raises
+    :class:`SimulationError` before any integration.  Integration lands
+    exactly on every segment boundary and restarts there with that
+    segment's admittance view; the t = 0 sample takes its voltages from
+    the first segment's entry evaluation.  The trace's device outputs and
     ``max_balance_residual`` are computed over the stacked samples of each
     segment.  On an unrecoverable step, or a network solve that fails
     anywhere in the run, the partial history is attached to the raised
-    :class:`SimulationError`.
+    :class:`SimulationError` (``None`` if the network fails at t = 0,
+    before anything is recorded).
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if dt_max <= 0.0 or dt_min <= 0.0 or dt_min > dt_max:
-        raise ValueError("need 0 < dt_min <= dt_max")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and positive")
+    if not 0.0 < dt_min <= dt_max < math.inf:
+        raise ValueError("need 0 < dt_min <= dt_max < inf")
 
     x = (model.equilibrium() if equilibrium is None
          else np.asarray(equilibrium, dtype=float).copy())
@@ -363,19 +356,8 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
         raise ValueError(f"equilibrium has shape {x.shape}; model has "
                          f"{model.n_states} states")
 
-    marks = _compile_marks(events, t_end)
-    state = _GridState(model)
+    segments = _segments(model, events, t_end)
     rec = _Recorder(model)
-
-    # boundaries partition [0, t_end]; changes at a boundary apply to the
-    # segment that starts there (marks at or beyond t_end never integrate)
-    boundaries = sorted({0.0, t_end,
-                         *(tm for tm in marks if 0.0 < tm < t_end)})
-    if 0.0 in marks:
-        state.apply(0.0, marks[0.0])
-    grid = state.grid()
-    v = model.solve_network(x, grid=grid)
-    rec.add(0.0, x, v, grid)
 
     limiters = _Limiters(model)
     jac = None
@@ -409,14 +391,12 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
             x1 = x1 - dgetrs(lu, piv, r)[0]
         return None
 
-    t_sub = 0.0
     try:
-        for seg_start, seg_end in zip(boundaries[:-1], boundaries[1:]):
-            if seg_start > 0.0 and seg_start in marks:
-                state.apply(seg_start, marks[seg_start])
-                grid = state.grid()
+        for seg_start, seg_end, grid in segments:
             t_sub = seg_start
             f, v = model._evaluate(x, grid, limiters.status)
+            if seg_start == 0.0:
+                rec.add(0.0, x, v, grid)
             refresh_jacobian(x)
 
             n_steps = max(1, int(np.ceil((seg_end - seg_start) / dt_max
@@ -454,7 +434,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
         # no network solution at some state (e.g. voltage collapse)
         raise SimulationError(
             f"network solution failed at t={t_sub:.6f}s: {exc}",
-            rec.trace(events)) from exc
+            rec.trace(events) if rec.t else None) from exc
 
     return rec.trace(events)
 

@@ -84,6 +84,13 @@ def test_simulate_writes_a_trace(tmp_path, capsys):
     assert header.startswith("time,") and "G1.delta" in header
 
 
+def test_simulate_rejects_an_infinite_step_bound(tmp_path, capsys):
+    assert main(["simulate", "--scenario", "A", "--dt-max", "inf",
+                 "--out", str(tmp_path)]) == 1
+    assert "error: [simulate]" in capsys.readouterr().err
+    assert not (tmp_path / "trace_A.csv").exists()
+
+
 def test_sweep_command(tmp_path, capsys):
     assert main(["sweep", "--scenario", "B_voltage", "--kp", "0:10:10",
                  "--kin", "0", "--out",

@@ -108,7 +108,6 @@ def test_bus_fault_variant_adds_the_shunt(system_a):
     assert delta[row, row] == pytest.approx(500.0)
     delta[row, row] = 0.0
     assert np.max(np.abs(delta)) == 0.0
-    assert "fault:bus8" in g.note
 
 
 def test_midpoint_fault_depresses_the_voltage(system_a):
@@ -348,10 +347,10 @@ def test_closed_form_network_solve_matches_the_fixed_point(name):
         model.grid_variant(faults=[FaultSpec(branch="L8-9a")],
                            out_branches=["L8-9b"], load_scales={9: 1.2}),
     ]
-    for g in grids:
+    for k, g in enumerate(grids):
         v = model.solve_network(x, grid=g)
         assert np.max(np.abs(v - reference_solve(model, x, g))) <= 1e-10, \
-            g.note
+            f"grid {k}"
 
 
 def test_network_solve_names_voltage_collapse():
@@ -428,10 +427,11 @@ def test_structured_jacobian_is_the_generic_one_off_equilibrium(name):
         model.grid_variant(out_branches=["L8-9b"]),
         model.grid_variant(load_scales={9: 1.2}),
     ]
-    for g in grids:
+    for k, g in enumerate(grids):
         x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
         assert np.array_equal(bits(model.jacobian(x, g)),
-                              bits(generic_jacobian(model, x, g))), g.note
+                              bits(generic_jacobian(model, x, g))), \
+            f"grid {k}"
 
 
 @pytest.mark.parametrize("name", packaged_scenario_names())

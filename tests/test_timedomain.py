@@ -206,15 +206,15 @@ def test_newton_stall_reports_partial_progress(system_a):
     assert err.value.trace.time.size > 0
 
 
-# with a load step at t = 14 ms: solve 1 records t = 0, solve 2 enters the
-# first segment, and solves 3-27 build its Jacobian: 1 solve at the point
+# with a load step at t = 14 ms: solve 1 enters the first segment and
+# records t = 0, and solves 2-26 build its Jacobian: 1 solve at the point
 # itself plus 2 for each of the 12 states that move a source current (delta,
 # eq_st and ed_st of 4 machines), 1 + 24 = 25; the other 32 columns solve
 # nothing.  Each of the 14 steps at equilibrium takes one Newton rhs
-# (solves 28-41).  So the 41st network solve falls in a Newton iterate's
-# rhs (the step from 13 ms), and the 42nd is the segment-entry solve after
+# (solves 27-40).  So the 40th network solve falls in a Newton iterate's
+# rhs (the step from 13 ms), and the 41st is the segment-entry solve after
 # the event.
-@pytest.mark.parametrize("fail_after, t_fail", [(40, 0.013), (41, 0.014)],
+@pytest.mark.parametrize("fail_after, t_fail", [(39, 0.013), (40, 0.014)],
                          ids=["newton_rhs", "segment_entry"])
 def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
                                                          fail_after, t_fail):
@@ -238,6 +238,59 @@ def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
     assert tr.time.size > 1
     assert len(tr.outputs) == 4 * len(model.devices)
     assert all(col.shape == tr.time.shape for col in tr.outputs.values())
+
+
+@pytest.mark.parametrize("t_fault, n_samples", [(0.0, None), (0.5, 501)],
+                         ids=["at_t0", "mid_run"])
+def test_voltage_collapse_is_a_named_simulation_error(t_fault, n_samples):
+    # case C's farm is a constant-magnitude current source: a bolted fault
+    # at bus 9 leaves the network no solution.  At t = 0 nothing has been
+    # recorded, so no trace comes with the error.
+    scenario = load_packaged_scenario("C_voltage")
+    net, devices = build_scenario_system(scenario)
+    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
+    with pytest.raises(SimulationError,
+                       match=f"network solution failed at t={t_fault:.6f}s: "
+                             ".*voltage collapse") as err:
+        simulate(model, events=[Event("three_phase_fault", t_fault, bus=9)],
+                 t_end=1.0, dt_max=1e-3)
+    if n_samples is None:
+        assert err.value.trace is None
+    else:
+        assert err.value.trace.time.size == n_samples
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_end": 0.0}, {"t_end": -1.0}, {"t_end": math.nan},
+    {"t_end": math.inf}, {"dt_max": 0.0}, {"dt_max": math.nan},
+    {"dt_max": math.inf}, {"dt_min": 1e-3, "dt_max": 1e-4},
+], ids=["tend0", "tend_neg", "tend_nan", "tend_inf", "dtmax0", "dtmax_nan",
+        "dtmax_inf", "dtmin_above_dtmax"])
+def test_simulate_rejects_bad_time_arguments(system_a, kwargs):
+    with pytest.raises(ValueError, match="t_end|dt_min"):
+        simulate(system_a, **kwargs)
+
+
+@pytest.mark.parametrize("events", [
+    [Event("clear_fault", 20.0, bus=8)],
+    [Event("line_trip", 20.0, branch="L7-8a"),
+     Event("line_trip", 20.0, branch="L7-8a")],
+    [Event("load_step", 20.0, bus=8, scale=1.1)],
+], ids=["clear_without_fault", "second_trip", "load_free_bus"])
+def test_script_errors_fail_before_any_network_solve(monkeypatch, events):
+    model = build_system("A")
+    solve = model.solve_network
+    calls = []
+
+    def counting(x, grid=None):
+        calls.append(1)
+        return solve(x, grid=grid)
+
+    monkeypatch.setattr(model, "solve_network", counting)
+    with pytest.raises(SimulationError) as err:
+        simulate(model, events=events, t_end=25.0)
+    assert err.value.trace is None
+    assert calls == []
 
 
 def test_recorded_voltages_are_the_network_solution_of_each_sample():
