@@ -69,20 +69,21 @@ class DeviceModel:
         raise NotImplementedError
 
     def limits(self) -> tuple[tuple[int, float, float], ...]:
-        """Non-windup limits as ``(state index, lower, upper)``.
+        """Non-windup limits as ``(state index, lower, upper)``, with finite
+        ``lower < upper`` bracketing the equilibrium value.
 
-        The limiter status belongs to the integrator, not to the device: it
-        holds a limited state at the bound it crossed and releases it when
-        the free derivative points back inside (IEEE Std 421.5 non-windup
-        limiter).  ``derivatives`` without ``held`` is the free model, which
-        is what linearization sees.
+        This is all the device says about its limiters.  The integrator
+        holds a limited state at the bound it crossed, by zeroing that
+        state's derivative, and releases it when the free derivative points
+        back inside (IEEE Std 421.5 non-windup limiter).  A hold freezes
+        only its own state, so no device equation needs to know of it.
         """
         return ()
 
-    def derivatives(self, x: np.ndarray, v: complex,
-                    held: tuple[int, ...] = ()) -> np.ndarray:
-        """State derivatives at terminal voltage ``v``; the limited states
-        whose indices are in ``held`` have a zero derivative."""
+    def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
+        """State derivatives at terminal voltage ``v``: the free model,
+        which is what linearization sees (limiting is the integrator's; see
+        ``limits``)."""
         raise NotImplementedError
 
     def outputs(self, x: np.ndarray, v) -> dict:

@@ -81,12 +81,10 @@ class MpptCurve:
         return self.k_opt * self.speed_rated ** 3
 
     def p_opt(self, speed: float) -> float:
-        if speed < 0.0 or speed > self.speed_max:
-            logger.warning(
-                "rotor speed %.3f pu outside curve domain [0, %.2f], clamping",
-                speed, self.speed_max,
-            )
-            speed = min(max(speed, 0.0), self.speed_max)
+        """Tracking power at ``speed``, clamped to the domain
+        [0, speed_max] without a log record: every speed outside it is also
+        outside the protection band, which ``Dfig`` reports once."""
+        speed = min(max(speed, 0.0), self.speed_max)
         if speed <= self.speed_cutin:
             return 0.0
         return min(self.k_opt * speed ** 3, self.p_rated)
@@ -256,7 +254,7 @@ class Dfig(DeviceModel):
     def limits(self):
         return ((Q_CTRL, -self.params.i_qmax, self.params.i_qmax),)
 
-    def derivatives(self, x, v, held=()):
+    def derivatives(self, x, v):
         p = self.params
         x = x.tolist()
         (speed, p_cmd, p_rate, droop_p, droop_rate,
@@ -295,8 +293,6 @@ class Dfig(DeviceModel):
             err = self.q_ref - vm * i_q
             d_q_ctrl = p.kq_i * err
             iq_cmd = q_ctrl + p.kq_p * err
-        if Q_CTRL in held:          # anti-windup: the integrator is held
-            d_q_ctrl = 0.0
         d_i_q = (min(max(iq_cmd, -p.i_qmax), p.i_qmax) - i_q) / p.t_current
 
         return np.array([

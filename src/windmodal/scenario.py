@@ -233,10 +233,12 @@ def _parse_event(obj: dict, path: str) -> Event:
         _require(isinstance(branch, str), f"{path}.branch",
                  "must be a branch name")
     kwargs = {}
-    if "admittance" in obj:
-        kwargs["admittance"] = _number(obj, "admittance", f"{path}.")
-    if "scale" in obj:
-        kwargs["scale"] = _number(obj, "scale", f"{path}.")
+    for key, kind in (("admittance", "three_phase_fault"),
+                      ("scale", "load_step")):
+        if key in obj:
+            _require(obj["kind"] == kind, f"{path}.{key}",
+                     f"applies only to a {kind} event")
+            kwargs[key] = _number(obj, key, f"{path}.")
     try:
         return Event(kind=obj["kind"], t_start=_number(obj, "t_start",
                                                        f"{path}."),

@@ -5,8 +5,9 @@ interfaced to the network as a Norton source behind Ra + jX''.  Equal d- and
 q-axis subtransient reactances are required so the interface reduces to a
 single complex impedance.  Controls are deliberately low order: a first-order
 static exciter, a speed-input stabilizer (washout plus two lead-lag stages),
-and a first-order droop governor.  Hard limits on field voltage, mechanical
-power and stabilizer output are enforced as non-windup clamps.
+and a first-order droop governor.  The stabilizer output is clamped inside
+the model; field voltage and mechanical power carry non-windup limits
+(``limits``) that the integrator holds.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class SyncGen(DeviceModel):
         p = self.params
         return ((EFD, p.efd_min, p.efd_max), (PM, p.pm_min, p.pm_max))
 
-    def derivatives(self, x, v, held=()):
+    def derivatives(self, x, v):
         p = self.params
         x = x.tolist()
         (delta, speed, eq_t, ed_t, eq_st, ed_st, efd, pm,
@@ -185,11 +186,7 @@ class SyncGen(DeviceModel):
         y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
         v_s = min(max(p.k_pss * y_2, -p.vs_max), p.vs_max)
 
-        d_efd = (0.0 if EFD in held
-                 else (p.ka * (self.v_ref - abs(v) + v_s) - efd) / p.ta)
-
         droop = speed / p.r_droop if p.has_governor else 0.0
-        d_pm = 0.0 if PM in held else (self.pm_ref - droop - pm) / p.t_gov
 
         return np.array([
             self._omega_s * speed,
@@ -198,8 +195,8 @@ class SyncGen(DeviceModel):
             (-ed_t + (p.xq - p.xq_t) * iq) / p.tq0_t,
             (eq_t - eq_st - (p.xd_t - p.xd_st) * id_) / p.td0_st,
             (ed_t - ed_st + (p.xq_t - p.xq_st) * iq) / p.tq0_st,
-            d_efd,
-            d_pm,
+            (p.ka * (self.v_ref - abs(v) + v_s) - efd) / p.ta,
+            (self.pm_ref - droop - pm) / p.t_gov,
             y_w / p.t_washout,
             (y_w - pss_a) / p.t2,
             (y_1 - pss_b) / p.t4,

@@ -118,7 +118,6 @@ class DynamicSystem:
                                                dev.device_class))
             pos += dev.n_states
         self.n_states = pos
-        self._free = ((),) * len(self.devices)     # no limiter held
         names = [str(lab) for lab in self._labels]
         if len(set(names)) != len(names):
             raise SystemModelError("device ids produce duplicate state labels")
@@ -201,26 +200,20 @@ class DynamicSystem:
                 a[:, k] = central_column(f, x, k, step)
         return a
 
-    def _evaluate(self, x: np.ndarray, grid: GridModel | None = None,
-                  held=None) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate(self, x: np.ndarray, grid: GridModel | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
         """``(dx, v)``: the derivatives and the network solution behind
         them, so that the integrator keeps the voltages of an accepted step
-        instead of solving the network again.  ``held`` is the integrator's
-        limiter status, one tuple of held state indices per device (see
-        ``DeviceModel.limits``); ``None`` is the free model."""
+        instead of solving the network again."""
         v = self.solve_network(x, grid=grid)
-        return self._derivatives(x, v, held), v
+        return self._derivatives(x, v), v
 
-    def _derivatives(self, x: np.ndarray, v: np.ndarray,
-                     held=None) -> np.ndarray:
+    def _derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Device derivatives at the given bus voltages; no network solve."""
         dx = np.empty(self.n_states)
-        for dev, sl, v_k, h in zip(self.devices, self._slices,
-                                   v[self._rows].tolist(),
-                                   held or self._free):
-            # with nothing held, the two-argument call of the model protocol
-            dx[sl] = (dev.derivatives(x[sl], v_k, h) if h
-                      else dev.derivatives(x[sl], v_k))
+        for dev, sl, v_k in zip(self.devices, self._slices,
+                                v[self._rows].tolist()):
+            dx[sl] = dev.derivatives(x[sl], v_k)
         return dx
 
     # -- network solution --------------------------------------------------

@@ -7,11 +7,11 @@ times.  Disturbances never mutate the model: each event swaps in an
 admittance variant rebuilt from the unmodified base, so clearing a fault
 restores the pre-fault matrices exactly.  The devices' non-windup limiters
 (field voltage, governor power, the converter's reactive integrator) are
-held and released by the integrator between steps, never inside one.  The
-event script becomes a list of segments of constant grid before the first
-step, so a script error fails before anything is integrated.  The step
-loop only integrates: device outputs and the power-balance audit are
-computed afterwards, once per segment.
+held and released by the integrator alone, between steps, never inside
+one.  The event script becomes a list of segments of constant grid before
+the first step, so a script error fails before anything is integrated.
+The step loop only integrates: device outputs and the power-balance audit
+are computed afterwards, once per segment.
 
 ``ringdown_fit`` recovers the dominant decaying sinusoid from a simulated
 signal, which lets eigenvalue predictions be checked against the nonlinear
@@ -66,7 +66,8 @@ class Event:
     stays on until a matching ``clear_fault`` (or the end of the run).
     ``clear_fault`` removes an active fault.  ``line_trip`` takes a
     branch out of service permanently; ``load_step`` rescales the load at a
-    bus by ``scale`` from ``t_start`` on.
+    bus by ``scale`` from ``t_start`` on.  Only a fault expires, so any
+    other kind with a ``duration`` is rejected.
     """
 
     kind: str
@@ -87,6 +88,9 @@ class Event:
             if (self.bus is None) == (self.branch is None):
                 raise ValueError(f"{self.kind} needs exactly one of bus "
                                  "or branch")
+        if self.duration is not None and self.kind != "three_phase_fault":
+            raise ValueError(f"{self.kind} takes no duration; only a "
+                             "three_phase_fault expires")
         if self.kind == "three_phase_fault":
             if self.duration is not None and not (
                     math.isfinite(self.duration) and self.duration > 0.0):
@@ -267,27 +271,33 @@ class _Recorder:
 
 
 class _Limiters:
-    """The status of the devices' non-windup limiters during a run (see
-    ``simulate``).  A held state's derivative is zero, and so is its row of
-    the chord Jacobian: holding changes no other derivative."""
+    """The devices' non-windup limiters during a run (see ``simulate``):
+    the bounds from ``DeviceModel.limits`` and the held system indices.
+    A held state's rows of ``f`` and of the chord Jacobian are zero; no
+    device equation reads another state's derivative, so no other row
+    changes."""
 
     def __init__(self, model: DynamicSystem):
         self.model = model
-        # (device number, state index in the device, in the system, lo, hi)
-        self.entries = [(j, k, sl.start + k, lo, hi)
-                        for j, (dev, sl) in enumerate(zip(model.devices,
-                                                          model._slices))
-                        for k, lo, hi in dev.limits()]
-        self.held: set[int] = set()       # system indices of held states
-        # the held state indices of each device, as ``_evaluate`` takes them
-        self.status = ((),) * len(model.devices)
+        # (system state index, lo, hi) of every limited state
+        self.bounds = [(sl.start + k, lo, hi)
+                       for dev, sl in zip(model.devices, model._slices)
+                       for k, lo, hi in dev.limits()]
+        self.held: set[int] = set()
+
+    def evaluate(self, x, grid):
+        """``model._evaluate`` with the held rows of ``f`` set to zero."""
+        f, v = self.model._evaluate(x, grid)
+        if self.held:
+            f[list(self.held)] = 0.0
+        return f, v
 
     def switch(self, x, v) -> bool:
         """Clamp crossings and release limiters at an accepted state ``x``
         (changed in place) with bus voltages ``v``; True on any switch."""
         free = None
         switched = False
-        for _, _, g, lo, hi in self.entries:
+        for g, lo, hi in self.bounds:
             xg = x[g]
             if g in self.held:
                 if free is None:
@@ -300,12 +310,6 @@ class _Limiters:
                 x[g] = min(max(xg, lo), hi)
                 self.held.add(g)
                 switched = True
-        if switched:
-            status = [[] for _ in self.model.devices]
-            for j, k, g, _, _ in self.entries:
-                if g in self.held:
-                    status[j].append(k)
-            self.status = tuple(map(tuple, status))
         return switched
 
 
@@ -325,12 +329,14 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     ``dgetrs`` on the cached factors; an accepted step records the voltages
     of its last iterate, so no step solves the network again.
 
-    Limited states (``DeviceModel.limits``) are held by the integrator:
-    the status is frozen within a step, so the Newton residual is smooth.
-    At an accepted step a state that crossed a bound is clamped onto it and
-    held, and a held state is released once its free derivative points back
-    inside; after any switch ``f`` is re-evaluated and the chord refreshed.
-    A run in which no limiter switches makes no extra evaluation.
+    Limited states (``DeviceModel.limits``) are held here, not in the
+    devices: the rows of ``f`` and J that belong to held states are zeroed
+    after each free evaluation, and the status is frozen within a step, so
+    the Newton residual is smooth.  At an accepted step a state that
+    crossed a bound is clamped onto it and held, and a held state is
+    released once its free derivative points back inside; after any switch
+    ``f`` is re-evaluated and the chord refreshed.  A run in which no
+    limiter switches makes no extra evaluation.
 
     The event script is turned into segments of constant grid before the
     first step, so a script error (clearing a fault that is not on,
@@ -379,7 +385,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
         """One trapezoidal step; returns (x1, f1, v1) or None if stalled."""
         x1 = x0 + dt * f0
         for _ in range(max_newton):
-            f1, v1 = model._evaluate(x1, grid, limiters.status)
+            f1, v1 = limiters.evaluate(x1, grid)
             r = x1 - x0 - 0.5 * dt * (f0 + f1)
             err = np.abs(r).max()
             if err <= newton_tol:
@@ -394,7 +400,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     try:
         for seg_start, seg_end, grid in segments:
             t_sub = seg_start
-            f, v = model._evaluate(x, grid, limiters.status)
+            f, v = limiters.evaluate(x, grid)
             if seg_start == 0.0:
                 rec.add(0.0, x, v, grid)
             refresh_jacobian(x)
@@ -425,7 +431,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                     t_sub += dt
                     remaining -= dt
                     if limiters.switch(x, v):
-                        f, v = model._evaluate(x, grid, limiters.status)
+                        f, v = limiters.evaluate(x, grid)
                         refresh_jacobian(x)
                     if 0 < remaining < dt:
                         dt = remaining

@@ -147,6 +147,36 @@ def test_parse_event_duration_forms():
     with pytest.raises(ScenarioError, match="unknown event kind"):
         parse_scenario({"base_case": "B", "events": [
             {"kind": "earthquake", "t_start": 1.0}]})
+    # only a fault expires
+    for event in ({"kind": "load_step", "t_start": 0.1, "bus": 7,
+                   "scale": 1.1, "duration": 0.05},
+                  {"kind": "line_trip", "t_start": 0.1, "branch": "L8-9b",
+                   "duration_cycles": 6}):
+        with pytest.raises(ScenarioError,
+                           match=r"^events\[1\]: .* takes no duration"):
+            parse_scenario({"base_case": "B", "events": [
+                {"kind": "three_phase_fault", "t_start": 0.1, "bus": 8},
+                event]})
+
+
+@pytest.mark.parametrize("event, key", [
+    ({"kind": "three_phase_fault", "t_start": 0.1, "bus": 8, "scale": 3.0},
+     "scale"),
+    ({"kind": "line_trip", "t_start": 0.1, "branch": "L8-9b",
+      "scale": 1.0}, "scale"),
+    ({"kind": "load_step", "t_start": 0.1, "bus": 7, "admittance": 1e4},
+     "admittance"),
+    ({"kind": "clear_fault", "t_start": 0.1, "bus": 8, "admittance": 1e4},
+     "admittance"),
+])
+def test_parse_rejects_a_field_the_event_kind_does_not_use(event, key):
+    # to_dict would drop the stray field: the scenario would compare
+    # unequal to the one without it but carry the same sha256
+    with pytest.raises(ScenarioError,
+                       match=rf"^events\[0\]\.{key}: applies only to a "):
+        parse_scenario({"base_case": "B", "events": [event]})
+    without = {k: v for k, v in event.items() if k != key}
+    parse_scenario({"base_case": "B", "events": [without]})    # fine
 
 
 def test_scenario_file_with_a_nan_event_time_is_rejected(tmp_path):

@@ -27,8 +27,8 @@ from windmodal.scenario import (Override, build_scenario_system,
                                 load_packaged_scenario, simulate_scenario)
 from windmodal.system import FaultSpec, SystemModelError, assemble
 from windmodal.timedomain import (Event, RingdownError, SimulationError,
-                                  Trace, _find_peaks, cycles, ringdown_fit,
-                                  simulate)
+                                  Trace, _find_peaks, _Limiters, cycles,
+                                  ringdown_fit, simulate)
 
 from conftest import build_system
 
@@ -63,6 +63,14 @@ def test_event_validation():
         Event("earthquake", 1.0)
     with pytest.raises(ValueError, match="t_start"):
         Event("load_step", -1.0, bus=7)
+    # only a fault expires: a duration on another kind would be ignored
+    # and the step or trip would stay for the rest of the run
+    with pytest.raises(ValueError, match="load_step takes no duration"):
+        Event("load_step", 0.1, bus=7, scale=1.1, duration=0.05)
+    with pytest.raises(ValueError, match="line_trip takes no duration"):
+        Event("line_trip", 0.1, branch="L8-9b", duration=0.2)
+    with pytest.raises(ValueError, match="clear_fault takes no duration"):
+        Event("clear_fault", 0.1, bus=8, duration=0.2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -316,9 +324,9 @@ def test_newton_stalls_on_a_derivative_that_turns_nan(monkeypatch):
     finite = g2.derivatives
     calls = []
 
-    def turns_nan(x, v, *held):
+    def turns_nan(x, v):
         calls.append(1)
-        dx = finite(x, v, *held)
+        dx = finite(x, v)
         return dx * math.nan if len(calls) > 300 else dx
 
     monkeypatch.setattr(g2, "derivatives", turns_nan)
@@ -377,6 +385,37 @@ def test_governor_and_converter_limits_hold_their_bound(study, column, bound,
     assert at.size >= 20
     assert np.array_equal(at, np.arange(at[0], at[-1] + 1))
     assert np.all(y >= bound) if bound == 0.0 else np.all(y <= bound)
+
+
+@pytest.mark.parametrize("study, state, overrides", [
+    ("A", "G1.efd", ()),
+    ("A", "G1.pm",
+     tuple(Override(f"G{k}", "has_governor", True) for k in range(1, 5))),
+    ("C_voltage_support", "W1.q_ctrl", ()),
+], ids=["exciter", "governor", "converter"])
+def test_a_held_limiter_zeroes_only_its_own_row(study, state, overrides):
+    # the integrator evaluates the free model and zeroes the held rows; no
+    # device equation reads another state's derivative, so the rest of f
+    # and the voltages keep the bits of the free evaluation
+    scenario = load_packaged_scenario(study)
+    net, devices = build_scenario_system(dataclasses.replace(
+        scenario, overrides=scenario.overrides + overrides, sha256=""))
+    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
+    g = [str(lab) for lab in model.state_labels()].index(state)
+    limiters = _Limiters(model)
+    hi = next(hi for k, _, hi in limiters.bounds if k == g)
+    x = model.equilibrium()
+    x[g] = hi
+    grid = model.grid_variant(load_scales={7: 1.1})
+    f_free, v_free = model._evaluate(x, grid)
+    assert f_free[g] != 0.0
+    limiters.held = {g}
+    f_held, v_held = limiters.evaluate(x, grid)
+    assert f_held[g] == 0.0
+    expect = f_free.copy()
+    expect[g] = 0.0
+    assert f_held.tobytes() == expect.tobytes()
+    assert v_held.tobytes() == v_free.tobytes()
 
 
 @pytest.mark.parametrize("study, cycles_on, t_end", [
