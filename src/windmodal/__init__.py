@@ -5,8 +5,9 @@ droop-based inertial and primary frequency support reshapes the
 electromechanical modes of a two-area benchmark system.  It provides a
 Newton power flow, nonlinear machine and converter models, a closed-form
 single-machine sensitivity study, numerical linearization with mode
-classification, a trapezoidal time-domain solver with ringdown fitting,
-and a scenario layer with JSON inputs plus CSV / structured-text exports.
+classification, a trapezoidal time-domain solver with matrix-pencil
+ringdown analysis, and a scenario layer with JSON inputs plus CSV /
+structured-text exports.
 """
 
 __version__ = "0.1.0"
@@ -27,11 +28,11 @@ from .modal import (ModalDecomposition, ModalError, Mode, StateLabel,
                     damping_ratio, decompose, dominant_modes, linearize,
                     participation_factors)
 from .timedomain import (Event, RingdownError, RingdownFit, SimulationError,
-                         Trace, cycles, ringdown_fit, simulate)
-from .scenario import (ControlModeComparison, ModeSummary, Override,
-                       PipelineError, PowerFlowSummary, Report, Scenario,
-                       ScenarioError, SweepCell, SweepResult,
-                       build_scenario_system, compare_control_modes,
+                         Trace, cycles, ringdown_fit, ringdown_modes,
+                         simulate)
+from .scenario import (ModeSummary, Override, PipelineError,
+                       PowerFlowSummary, Report, Scenario, ScenarioError,
+                       SweepCell, SweepResult, build_scenario_system,
                        export_report, load_packaged_scenario, load_scenario,
                        make_scenario, packaged_scenario_names, parse_report,
                        parse_scenario, parse_sweep, report_to_csv,
@@ -59,14 +60,14 @@ __all__ = [
     "decompose", "dominant_modes", "linearize", "participation_factors",
     # time domain
     "Event", "RingdownError", "RingdownFit", "SimulationError", "Trace",
-    "cycles", "ringdown_fit", "simulate",
+    "cycles", "ringdown_fit", "ringdown_modes", "simulate",
     # scenarios
-    "ControlModeComparison", "ModeSummary", "Override", "PipelineError",
-    "PowerFlowSummary", "Report", "Scenario", "ScenarioError", "SweepCell",
-    "SweepResult", "build_scenario_system", "compare_control_modes",
-    "export_report", "load_packaged_scenario", "load_scenario",
-    "make_scenario", "packaged_scenario_names", "parse_report",
-    "parse_scenario", "parse_sweep", "report_to_csv", "report_to_text",
-    "resolve_scenario", "run_scenario", "run_sensitivity_sweep",
-    "simulate_scenario", "sweep_to_csv", "sweep_to_text",
+    "ModeSummary", "Override", "PipelineError", "PowerFlowSummary", "Report",
+    "Scenario", "ScenarioError", "SweepCell", "SweepResult",
+    "build_scenario_system", "export_report", "load_packaged_scenario",
+    "load_scenario", "make_scenario", "packaged_scenario_names",
+    "parse_report", "parse_scenario", "parse_sweep", "report_to_csv",
+    "report_to_text", "resolve_scenario", "run_scenario",
+    "run_sensitivity_sweep", "simulate_scenario", "sweep_to_csv",
+    "sweep_to_text",
 ]

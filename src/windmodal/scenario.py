@@ -38,7 +38,6 @@ DEFAULT_SUPPORT_KP = 20.0
 DEFAULT_SUPPORT_KIN = 0.0
 DEFAULT_GAIN_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 POWER_FLOW_TOL = 1e-12
-CONTROL_MODE_FLAG_THRESHOLD = 0.05
 # Largest relative gap between the affine sweep matrix and a direct
 # linearization at the check point (see _affine_gain_model).
 AFFINE_TOL = 1e-9
@@ -609,37 +608,6 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
         kp_values=kp_values, kin_values=kin_values, cells=tuple(cells),
         scenario_sha256=scenario.sha256, version=__version__,
     )
-
-
-@dataclass(frozen=True)
-class ControlModeComparison:
-    """Same study under both reactive-channel modes, with damping deltas."""
-
-    voltage: Report
-    reactive_power: Report
-    damping_delta: tuple[tuple[str, float], ...]
-    flagged: tuple[str, ...]            # classes where |delta| > threshold
-
-
-def compare_control_modes(scenario: Scenario) -> ControlModeComparison:
-    """Run a scenario under voltage and reactive-power control and diff
-    the dominant damping ratios, flagging classes that moved by more than
-    CONTROL_MODE_FLAG_THRESHOLD."""
-    if scenario.base_case == "A":
-        raise PipelineError("build", "case A has no converter control mode "
-                            "to compare")
-    rv = run_scenario(dataclasses.replace(scenario, control_mode="voltage",
-                                          sha256=""))
-    rq = run_scenario(dataclasses.replace(scenario,
-                                          control_mode="reactive_power",
-                                          sha256=""))
-    zv = {m.classification: m.damping for m in rv.dominant}
-    zq = {m.classification: m.damping for m in rq.dominant}
-    deltas = tuple((c, zv[c] - zq[c]) for c in sorted(zv) if c in zq)
-    flagged = tuple(c for c, d in deltas
-                    if abs(d) > CONTROL_MODE_FLAG_THRESHOLD)
-    return ControlModeComparison(voltage=rv, reactive_power=rq,
-                                 damping_delta=deltas, flagged=flagged)
 
 
 # --------------------------------------------------------------------------

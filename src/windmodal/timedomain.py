@@ -13,9 +13,11 @@ the first step, so a script error fails before anything is integrated.
 The step loop only integrates: device outputs and the power-balance audit
 are computed afterwards, once per segment.
 
-``ringdown_fit`` recovers the dominant decaying sinusoid from a simulated
-signal, which lets eigenvalue predictions be checked against the nonlinear
-response after a fault.
+``ringdown_modes`` estimates the eigenvalues and residues present in a
+simulated signal with a matrix pencil (one SVD and one small eigenproblem,
+no iteration), and ``ringdown_fit`` reduces them to the dominant decaying
+sinusoid, which lets eigenvalue predictions be checked against the
+nonlinear response after a fault.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class Event:
     ``clear_fault`` removes an active fault.  ``line_trip`` takes a
     branch out of service permanently; ``load_step`` rescales the load at a
     bus by ``scale`` from ``t_start`` on.  Only a fault expires, so any
-    other kind with a ``duration`` is rejected.
+    other kind with a ``duration`` is rejected; likewise an ``admittance``
+    on any kind but a fault, or a ``scale`` on any kind but a load step.
     """
 
     kind: str
@@ -91,6 +94,13 @@ class Event:
         if self.duration is not None and self.kind != "three_phase_fault":
             raise ValueError(f"{self.kind} takes no duration; only a "
                              "three_phase_fault expires")
+        if (self.admittance != DEFAULT_FAULT_ADMITTANCE
+                and self.kind != "three_phase_fault"):
+            raise ValueError(f"{self.kind} takes no admittance; only a "
+                             "three_phase_fault inserts one")
+        if self.scale != 1.0 and self.kind != "load_step":
+            raise ValueError(f"{self.kind} takes no scale; only a load_step "
+                             "rescales a load")
         if self.kind == "three_phase_fault":
             if self.duration is not None and not (
                     math.isfinite(self.duration) and self.duration > 0.0):
@@ -470,39 +480,8 @@ class RingdownFit:
         return -self.sigma / mag if mag > 0 else 0.0
 
 
-def _find_peaks(y: np.ndarray, min_prominence: float) -> np.ndarray:
-    """Indices of local maxima with prominence >= ``min_prominence``.
-
-    Same definition as ``scipy.signal.find_peaks(y, prominence=...)``: a
-    flat top counts once, at its middle sample (rounded down); a peak's
-    prominence is its height above the higher of the two lowest points
-    reached on each side before the signal first rises above the peak.
-    """
-    # collapse runs of equal samples; a peak is a run above both neighbours
-    starts = np.flatnonzero(np.diff(y, prepend=np.nan) != 0.0)
-    ends = np.append(starts[1:] - 1, y.size - 1)
-    level = y[starts]
-    top = np.flatnonzero((level[1:-1] > level[:-2])
-                         & (level[1:-1] > level[2:])) + 1
-    peaks = (starts[top] + ends[top]) // 2
-    keep = []
-    for p in peaks:
-        higher = np.flatnonzero(y[:p] > y[p])
-        left = y[higher[-1] + 1 if higher.size else 0:p + 1].min()
-        higher = np.flatnonzero(y[p:] > y[p])
-        right = y[p:p + higher[0] if higher.size else y.size].min()
-        keep.append(y[p] - max(left, right) >= min_prominence)
-    return peaks[np.array(keep, dtype=bool)]
-
-
-def ringdown_fit(time: np.ndarray, signal: np.ndarray,
-                 window: tuple[float, float] | None = None) -> RingdownFit:
-    """Fit one damped sinusoid to a signal section.
-
-    Peak spacing seeds the frequency and the log-decrement of successive
-    maxima seeds the decay, then a least-squares pass refines all five
-    parameters.  Requires at least three maxima inside the window.
-    """
+def _window(time, signal, window):
+    """The samples of a signal inside ``window`` (all if ``None``)."""
     t = np.asarray(time, dtype=float)
     y = np.asarray(signal, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
@@ -513,46 +492,74 @@ def ringdown_fit(time: np.ndarray, signal: np.ndarray,
         t, y = t[sel], y[sel]
     if t.size < 8:
         raise RingdownError("window contains too few samples to fit")
+    if not np.all(np.isfinite(y)):
+        raise RingdownError("signal has non-finite samples in the window")
+    return t, y
 
+
+def ringdown_modes(time: np.ndarray, signal: np.ndarray,
+                   window: tuple[float, float] | None = None
+                   ) -> list[tuple[complex, complex]]:
+    """Every ``(eigenvalue, residue)`` pair of a signal section, largest
+    ``|residue|`` first: ``y(t) ~ sum(r * exp(lam * (t - t0)))``, with
+    ``t0`` the first sample of the window.
+
+    Matrix pencil (Hua & Sarkar, IEEE Trans. ASSP 38(5), 1990): every k-th
+    sample of the window is kept, k = max(1, n // 240), and must be evenly
+    spaced to 1 %; their Hankel matrix of pencil length N // 3 is
+    decomposed by SVD.  The singular values above max(1e-3 * s0,
+    10 * median(s)) set the model order, the median term keeping white
+    noise out of it.  The eigenvalues follow from the shifted right
+    singular vectors, the residues from a linear least-squares fit to the
+    kept samples.  A real signal yields conjugate pairs.
+    """
+    t, y = _window(time, signal, window)
+    k = max(1, t.size // 240)
+    t, y = t[::k] - t[0], y[::k]
+    h = t[-1] / (t.size - 1)
+    if not (h > 0.0 and np.ptp(np.diff(t)) <= 0.01 * h):
+        raise RingdownError("samples in the window are not evenly spaced")
+
+    hankel = np.lib.stride_tricks.sliding_window_view(y, t.size // 3 + 1)
+    _, s, vh = np.linalg.svd(hankel, full_matrices=False)
+    v = vh[s > max(1e-3 * s[0], 10.0 * np.median(s))].T
+    z = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
+    lam = np.log(z.astype(complex)) / h
+    res = np.linalg.lstsq(np.exp(np.outer(t, lam)), y, rcond=None)[0]
+    return [(complex(lam[i]), complex(res[i]))
+            for i in np.argsort(-np.abs(res))]
+
+
+def ringdown_fit(time: np.ndarray, signal: np.ndarray,
+                 window: tuple[float, float] | None = None) -> RingdownFit:
+    """Fit one damped sinusoid to a signal section.
+
+    The mode is the oscillatory (``Im > 0``) pair of ``ringdown_modes``
+    with the largest residue; amplitude, phase and offset then come from
+    one linear least-squares fit of every window sample against
+    ``exp(sigma t) cos(omega t)``, ``-exp(sigma t) sin(omega t)`` and 1,
+    with ``t`` measured from the window's first sample.  Raises
+    :class:`RingdownError` if the window holds no oscillatory mode, or
+    fewer than two of its periods.
+    """
+    t, y = _window(time, signal, window)
+    oscillatory = [lam for lam, _ in ringdown_modes(t, y) if lam.imag > 0.0]
+    if not oscillatory:
+        raise RingdownError("no oscillatory mode in the window")
+    sigma, omega = oscillatory[0].real, oscillatory[0].imag
     t = t - t[0]
-    offset0 = float(np.mean(y))
-    yc = y - offset0
-
-    peaks = _find_peaks(yc, 0.02 * float(np.max(np.abs(yc))))
-    if peaks.size < 3:
+    if t[-1] < 2.0 * (2.0 * np.pi / omega):
         raise RingdownError(
-            f"found {peaks.size} peaks in the window; need at least 3 for "
-            "a ringdown fit")
+            f"window of {t[-1]:.3g}s holds fewer than two periods of the "
+            f"{omega / (2.0 * np.pi):.3g} Hz mode")
 
-    tp, ap = t[peaks], np.abs(yc[peaks])
-    omega0 = 2.0 * np.pi / float(np.mean(np.diff(tp)))
-    good = ap > 1e-12 * ap.max()
-    sigma0 = (float(np.polyfit(tp[good], np.log(ap[good]), 1)[0])
-              if good.sum() >= 2 else 0.0)
-    amp0 = float(ap[0] / max(np.exp(sigma0 * tp[0]), 1e-12))
-    phase0 = float(-omega0 * tp[0])
-
-    def model(p):
-        a, sigma, omega, phi, c = p
-        return a * np.exp(sigma * t) * np.cos(omega * t + phi) + c
-
-    def residuals(p):
-        return model(p) - y
-
-    # imported here so that ``import windmodal`` does not load scipy.optimize
-    from scipy.optimize import least_squares
-
-    p0 = [amp0, sigma0, omega0, phase0, offset0]
-    fit = least_squares(residuals, p0, method="lm", max_nfev=20000)
-    a, sigma, omega, phi, c = fit.x
-    # normalize: positive amplitude and frequency
-    if a < 0:
-        a, phi = -a, phi + np.pi
-    if omega < 0:
-        omega, phi = -omega, -phi
-    phi = float(np.remainder(phi + np.pi, 2.0 * np.pi) - np.pi)
-    scale = float(np.max(np.abs(yc))) or 1.0
-    residual = float(np.sqrt(np.mean(fit.fun ** 2)) / scale)
+    decay = np.exp(sigma * t)
+    basis = np.column_stack([decay * np.cos(omega * t),
+                             -decay * np.sin(omega * t), np.ones_like(t)])
+    (p, q, c), *_ = np.linalg.lstsq(basis, y, rcond=None)
+    scale = float(np.max(np.abs(y - np.mean(y)))) or 1.0
+    residual = float(np.sqrt(np.mean((basis @ (p, q, c) - y) ** 2)) / scale)
     return RingdownFit(sigma=float(sigma), omega=float(omega),
-                       amplitude=float(a), phase=phi, offset=float(c),
+                       amplitude=float(np.hypot(p, q)),
+                       phase=float(np.arctan2(q, p)), offset=float(c),
                        residual=residual)

@@ -18,7 +18,7 @@ from windmodal.dfig import DroopParams
 from windmodal.modal import StateMatrix
 from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
                                 Report, Scenario, ScenarioError, _with_gains,
-                                build_scenario_system, compare_control_modes,
+                                build_scenario_system,
                                 export_report, load_packaged_scenario,
                                 load_scenario, make_scenario,
                                 packaged_scenario_names, parse_report,
@@ -290,8 +290,6 @@ def test_pipeline_failures_carry_their_stage():
     assert err.value.stage == "build"
     with pytest.raises(PipelineError, match="no wind farm to sweep|sweep"):
         run_sensitivity_sweep(make_scenario("A"))
-    with pytest.raises(PipelineError, match=r"\[build\]"):
-        compare_control_modes(make_scenario("A"))
 
 
 def test_overrides_patch_device_parameters():
@@ -515,12 +513,3 @@ def test_sweep_trends_along_each_gain_axis(scenario_b):
     loc = [next(m for m in c.dominant if m.classification == "local").damping
            for c in list(along_kp.cells) + list(along_kin.cells)]
     assert max(loc) - min(loc) < 1e-3
-
-
-def test_control_mode_comparison_is_mild_for_the_mid_wind_case():
-    cmp = compare_control_modes(load_packaged_scenario("B_voltage_support"))
-    assert cmp.voltage.scenario_name == cmp.reactive_power.scenario_name
-    classes = [c for c, _ in cmp.damping_delta]
-    assert classes == sorted(classes)
-    assert {"inter_area", "converter_control"} <= set(classes)
-    assert cmp.flagged == ()

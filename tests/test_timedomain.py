@@ -4,8 +4,8 @@ The core oracle is the matrix exponential: released from a small
 perturbation with no events, the nonlinear trajectory must follow
 x0 + e^{At} dx to within the linearization error, where A comes from the
 finite-difference state matrix.  Everything else checks event mechanics,
-the non-windup limiters, the recorded trace, and the damped-sinusoid fit
-against synthetic signals.
+the non-windup limiters, the recorded trace, and the matrix-pencil
+ringdown analysis against synthetic signals and case A's local modes.
 """
 
 import csv
@@ -21,14 +21,14 @@ import pytest
 from scipy.linalg import expm
 
 import windmodal
-from windmodal.modal import linearize
+from windmodal.modal import analyze_modes, linearize
 from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (Override, build_scenario_system,
                                 load_packaged_scenario, simulate_scenario)
 from windmodal.system import FaultSpec, SystemModelError, assemble
 from windmodal.timedomain import (Event, RingdownError, SimulationError,
-                                  Trace, _find_peaks, _Limiters, cycles,
-                                  ringdown_fit, simulate)
+                                  Trace, _Limiters, cycles, ringdown_fit,
+                                  ringdown_modes, simulate)
 
 from conftest import build_system
 
@@ -71,6 +71,22 @@ def test_event_validation():
         Event("line_trip", 0.1, branch="L8-9b", duration=0.2)
     with pytest.raises(ValueError, match="clear_fault takes no duration"):
         Event("clear_fault", 0.1, bus=8, duration=0.2)
+
+
+@pytest.mark.parametrize("field, event", [
+    ("scale", dict(kind="three_phase_fault", bus=8, scale=3.0)),
+    ("scale", dict(kind="line_trip", branch="L8-9b", scale=0.5)),
+    ("scale", dict(kind="clear_fault", bus=8, scale=math.nan)),
+    ("admittance", dict(kind="clear_fault", bus=8, admittance=5.0)),
+    ("admittance", dict(kind="load_step", bus=7, scale=1.1, admittance=5.0)),
+    ("admittance", dict(kind="line_trip", branch="L8-9b",
+                        admittance=math.inf)),
+])
+def test_event_rejects_a_field_its_kind_does_not_use(field, event):
+    # such a field is dropped on export, so two unequal scenarios would
+    # share one sha256
+    with pytest.raises(ValueError, match=f"{event['kind']} takes no {field}"):
+        Event(t_start=0.1, **event)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -549,9 +565,9 @@ def test_ringdown_fit_window_selects_the_late_mode():
 
 def test_ringdown_fit_needs_enough_peaks():
     t = np.linspace(0.0, 1.0, 200)
-    with pytest.raises(RingdownError, match="peaks"):
+    with pytest.raises(RingdownError, match="no oscillatory mode"):
         ringdown_fit(t, np.exp(-0.2 * t))   # no oscillation at all
-    with pytest.raises(RingdownError):
+    with pytest.raises(RingdownError, match="oscillatory mode|two periods"):
         ringdown_fit(t, np.cos(2.0 * t))    # less than one period
 
 
@@ -562,43 +578,79 @@ def test_ringdown_fit_of_an_undamped_tone():
     assert fit.omega == pytest.approx(2.2, rel=1e-9)
 
 
-def scipy_peaks(y, prominence):
-    from scipy.signal import find_peaks
-    return find_peaks(y, prominence=prominence)[0]
-
-
-def test_peak_finder_matches_scipy_on_the_criterion_7_swing():
-    tr = simulate_scenario(load_packaged_scenario("A"), t_end=6.0,
-                           dt_max=1e-3)
-    swing = tr.column("G1.rotor_speed") - tr.column("G3.rotor_speed")
-    power = tr.column("G1.active_power")     # fault ripple: more maxima
-    for y in (swing - swing.mean(), power - power.mean()):
-        for frac in (0.0, 0.02, 0.3):
-            prom = frac * float(np.max(np.abs(y)))
-            assert np.array_equal(_find_peaks(y, prom), scipy_peaks(y, prom))
-
-
 @pytest.mark.parametrize("seed", range(6))
-def test_peak_finder_matches_scipy_on_noisy_ringdowns(seed):
+def test_ringdown_fit_tracks_noisy_ringdowns(seed):
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 20.0, 2001)
-    y = synth(t, -rng.uniform(0.0, 0.3), rng.uniform(1.0, 8.0),
-              noise=rng.uniform(0.0, 0.05), seed=seed)
-    for signal in (y, np.round(y, 2)):     # rounding makes flat tops
-        for frac in (0.0, 0.02, 0.2):
-            prom = frac * float(np.max(np.abs(signal)))
-            assert np.array_equal(_find_peaks(signal, prom),
-                                  scipy_peaks(signal, prom))
+    sigma, omega = -rng.uniform(0.0, 0.3), rng.uniform(1.0, 8.0)
+    fit = ringdown_fit(t, synth(t, sigma, omega,
+                                noise=rng.uniform(0.0, 0.05), seed=seed))
+    assert abs(fit.sigma - sigma) <= 0.05 * abs(sigma) + 0.01
+    assert fit.omega == pytest.approx(omega, rel=0.005)
+
+
+def test_ringdown_modes_returns_every_mode_with_its_residue():
+    t = np.linspace(0.0, 10.0, 2001)
+    y = (2.0 * np.exp(-0.8 * t) * np.cos(9.0 * t)
+         + 0.5 * np.exp(-0.05 * t) * np.cos(2.0 * t + 0.3) + 0.2)
+    modes = ringdown_modes(t, y)
+    assert len(modes) == 5                  # two conjugate pairs and 1
+    expected = [(-0.8 + 9.0j, 1.0), (-0.05 + 2.0j, 0.25 * np.exp(0.3j)),
+                (0.0, 0.2)]
+    for lam, res in expected:
+        got = min(modes, key=lambda m: abs(m[0] - lam))
+        assert got[0] == pytest.approx(lam, abs=1e-7)
+        assert got[1] == pytest.approx(res, abs=1e-7)
+    # residues measure from the window's first sample
+    late = ringdown_modes(t, y, window=(5.0, 10.0))
+    got = min(late, key=lambda m: abs(m[0] - (-0.05 + 2.0j)))
+    assert got[1] == pytest.approx(0.25 * np.exp(0.3j + 5.0 * (-0.05 + 2.0j)),
+                                   abs=1e-7)
+
+
+def test_ringdown_modes_rejects_unusable_windows():
+    t = np.linspace(0.0, 10.0, 500)
+    y = np.exp(-0.1 * t) * np.cos(3.0 * t)
+    assert ringdown_modes(t, np.zeros_like(t)) == []
+    with pytest.raises(RingdownError, match="evenly spaced"):
+        ringdown_modes(t ** 1.5, y)
+    with pytest.raises(RingdownError, match="non-finite"):
+        ringdown_modes(t, np.where(t > 5.0, np.nan, y))
+    with pytest.raises(RingdownError, match="too few samples"):
+        ringdown_modes(t, y, window=(2.0, 2.05))
+
+
+def test_ringdown_modes_recover_the_local_modes_of_case_a(system_a):
+    # G1-G2 and G3-G4 cancel the inter-area swing and leave one local
+    # mode each; a 6-s run does not separate the G3-G4 pair
+    tr = simulate_scenario(load_packaged_scenario("A"), t_end=10.0,
+                           dt_max=1e-3)
+    window = (1.0 + cycles(10) + 0.5, 10.0)
+    local = [m.eigenvalue for m in analyze_modes(linearize(system_a))
+             if m.classification == "local"]
+    matched = []
+    for a, b in (("G1", "G2"), ("G3", "G4")):
+        y = tr.column(f"{a}.rotor_speed") - tr.column(f"{b}.rotor_speed")
+        lam = next(lam for lam, _ in ringdown_modes(tr.time, y, window)
+                   if lam.imag > 0.0)
+        pred = min(local, key=lambda p: abs(p - lam))
+        assert abs(lam.real - pred.real) <= 0.05 * abs(pred.real)
+        assert abs(lam.imag - pred.imag) <= 0.01 * pred.imag
+        matched.append(pred)
+    assert matched[0] != matched[1]
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # neither scipy.signal nor scipy.optimize: ringdown_fit imports
-    # least_squares only when it runs
+    # neither importing windmodal nor fitting a ringdown loads
+    # scipy.signal or scipy.optimize: the fit is pure numpy linear algebra
     src = os.path.dirname(os.path.dirname(windmodal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, windmodal; print([m in sys.modules for m in "
+         "import sys, numpy as np, windmodal; "
+         "t = np.linspace(0.0, 20.0, 2001); "
+         "windmodal.ringdown_fit(t, np.exp(-0.1 * t) * np.cos(3.0 * t)); "
+         "print([m in sys.modules for m in "
          "('scipy.signal', 'scipy.optimize')])"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[False, False]"
