@@ -5,9 +5,9 @@ droop-based inertial and primary frequency support reshapes the
 electromechanical modes of a two-area benchmark system.  It provides a
 Newton power flow, nonlinear machine and converter models, a closed-form
 single-machine sensitivity study, numerical linearization with mode
-classification, a trapezoidal time-domain solver with matrix-pencil
-ringdown analysis, and a scenario layer with JSON inputs plus CSV /
-structured-text exports.
+classification, an error-controlled Dormand-Prince time-domain solver
+with matrix-pencil ringdown analysis, and a scenario layer with JSON
+inputs plus CSV / structured-text exports.
 """
 
 __version__ = "0.1.0"

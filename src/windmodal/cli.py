@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tend", type=float, default=25.0,
                    help="end time in seconds (default 25)")
     p.add_argument("--dt-max", type=float, default=1e-3,
-                   help="largest integration step in seconds (default 1e-3)")
+                   help="sample spacing of the trace in seconds; the step "
+                   "is error-controlled (default 1e-3)")
     add_out(p)
     p.set_defaults(fn=cmd_simulate)
 

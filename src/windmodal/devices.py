@@ -42,6 +42,11 @@ class DeviceModel:
 
     state_names: tuple[str, ...] = ()
 
+    #: Protection band ``(lo, hi)`` of the ``rotor_speed`` output, pu, or
+    #: ``None``.  A simulation logs the first sample outside it, once per
+    #: run; the model itself never checks it.
+    speed_band: tuple[float, float] | None = None
+
     def __init__(self, device_id: str, bus_id: int):
         self.device_id = device_id
         self.bus_id = bus_id
@@ -66,6 +71,12 @@ class DeviceModel:
 
     def source_current(self, x: np.ndarray, v: complex | None,
                        system_base_mva: float) -> complex:
+        raise NotImplementedError
+
+    def source_currents(self, x: np.ndarray,
+                        system_base_mva: float) -> np.ndarray:
+        """``source_current(x, None, base)`` over a leading sample axis of
+        ``x``, with the bits of one call per sample."""
         raise NotImplementedError
 
     def limits(self) -> tuple[tuple[int, float, float], ...]:

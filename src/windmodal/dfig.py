@@ -20,7 +20,6 @@ winds the reference back down, and the rotor recovers.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -28,9 +27,8 @@ import numpy as np
 
 from .devices import DeviceError, DeviceModel, require_finite
 
-logger = logging.getLogger(__name__)
-
-# Rotor-speed protection band, per unit. Excursions are logged, not tripped.
+# Rotor-speed protection band, per unit.  A simulation logs an excursion
+# on the recorded speed (``DeviceModel.speed_band``); nothing trips.
 ROTOR_SPEED_BOUNDS = (0.6, 1.3)
 
 # index of the reactive-channel integrator, whose limit is non-windup
@@ -83,7 +81,7 @@ class MpptCurve:
     def p_opt(self, speed: float) -> float:
         """Tracking power at ``speed``, clamped to the domain
         [0, speed_max] without a log record: every speed outside it is also
-        outside the protection band, which ``Dfig`` reports once."""
+        outside the protection band, which a simulation reports once."""
         speed = min(max(speed, 0.0), self.speed_max)
         if speed <= self.speed_cutin:
             return 0.0
@@ -195,6 +193,8 @@ class Dfig(DeviceModel):
     device_class = "converter"
     source_depends_on_v = True
 
+    speed_band = ROTOR_SPEED_BOUNDS
+
     state_names = (
         "rotor_speed",   # drive train, pu
         "p_cmd",         # farm power command, pu
@@ -218,7 +218,6 @@ class Dfig(DeviceModel):
         self.v_ref = None
         self.q_ref = None
         self._omega_s = None
-        self._speed_flagged = False
 
     def initialize(self, v, s_gen_system, system_base_mva, omega_s):
         p = self.params
@@ -240,7 +239,6 @@ class Dfig(DeviceModel):
         self.v_ref = vm
         self.q_ref = q0
         self._omega_s = omega_s
-        self._speed_flagged = False
         return np.array([
             speed0, p0, 0.0, 0.0, 0.0, i_p0, vm, i_q0, i_q0, np.angle(v),
             0.0, p0,
@@ -250,6 +248,11 @@ class Dfig(DeviceModel):
         direction = v / abs(v) if v is not None and abs(v) > 1e-12 else 1.0 + 0.0j
         i_dev = complex(x[5], -x[8]) * direction
         return i_dev * self.params.base_mva / system_base_mva
+
+    def source_currents(self, x, system_base_mva):
+        base = self.params.base_mva
+        return (x[:, 5] * base / system_base_mva
+                + 1j * (-x[:, 8] * base / system_base_mva))
 
     def limits(self):
         return ((Q_CTRL, -self.params.i_qmax, self.params.i_qmax),)
@@ -264,8 +267,6 @@ class Dfig(DeviceModel):
         dth = _wrap_angle(cmath.phase(v) - x[9])
         delta_f = dth / (p.freq_filter_time * self._omega_s)
         rocof = (delta_f - x[10]) / p.droop.rocof_filter_time
-
-        self._check_speed(speed)
 
         p_opt = p.mppt.p_opt(speed)
         p_track = x[11]
@@ -322,15 +323,6 @@ class Dfig(DeviceModel):
             "reactive_power": vm * x[..., 8],
             "bus_frequency": 1.0 + delta_f,
         }
-
-    def _check_speed(self, speed):
-        lo, hi = ROTOR_SPEED_BOUNDS
-        if (speed < lo or speed > hi) and not self._speed_flagged:
-            self._speed_flagged = True
-            logger.warning(
-                "%s: rotor speed %.3f pu outside protection band [%.2f, %.2f]; "
-                "simulation continues", self.device_id, speed, lo, hi,
-            )
 
 
 def _wrap_angle(angle: float) -> float:

@@ -5,10 +5,10 @@ decomposes it into modes, and attaches the quantities used throughout the
 toolkit: damping ratio, modal frequency, participation factors, the share of
 participation carried by converter-based devices, and a coarse mode
 classification (inter-area / local / converter control).  Every state
-matrix and integrator chord matrix in the toolkit uses one step rule and
-one column formula, ``central_column``: ``jacobian`` applies it to any
-model's ``rhs``, and ``DynamicSystem.jacobian`` applies it with
-device-only evaluations for the states that do not reach the network.
+matrix in the toolkit uses one step rule and one column formula,
+``central_column``: ``jacobian`` applies it to any model's ``rhs``, and
+``DynamicSystem.jacobian`` applies it with device-only evaluations for the
+states that do not reach the network.
 """
 
 from __future__ import annotations

@@ -115,8 +115,28 @@ class SyncGen(DeviceModel):
         y_dev = 1.0 / complex(p.ra, p.xd_st)
         return y_dev * e_net * p.base_mva / system_base_mva
 
+    def source_currents(self, x, system_base_mva):
+        p = self.params
+        e = self._subtransient_emfs(x)
+        y_dev = 1.0 / complex(p.ra, p.xd_st)
+        i_re = (y_dev.real * e.real - y_dev.imag * e.imag) * p.base_mva
+        i_im = (y_dev.real * e.imag + y_dev.imag * e.real) * p.base_mva
+        return i_re / system_base_mva + 1j * (i_im / system_base_mva)
+
     def _subtransient_emf(self, x):
         return complex(x[5], x[4]) * _machine_to_network(x[0])
+
+    @staticmethod
+    def _subtransient_emfs(x):
+        """``_subtransient_emf`` over a leading sample axis.  The complex
+        products are written out as the scalar complex arithmetic does
+        them, (ac - bd) + (ad + bc)j, so that a batch of samples gives the
+        bits of one sample at a time; numpy's vectorized complex product
+        rounds differently."""
+        rot = np.exp(1j * (x[..., 0] - math.pi / 2.0))
+        ed, eq = x[..., 5], x[..., 4]
+        return ((ed * rot.real - eq * rot.imag)
+                + 1j * (ed * rot.imag + eq * rot.real))
 
     def _dq_currents(self, x, v):
         """Stator currents in the machine frame, device per unit."""
@@ -203,16 +223,11 @@ class SyncGen(DeviceModel):
         ])
 
     def outputs(self, x, v):
-        # The complex products are written out as the scalar complex
-        # arithmetic does them, (ac - bd) + (ad + bc)j, so that a batch of
-        # samples gives the bits of one sample at a time; numpy's
-        # vectorized complex product rounds differently.
+        # products written out for the bits of one sample at a time, as in
+        # ``_subtransient_emfs``
         x, v = np.asarray(x), np.asarray(v)
-        rot = np.exp(1j * (x[..., 0] - math.pi / 2.0))
-        ed, eq = x[..., 5], x[..., 4]
-        e_net = ((ed * rot.real - eq * rot.imag)
-                 + 1j * (ed * rot.imag + eq * rot.real))
-        i_net = (e_net - v) / complex(self.params.ra, self.params.xd_st)
+        i_net = ((self._subtransient_emfs(x) - v)
+                 / complex(self.params.ra, self.params.xd_st))
         speed = 1.0 + x[..., 1]
         return {       # v * conj(i_net)
             "rotor_speed": speed,

@@ -240,11 +240,26 @@ class DynamicSystem:
         (high-voltage) solution, and then ``u = w_r / (m - z c)``.  When no
         positive root exists the network cannot carry the injection
         (voltage collapse) and ``SystemModelError`` is raised.
+
+        ``x`` may carry a leading sample axis; the voltages then have it,
+        and each row has the bits of a call on that sample alone: the
+        source currents are computed for all samples at once
+        (``DeviceModel.source_currents``), the rest row by row.
         """
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
+        if np.ndim(x) == 2:
+            i = np.column_stack([dev.source_currents(x[:, sl], base)
+                                 for dev, sl in zip(self.devices,
+                                                    self._slices)])
+            return np.array([self._voltages(row, grid) for row in i])
         i = [dev.source_current(x[sl], None, base)
              for dev, sl in zip(self.devices, self._slices)]
+        return self._voltages(i, grid)
+
+    def _voltages(self, i, grid: GridModel) -> np.ndarray:
+        """``solve_network`` for one sample's source currents ``i`` (the
+        converter's entry is ``c``; ``i`` is changed in place)."""
         k = self._converter
         if k is None:
             return grid.z_dev @ i

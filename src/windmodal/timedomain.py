@@ -1,17 +1,19 @@
 """Nonlinear time-domain simulation and ringdown analysis.
 
-The integrator advances the assembled device states with the implicit
-trapezoidal rule, re-solving the network algebra inside every residual
-evaluation so the differential and algebraic parts stay consistent at all
-times.  Disturbances never mutate the model: each event swaps in an
-admittance variant rebuilt from the unmodified base, so clearing a fault
-restores the pre-fault matrices exactly.  The devices' non-windup limiters
-(field voltage, governor power, the converter's reactive integrator) are
-held and released by the integrator alone, between steps, never inside
-one.  The event script becomes a list of segments of constant grid before
-the first step, so a script error fails before anything is integrated.
-The step loop only integrates: device outputs and the power-balance audit
-are computed afterwards, once per segment.
+The integrator advances the assembled device states with an explicit,
+error-controlled Dormand-Prince 5(4) pair; every stage re-solves the network
+algebra, so the differential and algebraic parts stay consistent at all
+times.  The step is free of the recording grid: the samples of the trace
+come from each step's dense output.  Disturbances never mutate the model:
+each event swaps in an admittance variant rebuilt from the unmodified base,
+so clearing a fault restores the pre-fault matrices exactly.  The devices'
+non-windup limiters (field voltage, governor power, the converter's
+reactive integrator) are held and released by the integrator alone, which
+locates each bound crossing and each release inside its step.  The event
+script becomes a list of segments of constant grid before the first step,
+so a script error fails before anything is integrated.  The step loop only
+integrates: bus voltages, device outputs and the power-balance audit of
+the samples are computed afterwards, once per segment.
 
 ``ringdown_modes`` estimates the eigenvalues and residues present in a
 simulated signal with a matrix pencil (one SVD and one small eigenproblem,
@@ -27,17 +29,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+# only the wrap point of the benchmark's ``timedomain.lu_factor_calls``
+from scipy.linalg import lu_factor  # noqa: F401
 
 from .system import (DEFAULT_FAULT_ADMITTANCE, DynamicSystem, FaultSpec,
                      GridModel, SystemModelError)
 
 logger = logging.getLogger(__name__)
 
-NEWTON_TOL = 1e-8
-MAX_NEWTON_ITER = 12
-DT_MIN = 1e-5
+DT_MIN = 1e-5      # shortest error-controlled step, s
+RTOL = 1e-5        # relative tolerance of the step error
+ATOL = 1e-8        # absolute floor of the step error's scale
+H_MAX = 0.04       # longest step, s (see simulate)
 
 EVENT_KINDS = ("three_phase_fault", "clear_fault", "load_step", "line_trip")
 
@@ -227,54 +230,128 @@ def _segments(model: DynamicSystem, events, t_end: float):
 # --------------------------------------------------------------------------
 # integrator
 
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980) in the form of
+# Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2.  The model is
+# autonomous, so the nodes are not needed.  The last coupling row holds the
+# 5th-order weights, so the 7th stage is f at the step's end (first same as
+# last).  _DP_E weighs all 7 stages into the error estimate (5th minus
+# embedded 4th order), _DP_D into the dense output's last term (CONTD5).
+_DP_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)))
+_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40))
+_DP_D = np.array((-12715105075 / 11282082432, 0.0,
+                  87487479700 / 32700410799, -10690763975 / 1880347072,
+                  701980252875 / 199316789632, -1453857185 / 822651844,
+                  69997945 / 29380423))
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _rms(z: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.square(z))))
+
+
+def _dopri_step(evaluate, x, f, h):
+    """One step of size ``h`` from ``x`` with ``f = f(x)``: the stages
+    ``k`` (7 × n), the 5th-order solution and the voltages behind its
+    derivative ``k[6]``."""
+    k = np.empty((7, x.size))
+    k[0] = f
+    for s, a in enumerate(_DP_A, start=1):
+        x1 = x + h * (a @ k[:s])
+        k[s], v1 = evaluate(x1)
+    return k, x1, v1
+
+
+def _dense(x, x1, k, h, theta):
+    """States at the fractions ``theta`` (1-D) of a step: the 4th-order
+    interpolant of Hairer's CONTD5, one row per fraction."""
+    dx = x1 - x
+    r3 = h * k[0] - dx
+    r4 = dx - h * k[6] - r3
+    r5 = h * (_DP_D @ k)
+    s = theta[:, None]
+    return x + s * (dx + (1.0 - s) * (r3 + s * (r4 + (1.0 - s) * r5)))
+
+
+def _starting_step(evaluate, x, f, rtol):
+    """Hairer's starting step (Solving ODEs I, II.4), one evaluation."""
+    scale = ATOL + rtol * np.abs(x)
+    d0, d1 = _rms(x / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    d2 = _rms((evaluate(x + h0 * f)[0] - f) / scale) / h0
+    d = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d <= 1e-15 else (0.01 / d) ** 0.2
+    return min(100.0 * h0, h1)
+
 
 class _Recorder:
-    """Samples of the run.  ``add`` only stores ``t``, ``x``, the full
-    voltage vector and the grid; when the grid changes, and in ``trace``,
-    the device outputs and the power-balance residual of the finished
-    segment are computed at once over its stacked samples."""
+    """Samples of the run, one segment at a time.  ``add`` stores times
+    and states; ``close`` takes the voltages of the segment's samples from
+    one broadcast network solve, then their device outputs and power-balance
+    residual, all over the stacked samples."""
 
     def __init__(self, model: DynamicSystem):
         self.model = model
         self.names = [str(lab) for lab in model.state_labels()]
         self.bus_ids = [b.id for b in model.network.buses]
-        self.t: list[float] = []
+        # samples of the open segment
+        self.t: list[np.ndarray] = []
         self.x: list[np.ndarray] = []
-        self.v: list[np.ndarray] = []
         self.grid: GridModel | None = None
-        # (states, voltages, outputs) of each finished segment
+        # (time, states, voltages, outputs) of each closed segment
         self.done: list[tuple] = []
         self.max_residual = 0.0
 
-    def add(self, t, x, v, grid):
-        if grid is not self.grid:
-            self._close_segment()
-            self.grid = grid
+    def add(self, t, x, grid):
         self.t.append(t)
-        self.x.append(x.copy())
-        self.v.append(v.copy())
+        self.x.append(x)
+        self.grid = grid
 
-    def _close_segment(self):
-        if not self.x:
+    def close(self):
+        """Close the open segment.  Its samples leave the buffer first, so
+        a sample without a network solution raises ``SystemModelError``
+        and leaves only the closed segments."""
+        if not self.t:
             return
-        x, v = np.array(self.x), np.array(self.v)
-        outputs = self.model.device_outputs(x, v)
+        t, x = np.concatenate(self.t), np.concatenate(self.x)
+        self.t, self.x = [], []
+        v = self.model.solve_network(x, self.grid)
         res = self.model.power_balance_residual(x, v, grid=self.grid)
         self.max_residual = max(self.max_residual, float(res.max()))
-        self.done.append((x, v[:, :len(self.bus_ids)], outputs))
-        self.x, self.v = [], []
+        self.done.append((t, x, v[:, :len(self.bus_ids)],
+                          self.model.device_outputs(x, v)))
 
     def trace(self, events) -> Trace:
-        self._close_segment()
-        xs, vs, outs = zip(*self.done)
+        """The run so far; a rotor speed outside its device's protection
+        band is logged here, once per device and run."""
+        self.close()
+        ts, xs, vs, outs = zip(*self.done)
+        time = np.concatenate(ts)
+        outputs = {k: np.concatenate([o[k] for o in outs]) for k in outs[0]}
+        for dev in self.model.devices:
+            if dev.speed_band is None:
+                continue
+            lo, hi = dev.speed_band
+            speed = outputs[f"{dev.device_id}.rotor_speed"]
+            out = np.flatnonzero((speed < lo) | (speed > hi))
+            if out.size:
+                logger.warning(
+                    "%s: rotor speed %.3f pu at t=%.3fs is outside the "
+                    "protection band [%.2f, %.2f]", dev.device_id,
+                    speed[out[0]], time[out[0]], lo, hi)
         return Trace(
-            time=np.array(self.t),
+            time=time,
             states=np.concatenate(xs),
             state_names=self.names,
             voltages=np.concatenate(vs),
             bus_ids=self.bus_ids,
-            outputs={k: np.concatenate([o[k] for o in outs])
-                     for k in outs[0]},
+            outputs=outputs,
             events=tuple(events),
             max_balance_residual=self.max_residual,
         )
@@ -282,10 +359,12 @@ class _Recorder:
 
 class _Limiters:
     """The devices' non-windup limiters during a run (see ``simulate``):
-    the bounds from ``DeviceModel.limits`` and the held system indices.
-    A held state's rows of ``f`` and of the chord Jacobian are zero; no
-    device equation reads another state's derivative, so no other row
-    changes."""
+    the bounds from ``DeviceModel.limits`` and the held system indices,
+    each with its free derivative at the current point, signed so that a
+    positive value pushes against the bound.  A held state's row of every
+    stage is zero, so the state keeps its bits through steps and dense
+    output; no device equation reads another state's derivative, so no
+    other row changes."""
 
     def __init__(self, model: DynamicSystem):
         self.model = model
@@ -293,7 +372,15 @@ class _Limiters:
         self.bounds = [(sl.start + k, lo, hi)
                        for dev, sl in zip(model.devices, model._slices)
                        for k, lo, hi in dev.limits()]
-        self.held: set[int] = set()
+        self._index = [g for g, _, _ in self.bounds]
+        self._lo = np.array([lo for _, lo, _ in self.bounds])
+        self._hi = np.array([hi for _, _, hi in self.bounds])
+        self.held: dict[int, float] = {}
+
+    def _push(self, g, x, free):
+        """``free``, the free derivative of held ``g``, signed outward."""
+        hi = next(hi for k, _, hi in self.bounds if k == g)
+        return free if x[g] >= hi else -free
 
     def evaluate(self, x, grid):
         """``model._evaluate`` with the held rows of ``f`` set to zero."""
@@ -302,69 +389,111 @@ class _Limiters:
             f[list(self.held)] = 0.0
         return f, v
 
-    def switch(self, x, v) -> bool:
-        """Clamp crossings and release limiters at an accepted state ``x``
-        (changed in place) with bus voltages ``v``; True on any switch."""
-        free = None
-        switched = False
+    def start(self, x, grid):
+        """``f`` of ``evaluate`` at a fresh start, noting the free
+        derivatives of the held states there."""
+        f, _ = self.model._evaluate(x, grid)
+        for g in self.held:
+            self.held[g] = self._push(g, x, f[g])
+            f[g] = 0.0
+        return f
+
+    def first_switch(self, x, x1, v1):
+        """The first limiter switch inside an accepted step from ``x`` to
+        ``x1`` (bus voltages ``v1`` at ``x1``), as
+        ``(theta, index, bound)``, ``bound`` ``None`` for a release; or
+        ``None``.  ``theta`` is the fraction of the step.  A free state
+        that ends the step beyond a bound crosses it where the secant on
+        ``x_g - bound`` between the step's ends does; a held state whose
+        free derivative at ``x1`` points back inside is released where the
+        secant between its free derivatives at the two ends changes sign.
+        The held states' free derivatives at ``x1`` are noted for the next
+        step."""
+        first = None
         for g, lo, hi in self.bounds:
-            xg = x[g]
-            if g in self.held:
-                if free is None:
-                    free = self.model._derivatives(x, v)
-                # held means on a bound; release if pointing back inside
-                if free[g] < 0.0 if xg >= hi else free[g] > 0.0:
-                    self.held.discard(g)
-                    switched = True
-            elif not lo <= xg <= hi:
-                x[g] = min(max(xg, lo), hi)
-                self.held.add(g)
-                switched = True
-        return switched
+            if g in self.held or lo <= x1[g] <= hi:
+                continue
+            bound = hi if x1[g] > hi else lo
+            g0, g1 = x[g] - bound, x1[g] - bound
+            # held at once if outside already; if released on the bound and
+            # back out within the step, held at its end, so that a release
+            # is always followed by progress
+            theta = (g0 / (g0 - g1) if g0 * g1 < 0.0
+                     else 1.0 if g0 == 0.0 else 0.0)
+            if first is None or theta < first[0]:
+                first = (theta, g, bound)
+        if self.held:
+            free = self.model._derivatives(x1, v1)
+            for g, p0 in self.held.items():
+                p1 = self._push(g, x1, free[g])
+                self.held[g] = p1
+                if p1 < 0.0:
+                    theta = p0 / (p0 - p1) if p0 > 0.0 else 0.0
+                    if first is None or theta < first[0]:
+                        first = (theta, g, None)
+        return first
+
+    def clip(self, xs):
+        """Clamp stacked samples onto the bounds: the dense output of a
+        step that ends at a located crossing may graze the bound before."""
+        xs[:, self._index] = np.clip(xs[:, self._index], self._lo, self._hi)
 
 
 def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
              events=(), t_end: float = 10.0, dt_max: float = 1e-3,
-             dt_min: float = DT_MIN, newton_tol: float = NEWTON_TOL,
-             max_newton: int = MAX_NEWTON_ITER) -> Trace:
+             dt_min: float = DT_MIN, rtol: float = RTOL) -> Trace:
     """Integrate the system through scripted events.
 
-    Implicit trapezoidal rule with chord-Newton inner iterations: the
-    iteration matrix I - (dt/2)*J is factored once per segment and step
-    size, and J is refreshed whenever convergence degrades.  J is
-    ``model.jacobian`` on the active grid: the same central differences,
-    and the same bits, as ``modal.linearize``, with device-only
-    evaluations for the states that do not reach the network.  Each Newton
-    iterate solves the network once and back-substitutes with LAPACK
-    ``dgetrs`` on the cached factors; an accepted step records the voltages
-    of its last iterate, so no step solves the network again.
+    Explicit Dormand-Prince 5(4) with first-same-as-last stages, error
+    control and 4th-order dense output (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4-II.6).  A step is accepted when the RMS of its error
+    estimate, scaled by ``ATOL + rtol * max(|x|, |x_new|)``, is at most
+    1; the next step is the last one times ``0.9 * err**(-1/5)``, clamped
+    to [0.2, 10] and to at most 1 right after a rejection.  The step is
+    free of the recording grid: ``dt_max`` is only the sample spacing, with
+    ``ceil(length / dt_max)`` evenly spaced samples per segment, whose
+    states come from the dense output of the step that contains them (a
+    segment's last sample is that step's end itself).  Each stage solves
+    the network once; the samples' voltages, device outputs and
+    ``max_balance_residual`` are computed once per segment, over its
+    stacked samples, the voltages by one broadcast ``solve_network``.
+
+    Steps are at most ``H_MAX`` (40 ms): h|lambda| <= 2.6 for the largest
+    |lambda| of the packaged studies (65.6/s), inside the method's real
+    stability interval (about -3.3), so an equilibrium holds to the size of
+    its residual instead of drifting at the tolerance.
 
     Limited states (``DeviceModel.limits``) are held here, not in the
-    devices: the rows of ``f`` and J that belong to held states are zeroed
-    after each free evaluation, and the status is frozen within a step, so
-    the Newton residual is smooth.  At an accepted step a state that
-    crossed a bound is clamped onto it and held, and a held state is
-    released once its free derivative points back inside; after any switch
-    ``f`` is re-evaluated and the chord refreshed.  A run in which no
-    limiter switches makes no extra evaluation.
+    devices: every stage zeroes the rows of held states, so a held state
+    stays on its bound bit for bit.  After each accepted step, a free state
+    that ends it beyond a bound has crossed the bound where the dense
+    output does, and a held state whose free derivative at the step's end
+    points back inside is released where the secant between its free
+    derivatives at the two ends changes sign.  The step ends at the first
+    such switch, the state is clamped and held or released there, and
+    integration starts afresh.  A run in which no limiter switches makes
+    no extra evaluation.
 
     The event script is turned into segments of constant grid before the
     first step, so a script error (clearing a fault that is not on,
     tripping a branch twice, a grid that cannot be built) raises
-    :class:`SimulationError` before any integration.  Integration lands
-    exactly on every segment boundary and restarts there with that
-    segment's admittance view; the t = 0 sample takes its voltages from
-    the first segment's entry evaluation.  The trace's device outputs and
-    ``max_balance_residual`` are computed over the stacked samples of each
-    segment.  On an unrecoverable step, or a network solve that fails
-    anywhere in the run, the partial history is attached to the raised
-    :class:`SimulationError` (``None`` if the network fails at t = 0,
-    before anything is recorded).
+    :class:`SimulationError` before any integration.  Every segment starts
+    afresh, with Hairer's starting step, and its last step lands exactly on
+    its end; steps shortened to land on a segment end or a limiter switch
+    may be shorter than ``dt_min``.  A rejected step whose retry would be
+    shorter than ``dt_min`` ends the run with ``integration stalled``; a
+    step whose error estimate is not finite (a NaN derivative) is
+    rejected, so it ends the same way.  On a stall, or a network solve
+    that fails at a stage or a sample, the partial history is attached to
+    the raised :class:`SimulationError` (``None`` if the network fails at
+    t = 0, before anything is recorded).
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be finite and positive")
     if not 0.0 < dt_min <= dt_max < math.inf:
         raise ValueError("need 0 < dt_min <= dt_max < inf")
+    if not 0.0 < rtol < 1.0:
+        raise ValueError("rtol must lie in (0, 1)")
 
     x = (model.equilibrium() if equilibrium is None
          else np.asarray(equilibrium, dtype=float).copy())
@@ -374,83 +503,83 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
 
     segments = _segments(model, events, t_end)
     rec = _Recorder(model)
-
     limiters = _Limiters(model)
-    jac = None
-    factor_cache: dict[float, tuple] = {}
 
-    def refresh_jacobian(x_at):
-        nonlocal jac
-        jac = model.jacobian(x_at, grid)
-        jac[list(limiters.held)] = 0.0
-        factor_cache.clear()
-
-    def iteration_matrix(dt):
-        if dt not in factor_cache:
-            factor_cache[dt] = lu_factor(np.eye(model.n_states)
-                                         - 0.5 * dt * jac)
-        return factor_cache[dt]
-
-    def newton_step(x0, f0, dt):
-        """One trapezoidal step; returns (x1, f1, v1) or None if stalled."""
-        x1 = x0 + dt * f0
-        for _ in range(max_newton):
-            f1, v1 = limiters.evaluate(x1, grid)
-            r = x1 - x0 - 0.5 * dt * (f0 + f1)
-            err = np.abs(r).max()
-            if err <= newton_tol:
-                return x1, f1, v1
-            if not math.isfinite(err):
-                return None
-            # the bits of lu_solve, without its argument checks
-            lu, piv = iteration_matrix(dt)
-            x1 = x1 - dgetrs(lu, piv, r)[0]
-        return None
-
+    t = 0.0
     try:
         for seg_start, seg_end, grid in segments:
-            t_sub = seg_start
-            f, v = limiters.evaluate(x, grid)
-            if seg_start == 0.0:
-                rec.add(0.0, x, v, grid)
-            refresh_jacobian(x)
+            def evaluate(z):
+                return limiters.evaluate(z, grid)
 
-            n_steps = max(1, int(np.ceil((seg_end - seg_start) / dt_max
-                                         - 1e-9)))
-            dt_seg = (seg_end - seg_start) / n_steps
-            for i in range(n_steps):
-                target = seg_start + (i + 1) * dt_seg
-                t_sub = seg_start + i * dt_seg
-                dt = dt_seg
-                remaining = dt_seg
-                while remaining > 1e-12 * max(1.0, seg_end):
-                    result = newton_step(x, f, dt)
-                    if result is None:
-                        # slow or divergent: refresh the chord, then halve
-                        refresh_jacobian(x)
-                        result = newton_step(x, f, dt)
-                    if result is None:
-                        if dt / 2.0 < dt_min:
-                            raise SimulationError(
-                                f"integration stalled at t={t_sub:.6f}s "
-                                f"(dt={dt:.2e}s has reached the floor)",
-                                rec.trace(events))
-                        dt /= 2.0
-                        continue
-                    x, f, v = result
-                    t_sub += dt
-                    remaining -= dt
-                    if limiters.switch(x, v):
-                        f, v = limiters.evaluate(x, grid)
-                        refresh_jacobian(x)
-                    if 0 < remaining < dt:
-                        dt = remaining
-                rec.add(target, x, v, grid)
+            n = max(1, int(np.ceil((seg_end - seg_start) / dt_max - 1e-9)))
+            samples = seg_start + np.arange(1, n + 1) * ((seg_end - seg_start)
+                                                         / n)
+            i = 0                       # the segment's next sample
+            f = limiters.start(x, grid)
+            if seg_start == 0.0:
+                rec.add(np.zeros(1), x[None, :].copy(), grid)
+            h, rejected, last = None, False, False
+            while not last:
+                if h is None:           # a fresh start
+                    h, rejected = _starting_step(evaluate, x, f, rtol), False
+                h = min(h, H_MAX)
+                last = t + h >= seg_end
+                step = seg_end - t if last else h
+                k, x1, v1 = _dopri_step(evaluate, x, f, step)
+                scale = ATOL + rtol * np.maximum(np.abs(x), np.abs(x1))
+                err = _rms(step * (_DP_E @ k) / scale)
+                # max() keeps MIN_FACTOR for a NaN err; inf gives 0 here
+                factor = max(MIN_FACTOR, SAFETY * err ** -0.2) if err else \
+                    MAX_FACTOR
+                if not err <= 1.0:      # rejected; so is a NaN
+                    h = step * factor
+                    if not h >= dt_min:
+                        raise SimulationError(
+                            f"integration stalled at t={t:.6f}s (the error "
+                            f"estimate asks for a step below dt_min="
+                            f"{dt_min:.2e}s)", rec.trace(events))
+                    last, rejected = False, True
+                    continue
+                h = step * min(factor, 1.0 if rejected else MAX_FACTOR)
+                rejected = False
+
+                switch = limiters.first_switch(x, x1, v1)
+                theta = 1.0 if switch is None else switch[0]
+                last = last and theta == 1.0
+                t1 = seg_end if last else t + theta * step
+                # the samples in (t, t1]
+                stop = n if last else min(
+                    int(np.searchsorted(samples, t1, side="right")), n - 1)
+                if stop > i:
+                    xs = _dense(x, x1, k, step, (samples[i:stop] - t) / step)
+                    if last:
+                        xs[-1] = x1
+                    limiters.clip(xs)
+                    rec.add(samples[i:stop], xs, grid)
+                    i = stop
+                if switch is None:
+                    x, f, t = x1, k[6], t1
+                    continue
+                # end the step at the switch and start afresh
+                _, g, bound = switch
+                x = x1 if theta == 1.0 else _dense(x, x1, k, step,
+                                                   np.array([theta]))[0]
+                if bound is None:
+                    del limiters.held[g]
+                else:
+                    x[g] = bound
+                    limiters.held[g] = 0.0
+                t, f, h = t1, limiters.start(x, grid), None
+            rec.close()
     except SystemModelError as exc:
         # no network solution at some state (e.g. voltage collapse)
+        try:
+            rec.close()
+        except SystemModelError:
+            pass            # the open segment's samples are left out
         raise SimulationError(
-            f"network solution failed at t={t_sub:.6f}s: {exc}",
-            rec.trace(events) if rec.t else None) from exc
+            f"network solution failed at t={t:.6f}s: {exc}",
+            rec.trace(events) if rec.done else None) from exc
 
     return rec.trace(events)
 

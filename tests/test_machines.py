@@ -20,6 +20,7 @@ from windmodal.system import assemble
 from windmodal.dfig import (Q_CTRL, Dfig, DfigParams, DroopParams,
                             MpptCurve, frequency_support_reference)
 from windmodal.syncgen import EFD, PM, SyncGen, SyncGenParams
+from windmodal.timedomain import simulate
 
 OMEGA_S = 2.0 * math.pi * 60.0
 
@@ -295,6 +296,9 @@ def test_dfig_rotor_decelerates_when_command_exceeds_wind_power():
 
 
 def test_dfig_speed_protection_band_logs_once(caplog):
+    # evaluating the model logs nothing: finite differences and rejected
+    # integration stages visit states that no run records.  A run checks
+    # the recorded rotor speed and logs the first excursion, once.
     dev = farm()
     v = 1.0 + 0.0j
     x0 = dev.initialize(v, 2.4 + 0.0j, 100.0, OMEGA_S)
@@ -303,6 +307,16 @@ def test_dfig_speed_protection_band_logs_once(caplog):
     with caplog.at_level("WARNING"):
         dev.derivatives(x, v)
         dev.derivatives(x, v)
+    assert not caplog.records
+
+    net, devices = build_scenario_system(
+        load_packaged_scenario("B_voltage_support"))
+    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
+    x = model.equilibrium()
+    x[[str(lab) for lab in model.state_labels()].index("W1.rotor_speed")] = 0.5
+    with caplog.at_level("WARNING"):
+        tr = simulate(model, equilibrium=x, t_end=0.05)
+    assert np.all(tr.column("W1.rotor_speed") < 0.6)
     assert caplog.text.count("protection band") == 1
 
 

@@ -362,6 +362,36 @@ def test_network_solve_names_voltage_collapse():
         model.solve_network(x)
 
 
+@pytest.mark.parametrize("name, grid", [
+    ("A", None), ("B_voltage_support", None),
+    ("B_voltage_support", FaultSpec(branch="L8-9a")),
+    ("B_voltage_support", FaultSpec(bus=8)),
+], ids=["A", "B_base", "B_midpoint_fault", "B_bus8_fault"])
+def test_broadcast_network_solve_is_the_scalar_one_bit_for_bit(name, grid):
+    # the recorder solves the network for a segment's samples at once; each
+    # row must be what a call on that sample alone returns
+    model = packaged_system(name)
+    grid = model.base_grid if grid is None else model.grid_variant(
+        faults=[grid])
+    rng = np.random.default_rng(11)
+    xs = (model.equilibrium()
+          + 0.02 * rng.standard_normal((200, model.n_states)))
+    v = model.solve_network(xs, grid=grid)
+    assert v.shape == (200, grid.y.shape[0])
+    for x, row in zip(xs, v):
+        assert row.tobytes() == model.solve_network(x, grid=grid).tobytes()
+
+
+def test_broadcast_network_solve_names_a_collapsing_sample():
+    model = packaged_system("B_voltage_support")
+    names = [str(lab) for lab in model.state_labels()]
+    xs = np.tile(model.equilibrium(), (5, 1))
+    xs[3, names.index("W1.i_p")] = xs[3, names.index("W1.i_q")] = 20.0
+    model.solve_network(xs[:3])
+    with pytest.raises(SystemModelError, match="voltage collapse"):
+        model.solve_network(xs)
+
+
 def test_assembly_rejects_two_converter_buses():
     net, devices = build_two_area("B")
     pf = solve_power_flow(net, tol=1e-12)
