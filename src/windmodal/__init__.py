@@ -20,9 +20,8 @@ from .dfig import Dfig, DfigParams, DroopParams
 from .system import (DynamicSystem, FaultSpec, GridModel, SystemModelError,
                      assemble)
 from .twoarea import CASES, two_area_devices, two_area_network
-from .smib import (SmibGridPoint, SmibParams, smib_damping_check,
-                   smib_eigenvalues, smib_sensitivity_grid,
-                   smib_system_matrix, write_grid_csv)
+from .smib import (SmibGridPoint, SmibParams, smib_eigenvalues,
+                   smib_sensitivity_grid, smib_system_matrix, write_grid_csv)
 from .modal import (ModalDecomposition, ModalError, Mode, StateLabel,
                     StateMatrix, analyze_modes, ccbg_pi, classify_mode,
                     damping_ratio, decompose, dominant_modes, linearize,
@@ -52,7 +51,7 @@ __all__ = [
     "DynamicSystem", "FaultSpec", "GridModel", "SystemModelError", "assemble",
     "CASES", "two_area_devices", "two_area_network",
     # single-machine closed form
-    "SmibGridPoint", "SmibParams", "smib_damping_check", "smib_eigenvalues",
+    "SmibGridPoint", "SmibParams", "smib_eigenvalues",
     "smib_sensitivity_grid", "smib_system_matrix", "write_grid_csv",
     # modal analysis
     "ModalDecomposition", "ModalError", "Mode", "StateLabel", "StateMatrix",

@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from . import scenario as sc
 from .powerflow import PowerFlowError, solve_power_flow
-from .smib import SmibParams, smib_eigenvalues, smib_sensitivity_grid
+from .smib import (SmibParams, smib_eigenvalues, smib_sensitivity_grid,
+                   write_grid_csv)
 from .system import SystemModelError
 from .timedomain import SimulationError
 
@@ -121,8 +122,8 @@ def cmd_smib(args) -> int:
           f"zeta = {damping_ratio(lam[0]):.4f}")
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "smib_grid.csv"
-    points = smib_sensitivity_grid(params, out_path=path)
+    points = smib_sensitivity_grid(params)
+    path = write_grid_csv(points, out / "smib_grid.csv")
     zmin = min(points, key=lambda p: p.damping)
     zmax = max(points, key=lambda p: p.damping)
     print(f"grid of {len(points)} points written to {path}")

@@ -2,8 +2,9 @@
 
 A device owns a slice of the system state vector and talks to the network
 through a Norton pair: a constant shunt admittance that is folded into the
-dynamic admittance matrix once, and a source current that may depend on the
-device states (and, for converter interfaces, on the terminal voltage).
+dynamic admittance matrix once, and a source current set by the device
+states (for a converter, its size; the network solve gives it the angle of
+the terminal voltage).
 Both are expressed on the system MVA base; everything inside ``derivatives``
 stays on the device base.
 """
@@ -34,10 +35,10 @@ class DeviceModel:
     #: "synchronous" or "converter"; drives participation bookkeeping.
     device_class = "synchronous"
 
-    #: True when ``source_current`` is ``c·V/|V|``: a current of fixed size
-    #: that follows the terminal-voltage angle.  ``source_current(x, None,
-    #: base)`` then returns ``c``; the network solve places the angle in
-    #: closed form and accepts at most one such device.
+    #: True when the injected current is ``c·V/|V|``: a current of fixed
+    #: size that follows the terminal-voltage angle.  ``source_current``
+    #: then returns ``c``, and ``DynamicSystem.solve_network`` places the
+    #: angle in closed form; it accepts at most one such device.
     source_depends_on_v = False
 
     state_names: tuple[str, ...] = ()
@@ -69,14 +70,16 @@ class DeviceModel:
     def norton_admittance(self, system_base_mva: float) -> complex:
         return 0.0 + 0.0j
 
-    def source_current(self, x: np.ndarray, v: complex | None,
+    def source_current(self, x: np.ndarray,
                        system_base_mva: float) -> complex:
+        """Norton source current on the system base; ``c`` when
+        ``source_depends_on_v``."""
         raise NotImplementedError
 
     def source_currents(self, x: np.ndarray,
                         system_base_mva: float) -> np.ndarray:
-        """``source_current(x, None, base)`` over a leading sample axis of
-        ``x``, with the bits of one call per sample."""
+        """``source_current`` over a leading sample axis of ``x``, with the
+        bits of one call per sample."""
         raise NotImplementedError
 
     def limits(self) -> tuple[tuple[int, float, float], ...]:

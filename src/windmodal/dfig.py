@@ -119,9 +119,9 @@ def frequency_support_reference(p_opt: float, delta_f: float, rocof: float,
 class DfigParams:
     """Aggregated-farm parameters, per unit on ``base_mva``.
 
-    The induction-machine constants define the stator-side transient
-    reactance of the Norton interface; with stator transients neglected the
-    electrical response is otherwise governed by the converter controls.
+    With stator transients neglected the farm is a current source with no
+    Norton shunt, and its electrical response is governed by the converter
+    controls; the induction-machine constants enter no equation.
     """
 
     base_mva: float = 300.0
@@ -181,11 +181,6 @@ class DfigParams:
                 raise DeviceError(f"{name} must be positive and finite")
         require_finite(self)
 
-    @property
-    def x_transient(self) -> float:
-        """Stator transient reactance xls + xm*xlr/(xm + xlr)."""
-        return self.xls + self.xm * self.xlr / (self.xm + self.xlr)
-
 
 class Dfig(DeviceModel):
     """Dynamic model of the aggregated farm; see the module docstring."""
@@ -244,10 +239,8 @@ class Dfig(DeviceModel):
             0.0, p0,
         ])
 
-    def source_current(self, x, v, system_base_mva):
-        direction = v / abs(v) if v is not None and abs(v) > 1e-12 else 1.0 + 0.0j
-        i_dev = complex(x[5], -x[8]) * direction
-        return i_dev * self.params.base_mva / system_base_mva
+    def source_current(self, x, system_base_mva):
+        return complex(x[5], -x[8]) * self.params.base_mva / system_base_mva
 
     def source_currents(self, x, system_base_mva):
         base = self.params.base_mva

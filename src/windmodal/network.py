@@ -2,8 +2,9 @@
 
 Everything is per unit on the system MVA base.  Branches use the standard
 pi model with an off-nominal tap on the from side; loads live on the buses
-as constant P/Q for the power flow and can be folded into the admittance
-matrix as constant impedances for dynamic studies.
+as constant P/Q.  The admittance matrix holds the branches alone: dynamic
+studies fold the loads in as constant impedances at the power-flow voltages
+(``system.DynamicSystem``).
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class Network:
     def index(self) -> dict[int, int]:
         return {b.id: i for i, b in enumerate(self.buses)}
 
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise NetworkError(f"no bus with id {bus_id}")
-
     def branch(self, name: str) -> Branch:
         for br in self.branches:
             if br.label == name:
@@ -142,14 +137,13 @@ class Network:
             )
 
 
-def build_ybus(network: Network, include_load_shunts: bool = False,
-               load_voltages: dict[int, float] | None = None
-               ) -> tuple[np.ndarray, dict[int, int]]:
-    """Bus admittance matrix and the bus-id to row index map.
+def build_ybus(network: Network) -> tuple[np.ndarray, dict[int, int]]:
+    """Bus admittance matrix of the in-service branches and the bus-id to
+    row index map.
 
-    Off-diagonals carry -y_series/tap; diagonals accumulate series terms,
-    half line charging, and (optionally) the bus loads converted to constant
-    admittance at ``load_voltages`` (default 1.0 pu).
+    Off-diagonals carry -y_series/tap; diagonals accumulate series terms and
+    half line charging.  Loads are not in it: the power flow holds them as
+    constant P/Q, and ``DynamicSystem`` adds them as constant impedances.
     """
     idx = network.index()
     n = network.n_bus
@@ -158,14 +152,6 @@ def build_ybus(network: Network, include_load_shunts: bool = False,
         if br.in_service:
             stamp_branch(y, idx[br.from_bus], idx[br.to_bus], br.y_series,
                          br.b_shunt, br.tap)
-    if include_load_shunts:
-        for b in network.buses:
-            if b.p_load == 0.0 and b.q_load == 0.0:
-                continue
-            vm = 1.0 if load_voltages is None else load_voltages.get(b.id, 1.0)
-            if vm <= 0.0:
-                raise NetworkError(f"bus {b.id}: load voltage must be positive")
-            y[idx[b.id], idx[b.id]] += complex(b.p_load, -b.q_load) / vm ** 2
     return y, idx
 
 

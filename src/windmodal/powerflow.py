@@ -1,6 +1,6 @@
 """Newton-Raphson AC power flow in polar coordinates.
 
-Full Newton with the analytic polar Jacobian, flat start by default,
+Full Newton with the analytic polar Jacobian from a flat start,
 infinity-norm mismatch convergence.  Dense linear algebra throughout; the
 systems this toolkit targets have tens of buses, not thousands.
 """
@@ -44,18 +44,6 @@ class PowerFlowSolution:
         i = self._pos(bus_id)
         return complex(self.p_gen[i], self.q_gen[i])
 
-    @property
-    def total_generation(self) -> float:
-        return float(self.p_gen.sum())
-
-    @property
-    def total_load(self) -> float:
-        return float(self.p_load.sum())
-
-    @property
-    def losses(self) -> float:
-        return self.total_generation - self.total_load
-
 
 def _mismatch(v, ybus, s_sched):
     return v * np.conj(ybus @ v) - s_sched
@@ -77,9 +65,9 @@ def _jacobian(v, ybus, pvpq, pq):
 
 
 def solve_power_flow(network: Network, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER,
-                     v0: np.ndarray | None = None) -> PowerFlowSolution:
-    """Solve the network's steady state.
+                     max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:
+    """Solve the network's steady state from a flat start, the regulated
+    buses at their setpoints.
 
     Raises :class:`PowerFlowError` with the final mismatch if Newton does
     not reach ``tol`` within ``max_iter`` iterations, or if the Jacobian
@@ -87,7 +75,7 @@ def solve_power_flow(network: Network, tol: float = DEFAULT_TOL,
     """
     if tol <= 0.0:
         raise PowerFlowError("tolerance must be positive")
-    ybus, idx = build_ybus(network)
+    ybus, _ = build_ybus(network)
     n = network.n_bus
     kinds = np.array([b.kind for b in network.buses])
     slack = int(np.flatnonzero(kinds == "slack")[0])
@@ -100,19 +88,13 @@ def solve_power_flow(network: Network, tol: float = DEFAULT_TOL,
     s_sched = np.array([complex(b.p_gen - b.p_load, b.q_gen - b.q_load)
                         for b in network.buses])
 
-    if v0 is not None:
-        v = np.asarray(v0, dtype=complex).copy()
-        if v.shape != (n,):
-            raise PowerFlowError(f"v0 must have shape ({n},)")
-    else:
-        # flat start; regulated buses begin at their setpoints
-        vm = np.ones(n)
-        for i, b in enumerate(network.buses):
-            if b.kind in ("slack", "pv"):
-                vm[i] = b.voltage_mag
-        va = np.zeros(n)
-        va[slack] = network.buses[slack].voltage_angle
-        v = vm * np.exp(1j * va)
+    vm = np.ones(n)
+    for i, b in enumerate(network.buses):
+        if b.kind in ("slack", "pv"):
+            vm[i] = b.voltage_mag
+    va = np.zeros(n)
+    va[slack] = network.buses[slack].voltage_angle
+    v = vm * np.exp(1j * va)
 
     iterations = 0
     mis = _mismatch(v, ybus, s_sched)

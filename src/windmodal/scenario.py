@@ -700,9 +700,9 @@ def sweep_to_csv(sweep: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report(obj, fmt: str, out_dir, stem: str | None = None
-                  ) -> list[Path]:
-    """Write a report or sweep to disk; returns the paths written.
+def export_report(obj, fmt: str, out_dir) -> list[Path]:
+    """Write a report or sweep to disk as ``report_<scenario>`` or
+    ``sweep_<scenario>``; returns the paths written.
 
     ``fmt`` is "csv" or "structured_text"; identical inputs produce
     identical bytes.
@@ -710,11 +710,11 @@ def export_report(obj, fmt: str, out_dir, stem: str | None = None
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(obj, Report):
-        stem = stem or f"report_{obj.scenario_name}"
+        stem = f"report_{obj.scenario_name}"
         renders = {"csv": report_to_csv, "structured_text": report_to_text}
         ext = {"csv": ".csv", "structured_text": ".json"}
     elif isinstance(obj, SweepResult):
-        stem = stem or f"sweep_{obj.scenario_name}"
+        stem = f"sweep_{obj.scenario_name}"
         renders = {"csv": sweep_to_csv, "structured_text": sweep_to_text}
         ext = {"csv": ".csv", "structured_text": ".json"}
     else:

@@ -98,18 +98,6 @@ def smib_eigenvalues(params: SmibParams) -> tuple[np.ndarray, bool]:
     return np.array([re + root + 0j, re - root + 0j]), False
 
 
-def smib_damping_check(params: SmibParams) -> float:
-    """Algebraic damping ratio (K_p+K_D)/sqrt(4 K_S omega0 (2H+K_in)).
-
-    Valid in the oscillatory regime, where it coincides with the
-    eigenvalue-based definition; used as an independent cross-check.
-    """
-    m = params.effective_inertia
-    return (params.k_damping + params.active_gains[0]) / math.sqrt(
-        4.0 * params.k_synchronizing * params.omega0 * m
-    )
-
-
 @dataclass
 class SmibGridPoint:
     kp: float
@@ -120,15 +108,11 @@ class SmibGridPoint:
     oscillatory: bool
 
 
-def smib_sensitivity_grid(params: SmibParams,
-                          kp_values=None, kin_values=None,
-                          out_path: str | Path | None = None
-                          ) -> list[SmibGridPoint]:
+def smib_sensitivity_grid(params: SmibParams, kp_values=None,
+                          kin_values=None) -> list[SmibGridPoint]:
     """Damping map over the (K_p, K_in) plane.
 
     Defaults to the 6x6 grid {0, 10, ..., 50}^2.  Rows iterate K_p fastest.
-    When ``out_path`` is given the grid is also written as CSV with columns
-    kp, kin, re, im, damping, freq_hz, oscillatory_flag.
     """
     kp_values = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0] if kp_values is None \
         else list(kp_values)
@@ -148,12 +132,12 @@ def smib_sensitivity_grid(params: SmibParams,
                 frequency_hz=abs(lam.imag) / (2.0 * math.pi),
                 oscillatory=osc,
             ))
-    if out_path is not None:
-        write_grid_csv(points, out_path)
     return points
 
 
 def write_grid_csv(points: list[SmibGridPoint], path: str | Path) -> Path:
+    """The grid as CSV with columns kp, kin, re, im, damping, freq_hz,
+    oscillatory_flag."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -109,7 +109,7 @@ class SyncGen(DeviceModel):
         y_dev = 1.0 / complex(p.ra, p.xd_st)
         return y_dev * p.base_mva / system_base_mva
 
-    def source_current(self, x, v, system_base_mva):
+    def source_current(self, x, system_base_mva):
         p = self.params
         e_net = self._subtransient_emf(x)
         y_dev = 1.0 / complex(p.ra, p.xd_st)

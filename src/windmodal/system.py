@@ -122,15 +122,16 @@ class DynamicSystem:
         if len(set(names)) != len(names):
             raise SystemModelError("device ids produce duplicate state labels")
 
-        # dynamic admittance matrix: network + loads as impedances + Nortons
+        # dynamic admittance matrix: branches, then the loads as constant
+        # impedances at the power-flow voltages, then the Norton shunts
         base = network.base_mva
-        vm = {bus_id: abs(pf.voltage(bus_id)) for bus_id in pf.bus_ids}
-        y, _ = build_ybus(network, include_load_shunts=True, load_voltages=vm)
         self._load_admittance = np.zeros(network.n_bus, dtype=complex)
         for b in network.buses:
             if b.p_load != 0.0 or b.q_load != 0.0:
                 self._load_admittance[self._idx[b.id]] = \
-                    complex(b.p_load, -b.q_load) / vm[b.id] ** 2
+                    complex(b.p_load, -b.q_load) / abs(pf.voltage(b.id)) ** 2
+        y, _ = build_ybus(network)
+        y[np.diag_indices_from(y)] += self._load_admittance
         for dev, row in zip(self.devices, self._rows):
             y[row, row] += dev.norton_admittance(base)
         self._base_grid = self._grid(y)
@@ -186,11 +187,11 @@ class DynamicSystem:
         a = np.empty((self.n_states, self.n_states))
         for dev, sl, v_k in zip(self.devices, self._slices,
                                 v[self._rows].tolist()):
-            i0 = dev.source_current(x[sl], None, base)
+            i0 = dev.source_current(x[sl], base)
 
             def f(z):      # rhs(z), z differing from x only in dev's slice
                 z_dev = z[sl]
-                if dev.source_current(z_dev, None, base) != i0:
+                if dev.source_current(z_dev, base) != i0:
                     return self.rhs(z, grid)
                 fz = f0.copy()
                 fz[sl] = dev.derivatives(z_dev, v_k)
@@ -253,7 +254,7 @@ class DynamicSystem:
                                  for dev, sl in zip(self.devices,
                                                     self._slices)])
             return np.array([self._voltages(row, grid) for row in i])
-        i = [dev.source_current(x[sl], None, base)
+        i = [dev.source_current(x[sl], base)
              for dev, sl in zip(self.devices, self._slices)]
         return self._voltages(i, grid)
 
@@ -366,23 +367,23 @@ class DynamicSystem:
                 out[f"{dev.device_id}.{key}"] = val
         return out
 
-    def power_balance_residual(self, x: np.ndarray, v: np.ndarray,
+    def power_balance_residual(self, v: np.ndarray, outputs: dict,
                                grid: GridModel | None = None):
         """|device injection - network absorption| in pu; an audit of the
         algebraic solution, tiny whenever the solve converged.  The device
-        side is the terminal active power of ``device_outputs``; the device
-        Norton shunts are folded into ``grid.y``, so they are taken out of
-        it for the network side: ``sum_r P_r - Re(V^T conj(Y_nf V))``.
-        ``x`` and ``v`` may carry a leading sample axis, and the residual
-        then has one value per sample."""
+        side is the terminal active power in ``outputs``, the
+        ``device_outputs`` at the voltages ``v``; the device Norton shunts
+        are folded into ``grid.y``, so they are taken out of it for the
+        network side: ``sum_r P_r - Re(V^T conj(Y_nf V))``.  ``v`` and the
+        outputs may carry a leading sample axis, and the residual then has
+        one value per sample."""
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
-        out = self.device_outputs(x, v)
         y_nf = grid.y.copy()
         p_dev = 0.0
         for dev, row in zip(self.devices, self._rows):
             y_nf[row, row] -= dev.norton_admittance(base)
-            p_dev += (out[f"{dev.device_id}.active_power"]
+            p_dev += (outputs[f"{dev.device_id}.active_power"]
                       * dev.params.base_mva / base)
         i_net = v @ y_nf.T
         p_net = (v.real * i_net.real + v.imag * i_net.imag).sum(axis=-1)

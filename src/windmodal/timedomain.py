@@ -322,10 +322,10 @@ class _Recorder:
         t, x = np.concatenate(self.t), np.concatenate(self.x)
         self.t, self.x = [], []
         v = self.model.solve_network(x, self.grid)
-        res = self.model.power_balance_residual(x, v, grid=self.grid)
+        outputs = self.model.device_outputs(x, v)
+        res = self.model.power_balance_residual(v, outputs, grid=self.grid)
         self.max_residual = max(self.max_residual, float(res.max()))
-        self.done.append((t, x, v[:, :len(self.bus_ids)],
-                          self.model.device_outputs(x, v)))
+        self.done.append((t, x, v[:, :len(self.bus_ids)], outputs))
 
     def trace(self, events) -> Trace:
         """The run so far; a rotor speed outside its device's protection
@@ -441,7 +441,7 @@ class _Limiters:
 
 def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
              events=(), t_end: float = 10.0, dt_max: float = 1e-3,
-             dt_min: float = DT_MIN, rtol: float = RTOL) -> Trace:
+             rtol: float = RTOL) -> Trace:
     """Integrate the system through scripted events.
 
     Explicit Dormand-Prince 5(4) with first-same-as-last stages, error
@@ -466,13 +466,13 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     Limited states (``DeviceModel.limits``) are held here, not in the
     devices: every stage zeroes the rows of held states, so a held state
     stays on its bound bit for bit.  After each accepted step, a free state
-    that ends it beyond a bound has crossed the bound where the dense
-    output does, and a held state whose free derivative at the step's end
-    points back inside is released where the secant between its free
-    derivatives at the two ends changes sign.  The step ends at the first
-    such switch, the state is clamped and held or released there, and
-    integration starts afresh.  A run in which no limiter switches makes
-    no extra evaluation.
+    that ends it beyond a bound has crossed the bound where the secant on
+    ``x_g - bound`` between the step's ends does, and a held state whose
+    free derivative at the step's end points back inside is released where
+    the secant between its free derivatives at the two ends changes sign.
+    The step ends at the first such switch, the state is clamped and held
+    or released there, and integration starts afresh.  A run in which no
+    limiter switches makes no extra evaluation.
 
     The event script is turned into segments of constant grid before the
     first step, so a script error (clearing a fault that is not on,
@@ -480,8 +480,8 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     :class:`SimulationError` before any integration.  Every segment starts
     afresh, with Hairer's starting step, and its last step lands exactly on
     its end; steps shortened to land on a segment end or a limiter switch
-    may be shorter than ``dt_min``.  A rejected step whose retry would be
-    shorter than ``dt_min`` ends the run with ``integration stalled``; a
+    may be shorter than ``DT_MIN``.  A rejected step whose retry would be
+    shorter than ``DT_MIN`` ends the run with ``integration stalled``; a
     step whose error estimate is not finite (a NaN derivative) is
     rejected, so it ends the same way.  On a stall, or a network solve
     that fails at a stage or a sample, the partial history is attached to
@@ -490,8 +490,9 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be finite and positive")
-    if not 0.0 < dt_min <= dt_max < math.inf:
-        raise ValueError("need 0 < dt_min <= dt_max < inf")
+    if not DT_MIN <= dt_max < math.inf:
+        raise ValueError(f"dt_max must be finite and at least DT_MIN = "
+                         f"{DT_MIN:g} s")
     if not 0.0 < rtol < 1.0:
         raise ValueError("rtol must lie in (0, 1)")
 
@@ -533,11 +534,11 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                     MAX_FACTOR
                 if not err <= 1.0:      # rejected; so is a NaN
                     h = step * factor
-                    if not h >= dt_min:
+                    if not h >= DT_MIN:
                         raise SimulationError(
                             f"integration stalled at t={t:.6f}s (the error "
-                            f"estimate asks for a step below dt_min="
-                            f"{dt_min:.2e}s)", rec.trace(events))
+                            f"estimate asks for a step below DT_MIN="
+                            f"{DT_MIN:.2e}s)", rec.trace(events))
                     last, rejected = False, True
                     continue
                 h = step * min(factor, 1.0 if rejected else MAX_FACTOR)

@@ -60,31 +60,11 @@ def test_out_of_service_branch_is_skipped():
     assert y[idx[2], idx[3]] == 0.0
 
 
-def test_load_shunt_folding_uses_given_voltage():
-    net = three_bus()
-    vm = 0.95
-    y0, idx = build_ybus(net)
-    y1, _ = build_ybus(net, include_load_shunts=True, load_voltages={2: vm})
-    delta = y1 - y0
-    expect = complex(0.8, -0.3) / vm ** 2
-    assert abs(delta[idx[2], idx[2]] - expect) < 1e-14
-    delta[idx[2], idx[2]] = 0.0
-    assert np.max(np.abs(delta)) == 0.0
-
-
-def test_load_shunt_rejects_nonpositive_voltage():
-    with pytest.raises(NetworkError, match="load voltage"):
-        build_ybus(three_bus(), include_load_shunts=True,
-                   load_voltages={2: 0.0})
-
-
 def test_bus_and_branch_lookup():
     net = three_bus()
-    assert net.bus(2).p_load == 0.8
+    assert net.index() == {1: 0, 2: 1, 3: 2}
     assert net.branch("T23").tap == 0.98
     assert net.branch("1-2").x == 0.1  # default label is "from-to"
-    with pytest.raises(NetworkError, match="no bus"):
-        net.bus(99)
     with pytest.raises(NetworkError, match="no branch"):
         net.branch("T99")
 

@@ -65,30 +65,33 @@ def test_case_a_frozen_dispatch_summary():
     sol = solve_power_flow(build_two_area("A")[0], tol=1e-12)
     assert sol.iterations == 5
     assert abs(sol.generation(3).real - 6.021150087961758) < 1e-9
-    assert abs(sol.losses - 0.5711500879617546) < 1e-9
+    losses = sol.p_gen.sum() - sol.p_load.sum()
+    assert abs(losses - 0.5711500879617546) < 1e-9
     assert abs(abs(sol.voltage(7)) - 0.9878695242019413) < 1e-9
     assert abs(abs(sol.voltage(9)) - 0.9968401129231239) < 1e-9
 
 
 def test_generation_balances_load_plus_losses():
     for case in ("A", "B", "C"):
-        sol = solve_power_flow(build_two_area(case)[0], tol=1e-12)
-        assert sol.losses >= 0.0
-        assert abs(sol.total_generation - sol.total_load - sol.losses) < 1e-12
+        net = build_two_area(case)[0]
+        sol = solve_power_flow(net, tol=1e-12)
+        # the losses from each branch's own pi model, not from Y
+        idx = net.index()
+        losses = 0.0
+        for br in net.branches:
+            vf, vt = sol.v[idx[br.from_bus]], sol.v[idx[br.to_bus]]
+            ys, sh = br.y_series, 0.5j * br.b_shunt
+            i_f = (ys + sh) / br.tap ** 2 * vf - ys / br.tap * vt
+            i_t = (ys + sh) * vt - ys / br.tap * vf
+            losses += (vf * np.conj(i_f) + vt * np.conj(i_t)).real
+        assert losses > 0.0
+        assert abs(sol.p_gen.sum() - sol.p_load.sum() - losses) < 1e-10
 
 
 def test_plain_load_buses_report_zero_generation():
     sol = solve_power_flow(build_two_area("A")[0], tol=1e-12)
     for bus_id in (5, 6, 7, 8, 9, 10, 11):
         assert sol.generation(bus_id) == 0.0
-
-
-def test_warm_start_converges_in_fewer_iterations():
-    net = build_two_area("A")[0]
-    first = solve_power_flow(net, tol=1e-12)
-    again = solve_power_flow(net, tol=1e-12, v0=first.v)
-    assert again.iterations <= 1
-    assert abs(again.voltage(7) - first.voltage(7)) < 1e-12
 
 
 def test_infeasible_case_raises():
@@ -104,8 +107,6 @@ def test_iteration_budget_respected():
 def test_argument_validation():
     with pytest.raises(PowerFlowError, match="tolerance"):
         solve_power_flow(two_bus(), tol=0.0)
-    with pytest.raises(PowerFlowError, match="shape"):
-        solve_power_flow(two_bus(), v0=np.ones(5, dtype=complex))
 
 
 def test_random_feasible_cases_converge():

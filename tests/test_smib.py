@@ -16,9 +16,8 @@ import pytest
 
 from windmodal.modal import damping_ratio, linearize
 from windmodal.smib import (SmibError, SmibModel, SmibParams,
-                            smib_damping_check, smib_eigenvalues,
-                            smib_sensitivity_grid, smib_system_matrix,
-                            write_grid_csv)
+                            smib_eigenvalues, smib_sensitivity_grid,
+                            smib_system_matrix, write_grid_csv)
 
 BASE_RE = -0.7142857142857143
 BASE_IM = 6.315271416275352
@@ -53,14 +52,17 @@ def test_closed_form_agrees_with_numeric_eigensolve():
 
 
 def test_damping_check_equals_eigenvalue_damping_when_oscillatory():
+    # zeta = (K_p + K_D) / sqrt(4 K_S w0 (2H + K_in)) in the oscillatory
+    # regime, independently of the eigenvalues
     rng = np.random.default_rng(17)
     for _ in range(20):
-        p = SmibParams().with_gains(float(rng.uniform(0.0, 40.0)),
-                                    float(rng.uniform(0.0, 40.0)))
+        kp, kin = float(rng.uniform(0.0, 40.0)), float(rng.uniform(0.0, 40.0))
+        p = SmibParams().with_gains(kp, kin)
         lam, oscillatory = smib_eigenvalues(p)
         assert oscillatory
-        assert smib_damping_check(p) == pytest.approx(
-            damping_ratio(lam[0]), abs=1e-12)
+        algebraic = (p.k_damping + kp) / math.sqrt(
+            4.0 * p.k_synchronizing * p.omega0 * (2.0 * p.h_s + kin))
+        assert damping_ratio(lam[0]) == pytest.approx(algebraic, abs=1e-12)
 
 
 def test_overdamped_regime_returns_real_pair():
@@ -83,7 +85,7 @@ def test_gains_apply_only_when_enabled():
 
 
 @pytest.mark.parametrize("entry", [smib_system_matrix, smib_eigenvalues,
-                                   smib_damping_check, SmibModel])
+                                   SmibModel])
 def test_nonpositive_effective_inertia_is_rejected(entry):
     with pytest.raises(SmibError,
                        match=r"effective inertia 2H \+ K_in = -2\.0000 must "
@@ -92,9 +94,12 @@ def test_nonpositive_effective_inertia_is_rejected(entry):
 
 
 def test_inertial_gain_lowers_damping_proportional_gain_raises_it():
-    base = smib_damping_check(SmibParams())
-    assert smib_damping_check(SmibParams().with_gains(10.0, 0.0)) > base
-    assert smib_damping_check(SmibParams().with_gains(0.0, 10.0)) < base
+    def zeta(p):
+        return damping_ratio(smib_eigenvalues(p)[0][0])
+
+    base = zeta(SmibParams())
+    assert zeta(SmibParams().with_gains(10.0, 0.0)) > base
+    assert zeta(SmibParams().with_gains(0.0, 10.0)) < base
 
 
 def test_grid_ordering_and_shape():
@@ -116,7 +121,8 @@ def test_grid_rejects_negative_gains():
 def test_grid_csv_round_trip(tmp_path):
     path = tmp_path / "grid.csv"
     pts = smib_sensitivity_grid(SmibParams(), kp_values=[0.0, 20.0],
-                                kin_values=[0.0, 30.0], out_path=path)
+                                kin_values=[0.0, 30.0])
+    write_grid_csv(pts, path)
     with path.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(pts) == 4

@@ -65,9 +65,26 @@ def test_device_outputs_exposes_every_device(system_b):
 
 def test_power_balance_residual_is_tiny_at_equilibrium(system_a, system_b):
     for model in (system_a, system_b):
-        res = model.power_balance_residual(model.equilibrium(),
-                                           model.equilibrium_voltages)
+        v = model.equilibrium_voltages
+        res = model.power_balance_residual(
+            v, model.device_outputs(model.equilibrium(), v))
         assert res < 1e-10
+
+
+def injection(dev, x, v, base):
+    """A device's source current at terminal voltage ``v``; a converter's
+    current takes the angle of ``v``."""
+    i = dev.source_current(x, base)
+    return i * v / abs(v) if dev.source_depends_on_v else i
+
+
+def with_loads(y, idx, net, pf):
+    """Add each load to ``y`` in place as the constant impedance
+    ``(P - jQ) / |V_pf|^2`` at the power-flow voltage."""
+    for b in net.buses:
+        if b.p_load != 0.0 or b.q_load != 0.0:
+            y[idx[b.id], idx[b.id]] += (complex(b.p_load, -b.q_load)
+                                        / abs(pf.voltage(b.id)) ** 2)
 
 
 def _two_loop_balance_residual(model, x, v, grid):
@@ -76,7 +93,7 @@ def _two_loop_balance_residual(model, x, v, grid):
     base = model.network.base_mva
     p_dev = 0.0
     for dev, sl, row in zip(model.devices, model._slices, model._rows):
-        i = dev.source_current(x[sl], v[row], base) \
+        i = injection(dev, x[sl], v[row], base) \
             - dev.norton_admittance(base) * v[row]
         p_dev += (v[row] * np.conj(i)).real
     p_net = float((v @ np.conj(grid.y @ v)).real)
@@ -95,10 +112,26 @@ def test_power_balance_residual_matches_the_two_loop_formula(system_b):
     for x, v in zip(tr.states[::10], tr.voltages[::10]):
         for grid in (faulted, system_b.base_grid):
             want = _two_loop_balance_residual(system_b, x, v, grid)
-            got = system_b.power_balance_residual(x, v, grid=grid)
+            got = system_b.power_balance_residual(
+                v, system_b.device_outputs(x, v), grid=grid)
             assert abs(got - want) <= 1e-12
             large = max(large, want)
     assert large > 1e-2
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_base_grid_is_the_branches_plus_load_and_norton_shunts(case):
+    # the loads are constant impedances at the power-flow voltages, added
+    # to the branch admittances before the Norton shunts: bit for bit
+    net, devices = build_two_area(case)
+    pf = solve_power_flow(net, tol=1e-12)
+    model = assemble(net, devices, pf)
+    y, idx = build_ybus(net)
+    with_loads(y, idx, net, pf)
+    for dev in devices:
+        y[idx[dev.bus_id], idx[dev.bus_id]] += dev.norton_admittance(
+            net.base_mva)
+    assert model.base_grid.y.tobytes() == y.tobytes()
 
 
 def test_bus_fault_variant_adds_the_shunt(system_a):
@@ -131,9 +164,8 @@ def test_midpoint_fault_matches_a_network_with_the_branch_split(system_a):
                      Branch(99, br.to_bus, name="Lm-9", **half)]),
         base_mva=net.base_mva, frequency_hz=net.frequency_hz)
     pf = solve_power_flow(net, tol=1e-12)  # same operating point as model
-    vm = {b.id: abs(pf.voltage(b.id)) for b in net.buses}
-    y_expect, idx = build_ybus(net_split, include_load_shunts=True,
-                               load_voltages=vm)
+    y_expect, idx = build_ybus(net_split)
+    with_loads(y_expect, idx, net, pf)
     for dev in system_a.devices:
         row = idx[dev.bus_id]
         y_expect[row, row] += dev.norton_admittance(net.base_mva)
@@ -152,10 +184,8 @@ def test_line_trip_variant_matches_a_network_built_without_the_branch():
         branches=[br for br in net.branches if br.label != "L8-9b"],
         base_mva=net.base_mva, frequency_hz=net.frequency_hz)
     pf = solve_power_flow(net, tol=1e-12)  # same operating point as model
-    from windmodal.network import build_ybus
-    vm = {b.id: abs(pf.voltage(b.id)) for b in net.buses}
-    y_expect, _ = build_ybus(net_out, include_load_shunts=True,
-                             load_voltages=vm)
+    y_expect, idx = build_ybus(net_out)
+    with_loads(y_expect, idx, net, pf)
     for dev, row in zip(model.devices,
                         [model.network.index()[d.bus_id]
                          for d in model.devices]):
@@ -318,8 +348,8 @@ def reference_solve(model, x, grid, tol=1e-14, max_iter=2000):
         pos = 0
         for dev in model.devices:
             row = rows[dev.bus_id]
-            i[row] += dev.source_current(x[pos:pos + dev.n_states], v[row],
-                                         base)
+            i[row] += injection(dev, x[pos:pos + dev.n_states], v[row],
+                                base)
             pos += dev.n_states
         v_new = np.linalg.solve(grid.y, i)
         delta = np.max(np.abs(v_new - v))
@@ -487,9 +517,9 @@ def test_a_source_that_follows_every_state_takes_only_full_columns(
             self._x_ref = super().initialize(*args)
             return self._x_ref
 
-        def source_current(self, x, v, system_base_mva):
+        def source_current(self, x, system_base_mva):
             scale = 1.0 + 1e-3 * float(np.sum(x - self._x_ref))
-            return super().source_current(x, v, system_base_mva) * scale
+            return super().source_current(x, system_base_mva) * scale
 
     net, devices = build_two_area("A")
     devices[0] = Coupled(devices[0].device_id, devices[0].bus_id,

@@ -22,6 +22,7 @@ import pytest
 from scipy.linalg import expm
 
 import windmodal
+from windmodal import timedomain
 from windmodal.modal import analyze_modes, linearize
 from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (Override, build_scenario_system,
@@ -133,13 +134,14 @@ def test_small_release_follows_the_matrix_exponential(system_a):
         assert err < 0.02, f"t={tr.time[k]}: relative error {err:.3e}"
 
 
-def test_dt_halving_converges_on_a_load_step(system_a):
+def test_sample_spacing_leaves_the_final_state_bit_for_bit(system_a):
+    # dt_max sets only where the dense output is sampled: halving it must
+    # not move a single step, so the final state keeps its bits
     ev = [Event("load_step", 0.2, bus=7, scale=1.03)]
     tr1 = simulate(system_a, events=ev, t_end=2.0, dt_max=1e-3)
     tr2 = simulate(system_a, events=ev, t_end=2.0, dt_max=5e-4)
-    num = np.max(np.abs(tr1.states[-1] - tr2.states[-1]))
-    den = max(1.0, float(np.max(np.abs(tr1.states[-1]))))
-    assert num / den < 1e-3
+    assert tr2.time.size == 2 * tr1.time.size - 1
+    assert tr1.states[-1].tobytes() == tr2.states[-1].tobytes()
 
 
 def test_refining_rtol_tenfold_barely_moves_a_load_step_run(system_a):
@@ -282,15 +284,15 @@ def test_events_beyond_the_horizon_are_ignored_with_a_warning(system_a,
     assert np.max(np.abs(tr.states - tr.states[0])) < 1e-7
 
 
-def test_stall_below_dt_min_reports_partial_progress(system_a):
+def test_stall_below_dt_min_reports_partial_progress(system_a, monkeypatch):
     # the fault asks for steps far below a 10-ms floor at this tolerance:
-    # the first retry below dt_min ends the run, with the history before it
+    # the first retry below DT_MIN ends the run, with the history before it
+    monkeypatch.setattr(timedomain, "DT_MIN", 1e-2)
     ev = [Event("three_phase_fault", 0.05, branch="L8-9a",
                 duration=cycles(10))]
     with pytest.raises(SimulationError,
                        match=r"integration stalled at t=0\.05\d*s") as err:
-        simulate(system_a, events=ev, t_end=1.0, dt_max=1e-2, dt_min=1e-2,
-                 rtol=1e-8)
+        simulate(system_a, events=ev, t_end=1.0, dt_max=1e-2, rtol=1e-8)
     tr = err.value.trace
     assert tr is not None
     assert tr.time[-1] >= 0.05 and tr.time.size >= 6
@@ -356,11 +358,11 @@ def test_voltage_collapse_is_a_named_simulation_error(t_fault, n_samples):
 @pytest.mark.parametrize("kwargs", [
     {"t_end": 0.0}, {"t_end": -1.0}, {"t_end": math.nan},
     {"t_end": math.inf}, {"dt_max": 0.0}, {"dt_max": math.nan},
-    {"dt_max": math.inf}, {"dt_min": 1e-3, "dt_max": 1e-4},
+    {"dt_max": math.inf}, {"dt_max": timedomain.DT_MIN / 2.0},
 ], ids=["tend0", "tend_neg", "tend_nan", "tend_inf", "dtmax0", "dtmax_nan",
         "dtmax_inf", "dtmin_above_dtmax"])
 def test_simulate_rejects_bad_time_arguments(system_a, kwargs):
-    with pytest.raises(ValueError, match="t_end|dt_min"):
+    with pytest.raises(ValueError, match="t_end|dt_max"):
         simulate(system_a, **kwargs)
 
 
@@ -552,7 +554,8 @@ def test_recorded_outputs_equal_the_single_sample_formulas():
         assert np.array_equal(v[:net.n_bus], tr.voltages[i])
         for key, val in model.device_outputs(x, v).items():
             assert abs(tr.outputs[key][i] - val) <= 1e-12, (key, t)
-        worst = max(worst, model.power_balance_residual(x, v, grid=grid))
+        worst = max(worst, model.power_balance_residual(
+            v, model.device_outputs(x, v), grid=grid))
     assert sorted(tr.outputs) == sorted(model.device_outputs(x, v))
     assert abs(tr.max_balance_residual - worst) <= 1e-12
     assert worst < 1e-10
