@@ -121,18 +121,11 @@ class DfigParams:
 
     With stator transients neglected the farm is a current source with no
     Norton shunt, and its electrical response is governed by the converter
-    controls; the induction-machine constants enter no equation.
+    controls, so the model carries no induction-machine constants.
     """
 
     base_mva: float = 300.0
     h_turbine: float = 4.0  # lumped drive-train inertia, s
-
-    # asynchronous machine
-    rs: float = 0.0071
-    rr: float = 0.005
-    xls: float = 0.171
-    xlr: float = 0.156
-    xm: float = 2.9
 
     # converter current control
     t_current: float = 0.02

@@ -13,7 +13,8 @@ Machine sources depend only on machine states; a converter source
 ``c·V_r/|V_r|`` follows its own terminal voltage, and on the k×k block
 Z[rows, rows] its magnitude |V_r| solves a scalar quadratic.  Either way a
 network solve is k source currents and one small matrix-vector product,
-with no LU solve.  The assembled object implements the model protocol used
+with no LU solve; a stack of samples takes the same closed form once over
+its sample axis.  The assembled object implements the model protocol used
 by ``modal.linearize`` and the time-domain integrator: ``rhs``,
 ``equilibrium``, ``state_labels`` and ``jacobian``.  A state enters the
 network only through its device's source current, so ``jacobian`` solves
@@ -163,7 +164,7 @@ class DynamicSystem:
         return self._x0.copy()
 
     def rhs(self, x: np.ndarray, grid: GridModel | None = None) -> np.ndarray:
-        return self._evaluate(x, grid)[0]
+        return self._recall(x, grid)[0]
 
     def jacobian(self, x: np.ndarray, grid: GridModel | None = None,
                  step: float = 1e-6) -> np.ndarray:
@@ -182,7 +183,7 @@ class DynamicSystem:
         network.  Nothing is mutated.
         """
         x = np.asarray(x, dtype=float)
-        f0, v = self._evaluate(x, grid)
+        f0, v = self._recall(x, grid)
         base = self.network.base_mva
         a = np.empty((self.n_states, self.n_states))
         for dev, sl, v_k in zip(self.devices, self._slices,
@@ -200,6 +201,19 @@ class DynamicSystem:
             for k in range(sl.start, sl.stop):
                 a[:, k] = central_column(f, x, k, step)
         return a
+
+    def _recall(self, x: np.ndarray, grid: GridModel | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``_evaluate`` for ``rhs`` and ``jacobian``.  At the assembled
+        equilibrium (the same bits) on the base grid, the voltages are the
+        ones assembly solved for, so only the device derivatives run: the
+        network is solved once there, not again for ``linearize``'s check
+        and the Jacobian's centre.  The derivatives are not kept, so that
+        they stay those of the devices as they are now."""
+        if (grid is None or grid is self._base_grid) \
+                and x.tobytes() == self._x0.tobytes():
+            return self._derivatives(x, self._v_eq), self._v_eq
+        return self._evaluate(x, grid)
 
     def _evaluate(self, x: np.ndarray, grid: GridModel | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -243,9 +257,12 @@ class DynamicSystem:
         (voltage collapse) and ``SystemModelError`` is raised.
 
         ``x`` may carry a leading sample axis; the voltages then have it,
-        and each row has the bits of a call on that sample alone: the
-        source currents are computed for all samples at once
-        (``DeviceModel.source_currents``), the rest row by row.
+        and each row has the bits of a call on that sample alone.  The
+        source currents come from ``DeviceModel.source_currents`` and the
+        closed form runs once over all samples (``_stacked_voltages``).
+        A single sample keeps its own scalar closed form, ``_voltages``:
+        it runs in every model evaluation, where a batch of one costs
+        several times as much.
         """
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
@@ -253,7 +270,7 @@ class DynamicSystem:
             i = np.column_stack([dev.source_currents(x[:, sl], base)
                                  for dev, sl in zip(self.devices,
                                                     self._slices)])
-            return np.array([self._voltages(row, grid) for row in i])
+            return self._stacked_voltages(i, grid)
         i = [dev.source_current(x[sl], base)
              for dev, sl in zip(self.devices, self._slices)]
         return self._voltages(i, grid)
@@ -265,22 +282,57 @@ class DynamicSystem:
         if k is None:
             return grid.z_dev @ i
 
-        dev, r = self.devices[k], self._rows[k]
+        r = self._rows[k]
         c = i[k]
         i[k] = 0.0
         z_r = grid.z_dev[r]
         w_r = z_r @ i
         zc = z_r[k] * c
-        disc = abs(w_r) ** 2 - zc.imag ** 2
+        a = abs(w_r)
+        disc = a * a - zc.imag * zc.imag
         m = zc.real + math.sqrt(max(disc, 0.0))
         if disc < 0.0 or m <= 0.0:
-            raise SystemModelError(
-                f"no network solution: converter {dev.device_id} injects "
-                f"more current than bus {dev.bus_id} can carry (voltage "
-                "collapse)"
-            )
+            raise self._collapse()
         i[k] = c * w_r / (m - zc)
         return grid.z_dev @ i
+
+    def _stacked_voltages(self, i: np.ndarray, grid: GridModel) -> np.ndarray:
+        """``_voltages`` over the rows of ``i`` (samples × k, changed in
+        place), with the bits of one call per row.  The matrix products
+        are stacked ``matmul`` calls, so each row takes the BLAS dot or
+        gemv of the scalar ``@``; the complex products are written out as
+        the scalar complex arithmetic does them, (ac - bd) + (ad + bc)j,
+        and the modulus is ``np.hypot`` (the bits of scalar ``abs``),
+        because numpy's vectorized complex product and ``np.abs`` round
+        differently.  Both forms square by a product: an array's ``** 2``
+        is one, but a numpy scalar's rounds through ``pow``, which differs
+        from the product in the last bit about once in a thousand."""
+        k = self._converter
+        if k is not None:
+            r = self._rows[k]
+            c = i[:, k].copy()
+            i[:, k] = 0.0
+            z_r = grid.z_dev[r]
+            w = (i[:, None, :] @ z_r[:, None])[:, 0, 0]
+            z = z_r[k]
+            zc = ((z.real * c.real - z.imag * c.imag)
+                  + 1j * (z.real * c.imag + z.imag * c.real))
+            a = np.hypot(w.real, w.imag)
+            disc = a * a - zc.imag * zc.imag
+            m = zc.real + np.sqrt(np.maximum(disc, 0.0))
+            if np.any((disc < 0.0) | (m <= 0.0)):
+                raise self._collapse()
+            cw = ((c.real * w.real - c.imag * w.imag)
+                  + 1j * (c.real * w.imag + c.imag * w.real))
+            i[:, k] = cw / (m - zc)
+        return (grid.z_dev @ i[:, :, None])[:, :, 0]
+
+    def _collapse(self) -> SystemModelError:
+        dev = self.devices[self._converter]
+        return SystemModelError(
+            f"no network solution: converter {dev.device_id} injects more "
+            f"current than bus {dev.bus_id} can carry (voltage collapse)"
+        )
 
     # -- event grid variants -------------------------------------------------
 

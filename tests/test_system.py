@@ -12,11 +12,12 @@ central differences of ``rhs``.
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from windmodal.modal import jacobian, linearize
+from windmodal.modal import ModalError, jacobian, linearize
 from windmodal.network import Branch, Bus, Network, build_ybus
 from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
@@ -392,24 +393,65 @@ def test_network_solve_names_voltage_collapse():
         model.solve_network(x)
 
 
+def assert_rows_are_scalar_solves(model, xs, grid):
+    v = model.solve_network(xs, grid=grid)
+    assert v.shape == (len(xs), grid.y.shape[0])
+    want = np.array([model.solve_network(x, grid=grid) for x in xs])
+    assert v.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name, grid", [
     ("A", None), ("B_voltage_support", None),
     ("B_voltage_support", FaultSpec(branch="L8-9a")),
     ("B_voltage_support", FaultSpec(bus=8)),
-], ids=["A", "B_base", "B_midpoint_fault", "B_bus8_fault"])
+    ("C_voltage_support", None),
+    ("C_voltage_support", FaultSpec(branch="L8-9a")),
+], ids=["A", "B_base", "B_midpoint_fault", "B_bus8_fault", "C_base",
+        "C_midpoint_fault"])
 def test_broadcast_network_solve_is_the_scalar_one_bit_for_bit(name, grid):
     # the recorder solves the network for a segment's samples at once; each
-    # row must be what a call on that sample alone returns
+    # row must be what a call on that sample alone returns.  A last-bit
+    # difference shows in about one row per thousand, hence the sample
+    # count; C has no G4, so its converter bus sees a different impedance
+    # row
     model = packaged_system(name)
     grid = model.base_grid if grid is None else model.grid_variant(
         faults=[grid])
     rng = np.random.default_rng(11)
     xs = (model.equilibrium()
-          + 0.02 * rng.standard_normal((200, model.n_states)))
-    v = model.solve_network(xs, grid=grid)
-    assert v.shape == (200, grid.y.shape[0])
-    for x, row in zip(xs, v):
-        assert row.tobytes() == model.solve_network(x, grid=grid).tobytes()
+          + 0.02 * rng.standard_normal((5000, model.n_states)))
+    assert_rows_are_scalar_solves(model, xs, grid)
+
+
+def test_broadcast_network_solve_is_the_scalar_one_on_a_fault_trace():
+    # the states a faulted run records, on the faulted and the base grid
+    model = packaged_system("B_voltage_support")
+    fault = FaultSpec(branch="L8-9a")
+    tr = simulate(model, events=[Event("three_phase_fault", 0.2,
+                                       branch="L8-9a", duration=0.1)],
+                  t_end=2.0)
+    assert tr.time.size == 2001
+    for grid in (model.base_grid, model.grid_variant(faults=[fault])):
+        assert_rows_are_scalar_solves(model, tr.states, grid)
+
+
+def test_a_faulted_run_uses_the_scalar_solve_only_to_evaluate_the_model(
+        monkeypatch):
+    # one scalar closed form per model evaluation; the recorded samples
+    # take theirs from one stacked solve per segment
+    model = packaged_system("B_voltage_support")
+    scalar, evaluations = [], []
+    voltages, evaluate = model._voltages, model._evaluate
+    monkeypatch.setattr(model, "_voltages", lambda i, grid: scalar.append(1)
+                        or voltages(i, grid))
+    monkeypatch.setattr(model, "_evaluate",
+                        lambda x, grid=None: evaluations.append(1)
+                        or evaluate(x, grid))
+    tr = simulate(model, events=[Event("three_phase_fault", 0.1,
+                                       branch="L8-9a", duration=0.1)],
+                  t_end=0.5)
+    assert tr.time.size == 501
+    assert len(scalar) == len(evaluations) > 0
 
 
 def test_broadcast_network_solve_names_a_collapsing_sample():
@@ -505,6 +547,41 @@ def test_linearize_makes_full_rhs_calls_only_for_network_states(monkeypatch,
     linearize(model)
     network_states = {"A": 12, "B": 14, "C": 11}[name[0]]
     assert len(calls) == 2 * network_states + 1
+
+
+@pytest.mark.parametrize("name", ["A", "B_voltage_support"])
+def test_linearize_solves_no_network_at_the_assembled_equilibrium(
+        monkeypatch, name):
+    # assembly solved the network there; the equilibrium check and the
+    # Jacobian's centre take those voltages, and only the full columns
+    # solve it again
+    model = packaged_system(name)
+    x0 = model.equilibrium()
+    at_x0 = []
+    solve = model.solve_network
+    monkeypatch.setattr(model, "solve_network",
+                        lambda x, grid=None: at_x0.append(
+                            np.array_equal(x, x0)) or solve(x, grid))
+    want = generic_jacobian(model, x0)
+    at_x0.clear()
+    sm = linearize(model)
+    network_states = {"A": 12, "B": 14}[name[0]]
+    assert at_x0 == [False] * (2 * network_states)
+    assert np.array_equal(bits(sm.a), bits(want))
+
+
+def test_linearize_names_a_state_that_moves_at_the_assembled_equilibrium(
+        monkeypatch):
+    # the voltages at the equilibrium are reused, the derivatives are not
+    model = packaged_system("A")
+    g2 = model.devices[1]
+    free = g2.derivatives
+    push = np.zeros(g2.n_states)
+    push[2] = 1e-3
+    monkeypatch.setattr(g2, "derivatives", lambda x, v: free(x, v) + push)
+    label = str(model.state_labels()[model.n_states // 4 + 2])
+    with pytest.raises(ModalError, match=rf"'{re.escape(label)}'"):
+        linearize(model)
 
 
 def test_a_source_that_follows_every_state_takes_only_full_columns(
