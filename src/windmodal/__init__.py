@@ -19,7 +19,7 @@ from .syncgen import SyncGen, SyncGenParams
 from .dfig import Dfig, DfigParams, DroopParams
 from .system import (DynamicSystem, FaultSpec, GridModel, SystemModelError,
                      assemble)
-from .twoarea import CASES, two_area_devices, two_area_network
+from .twoarea import CASES, two_area_network
 from .smib import (SmibGridPoint, SmibParams, smib_eigenvalues,
                    smib_sensitivity_grid, smib_system_matrix, write_grid_csv)
 from .modal import (ModalDecomposition, ModalError, Mode, StateLabel,
@@ -33,11 +33,10 @@ from .scenario import (ModeSummary, Override, PipelineError,
                        PowerFlowSummary, Report, Scenario, ScenarioError,
                        SweepCell, SweepResult, build_scenario_system,
                        export_report, load_packaged_scenario, load_scenario,
-                       make_scenario, packaged_scenario_names, parse_report,
-                       parse_scenario, parse_sweep, report_to_csv,
-                       report_to_text, resolve_scenario, run_scenario,
-                       run_sensitivity_sweep, simulate_scenario,
-                       sweep_to_csv, sweep_to_text)
+                       packaged_scenario_names, parse_report, parse_scenario,
+                       parse_sweep, report_to_csv, report_to_text,
+                       resolve_scenario, run_scenario, run_sensitivity_sweep,
+                       simulate_scenario, sweep_to_csv, sweep_to_text)
 
 __all__ = [
     "__version__",
@@ -49,7 +48,7 @@ __all__ = [
     "SyncGen", "SyncGenParams", "Dfig", "DfigParams", "DroopParams",
     # system assembly
     "DynamicSystem", "FaultSpec", "GridModel", "SystemModelError", "assemble",
-    "CASES", "two_area_devices", "two_area_network",
+    "CASES", "two_area_network",
     # single-machine closed form
     "SmibGridPoint", "SmibParams", "smib_eigenvalues",
     "smib_sensitivity_grid", "smib_system_matrix", "write_grid_csv",
@@ -64,7 +63,7 @@ __all__ = [
     "ModeSummary", "Override", "PipelineError", "PowerFlowSummary", "Report",
     "Scenario", "ScenarioError", "SweepCell", "SweepResult",
     "build_scenario_system", "export_report", "load_packaged_scenario",
-    "load_scenario", "make_scenario", "packaged_scenario_names",
+    "load_scenario", "packaged_scenario_names",
     "parse_report", "parse_scenario", "parse_sweep", "report_to_csv",
     "report_to_text", "resolve_scenario", "run_scenario",
     "run_sensitivity_sweep", "simulate_scenario", "sweep_to_csv",

@@ -26,15 +26,9 @@ from .smib import (SmibParams, smib_eigenvalues, smib_sensitivity_grid,
                    write_grid_csv)
 from .system import SystemModelError
 from .timedomain import SimulationError
+from .twoarea import CASES, two_area_network
 
 OUTPUT_DIR_ENV = "WINDMODAL_OUTPUT_DIR"
-
-
-class CliError(RuntimeError):
-    """Wraps a failure with the pipeline stage for the exit message."""
-
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
 
 
 def _out_dir(args) -> Path:
@@ -70,7 +64,7 @@ def _load(ref: str) -> sc.Scenario:
     try:
         return sc.resolve_scenario(ref)
     except sc.ScenarioError as exc:
-        raise CliError("load", str(exc)) from exc
+        raise sc.PipelineError("load", str(exc)) from exc
 
 
 def _mode_table(rows) -> str:
@@ -94,13 +88,12 @@ def cmd_powerflow(args) -> int:
         net, _ = sc.build_scenario_system(scen)
         label = scen.name or scen.base_case
     else:
-        from .twoarea import two_area_network
         net = two_area_network(args.case)
         label = args.case
     try:
-        pf = solve_power_flow(net, tol=sc.POWER_FLOW_TOL)
+        pf = solve_power_flow(net)
     except PowerFlowError as exc:
-        raise CliError("powerflow", str(exc)) from exc
+        raise sc.PipelineError("powerflow", str(exc)) from exc
     print(f"power flow {label}: {pf.iterations} iterations, "
           f"max mismatch {pf.mismatch:.3e} pu")
     print(f"{'bus':>4s} {'kind':>6s} {'|V| pu':>8s} {'angle deg':>10s} "
@@ -244,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("powerflow", help="solve one operating point")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--scenario", help="scenario file or packaged name")
-    group.add_argument("--case", choices=["A", "B", "C"], default="A",
+    group.add_argument("--case", choices=CASES, default="A",
                        help="benchmark case when no scenario is given")
     add_out(p)
     p.set_defaults(fn=cmd_powerflow)
@@ -301,9 +294,6 @@ def main(argv=None) -> int:
         args.formats = ["csv"]
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (sc.ScenarioError, sc.PipelineError, SimulationError,
             SystemModelError, PowerFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

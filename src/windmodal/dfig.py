@@ -34,6 +34,10 @@ ROTOR_SPEED_BOUNDS = (0.6, 1.3)
 # index of the reactive-channel integrator, whose limit is non-windup
 Q_CTRL = 7
 
+CONTROL_MODES = ("voltage", "reactive_power")   # reactive-channel outer loop
+# K_p and K_in values of the gain studies (single machine and sweep)
+DEFAULT_GAIN_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
+
 
 @dataclass(frozen=True)
 class DroopParams:
@@ -157,15 +161,15 @@ class DfigParams:
     droop_omega: float = 26.0
     droop_zeta: float = 0.40
 
-    control_mode: str = "voltage"  # or "reactive_power"
+    control_mode: str = "voltage"  # one of CONTROL_MODES
     droop: DroopParams = field(default_factory=DroopParams)
     mppt: MpptCurve = field(default_factory=MpptCurve)
 
     def __post_init__(self):
-        if self.control_mode not in ("voltage", "reactive_power"):
+        if self.control_mode not in CONTROL_MODES:
             raise DeviceError(
-                f"control_mode must be 'voltage' or 'reactive_power', "
-                f"got {self.control_mode!r}"
+                f"control_mode must be {' or '.join(map(repr, CONTROL_MODES))}"
+                f", got {self.control_mode!r}"
             )
         for name in ("base_mva", "h_turbine", "t_current", "v_filter_time",
                      "mppt_filter_time", "freq_filter_time", "droop_omega",

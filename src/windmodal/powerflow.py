@@ -13,9 +13,6 @@ import numpy as np
 
 from .network import Network, build_ybus
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 50
-
 
 class PowerFlowError(RuntimeError):
     pass
@@ -64,8 +61,8 @@ def _jacobian(v, ybus, pvpq, pq):
     return np.block([[j11, j12], [j21, j22]])
 
 
-def solve_power_flow(network: Network, tol: float = DEFAULT_TOL,
-                     max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:
+def solve_power_flow(network: Network, tol: float = 1e-12,
+                     max_iter: int = 50) -> PowerFlowSolution:
     """Solve the network's steady state from a flat start, the regulated
     buses at their setpoints.
 

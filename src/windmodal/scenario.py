@@ -24,23 +24,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dfig import DroopParams
+from .dfig import CONTROL_MODES, DEFAULT_GAIN_GRID, DfigParams, DroopParams
 from .modal import (Mode, StateMatrix, analyze_modes, dominant_modes,
                     linearize)
 from .powerflow import solve_power_flow
+from .syncgen import SyncGenParams
 from .system import assemble
 from .timedomain import Event, Trace, cycles, simulate
 from .twoarea import CASES, build_two_area
 
-BASE_CASES = CASES
-CONTROL_MODES = ("voltage", "reactive_power")
 DEFAULT_SUPPORT_KP = 20.0
 DEFAULT_SUPPORT_KIN = 0.0
-DEFAULT_GAIN_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
-POWER_FLOW_TOL = 1e-12
 # Largest relative gap between the affine sweep matrix and a direct
 # linearization at the check point (see _affine_gain_model).
 AFFINE_TOL = 1e-9
+_DROOP_KEYS = ("kp", "kin", "rocof_filter_time")     # a file's droop block
 
 _MODE_CLASSES = ("inter_area", "local", "converter_control", "other")
 
@@ -78,18 +76,18 @@ class Scenario:
     base_case: str
     name: str = ""
     description: str = ""
-    control_mode: str = "voltage"
+    control_mode: str = DfigParams.control_mode
     frequency_support: bool = False
     droop: DroopParams = field(default_factory=DroopParams)
     wind_mva: float | None = None
-    k_pss: float = 10.0
+    k_pss: float = SyncGenParams.k_pss
     overrides: tuple[Override, ...] = ()
     events: tuple[Event, ...] = ()
     sha256: str = ""
 
     def __post_init__(self):
-        if self.base_case not in BASE_CASES:
-            raise ScenarioError(f"base_case: expected one of {BASE_CASES}, "
+        if self.base_case not in CASES:
+            raise ScenarioError(f"base_case: expected one of {CASES}, "
                                 f"got {self.base_case!r}")
         if self.control_mode not in CONTROL_MODES:
             raise ScenarioError(f"control_mode: expected one of "
@@ -123,14 +121,10 @@ class Scenario:
             out["control_mode"] = self.control_mode
             out["frequency_support"] = self.frequency_support
             if self.frequency_support:
-                out["droop"] = {
-                    "kp": self.droop.kp,
-                    "kin": self.droop.kin,
-                    "rocof_filter_time": self.droop.rocof_filter_time,
-                }
+                out["droop"] = {k: getattr(self.droop, k) for k in _DROOP_KEYS}
             if self.wind_mva is not None:
                 out["wind_mva"] = self.wind_mva
-        if self.k_pss != 10.0:
+        if self.k_pss != SyncGenParams.k_pss:
             out["k_pss"] = self.k_pss
         if self.overrides:
             out["overrides"] = [dataclasses.asdict(o) for o in self.overrides]
@@ -159,27 +153,6 @@ def _event_to_dict(ev: Event) -> dict:
     return out
 
 
-def make_scenario(base_case: str, control_mode: str = "voltage",
-                  frequency_support: bool = False, kp: float | None = None,
-                  kin: float | None = None, **kwargs) -> Scenario:
-    """Scenario with the support-gain defaults resolved.
-
-    When support is on and a gain is unspecified it falls back to
-    K_p = 20, K_in = 0 (proportional-only support).
-    """
-    if frequency_support:
-        droop = DroopParams(
-            kp=DEFAULT_SUPPORT_KP if kp is None else kp,
-            kin=DEFAULT_SUPPORT_KIN if kin is None else kin,
-            enabled=True,
-        )
-    else:
-        droop = DroopParams()
-    return Scenario(base_case=base_case, control_mode=control_mode,
-                    frequency_support=frequency_support, droop=droop,
-                    **kwargs)
-
-
 # --------------------------------------------------------------------------
 # strict file schema
 
@@ -206,7 +179,10 @@ def _number(obj: dict, key: str, path: str) -> float | None:
     val = obj[key]
     _require(isinstance(val, (int, float)) and not isinstance(val, bool),
              f"{path}{key}", "must be a number")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:
+        raise ScenarioError(f"{path}{key}: too large for a float") from None
 
 
 def _parse_event(obj: dict, path: str) -> Event:
@@ -238,10 +214,10 @@ def _parse_event(obj: dict, path: str) -> Event:
             _require(obj["kind"] == kind, f"{path}.{key}",
                      f"applies only to a {kind} event")
             kwargs[key] = _number(obj, key, f"{path}.")
+    t_start = _number(obj, "t_start", f"{path}.")
     try:
-        return Event(kind=obj["kind"], t_start=_number(obj, "t_start",
-                                                       f"{path}."),
-                     bus=bus, branch=branch, duration=duration, **kwargs)
+        return Event(kind=obj["kind"], t_start=t_start, bus=bus,
+                     branch=branch, duration=duration, **kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -259,9 +235,6 @@ def parse_scenario(obj: dict, name_hint: str = "",
                       "droop": False, "wind_mva": False, "k_pss": False,
                       "overrides": False, "events": False}, "")
     base_case = obj["base_case"]
-    _require(base_case in BASE_CASES, "base_case",
-             f"expected one of {BASE_CASES}, got {base_case!r}")
-
     if base_case == "A":
         for key in ("control_mode", "frequency_support", "droop", "wind_mva"):
             _require(key not in obj, key,
@@ -275,20 +248,16 @@ def parse_scenario(obj: dict, name_hint: str = "",
         _require(isinstance(droop_obj, dict), "droop", "must be an object")
         _require(support, "droop",
                  "droop gains apply only when frequency_support is true")
-        _check_keys(droop_obj, {"kp": False, "kin": False,
-                                "rocof_filter_time": False}, "droop")
+        _check_keys(droop_obj, dict.fromkeys(_DROOP_KEYS, False), "droop")
     if support:
+        # the file's keys over the gain defaults; DroopParams owns the rest
         droop_obj = droop_obj or {}
-        kp = _number(droop_obj, "kp", "droop.")
-        kin = _number(droop_obj, "kin", "droop.")
-        rocof = _number(droop_obj, "rocof_filter_time", "droop.")
+        gains = {"kp": DEFAULT_SUPPORT_KP, "kin": DEFAULT_SUPPORT_KIN}
+        for key in _DROOP_KEYS:
+            if key in droop_obj:
+                gains[key] = _number(droop_obj, key, "droop.")
         try:
-            droop = DroopParams(
-                kp=DEFAULT_SUPPORT_KP if kp is None else kp,
-                kin=DEFAULT_SUPPORT_KIN if kin is None else kin,
-                rocof_filter_time=0.1 if rocof is None else rocof,
-                enabled=True,
-            )
+            droop = DroopParams(**gains, enabled=True)
         except Exception as exc:
             raise ScenarioError(f"droop: {exc}") from exc
     else:
@@ -316,16 +285,24 @@ def parse_scenario(obj: dict, name_hint: str = "",
     description = obj.get("description", "")
     _require(isinstance(description, str), "description", "must be a string")
 
-    kwargs: dict = {}
-    if "wind_mva" in obj:
-        kwargs["wind_mva"] = _number(obj, "wind_mva", "")
-    if "k_pss" in obj:
-        kwargs["k_pss"] = _number(obj, "k_pss", "")
+    kwargs: dict = {key: _number(obj, key, "")
+                    for key in ("wind_mva", "k_pss") if key in obj}
+    if "control_mode" in obj:
+        kwargs["control_mode"] = obj["control_mode"]
     return Scenario(base_case=base_case, name=name, description=description,
-                    control_mode=obj.get("control_mode", "voltage"),
                     frequency_support=support, droop=droop,
                     overrides=tuple(overrides), events=events,
                     sha256=sha256, **kwargs)
+
+
+def _parse_bytes(raw: bytes, name: str, where) -> Scenario:
+    """Parse a scenario file's bytes; ``where`` labels a JSON error."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{where}: not valid JSON ({exc})") from exc
+    return parse_scenario(obj, name_hint=name,
+                          sha256=hashlib.sha256(raw).hexdigest())
 
 
 def load_scenario(path) -> Scenario:
@@ -336,12 +313,7 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") \
             from exc
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scenario(obj, name_hint=path.stem,
-                          sha256=hashlib.sha256(raw).hexdigest())
+    return _parse_bytes(raw, path.stem, path)
 
 
 def packaged_scenario_names() -> list[str]:
@@ -359,9 +331,7 @@ def load_packaged_scenario(name: str) -> Scenario:
         raise ScenarioError(
             f"no packaged scenario {name!r}; available: "
             f"{', '.join(packaged_scenario_names())}")
-    raw = entry.read_bytes()
-    return parse_scenario(json.loads(raw), name_hint=name,
-                          sha256=hashlib.sha256(raw).hexdigest())
+    return _parse_bytes(entry.read_bytes(), name, entry)
 
 
 def resolve_scenario(ref: str) -> Scenario:
@@ -459,9 +429,13 @@ def build_scenario_system(scenario: Scenario):
                                 f"scenario (devices: {known})")
         i = hits[0]
         dev = devices[i]
-        if not hasattr(dev.params, ov.field):
+        types = {f.name: f.type for f in dataclasses.fields(dev.params)}
+        if ov.field not in types:
             raise ScenarioError(f"override field {ov.field!r} is not a "
                                 f"parameter of {ov.device}")
+        if types[ov.field] != "float":    # postponed annotations are text
+            raise ScenarioError(f"override field {ov.field!r} of "
+                                f"{ov.device} is not a number parameter")
         params = dataclasses.replace(dev.params, **{ov.field: ov.value})
         devices[i] = type(dev)(dev.device_id, dev.bus_id, params)
     return net, devices
@@ -479,7 +453,7 @@ def _stage(stage: str, fn, *args, **kwargs):
 def _assembled(scenario: Scenario):
     """``(net, pf, system)``: the staged build, power flow and assembly."""
     net, devices = _stage("build", build_scenario_system, scenario)
-    pf = _stage("powerflow", solve_power_flow, net, tol=POWER_FLOW_TOL)
+    pf = _stage("powerflow", solve_power_flow, net)
     return net, pf, _stage("assemble", assemble, net, devices, pf)
 
 
@@ -536,7 +510,7 @@ def _affine_gain_model(scenario: Scenario, kp_star: float, kin_star: float):
     """
     net, _ = _stage("build", build_scenario_system,
                     _with_gains(scenario, 0.0, 0.0))
-    pf = _stage("powerflow", solve_power_flow, net, tol=POWER_FLOW_TOL)
+    pf = _stage("powerflow", solve_power_flow, net)
 
     def linearized_at(kp, kin):
         net, devices = _stage("build", build_scenario_system,
@@ -614,10 +588,14 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
 # export / parse
 
 
-def report_to_text(report: Report) -> str:
-    """Structured-text form: JSON that parse_report restores exactly."""
-    return json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) \
+def report_to_text(obj) -> str:
+    """Structured-text form of a report or a sweep: JSON that parse_report
+    or parse_sweep restores exactly."""
+    return json.dumps(dataclasses.asdict(obj), sort_keys=True, indent=2) \
         + "\n"
+
+
+sweep_to_text = report_to_text
 
 
 def parse_report(text: str) -> Report:
@@ -647,12 +625,6 @@ def report_to_csv(report: Report) -> str:
             f"{m.classification},{m.real!r},{m.imag!r},{m.damping!r},"
             f"{m.frequency_hz!r},{m.ccbg_pi!r},{int(m in dominant)}")
     return "\n".join(lines) + "\n"
-
-
-def sweep_to_text(sweep: SweepResult) -> str:
-    """Structured-text form: JSON that parse_sweep restores exactly."""
-    return json.dumps(dataclasses.asdict(sweep), sort_keys=True, indent=2) \
-        + "\n"
 
 
 def parse_sweep(text: str) -> SweepResult:
@@ -712,16 +684,15 @@ def export_report(obj, fmt: str, out_dir) -> list[Path]:
     if isinstance(obj, Report):
         stem = f"report_{obj.scenario_name}"
         renders = {"csv": report_to_csv, "structured_text": report_to_text}
-        ext = {"csv": ".csv", "structured_text": ".json"}
     elif isinstance(obj, SweepResult):
         stem = f"sweep_{obj.scenario_name}"
         renders = {"csv": sweep_to_csv, "structured_text": sweep_to_text}
-        ext = {"csv": ".csv", "structured_text": ".json"}
     else:
         raise TypeError(f"cannot export {type(obj).__name__}")
     if fmt not in renders:
         raise ValueError(f"format must be csv or structured_text, got "
                          f"{fmt!r}")
+    ext = {"csv": ".csv", "structured_text": ".json"}
     path = out_dir / f"{stem}{ext[fmt]}"
     path.write_text(renders[fmt](obj))
     return [path]

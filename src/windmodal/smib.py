@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dfig import DroopParams
+from .dfig import DEFAULT_GAIN_GRID, DroopParams
 from .modal import StateLabel, damping_ratio
 
 
@@ -114,10 +114,8 @@ def smib_sensitivity_grid(params: SmibParams, kp_values=None,
 
     Defaults to the 6x6 grid {0, 10, ..., 50}^2.  Rows iterate K_p fastest.
     """
-    kp_values = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0] if kp_values is None \
-        else list(kp_values)
-    kin_values = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0] if kin_values is None \
-        else list(kin_values)
+    kp_values = list(DEFAULT_GAIN_GRID if kp_values is None else kp_values)
+    kin_values = list(DEFAULT_GAIN_GRID if kin_values is None else kin_values)
     if any(k < 0 for k in kp_values) or any(k < 0 for k in kin_values):
         raise SmibError("droop gains must be nonnegative")
     points = []

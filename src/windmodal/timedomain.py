@@ -73,7 +73,8 @@ class Event:
     branch out of service permanently; ``load_step`` rescales the load at a
     bus by ``scale`` from ``t_start`` on.  Only a fault expires, so any
     other kind with a ``duration`` is rejected; likewise an ``admittance``
-    on any kind but a fault, or a ``scale`` on any kind but a load step.
+    on any kind but a fault, a ``scale`` on any kind but a load step, and a
+    ``bus`` on a line trip or a ``branch`` on a load step.
     """
 
     kind: str
@@ -119,6 +120,9 @@ class Event:
             if not (math.isfinite(self.scale) and self.scale >= 0.0):
                 raise ValueError("load_step scale must be finite and "
                                  "non-negative")
+        stray = {"line_trip": "bus", "load_step": "branch"}.get(self.kind)
+        if stray is not None and getattr(self, stray) is not None:
+            raise ValueError(f"{self.kind} takes no {stray}")
 
 
 @dataclass

@@ -24,7 +24,7 @@ area generation totals the same across cases.
 from __future__ import annotations
 
 from .devices import DeviceModel
-from .dfig import Dfig, DfigParams, DroopParams, MpptCurve
+from .dfig import Dfig, DfigParams, DroopParams
 from .network import Branch, Bus, Network
 from .syncgen import SyncGen, SyncGenParams
 
@@ -53,7 +53,7 @@ def _step_up(name: str, f: int, t: int, mva: float, x_pu: float) -> Branch:
                   name=name)
 
 
-def machine_params(area: int, k_pss: float = 10.0) -> SyncGenParams:
+def machine_params(area: int, k_pss: float) -> SyncGenParams:
     """Round-rotor 900 MVA unit; area 2 carries slightly less inertia.
 
     Mechanical power is held at the dispatch point (no governor action), the
@@ -71,8 +71,18 @@ def machine_params(area: int, k_pss: float = 10.0) -> SyncGenParams:
     )
 
 
+def _farm_mva(case: str, wind_mva: float | None) -> float | None:
+    return DEFAULT_WIND_MVA.get(case) if wind_mva is None else wind_mva
+
+
 def two_area_network(case: str = "A", wind_mva: float | None = None,
-                     farm_bus_kind: str = "pv") -> Network:
+                     control_mode: str = DfigParams.control_mode) -> Network:
+    """Buses and branches of one benchmark case.
+
+    Owns the case check, the farm rating default (``DEFAULT_WIND_MVA``) and
+    the farm bus kind: PV when the farm regulates its voltage
+    (``control_mode="voltage"``), PQ when it holds its reactive power.
+    """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
 
@@ -82,18 +92,12 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
     q9 = (100.0 - 350.0) * LOAD_SCALE / SYSTEM_BASE_MVA
     disp = DISPATCH_MW / SYSTEM_BASE_MVA
 
-    if wind_mva is None:
-        wind_mva = DEFAULT_WIND_MVA.get(case)
-    wind_p = WIND_FRACTION * wind_mva / SYSTEM_BASE_MVA if wind_mva else 0.0
+    wind_mva = _farm_mva(case, wind_mva)
+    wind_p = 0.0 if case == "A" else WIND_FRACTION * wind_mva / SYSTEM_BASE_MVA
 
     # The farm displaces output from the unit it sits next to: in case B that
     # unit backs down by the wind export, in case C it is retired outright.
-    if case == "A":
-        disp4 = disp
-    elif case == "B":
-        disp4 = disp - wind_p
-    else:
-        disp4 = 0.0
+    disp4 = 0.0 if case == "C" else disp - wind_p
 
     buses = [
         Bus(id=1, kind="pv", base_kv=20.0, voltage_mag=1.03, p_gen=disp),
@@ -125,8 +129,9 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
         _line("L10-11", 10, 11, 25.0),
     ]
 
-    if case in ("B", "C"):
-        buses.append(Bus(id=12, kind=farm_bus_kind, base_kv=20.0,
+    if case != "A":
+        farm_kind = "pv" if control_mode == "voltage" else "pq"
+        buses.append(Bus(id=12, kind=farm_kind, base_kv=20.0,
                          voltage_mag=1.01, p_gen=wind_p))
         branches.append(_step_up("TW", 12, 4, wind_mva, 0.10))
 
@@ -134,12 +139,18 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
                    base_mva=SYSTEM_BASE_MVA, frequency_hz=60.0)
 
 
-def two_area_devices(case: str = "A", droop: DroopParams | None = None,
-                     wind_mva: float | None = None,
-                     control_mode: str = "voltage",
-                     k_pss: float = 10.0) -> list[DeviceModel]:
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+def build_two_area(case: str = "A", droop: DroopParams | None = None,
+                   wind_mva: float | None = None,
+                   control_mode: str = DfigParams.control_mode,
+                   k_pss: float = SyncGenParams.k_pss):
+    """Network and device list for one benchmark case, ready to solve.
+
+    Owns which machines each case keeps (case C retires G4).  Its defaults
+    are their owners': ``SyncGenParams.k_pss``, ``DfigParams.control_mode``
+    and a disabled ``DroopParams()``.  The network, the farm rating and the
+    farm bus kind come from ``two_area_network``.
+    """
+    net = two_area_network(case, wind_mva=wind_mva, control_mode=control_mode)
     devices: list[DeviceModel] = [
         SyncGen("G1", 1, machine_params(1, k_pss)),
         SyncGen("G2", 2, machine_params(1, k_pss)),
@@ -147,26 +158,9 @@ def two_area_devices(case: str = "A", droop: DroopParams | None = None,
     ]
     if case != "C":
         devices.append(SyncGen("G4", 4, machine_params(2, k_pss)))
-    if case in ("B", "C"):
-        if wind_mva is None:
-            wind_mva = DEFAULT_WIND_MVA[case]
-        params = DfigParams(
-            base_mva=wind_mva,
-            control_mode=control_mode,
-            droop=droop if droop is not None else DroopParams(),
-            mppt=MpptCurve(),
-        )
+    if case != "A":
+        params = DfigParams(base_mva=_farm_mva(case, wind_mva),
+                            control_mode=control_mode,
+                            droop=droop or DroopParams())
         devices.append(Dfig("W1", 12, params))
-    return devices
-
-
-def build_two_area(case: str = "A", droop: DroopParams | None = None,
-                   wind_mva: float | None = None,
-                   control_mode: str = "voltage",
-                   k_pss: float = 10.0):
-    """Network and device list for one benchmark case, ready to solve."""
-    farm_kind = "pv" if control_mode == "voltage" else "pq"
-    net = two_area_network(case, wind_mva=wind_mva, farm_bus_kind=farm_kind)
-    devices = two_area_devices(case, droop=droop, wind_mva=wind_mva,
-                               control_mode=control_mode, k_pss=k_pss)
     return net, devices

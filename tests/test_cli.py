@@ -133,6 +133,15 @@ def test_unknown_scenario_exits_nonzero_with_stage(capsys):
     assert "Z_missing" in err
 
 
+def test_a_number_too_large_for_a_float_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"base_case": "B", "k_pss": 1' + "0" * 400 + "}")
+    assert main(["modal", "--scenario", str(path), "--out",
+                 str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [load] k_pss: too large for a float")
+
+
 def test_invalid_gain_spec_is_a_usage_error(capsys):
     for spec in ("5:1:1", "0:inf:10"):
         with pytest.raises(SystemExit) as exc:

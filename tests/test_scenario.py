@@ -14,20 +14,23 @@ import numpy as np
 import pytest
 
 import windmodal
-from windmodal.dfig import DroopParams
+from windmodal.dfig import CONTROL_MODES, DroopParams
 from windmodal.modal import StateMatrix
+from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
                                 Report, Scenario, ScenarioError, _with_gains,
                                 build_scenario_system,
                                 export_report, load_packaged_scenario,
-                                load_scenario, make_scenario,
+                                load_scenario,
                                 packaged_scenario_names, parse_report,
                                 parse_scenario, parse_sweep, report_to_csv,
                                 report_to_text, resolve_scenario,
                                 run_scenario, run_sensitivity_sweep,
                                 simulate_scenario, sweep_to_csv,
                                 sweep_to_text)
+from windmodal.syncgen import SyncGenParams
 from windmodal.timedomain import cycles
+from windmodal.twoarea import DEFAULT_WIND_MVA
 
 PACKAGED = {
     "A",
@@ -76,13 +79,44 @@ def test_packaged_scenarios_are_consistent():
         assert ev.duration == pytest.approx(cycles(10))
 
 
-def test_make_scenario_fills_support_gain_defaults():
-    sc = make_scenario("B", frequency_support=True)
+def test_parse_scenario_fills_support_gain_defaults():
+    support = {"base_case": "B", "frequency_support": True}
+    sc = parse_scenario(support)
     assert sc.droop == DroopParams(kp=20.0, kin=0.0, enabled=True)
-    sc = make_scenario("B", frequency_support=True, kp=5.0, kin=35.0)
+    assert sc.droop.rocof_filter_time == DroopParams.rocof_filter_time
+    sc = parse_scenario({**support, "droop": {"kp": 5.0, "kin": 35.0}})
     assert (sc.droop.kp, sc.droop.kin) == (5.0, 35.0)
-    sc = make_scenario("B")
+    # a partial block keeps the other defaults
+    sc = parse_scenario({**support, "droop": {"kin": 35.0}})
+    assert sc.droop == DroopParams(kp=20.0, kin=35.0, enabled=True)
+    sc = parse_scenario({**support, "droop": {"rocof_filter_time": 0.2}})
+    assert sc.droop == DroopParams(kp=20.0, rocof_filter_time=0.2,
+                                   enabled=True)
+    sc = parse_scenario({"base_case": "B"})
     assert not sc.frequency_support and not sc.droop.enabled
+
+
+def test_study_defaults_are_read_from_their_owners():
+    sc = Scenario(base_case="A")
+    assert sc.k_pss == SyncGenParams.k_pss
+    assert "k_pss" not in sc.to_dict()
+    assert Scenario(base_case="A", k_pss=5.0).to_dict()["k_pss"] == 5.0
+    # the farm bus kind follows the control mode
+    kinds = {}
+    for mode in CONTROL_MODES:
+        net, _ = build_scenario_system(
+            Scenario(base_case="B", control_mode=mode))
+        kinds[mode] = next(b.kind for b in net.buses if b.id == 12)
+        # the power flow meets 1e-12 by default
+        assert solve_power_flow(net).mismatch <= 1e-12
+    assert kinds == {"voltage": "pv", "reactive_power": "pq"}
+    # one farm rating feeds the network and the farm
+    for case in ("B", "C"):
+        net, devices = build_scenario_system(Scenario(base_case=case))
+        farm = next(d for d in devices if d.device_id == "W1")
+        tw = next(b for b in net.branches if b.name == "TW")
+        assert farm.params.base_mva == DEFAULT_WIND_MVA[case]
+        assert tw.x == pytest.approx(0.10 * 100.0 / DEFAULT_WIND_MVA[case])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -190,6 +224,29 @@ def test_scenario_file_with_a_nan_event_time_is_rejected(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("obj, where", [
+    ({"base_case": "B", "k_pss": 10 ** 400}, "k_pss"),
+    ({"base_case": "B", "events": [{"kind": "load_step",
+                                    "t_start": 10 ** 400, "bus": 7}]},
+     r"events\[0\]\.t_start"),
+])
+def test_an_integer_too_large_for_a_float_names_its_key(obj, where):
+    with pytest.raises(ScenarioError, match=rf"^{where}: too large for a "
+                                            "float"):
+        parse_scenario(obj)
+
+
+@pytest.mark.parametrize("event, message", [
+    ({"kind": "line_trip", "t_start": 1.0, "branch": "L7-8a", "bus": 7},
+     "line_trip takes no bus"),
+    ({"kind": "load_step", "t_start": 1.0, "bus": 7, "branch": "L7-8a",
+      "scale": 1.1}, "load_step takes no branch"),
+])
+def test_parse_rejects_a_target_the_event_kind_ignores(event, message):
+    with pytest.raises(ScenarioError, match=rf"^events\[0\]: {message}"):
+        parse_scenario({"base_case": "B", "events": [event]})
+
+
 def test_parse_type_checks():
     with pytest.raises(ScenarioError, match="must be a number"):
         parse_scenario({"base_case": "B", "k_pss": "ten"})
@@ -205,8 +262,10 @@ def test_parse_type_checks():
 
 
 def test_scenario_hash_is_canonical():
-    one = make_scenario("B", frequency_support=True, kp=15.0)
-    two = make_scenario("B", frequency_support=True, kp=15.0)
+    study = {"base_case": "B", "frequency_support": True,
+             "droop": {"kp": 15.0}}
+    one = parse_scenario(study)
+    two = parse_scenario(json.loads(json.dumps(study)))
     assert one.sha256 == two.sha256
     assert one == two
     other = dataclasses.replace(one, description="tweaked", sha256="")
@@ -214,9 +273,10 @@ def test_scenario_hash_is_canonical():
 
 
 def test_scenario_dict_round_trip():
-    sc = make_scenario(
+    sc = Scenario(
         "C", control_mode="reactive_power", frequency_support=True,
-        kin=30.0, name="study", description="round trip",
+        droop=DroopParams(kp=20.0, kin=30.0, enabled=True),
+        name="study", description="round trip",
         overrides=(Override("W1", "kv_i", 25.0),),
         events=(cycles_fault := load_packaged_scenario("A").events))
     assert parse_scenario(sc.to_dict()) == sc
@@ -271,9 +331,10 @@ def test_wind_report_adds_a_converter_class(report_b):
 
 
 def test_zero_gain_support_matches_disabled_support():
-    on = run_scenario(make_scenario("B", frequency_support=True,
-                                    kp=0.0, kin=0.0))
-    off = run_scenario(make_scenario("B"))
+    on = run_scenario(parse_scenario({"base_case": "B",
+                                      "frequency_support": True,
+                                      "droop": {"kp": 0.0, "kin": 0.0}}))
+    off = run_scenario(Scenario(base_case="B"))
     assert len(on.modes) == len(off.modes)
     for m_on, m_off in zip(on.modes, off.modes):
         assert m_on.classification == m_off.classification
@@ -282,20 +343,16 @@ def test_zero_gain_support_matches_disabled_support():
 
 
 def test_pipeline_failures_carry_their_stage():
-    bad = dataclasses.replace(make_scenario("B"),
-                              overrides=(Override("G9", "h_s", 7.0),),
-                              sha256="")
+    bad = Scenario(base_case="B", overrides=(Override("G9", "h_s", 7.0),))
     with pytest.raises(PipelineError, match=r"\[build\]") as err:
         run_scenario(bad)
     assert err.value.stage == "build"
     with pytest.raises(PipelineError, match="no wind farm to sweep|sweep"):
-        run_sensitivity_sweep(make_scenario("A"))
+        run_sensitivity_sweep(Scenario(base_case="A"))
 
 
 def test_overrides_patch_device_parameters():
-    sc = dataclasses.replace(make_scenario("B"),
-                             overrides=(Override("G1", "h_s", 7.0),),
-                             sha256="")
+    sc = Scenario(base_case="B", overrides=(Override("G1", "h_s", 7.0),))
     net, devices = build_scenario_system(sc)
     g1 = next(d for d in devices if d.device_id == "G1")
     assert g1.params.h_s == 7.0
@@ -307,6 +364,20 @@ def test_overrides_patch_device_parameters():
             sc, overrides=(Override("G1", "inertia", 7.0),), sha256=""))
 
 
+@pytest.mark.parametrize("device, name", [
+    ("W1", "droop"), ("W1", "mppt"), ("G1", "has_governor"),
+    ("W1", "control_mode"),
+])
+def test_override_of_a_parameter_that_is_not_a_number_fails_at_build(
+        device, name):
+    # a number set there would fail later as an attribute error, or switch
+    # a flag by its truth value
+    bad = Scenario(base_case="B", overrides=(Override(device, name, 0.0),))
+    with pytest.raises(PipelineError, match=rf"^\[build\] override field "
+                       rf"'{name}' of {device} is not a number"):
+        run_scenario(bad)
+
+
 @pytest.mark.parametrize("case, device, name, value", [
     ("A", "G1", "h_s", math.nan),
     ("A", "G1", "h_s", math.inf),
@@ -314,9 +385,7 @@ def test_overrides_patch_device_parameters():
 ])
 def test_nonfinite_override_fails_at_build_naming_the_field(case, device,
                                                             name, value):
-    bad = dataclasses.replace(make_scenario(case),
-                              overrides=(Override(device, name, value),),
-                              sha256="")
+    bad = Scenario(base_case=case, overrides=(Override(device, name, value),))
     with pytest.raises(PipelineError, match=rf"\[build\] {name} must be "
                        "positive and finite") as err:
         run_scenario(bad)
@@ -334,9 +403,7 @@ def test_nonfinite_override_fails_at_build_naming_the_field(case, device,
 ])
 def test_nonfinite_limit_or_gain_fails_at_build_naming_the_field(
         case, device, name, value):
-    bad = dataclasses.replace(make_scenario(case),
-                              overrides=(Override(device, name, value),),
-                              sha256="")
+    bad = Scenario(base_case=case, overrides=(Override(device, name, value),))
     with pytest.raises(PipelineError, match=rf"\[build\] {name} must be "
                        "finite") as err:
         run_scenario(bad)

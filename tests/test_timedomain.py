@@ -83,6 +83,8 @@ def test_event_validation():
     ("admittance", dict(kind="load_step", bus=7, scale=1.1, admittance=5.0)),
     ("admittance", dict(kind="line_trip", branch="L8-9b",
                         admittance=math.inf)),
+    ("bus", dict(kind="line_trip", branch="L7-8a", bus=7)),
+    ("branch", dict(kind="load_step", bus=7, branch="L7-8a", scale=1.1)),
 ])
 def test_event_rejects_a_field_its_kind_does_not_use(field, event):
     # such a field is dropped on export, so two unequal scenarios would
@@ -448,26 +450,36 @@ def test_exciter_limiter_holds_each_bound_exactly_then_releases():
         assert p.efd_min < efd[-1] < p.efd_max
 
 
-@pytest.mark.parametrize("study, column, bound, events, overrides, t_end", [
+def _governed(study, governors):
+    """Network and devices of a packaged study, the machines' governors
+    switched on when ``governors`` (a flag no override can set)."""
+    net, devices = build_scenario_system(load_packaged_scenario(study))
+    if governors:
+        devices = [type(d)(d.device_id, d.bus_id,
+                           dataclasses.replace(d.params, has_governor=True))
+                   if d.device_class == "synchronous" else d
+                   for d in devices]
+    return net, devices
+
+
+@pytest.mark.parametrize("study, column, bound, events, governors, t_end", [
     # load shed with the governors switched on: they close down to
     # pm_min = 0 and stay there
     ("A", "G1.pm", 0.0, (Event("load_step", 0.1, bus=9, scale=0.0),
                          Event("load_step", 0.1, bus=7, scale=0.0)),
-     tuple(Override(f"G{k}", "has_governor", True) for k in range(1, 5)),
-     2.0),
+     True, 2.0),
     # a fault at the farm bus winds the reactive integrator up to i_qmax;
     # with the anti-windup in the derivatives this run stalled at 0.524 s
     ("C_voltage_support", "W1.q_ctrl", 0.66,
-     (Event("three_phase_fault", 0.5, bus=12, duration=cycles(10)),), (),
+     (Event("three_phase_fault", 0.5, bus=12, duration=cycles(10)),), False,
      1.0),
 ], ids=["governor", "converter"])
 def test_governor_and_converter_limits_hold_their_bound(study, column, bound,
-                                                       events, overrides,
+                                                       events, governors,
                                                        t_end):
-    scenario = load_packaged_scenario(study)
-    tr = simulate_scenario(dataclasses.replace(
-        scenario, overrides=scenario.overrides + overrides, events=events,
-        sha256=""), t_end=t_end)
+    net, devices = _governed(study, governors)
+    model = assemble(net, devices, solve_power_flow(net))
+    tr = simulate(model, events=events, t_end=t_end)
     y = tr.column(column)
     at = np.flatnonzero(y == bound)
     assert at.size >= 20
@@ -475,20 +487,17 @@ def test_governor_and_converter_limits_hold_their_bound(study, column, bound,
     assert np.all(y >= bound) if bound == 0.0 else np.all(y <= bound)
 
 
-@pytest.mark.parametrize("study, state, overrides", [
-    ("A", "G1.efd", ()),
-    ("A", "G1.pm",
-     tuple(Override(f"G{k}", "has_governor", True) for k in range(1, 5))),
-    ("C_voltage_support", "W1.q_ctrl", ()),
+@pytest.mark.parametrize("study, state, governors", [
+    ("A", "G1.efd", False),
+    ("A", "G1.pm", True),
+    ("C_voltage_support", "W1.q_ctrl", False),
 ], ids=["exciter", "governor", "converter"])
-def test_a_held_limiter_zeroes_only_its_own_row(study, state, overrides):
+def test_a_held_limiter_zeroes_only_its_own_row(study, state, governors):
     # the integrator evaluates the free model and zeroes the held rows; no
     # device equation reads another state's derivative, so the rest of f
     # and the voltages keep the bits of the free evaluation
-    scenario = load_packaged_scenario(study)
-    net, devices = build_scenario_system(dataclasses.replace(
-        scenario, overrides=scenario.overrides + overrides, sha256=""))
-    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
+    net, devices = _governed(study, governors)
+    model = assemble(net, devices, solve_power_flow(net))
     g = [str(lab) for lab in model.state_labels()].index(state)
     limiters = _Limiters(model)
     hi = next(hi for k, _, hi in limiters.bounds if k == g)
