@@ -85,7 +85,7 @@ def _mode_table(rows) -> str:
 def cmd_powerflow(args) -> int:
     if args.scenario:
         scen = _load(args.scenario)
-        net, _ = sc.build_scenario_system(scen)
+        net, _ = sc._stage("build", sc.build_scenario_system, scen)
         label = scen.name or scen.base_case
     else:
         net = two_area_network(args.case)

@@ -11,13 +11,39 @@ stays on the device base.
 
 from __future__ import annotations
 
+import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 
 class DeviceError(ValueError):
     pass
+
+
+# The operations whose float and array forms differ.  Each device equation
+# is written once, in real arithmetic over its state columns, with the
+# table ``OPS[x.ndim]``: Python floats for one sample (1-D states), arrays
+# over a leading sample axis for a stack (2-D).  Each array form has the
+# bits of its float form: ``np.hypot`` those of ``abs`` of a complex, and
+# ``max``/``min`` keep Python's choice of operand (the first unless the
+# second is strictly beyond it), NaN and signed zeros included.  ``phase``
+# and ``pow`` run per element on a stack, because ``np.arctan2`` and
+# ``np.power`` round differently from ``cmath.phase`` and ``**``.
+SCALAR = SimpleNamespace(
+    states=np.ndarray.tolist, array=np.array, complex=complex,
+    cos=math.cos, sin=math.sin, modulus=abs, phase=cmath.phase, pow=pow,
+    max=max, min=min, where=lambda cond, a, b: a if cond else b)
+STACK = SimpleNamespace(
+    states=np.transpose, array=lambda cols: np.stack(cols, axis=-1),
+    complex=lambda re, im: np.stack([re, im], axis=-1).view(complex)[..., 0],
+    cos=np.cos, sin=np.sin, modulus=lambda z: np.hypot(z.real, z.imag),
+    phase=lambda z: np.array([cmath.phase(s) for s in z.tolist()]),
+    pow=lambda a, n: np.array([s ** n for s in a.tolist()]),
+    max=lambda a, b: np.where(b > a, b, a),
+    min=lambda a, b: np.where(b < a, b, a), where=np.where)
+OPS = (None, SCALAR, STACK)
 
 
 def require_finite(params) -> None:
@@ -70,16 +96,11 @@ class DeviceModel:
     def norton_admittance(self, system_base_mva: float) -> complex:
         return 0.0 + 0.0j
 
-    def source_current(self, x: np.ndarray,
-                       system_base_mva: float) -> complex:
+    def source_current(self, x: np.ndarray, system_base_mva: float):
         """Norton source current on the system base; ``c`` when
-        ``source_depends_on_v``."""
-        raise NotImplementedError
-
-    def source_currents(self, x: np.ndarray,
-                        system_base_mva: float) -> np.ndarray:
-        """``source_current`` over a leading sample axis of ``x``, with the
-        bits of one call per sample."""
+        ``source_depends_on_v``.  ``x`` may carry a leading sample axis;
+        the currents then have it, each with the bits of one call on its
+        sample alone."""
         raise NotImplementedError
 
     def limits(self) -> tuple[tuple[int, float, float], ...]:
@@ -94,10 +115,12 @@ class DeviceModel:
         """
         return ()
 
-    def derivatives(self, x: np.ndarray, v: complex) -> np.ndarray:
+    def derivatives(self, x: np.ndarray, v) -> np.ndarray:
         """State derivatives at terminal voltage ``v``: the free model,
         which is what linearization sees (limiting is the integrator's; see
-        ``limits``)."""
+        ``limits``).  ``x`` may carry a leading sample axis, with ``v`` the
+        matching terminal voltages; the derivatives then have it, each row
+        with the bits of one call on its sample alone (see ``OPS``)."""
         raise NotImplementedError
 
     def outputs(self, x: np.ndarray, v) -> dict:

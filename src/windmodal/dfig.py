@@ -19,13 +19,13 @@ winds the reference back down, and the rotor recovers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import DeviceError, DeviceModel, require_finite
+from .devices import (OPS, SCALAR, DeviceError, DeviceModel,
+                      require_finite)
 
 # Rotor-speed protection band, per unit.  A simulation logs an excursion
 # on the recorded speed (``DeviceModel.speed_band``); nothing trips.
@@ -37,6 +37,13 @@ Q_CTRL = 7
 CONTROL_MODES = ("voltage", "reactive_power")   # reactive-channel outer loop
 # K_p and K_in values of the gain studies (single machine and sweep)
 DEFAULT_GAIN_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
+
+
+def check_control_mode(mode: str) -> None:
+    """Reject a reactive-channel mode outside ``CONTROL_MODES``."""
+    if mode not in CONTROL_MODES:
+        raise DeviceError("control_mode must be " + " or ".join(
+            map(repr, CONTROL_MODES)) + f", got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +89,14 @@ class MpptCurve:
     def p_rated(self) -> float:
         return self.k_opt * self.speed_rated ** 3
 
-    def p_opt(self, speed: float) -> float:
+    def p_opt(self, speed, m=SCALAR):
         """Tracking power at ``speed``, clamped to the domain
         [0, speed_max] without a log record: every speed outside it is also
-        outside the protection band, which a simulation reports once."""
-        speed = min(max(speed, 0.0), self.speed_max)
-        if speed <= self.speed_cutin:
-            return 0.0
-        return min(self.k_opt * speed ** 3, self.p_rated)
+        outside the protection band, which a simulation reports once.
+        ``speed`` may be an array of samples, with ``m=devices.STACK``."""
+        speed = m.min(m.max(speed, 0.0), self.speed_max)
+        p = m.min(self.k_opt * m.pow(speed, 3), self.p_rated)
+        return m.where(speed <= self.speed_cutin, 0.0, p)
 
     def speed_at(self, power: float) -> float:
         """Inverse of the cubic segment; errors outside the tracking range."""
@@ -166,11 +173,7 @@ class DfigParams:
     mppt: MpptCurve = field(default_factory=MpptCurve)
 
     def __post_init__(self):
-        if self.control_mode not in CONTROL_MODES:
-            raise DeviceError(
-                f"control_mode must be {' or '.join(map(repr, CONTROL_MODES))}"
-                f", got {self.control_mode!r}"
-            )
+        check_control_mode(self.control_mode)
         for name in ("base_mva", "h_turbine", "t_current", "v_filter_time",
                      "mppt_filter_time", "freq_filter_time", "droop_omega",
                      "droop_zeta"):
@@ -237,29 +240,27 @@ class Dfig(DeviceModel):
         ])
 
     def source_current(self, x, system_base_mva):
-        return complex(x[5], -x[8]) * self.params.base_mva / system_base_mva
-
-    def source_currents(self, x, system_base_mva):
+        m = OPS[x.ndim]
+        states = m.states(x)
         base = self.params.base_mva
-        return (x[:, 5] * base / system_base_mva
-                + 1j * (-x[:, 8] * base / system_base_mva))
+        return m.complex(states[5] * base / system_base_mva,
+                         -states[8] * base / system_base_mva)
 
     def limits(self):
         return ((Q_CTRL, -self.params.i_qmax, self.params.i_qmax),)
 
     def derivatives(self, x, v):
         p = self.params
-        x = x.tolist()
-        (speed, p_cmd, p_rate, droop_p, droop_rate,
-         i_p, v_filt, q_ctrl, i_q) = x[:9]
-        vm = abs(v)
+        m = OPS[x.ndim]
+        (speed, p_cmd, p_rate, droop_p, droop_rate, i_p, v_filt, q_ctrl, i_q,
+         angle_filt, rocof_filt, p_track) = m.states(x)
+        vm = m.modulus(v)
         # washout frequency estimate from the bus angle; wrap-safe difference
-        dth = _wrap_angle(cmath.phase(v) - x[9])
+        dth = _wrap_angle(m.phase(v) - angle_filt)
         delta_f = dth / (p.freq_filter_time * self._omega_s)
-        rocof = (delta_f - x[10]) / p.droop.rocof_filter_time
+        rocof = (delta_f - rocof_filt) / p.droop.rocof_filter_time
 
-        p_opt = p.mppt.p_opt(speed)
-        p_track = x[11]
+        p_opt = p.mppt.p_opt(speed, m)
         droop_target = frequency_support_reference(0.0, delta_f, rocof, p.droop)
         p_ref = p_track + droop_p
 
@@ -267,13 +268,14 @@ class Dfig(DeviceModel):
         d_p_cmd = p_rate
         d_p_rate = (p.p_ctrl_omega ** 2) * (p_ref - p_cmd) \
             - 2.0 * p.p_ctrl_zeta * p.p_ctrl_omega * p_rate
-        i_cmd = min(max(p_cmd / max(v_filt, p.v_floor), 0.0), p.i_pmax)
+        i_cmd = m.min(m.max(p_cmd / m.max(v_filt, p.v_floor), 0.0), p.i_pmax)
         d_i_p = (i_cmd - i_p) / p.t_current
         d_v_filt = (vm - v_filt) / p.v_filter_time
 
         # drive train
         p_elec = vm * i_p
-        d_speed = (self.p_mech - p_elec) / (2.0 * p.h_turbine * max(speed, 0.05))
+        d_speed = (self.p_mech - p_elec) / (2.0 * p.h_turbine
+                                           * m.max(speed, 0.05))
 
         # reactive channel
         if p.control_mode == "voltage":
@@ -284,9 +286,9 @@ class Dfig(DeviceModel):
             err = self.q_ref - vm * i_q
             d_q_ctrl = p.kq_i * err
             iq_cmd = q_ctrl + p.kq_p * err
-        d_i_q = (min(max(iq_cmd, -p.i_qmax), p.i_qmax) - i_q) / p.t_current
+        d_i_q = (m.min(m.max(iq_cmd, -p.i_qmax), p.i_qmax) - i_q) / p.t_current
 
-        return np.array([
+        return m.array([
             d_speed,
             d_p_cmd,
             d_p_rate,

@@ -5,10 +5,9 @@ decomposes it into modes, and attaches the quantities used throughout the
 toolkit: damping ratio, modal frequency, participation factors, the share of
 participation carried by converter-based devices, and a coarse mode
 classification (inter-area / local / converter control).  Every state
-matrix in the toolkit uses one step rule and one column formula,
-``central_column``: ``jacobian`` applies it to any model's ``rhs``, and
-``DynamicSystem.jacobian`` applies it with device-only evaluations for the
-states that do not reach the network.
+matrix in the toolkit comes from one routine, ``jacobian``: it stacks the
+2n central-difference points and evaluates the model once on the stack, so
+a model's ``rhs`` accepts a leading sample axis.
 """
 
 from __future__ import annotations
@@ -114,43 +113,45 @@ def damping_ratio(eigenvalue: complex) -> float:
     return -eigenvalue.real / mag
 
 
-def central_column(f, x0: np.ndarray, k: int, step: float) -> np.ndarray:
-    """Column ``k`` of the central-difference Jacobian of ``f`` at ``x0``:
-    ``(f(x0 + h e_k) - f(x0 - h e_k)) / 2h`` with ``h = step * max(1,
-    |x0_k|)``.  The one step rule and column formula of every Jacobian in
-    the toolkit; ``x0`` is left untouched."""
-    h = step * max(1.0, abs(x0[k]))
-    xp = x0.copy()
-    xm = x0.copy()
-    xp[k] += h
-    xm[k] -= h
-    return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
-
-
 def jacobian(f, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``x0``, column by column
-    through ``central_column``."""
+    """Central-difference Jacobian of ``f`` at ``x0``.
+
+    Column k is ``(f(x0 + h_k e_k) - f(x0 - h_k e_k)) / 2h_k`` with
+    ``h_k = step * max(1, |x0_k|)``.  The 2n points are stacked into one
+    (2n, n) array, rows ``k`` and ``n + k`` the two sides of state k, and
+    ``f`` is called once on the stack: it must map a leading sample axis
+    to the same axis of its result.  ``x0`` is left untouched.
+    """
+    x0 = np.asarray(x0, dtype=float)
     n = x0.size
-    a = np.empty((n, n))
-    for k in range(n):
-        a[:, k] = central_column(f, x0, k, step)
-    return a
+    h = step * np.maximum(1.0, np.abs(x0))
+    k = np.arange(n)
+    points = np.tile(x0, (2 * n, 1))
+    points[k, k] += h
+    points[n + k, k] -= h
+    fx = np.asarray(f(points))
+    if fx.shape != (2 * n, n):
+        raise ModalError(
+            f"rhs returned shape {fx.shape} for {2 * n} stacked samples of "
+            f"{n} states; it must accept a leading sample axis"
+        )
+    # row k of the difference is column k of the matrix
+    return np.ascontiguousarray(((fx[:n] - fx[n:]) / (2.0 * h)[:, None]).T)
 
 
 def linearize(model, equilibrium: np.ndarray | None = None,
               step: float = 1e-6) -> StateMatrix:
     """Central-difference state matrix of ``model`` about an equilibrium.
 
-    ``model`` must expose ``rhs(x) -> dx/dt``, ``equilibrium() -> x`` and
-    ``state_labels() -> list[StateLabel]``.  The point is verified to be an
-    equilibrium first: any residual derivative above 1e-8, or one that is
-    not a number, aborts with the name of the offending state, because
-    differencing around a drifting point produces a meaningless matrix.
-
-    A model that has its own ``jacobian(x, step=...)`` (the assembled
-    ``DynamicSystem``, which skips the network for states that do not reach
-    it) supplies the matrix; any other model gets ``jacobian(model.rhs,
-    ...)``.  Either way the per-state step is ``step * max(1, |x_k|)``.
+    ``model`` must expose ``rhs(x) -> dx/dt``, accepting a leading sample
+    axis, ``equilibrium() -> x`` and ``state_labels() ->
+    list[StateLabel]``.  The point is verified to be an equilibrium first:
+    any residual derivative above 1e-8, or one that is not a number, aborts
+    with the name of the offending state, because differencing around a
+    drifting point produces a meaningless matrix.  The matrix is
+    ``jacobian(model.rhs, ...)``: one more ``rhs`` call, on all 2n
+    perturbed points at once, with the per-state step ``step * max(1,
+    |x_k|)``.
     """
     x0 = np.asarray(model.equilibrium() if equilibrium is None else equilibrium,
                     dtype=float)
@@ -162,11 +163,7 @@ def linearize(model, equilibrium: np.ndarray | None = None,
             "not an equilibrium: d/dt of state "
             f"'{labels[worst]}' is {f0[worst]:.3e} (tolerance {EQUILIBRIUM_TOL:g})"
         )
-    if hasattr(model, "jacobian"):
-        a = model.jacobian(x0, step=step)
-    else:
-        a = jacobian(model.rhs, x0, step)
-    return StateMatrix(a=a, labels=list(labels))
+    return StateMatrix(a=jacobian(model.rhs, x0, step), labels=list(labels))
 
 
 def decompose(state_matrix: StateMatrix) -> ModalDecomposition:

@@ -68,9 +68,10 @@ class Override:
 class Scenario:
     """Fully resolved study definition.
 
-    ``droop.enabled`` always mirrors ``frequency_support``; case A carries
-    no wind farm so the support and farm fields must stay at their
-    defaults there.
+    ``droop.enabled`` always mirrors ``frequency_support``, and the gains
+    keep their defaults without support; case A carries no wind farm so the
+    support and farm fields, ``control_mode`` too, must stay at their
+    defaults there.  ``to_dict`` (and so ``sha256``) omits only such fields.
     """
 
     base_case: str
@@ -99,10 +100,15 @@ class Scenario:
                     "support")
             if self.wind_mva is not None:
                 raise ScenarioError("wind_mva: case A has no wind farm")
+            if self.control_mode != DfigParams.control_mode:
+                raise ScenarioError("control_mode: case A has no wind farm")
         if self.droop.enabled != self.frequency_support:
             raise ScenarioError(
                 "droop.enabled must match frequency_support "
                 f"({self.droop.enabled} vs {self.frequency_support})")
+        if not self.frequency_support and self.droop != DroopParams():
+            raise ScenarioError("droop: droop gains apply only when "
+                                "frequency_support is true")
         if self.wind_mva is not None and not 0.0 < self.wind_mva < math.inf:
             raise ScenarioError("wind_mva: must be positive and finite")
         if not 0.0 <= self.k_pss < math.inf:

@@ -174,9 +174,10 @@ class SmibModel:
         return np.zeros(2)
 
     def rhs(self, x):
+        """``dx/dt``; ``x`` may carry a leading sample axis."""
         p = self.params
-        df, dd = x
+        df, dd = np.moveaxis(x, -1, 0)
         m = p.effective_inertia
         accel = (-(p.k_damping + p.active_gains[0]) * df
                  - p.k_synchronizing * dd) / m
-        return np.array([accel, p.omega0 * df])
+        return np.stack([accel, p.omega0 * df], axis=-1)

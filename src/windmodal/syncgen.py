@@ -12,16 +12,18 @@ the model; field voltage and mechanical power carry non-windup limits
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import DeviceError, DeviceModel, require_finite
+from .devices import (OPS, STACK, DeviceError, DeviceModel,
+                      require_finite)
 
 # indices of the limited states: field voltage and mechanical power
 EFD, PM = 6, 7
+# the rotor angle delta locates the q axis; the d axis lags it by pi/2
+_QUARTER_TURN = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class SyncGenParams:
                 "equal subtransient reactances are required for the complex "
                 f"Norton interface (xd_st={self.xd_st}, xq_st={self.xq_st})"
             )
-        if not (self.xd > self.xd_t > self.xd_st > 0.0):
-            raise DeviceError("need xd > xd_t > xd_st > 0")
+        if not (self.xd > self.xd_t > self.xd_st > self.ra >= 0.0):
+            raise DeviceError("need xd > xd_t > xd_st > ra >= 0")
         if not (self.xq > self.xq_t > self.xq_st > 0.0):
             raise DeviceError("need xq > xq_t > xq_st > 0")
         for name in ("h_s", "td0_t", "tq0_t", "td0_st", "tq0_st", "ta",
@@ -101,50 +103,24 @@ class SyncGen(DeviceModel):
         self.v_ref = None
         self.pm_ref = None
         self._omega_s = None
+        # 1 / (ra + j xd''), and the ratio and denominator of Python's
+        # complex division by ra + j xd'' (Smith's, scaled by xd'' > ra)
+        self._y_dev = 1.0 / complex(params.ra, params.xd_st)
+        ratio = params.ra / params.xd_st
+        self._z_div = (ratio, params.ra * ratio + params.xd_st)
 
     # -- network interface ------------------------------------------------
 
     def norton_admittance(self, system_base_mva):
-        p = self.params
-        y_dev = 1.0 / complex(p.ra, p.xd_st)
-        return y_dev * p.base_mva / system_base_mva
+        return self._y_dev * self.params.base_mva / system_base_mva
 
     def source_current(self, x, system_base_mva):
-        p = self.params
-        e_net = self._subtransient_emf(x)
-        y_dev = 1.0 / complex(p.ra, p.xd_st)
-        return y_dev * e_net * p.base_mva / system_base_mva
-
-    def source_currents(self, x, system_base_mva):
-        p = self.params
-        e = self._subtransient_emfs(x)
-        y_dev = 1.0 / complex(p.ra, p.xd_st)
-        i_re = (y_dev.real * e.real - y_dev.imag * e.imag) * p.base_mva
-        i_im = (y_dev.real * e.imag + y_dev.imag * e.real) * p.base_mva
-        return i_re / system_base_mva + 1j * (i_im / system_base_mva)
-
-    def _subtransient_emf(self, x):
-        return complex(x[5], x[4]) * _machine_to_network(x[0])
-
-    @staticmethod
-    def _subtransient_emfs(x):
-        """``_subtransient_emf`` over a leading sample axis.  The complex
-        products are written out as the scalar complex arithmetic does
-        them, (ac - bd) + (ad + bc)j, so that a batch of samples gives the
-        bits of one sample at a time; numpy's vectorized complex product
-        rounds differently."""
-        rot = np.exp(1j * (x[..., 0] - math.pi / 2.0))
-        ed, eq = x[..., 5], x[..., 4]
-        return ((ed * rot.real - eq * rot.imag)
-                + 1j * (ed * rot.imag + eq * rot.real))
-
-    def _dq_currents(self, x, v):
-        """Stator currents in the machine frame, device per unit."""
-        p = self.params
-        rot = _machine_to_network(x[0])
-        i_net = (complex(x[5], x[4]) * rot - v) / complex(p.ra, p.xd_st)
-        i_dq = i_net * rot.conjugate()
-        return i_dq.real, i_dq.imag
+        m = OPS[x.ndim]
+        e_re, e_im, _, _ = _subtransient_emf(m, m.states(x))
+        y, base = self._y_dev, self.params.base_mva
+        i_re = (y.real * e_re - y.imag * e_im) * base
+        i_im = (y.real * e_im + y.imag * e_re) * base
+        return m.complex(i_re / system_base_mva, i_im / system_base_mva)
 
     # -- initialization ----------------------------------------------------
 
@@ -194,28 +170,38 @@ class SyncGen(DeviceModel):
 
     def derivatives(self, x, v):
         p = self.params
-        x = x.tolist()
+        m = OPS[x.ndim]
+        states = m.states(x)
         (delta, speed, eq_t, ed_t, eq_st, ed_st, efd, pm,
-         pss_w, pss_a, pss_b) = x
-        id_, iq = self._dq_currents(x, v)
+         pss_w, pss_a, pss_b) = states
+        e_re, e_im, c, s = _subtransient_emf(m, states)
+        # stator current (E'' - v) / (ra + j xd''), divided as Python's
+        # complex ``/`` does (numpy's division rounds differently)
+        a_re, a_im = e_re - v.real, e_im - v.imag
+        r, den = self._z_div
+        i_re = (a_re * r + a_im) / den
+        i_im = (a_im * r - a_re) / den
+        # stator current in the machine frame: i_net * conj(rotation)
+        id_ = i_re * c + i_im * s
+        iq = i_im * c - i_re * s
         te = ed_st * id_ + eq_st * iq
 
         # stabilizer chain: washout then two lead-lags, clamped output
         y_w = speed - pss_w
         y_1 = (p.t1 / p.t2) * y_w + (1.0 - p.t1 / p.t2) * pss_a
         y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
-        v_s = min(max(p.k_pss * y_2, -p.vs_max), p.vs_max)
+        v_s = m.min(m.max(p.k_pss * y_2, -p.vs_max), p.vs_max)
 
         droop = speed / p.r_droop if p.has_governor else 0.0
 
-        return np.array([
+        return m.array([
             self._omega_s * speed,
             (pm - te - p.d_pu * speed) / (2.0 * p.h_s),
             (efd - eq_t - (p.xd - p.xd_t) * id_) / p.td0_t,
             (-ed_t + (p.xq - p.xq_t) * iq) / p.tq0_t,
             (eq_t - eq_st - (p.xd_t - p.xd_st) * id_) / p.td0_st,
             (ed_t - ed_st + (p.xq_t - p.xq_st) * iq) / p.tq0_st,
-            (p.ka * (self.v_ref - abs(v) + v_s) - efd) / p.ta,
+            (p.ka * (self.v_ref - m.modulus(v) + v_s) - efd) / p.ta,
             (self.pm_ref - droop - pm) / p.t_gov,
             y_w / p.t_washout,
             (y_w - pss_a) / p.t2,
@@ -223,10 +209,11 @@ class SyncGen(DeviceModel):
         ])
 
     def outputs(self, x, v):
-        # products written out for the bits of one sample at a time, as in
-        # ``_subtransient_emfs``
+        # the emf's product written out for the bits of one sample at a
+        # time, as in ``_subtransient_emf``
         x, v = np.asarray(x), np.asarray(v)
-        i_net = ((self._subtransient_emfs(x) - v)
+        e_re, e_im, _, _ = _subtransient_emf(STACK, x.T)
+        i_net = ((e_re + 1j * e_im - v)
                  / complex(self.params.ra, self.params.xd_st))
         speed = 1.0 + x[..., 1]
         return {       # v * conj(i_net)
@@ -237,6 +224,13 @@ class SyncGen(DeviceModel):
         }
 
 
-def _machine_to_network(delta: float) -> complex:
-    """Rotation from the machine d-q frame onto the network frame."""
-    return cmath.exp(1j * (delta - math.pi / 2.0))
+def _subtransient_emf(m, states):
+    """``(E''.real, E''.imag, cos, sin)``: the emf ``(ed'' + j eq'')
+    e^{j(delta - pi/2)}`` on the network frame and the parts of that
+    rotation, with the operations ``m`` (``devices.OPS``).  The product is
+    written out as Python's complex one, (ac - bd) + (ad + bc)j, for the
+    same bits on a stack; numpy's complex product rounds differently."""
+    angle = states[0] - _QUARTER_TURN
+    c, s = m.cos(angle), m.sin(angle)
+    ed, eq = states[5], states[4]
+    return ed * c - eq * s, ed * s + eq * c, c, s

@@ -16,11 +16,10 @@ network solve is k source currents and one small matrix-vector product,
 with no LU solve; a stack of samples takes the same closed form once over
 its sample axis.  The assembled object implements the model protocol used
 by ``modal.linearize`` and the time-domain integrator: ``rhs``,
-``equilibrium``, ``state_labels`` and ``jacobian``.  A state enters the
-network only through its device's source current, so ``jacobian`` solves
-the network only for the columns of states that move one (3 of a machine's
-11 states, 2 of the DFIG's 12); every other column is one device's own
-difference at its fixed bus voltage, with the same bits.
+``equilibrium`` and ``state_labels``.  ``rhs`` accepts a leading sample
+axis, so ``modal.jacobian`` evaluates all 2n perturbed points of a state
+matrix at once: one stacked network solve, then one call per device on its
+slice of the stack, each row with the bits of ``rhs`` on its sample alone.
 
 Event support lives here as grid variants: a three-phase fault (bus shunt,
 or midpoint shunt on a split branch), a tripped branch, a scaled load.  Each
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .devices import DeviceModel
-from .modal import EQUILIBRIUM_TOL, StateLabel, central_column
+from .modal import EQUILIBRIUM_TOL, StateLabel
 from .network import Network, build_ybus, stamp_branch
 from .powerflow import PowerFlowSolution
 
@@ -109,16 +108,17 @@ class DynamicSystem:
         # state bookkeeping
         self._labels: list[StateLabel] = []
         self._slices: list[slice] = []
-        self._rows: list[int] = []
         pos = 0
         for dev in self.devices:
             self._slices.append(slice(pos, pos + dev.n_states))
-            self._rows.append(self._idx[dev.bus_id])
             for name in dev.state_names:
                 self._labels.append(StateLabel(dev.device_id, name,
                                                dev.device_class))
             pos += dev.n_states
         self.n_states = pos
+        # the device bus rows as an index array, which every model
+        # evaluation takes without converting a list
+        self._rows = np.array([self._idx[dev.bus_id] for dev in self.devices])
         names = [str(lab) for lab in self._labels]
         if len(set(names)) != len(names):
             raise SystemModelError("device ids produce duplicate state labels")
@@ -164,52 +164,19 @@ class DynamicSystem:
         return self._x0.copy()
 
     def rhs(self, x: np.ndarray, grid: GridModel | None = None) -> np.ndarray:
+        """``dx/dt`` on ``grid`` (the base grid by default).  ``x`` may
+        carry a leading sample axis; the derivatives then have it, each row
+        with the bits of a call on that sample alone."""
         return self._recall(x, grid)[0]
-
-    def jacobian(self, x: np.ndarray, grid: GridModel | None = None,
-                 step: float = 1e-6) -> np.ndarray:
-        """Central-difference Jacobian of ``rhs`` on ``grid``; bit for bit
-        ``modal.jacobian(lambda z: self.rhs(z, grid), x, step)``.
-
-        At a perturbed point whose device source current equals the one at
-        ``x`` exactly, the network gets the same injections, so the bus
-        voltages and every other device's rows of ``rhs`` are those at
-        ``x``, bit for bit: only the device's own rows are re-evaluated, at
-        its fixed bus voltage, and no network solve runs.  The untouched
-        rows difference to ``rhs(x) - rhs(x)`` as in the generic routine,
-        so a row that is not a number at ``x`` stays one.  Every other
-        point takes a full ``rhs``.  The equality test is made at each
-        point, so no device declares which of its states reach the
-        network.  Nothing is mutated.
-        """
-        x = np.asarray(x, dtype=float)
-        f0, v = self._recall(x, grid)
-        base = self.network.base_mva
-        a = np.empty((self.n_states, self.n_states))
-        for dev, sl, v_k in zip(self.devices, self._slices,
-                                v[self._rows].tolist()):
-            i0 = dev.source_current(x[sl], base)
-
-            def f(z):      # rhs(z), z differing from x only in dev's slice
-                z_dev = z[sl]
-                if dev.source_current(z_dev, base) != i0:
-                    return self.rhs(z, grid)
-                fz = f0.copy()
-                fz[sl] = dev.derivatives(z_dev, v_k)
-                return fz
-
-            for k in range(sl.start, sl.stop):
-                a[:, k] = central_column(f, x, k, step)
-        return a
 
     def _recall(self, x: np.ndarray, grid: GridModel | None
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """``_evaluate`` for ``rhs`` and ``jacobian``.  At the assembled
-        equilibrium (the same bits) on the base grid, the voltages are the
-        ones assembly solved for, so only the device derivatives run: the
-        network is solved once there, not again for ``linearize``'s check
-        and the Jacobian's centre.  The derivatives are not kept, so that
-        they stay those of the devices as they are now."""
+        """``_evaluate`` for ``rhs``.  At the assembled equilibrium (the
+        same bits) on the base grid, the voltages are the ones assembly
+        solved for, so only the device derivatives run: the network is not
+        solved again for ``linearize``'s equilibrium check.  The
+        derivatives are not kept, so that they stay those of the devices
+        as they are now."""
         if (grid is None or grid is self._base_grid) \
                 and x.tobytes() == self._x0.tobytes():
             return self._derivatives(x, self._v_eq), self._v_eq
@@ -224,12 +191,16 @@ class DynamicSystem:
         return self._derivatives(x, v), v
 
     def _derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Device derivatives at the given bus voltages; no network solve."""
-        dx = np.empty(self.n_states)
-        for dev, sl, v_k in zip(self.devices, self._slices,
-                                v[self._rows].tolist()):
-            dx[sl] = dev.derivatives(x[sl], v_k)
-        return dx
+        """Device derivatives at the given bus voltages; no network solve.
+        Over a stack, each device is called once on its slice of it."""
+        if x.ndim == 2:
+            parts = [dev.derivatives(x[:, sl], v_k) for dev, sl, v_k
+                     in zip(self.devices, self._slices, v[:, self._rows].T)]
+        else:
+            parts = [dev.derivatives(x[sl], v_k) for dev, sl, v_k
+                     in zip(self.devices, self._slices,
+                            v[self._rows].tolist())]
+        return np.concatenate(parts, axis=-1)
 
     # -- network solution --------------------------------------------------
 
@@ -257,17 +228,17 @@ class DynamicSystem:
         (voltage collapse) and ``SystemModelError`` is raised.
 
         ``x`` may carry a leading sample axis; the voltages then have it,
-        and each row has the bits of a call on that sample alone.  The
-        source currents come from ``DeviceModel.source_currents`` and the
-        closed form runs once over all samples (``_stacked_voltages``).
-        A single sample keeps its own scalar closed form, ``_voltages``:
-        it runs in every model evaluation, where a batch of one costs
-        several times as much.
+        and each row has the bits of a call on that sample alone.  Each
+        device gives the source currents of the whole stack in one call,
+        and the closed form runs once over all samples
+        (``_stacked_voltages``).  A single sample keeps its own scalar
+        closed form, ``_voltages``: it runs in every model evaluation,
+        where a batch of one costs several times as much.
         """
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
-        if np.ndim(x) == 2:
-            i = np.column_stack([dev.source_currents(x[:, sl], base)
+        if x.ndim == 2:
+            i = np.column_stack([dev.source_current(x[:, sl], base)
                                  for dev, sl in zip(self.devices,
                                                     self._slices)])
             return self._stacked_voltages(i, grid)
@@ -276,14 +247,15 @@ class DynamicSystem:
         return self._voltages(i, grid)
 
     def _voltages(self, i, grid: GridModel) -> np.ndarray:
-        """``solve_network`` for one sample's source currents ``i`` (the
-        converter's entry is ``c``; ``i`` is changed in place)."""
+        """``solve_network`` for one sample's source currents ``i``, a list
+        whose converter entry is ``c``."""
         k = self._converter
         if k is None:
             return grid.z_dev @ i
 
         r = self._rows[k]
         c = i[k]
+        i = np.array(i)
         i[k] = 0.0
         z_r = grid.z_dev[r]
         w_r = z_r @ i

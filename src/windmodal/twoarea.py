@@ -24,7 +24,7 @@ area generation totals the same across cases.
 from __future__ import annotations
 
 from .devices import DeviceModel
-from .dfig import Dfig, DfigParams, DroopParams
+from .dfig import Dfig, DfigParams, DroopParams, check_control_mode
 from .network import Branch, Bus, Network
 from .syncgen import SyncGen, SyncGenParams
 
@@ -81,10 +81,12 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
 
     Owns the case check, the farm rating default (``DEFAULT_WIND_MVA``) and
     the farm bus kind: PV when the farm regulates its voltage
-    (``control_mode="voltage"``), PQ when it holds its reactive power.
+    (``control_mode="voltage"``), PQ when it holds its reactive power; any
+    other ``control_mode`` is rejected, in every case.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+    check_control_mode(control_mode)
 
     p7 = 967.0 * LOAD_SCALE / SYSTEM_BASE_MVA
     q7 = (100.0 - 200.0) * LOAD_SCALE / SYSTEM_BASE_MVA

@@ -142,6 +142,15 @@ def test_a_number_too_large_for_a_float_is_a_load_error(tmp_path, capsys):
         "error: [load] k_pss: too large for a float")
 
 
+def test_powerflow_tags_a_bad_override_with_its_stage(tmp_path, capsys):
+    path = tmp_path / "stray.json"
+    path.write_text('{"base_case": "B", "overrides": '
+                    '[{"device": "G9", "field": "h_s", "value": 5.0}]}')
+    assert main(["powerflow", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [build] override device 'G9' not in scenario")
+
+
 def test_invalid_gain_spec_is_a_usage_error(capsys):
     for spec in ("5:1:1", "0:inf:10"):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ voltage has to give (numerically) zero, otherwise the device would drift
 away from the power-flow point it was anchored to.
 """
 
+import cmath
 import dataclasses
 import math
 
@@ -71,7 +72,8 @@ def test_syncgen_accelerates_when_electrical_load_vanishes():
     x0 = gen.initialize(v, 5.0 + 0.5j, 100.0, OMEGA_S)
     # holding the terminal at the subtransient emf zeroes the stator current,
     # so the full mechanical power accelerates the rotor
-    dx = gen.derivatives(x0, gen._subtransient_emf(x0))
+    emf = complex(x0[5], x0[4]) * np.exp(1j * (x0[0] - math.pi / 2.0))
+    dx = gen.derivatives(x0, emf)
     assert dx[1] == pytest.approx(x0[7] / (2.0 * p.h_s), rel=1e-12)
 
 
@@ -117,6 +119,8 @@ def test_syncgen_rejects_dispatch_outside_limits():
     (dict(ta=-0.01), "must be positive"),
     (dict(h_s=math.nan), "h_s must be positive and finite"),
     (dict(td0_t=math.inf), "td0_t must be positive and finite"),
+    (dict(ra=0.25), "xd_st > ra"),
+    (dict(ra=-0.01), "ra >= 0"),
 ])
 def test_syncgen_parameter_validation(kwargs, match):
     with pytest.raises(DeviceError, match=match):
@@ -367,3 +371,131 @@ def test_limits_are_valid_finite_and_bracket_the_equilibrium(study):
                                                dev.state_names[k])
         start += dev.n_states
     assert start == model.n_states
+
+
+# -- one body for a sample and a stack ----------------------------------------
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_stack_is_rowwise(dev, xs, vs):
+    """``derivatives`` and ``source_current`` over the stack have the bits
+    of one scalar call per row (with the Python complex the system hands a
+    single sample)."""
+    d = dev.derivatives(xs, vs)
+    i = dev.source_current(xs, 100.0)
+    assert d.shape == xs.shape and i.shape == xs.shape[:1]
+    for k, v in enumerate(vs.tolist()):
+        assert np.array_equal(bits(d[k]), bits(dev.derivatives(xs[k], v))), k
+        assert np.array_equal(bits(i[k:k + 1]),
+                              bits(np.array([dev.source_current(xs[k],
+                                                                100.0)]))), k
+
+
+def random_voltages(rng, n):
+    v = rng.uniform(0.05, 1.3, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    # on the negative real axis from both sides: the bus angle is +-pi
+    v[:2] = [complex(-1.0, 0.0), complex(-1.0, -0.0)]
+    return v
+
+
+@pytest.mark.parametrize("has_governor", [True, False])
+def test_syncgen_stack_has_the_bits_of_one_sample_at_a_time(has_governor):
+    p = SyncGenParams(has_governor=has_governor)
+    gen = SyncGen("G", 1, p)
+    x0 = gen.initialize(1.0 + 0.0j, 5.0 + 0.5j, 100.0, OMEGA_S)
+    rng = np.random.default_rng(7)
+    n = 400
+    xs = x0 + 0.1 * rng.standard_normal((n, gen.n_states))
+    xs[:, 0] = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, n)
+    xs[:, 1] = rng.uniform(-0.05, 0.05, n)
+    # the stabilizer output before its clamp, to show the stack reaches
+    # both bounds and the inside
+    y_w = xs[:, 1] - xs[:, 8]
+    y_1 = (p.t1 / p.t2) * y_w + (1.0 - p.t1 / p.t2) * xs[:, 9]
+    y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * xs[:, 10]
+    v_s = p.k_pss * y_2
+    assert (v_s > p.vs_max).any() and (v_s < -p.vs_max).any()
+    assert (np.abs(v_s) < p.vs_max).any()
+    assert_stack_is_rowwise(gen, xs, random_voltages(rng, n))
+
+
+@pytest.mark.parametrize("droop", [None, DroopParams(kp=20.0, kin=10.0,
+                                                     enabled=True)],
+                         ids=["droop_off", "droop_on"])
+@pytest.mark.parametrize("mode", ["voltage", "reactive_power"])
+def test_dfig_stack_has_the_bits_of_one_sample_at_a_time(mode, droop):
+    dev = farm(mode, droop)
+    p = dev.params
+    x0 = dev.initialize(1.01 * np.exp(0.15j), 2.4 + 0.3j, 100.0, OMEGA_S)
+    rng = np.random.default_rng(3)
+    n = 400
+    xs = x0 + 0.1 * rng.standard_normal((n, dev.n_states))
+    speed = xs[:, 0] = rng.uniform(-0.2, 1.6, n)
+    p_cmd = xs[:, 1] = rng.uniform(-0.5, 1.5, n)
+    v_filt = xs[:, 6] = rng.uniform(0.05, 1.2, n)
+    q_ctrl = xs[:, 7] = rng.uniform(-1.0, 1.0, n)
+    xs[:, 9] = rng.uniform(-np.pi, np.pi, n)
+    vs = random_voltages(rng, n)
+    # every branch: speed below 0.05, below cut-in, on the curve, above
+    # rated and above speed_max; the current command at 0 and at i_pmax;
+    # the voltage filter below its floor; the reactive command clamped
+    curve = p.mppt
+    for band in ((-1.0, 0.05), (0.05, curve.speed_cutin),
+                 (curve.speed_cutin, curve.speed_rated),
+                 (curve.speed_rated, curve.speed_max), (curve.speed_max, 9)):
+        assert ((speed > band[0]) & (speed < band[1])).any(), band
+    i_cmd = p_cmd / np.maximum(v_filt, p.v_floor)
+    assert (i_cmd < 0.0).any() and (i_cmd > p.i_pmax).any()
+    assert ((i_cmd > 0.0) & (i_cmd < p.i_pmax)).any()
+    assert (v_filt < p.v_floor).any()
+    assert (q_ctrl > p.i_qmax).any() and (q_ctrl < -p.i_qmax).any()
+    # the bus angle minus its filter state wraps across +-pi both ways
+    raw = np.angle(vs) - xs[:, 9]
+    assert (raw > np.pi).any() and (raw < -np.pi).any()
+    assert_stack_is_rowwise(dev, xs, vs)
+
+
+def complex_form_derivatives(gen, x, v):
+    """``SyncGen.derivatives`` in Python complex arithmetic, the form the
+    real-arithmetic body replaced."""
+    p = gen.params
+    (delta, speed, eq_t, ed_t, eq_st, ed_st, efd, pm,
+     pss_w, pss_a, pss_b) = x.tolist()
+    rot = cmath.exp(1j * (delta - math.pi / 2.0))
+    i_dq = ((complex(ed_st, eq_st) * rot - v) / complex(p.ra, p.xd_st)
+            * rot.conjugate())
+    id_, iq = i_dq.real, i_dq.imag
+    te = ed_st * id_ + eq_st * iq
+    y_w = speed - pss_w
+    y_1 = (p.t1 / p.t2) * y_w + (1.0 - p.t1 / p.t2) * pss_a
+    y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
+    v_s = min(max(p.k_pss * y_2, -p.vs_max), p.vs_max)
+    droop = speed / p.r_droop if p.has_governor else 0.0
+    return np.array([
+        gen._omega_s * speed,
+        (pm - te - p.d_pu * speed) / (2.0 * p.h_s),
+        (efd - eq_t - (p.xd - p.xd_t) * id_) / p.td0_t,
+        (-ed_t + (p.xq - p.xq_t) * iq) / p.tq0_t,
+        (eq_t - eq_st - (p.xd_t - p.xd_st) * id_) / p.td0_st,
+        (ed_t - ed_st + (p.xq_t - p.xq_st) * iq) / p.tq0_st,
+        (p.ka * (gen.v_ref - abs(v) + v_s) - efd) / p.ta,
+        (gen.pm_ref - droop - pm) / p.t_gov,
+        y_w / p.t_washout,
+        (y_w - pss_a) / p.t2,
+        (y_1 - pss_b) / p.t4,
+    ])
+
+
+@pytest.mark.parametrize("ra", [0.0, 0.0025, 0.2])
+def test_syncgen_real_arithmetic_has_the_bits_of_the_complex_form(ra):
+    gen = SyncGen("G", 1, SyncGenParams(ra=ra, has_governor=True))
+    x0 = gen.initialize(1.0 + 0.0j, 5.0 + 0.5j, 100.0, OMEGA_S)
+    rng = np.random.default_rng(2)
+    xs = x0 + 0.1 * rng.standard_normal((500, gen.n_states))
+    xs[:, 0] = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, 500)
+    for x, v in zip(xs, random_voltages(rng, 500).tolist()):
+        assert np.array_equal(bits(gen.derivatives(x, v)),
+                              bits(complex_form_derivatives(gen, x, v)))

@@ -13,7 +13,7 @@ import pytest
 from windmodal.modal import (ZERO_MODE_TOL, ModalError, Mode, StateLabel,
                              StateMatrix, analyze_modes, ccbg_pi, classify_mode,
                              damping_ratio, decompose, dominant_modes,
-                             linearize, participation_factors,
+                             jacobian, linearize, participation_factors,
                              participation_products)
 
 
@@ -65,7 +65,8 @@ def test_state_matrix_validation():
 
 
 class LinearModel:
-    """dx/dt = A x; the linearization must recover A itself."""
+    """dx/dt = A x, over a leading sample axis as ``rhs`` must be; the
+    linearization must recover A itself."""
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
@@ -77,7 +78,7 @@ class LinearModel:
         return np.zeros(self.a.shape[0])
 
     def rhs(self, x):
-        return self.a @ x
+        return x @ self.a.T
 
 
 def test_linearize_recovers_a_linear_model_exactly():
@@ -96,12 +97,18 @@ def test_linearize_rejects_non_equilibrium_points():
 def test_linearize_rejects_a_nan_derivative_at_the_point():
     class NanModel(LinearModel):
         def rhs(self, x):
-            dx = self.a @ x
-            dx[1] = np.nan
+            dx = x @ self.a.T
+            dx[..., 1] = np.nan
             return dx
 
     with pytest.raises(ModalError, match="not an equilibrium.*g1.*nan"):
         linearize(NanModel(np.eye(3)))
+
+
+def test_jacobian_rejects_an_rhs_without_a_sample_axis():
+    # a per-sample rhs handed the (2n, n) stack must fail, not return junk
+    with pytest.raises(ModalError, match="leading sample axis"):
+        jacobian(lambda x: np.array([x[0] - x[1], x[1]]), np.zeros(2))
 
 
 def test_linearize_is_second_order_in_the_step():
@@ -115,7 +122,7 @@ def test_linearize_is_second_order_in_the_step():
             return np.array([1.0])  # x=1 is not a root; shift below
 
         def rhs(self, x):
-            return np.array([-(x[0] - 1.0) + (x[0] - 1.0) ** 3])
+            return -(x - 1.0) + (x - 1.0) ** 3
 
     exact = -1.0
     e1 = abs(linearize(Cubic(), step=1e-3).a[0, 0] - exact)

@@ -30,7 +30,7 @@ from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
                                 sweep_to_text)
 from windmodal.syncgen import SyncGenParams
 from windmodal.timedomain import cycles
-from windmodal.twoarea import DEFAULT_WIND_MVA
+from windmodal.twoarea import DEFAULT_WIND_MVA, two_area_network
 
 PACKAGED = {
     "A",
@@ -117,6 +117,29 @@ def test_study_defaults_are_read_from_their_owners():
         tw = next(b for b in net.branches if b.name == "TW")
         assert farm.params.base_mva == DEFAULT_WIND_MVA[case]
         assert tw.x == pytest.approx(0.10 * 100.0 / DEFAULT_WIND_MVA[case])
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_two_area_network_rejects_an_unknown_control_mode(case):
+    with pytest.raises(ValueError, match="control_mode must be 'voltage' or "
+                                         "'reactive_power', got 'bogus'"):
+        two_area_network(case, control_mode="bogus")
+
+
+def test_fields_the_hash_leaves_out_must_keep_their_defaults():
+    # to_dict, and so sha256, omits them; were they free, these unequal
+    # scenarios would share the hash of the default one
+    with pytest.raises(ScenarioError,
+                       match="control_mode: case A has no wind farm"):
+        Scenario(base_case="A", control_mode="reactive_power")
+    with pytest.raises(ScenarioError, match="droop: droop gains apply only "
+                                            "when frequency_support is true"):
+        Scenario(base_case="B", droop=DroopParams(kp=5.0))
+    # the packaged studies and the sweeps' gain variants still load
+    for name in packaged_scenario_names():
+        scen = load_packaged_scenario(name)
+        if scen.base_case != "A":
+            assert _with_gains(scen, 5.0, 0.0).sha256 != scen.sha256
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -5,8 +5,8 @@ Grid-variant oracles are built by re-solving a modified network from scratch
 (branch removed, load rescaled) rather than by reusing the stamping code
 under test.  The closed-form converter solve is checked against the
 fixed-point iteration it replaced, kept here as a test-local reference.
-``DynamicSystem.jacobian`` is checked bit for bit against the generic
-central differences of ``rhs``.
+The stacked ``modal.jacobian`` of ``rhs`` is checked bit for bit against
+central differences taken column by column, one sample per ``rhs`` call.
 """
 
 import dataclasses
@@ -492,30 +492,31 @@ def test_network_solve_makes_no_lu_solve_on_a_built_grid(monkeypatch,
     assert len(calls) == 1
 
 
-# -- structured Jacobian ---------------------------------------------------------------
+# -- structured Jacobian: one stacked evaluation of the assembled system ---
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def generic_jacobian(model, x, grid=None):
-    return jacobian(lambda z: model.rhs(z, grid), x)
-
-
-def count_full_rhs(monkeypatch, model):
-    calls = []
-    full = model.rhs
-    monkeypatch.setattr(model, "rhs",
-                        lambda z, grid=None: calls.append(1) or full(z, grid))
-    return calls
+def column_jacobian(f, x, step=1e-6):
+    """The central differences column by column, ``f`` called on one
+    sample at a time: the reference for the stacked ``jacobian``."""
+    n = x.size
+    a = np.empty((n, n))
+    for k in range(n):
+        h = step * max(1.0, abs(x[k]))
+        xp, xm = x.copy(), x.copy()
+        xp[k] += h
+        xm[k] -= h
+        a[:, k] = (f(xp) - f(xm)) / (2.0 * h)
+    return a
 
 
 @pytest.mark.parametrize("name", packaged_scenario_names())
 def test_structured_jacobian_is_the_generic_one_at_equilibrium(name):
     model = packaged_system(name)
-    x = model.equilibrium()
-    assert np.array_equal(bits(model.jacobian(x)),
-                          bits(generic_jacobian(model, x)))
+    want = column_jacobian(model.rhs, model.equilibrium())
+    assert np.array_equal(bits(linearize(model).a), bits(want))
 
 
 @pytest.mark.parametrize("name", ["A", "B_voltage_support",
@@ -531,43 +532,42 @@ def test_structured_jacobian_is_the_generic_one_off_equilibrium(name):
     ]
     for k, g in enumerate(grids):
         x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
-        assert np.array_equal(bits(model.jacobian(x, g)),
-                              bits(generic_jacobian(model, x, g))), \
-            f"grid {k}"
+
+        def f(z):
+            return model.rhs(z, g)
+
+        assert np.array_equal(bits(jacobian(f, x)),
+                              bits(column_jacobian(f, x))), f"grid {k}"
 
 
 @pytest.mark.parametrize("name", packaged_scenario_names())
-def test_linearize_makes_full_rhs_calls_only_for_network_states(monkeypatch,
-                                                                 name):
-    # 3 network states per machine (delta, eq_st, ed_st), 2 for the DFIG
-    # (i_p, i_q): A has 4 machines, B adds the farm, C has 3 machines and
-    # the farm; the extra call is linearize's equilibrium check
+def test_linearize_makes_one_stacked_rhs_call(monkeypatch, name):
+    # the equilibrium check, then all 2n perturbed points at once
     model = packaged_system(name)
-    calls = count_full_rhs(monkeypatch, model)
+    shapes = []
+    rhs = model.rhs
+    monkeypatch.setattr(model, "rhs", lambda x, grid=None: shapes.append(
+        np.shape(x)) or rhs(x, grid))
     linearize(model)
-    network_states = {"A": 12, "B": 14, "C": 11}[name[0]]
-    assert len(calls) == 2 * network_states + 1
+    n = model.n_states
+    assert shapes == [(n,), (2 * n, n)]
 
 
 @pytest.mark.parametrize("name", ["A", "B_voltage_support"])
 def test_linearize_solves_no_network_at_the_assembled_equilibrium(
         monkeypatch, name):
-    # assembly solved the network there; the equilibrium check and the
-    # Jacobian's centre take those voltages, and only the full columns
-    # solve it again
+    # the equilibrium check takes the voltages assembly solved for; the
+    # 2n perturbed points take exactly one solve, over their stack
     model = packaged_system(name)
-    x0 = model.equilibrium()
-    at_x0 = []
+    stacks = []
     solve = model.solve_network
     monkeypatch.setattr(model, "solve_network",
-                        lambda x, grid=None: at_x0.append(
-                            np.array_equal(x, x0)) or solve(x, grid))
-    want = generic_jacobian(model, x0)
-    at_x0.clear()
-    sm = linearize(model)
-    network_states = {"A": 12, "B": 14}[name[0]]
-    assert at_x0 == [False] * (2 * network_states)
-    assert np.array_equal(bits(sm.a), bits(want))
+                        lambda x, grid=None: stacks.append(x.copy())
+                        or solve(x, grid))
+    linearize(model)
+    assert [x.shape for x in stacks] == [(2 * model.n_states,
+                                          model.n_states)]
+    assert not (stacks[0] == model.equilibrium()).all(axis=1).any()
 
 
 def test_linearize_names_a_state_that_moves_at_the_assembled_equilibrium(
@@ -584,36 +584,7 @@ def test_linearize_names_a_state_that_moves_at_the_assembled_equilibrium(
         linearize(model)
 
 
-def test_a_source_that_follows_every_state_takes_only_full_columns(
-        monkeypatch):
-    class Coupled(SyncGen):
-        """A machine whose source current moves with each of its states;
-        unchanged at the equilibrium, so assembly still accepts it."""
-
-        def initialize(self, *args):
-            self._x_ref = super().initialize(*args)
-            return self._x_ref
-
-        def source_current(self, x, system_base_mva):
-            scale = 1.0 + 1e-3 * float(np.sum(x - self._x_ref))
-            return super().source_current(x, system_base_mva) * scale
-
-    net, devices = build_two_area("A")
-    devices[0] = Coupled(devices[0].device_id, devices[0].bus_id,
-                         devices[0].params)
-    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
-    x = model.equilibrium()
-    x[0] += 1e-3
-    want = generic_jacobian(model, x)
-    calls = count_full_rhs(monkeypatch, model)
-    got = model.jacobian(x)
-    assert len(calls) == 2 * (devices[0].n_states + 3 * 3)
-    assert np.array_equal(bits(got), bits(want))
-
-
 def test_structured_jacobian_keeps_rows_that_are_not_a_number(monkeypatch):
-    # rows that are NaN at x must not turn into zeros in the columns that
-    # skip the network
     model = packaged_system("A")
     g2 = model.devices[1]
     finite = g2.derivatives
@@ -621,9 +592,9 @@ def test_structured_jacobian_keeps_rows_that_are_not_a_number(monkeypatch):
                         lambda x, v: finite(x, v) * np.array(
                             [math.nan] + [1.0] * (g2.n_states - 1)))
     x = model.equilibrium()
-    got = model.jacobian(x)
+    got = jacobian(model.rhs, x)
     assert np.isnan(got[model.n_states // 4]).all()    # G2.delta's row
-    assert np.array_equal(bits(got), bits(generic_jacobian(model, x)))
+    assert np.array_equal(bits(got), bits(column_jacobian(model.rhs, x)))
 
 
 def test_structured_jacobian_mutates_nothing():
@@ -633,6 +604,6 @@ def test_structured_jacobian_mutates_nothing():
     x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
     x_before = x.copy()
     before = pickle.dumps((model, grid))
-    model.jacobian(x, grid)
+    jacobian(lambda z: model.rhs(z, grid), x)
     assert np.array_equal(bits(x), bits(x_before))
     assert pickle.dumps((model, grid)) == before
