@@ -64,8 +64,7 @@ class StateMatrix:
             raise ModalError(
                 f"{len(self.labels)} labels for a {n}-state matrix"
             )
-        names = [str(lab) for lab in self.labels]
-        if len(set(names)) != len(names):
+        if len(set(self.labels)) != n:
             raise ModalError("state labels are not unique")
 
 

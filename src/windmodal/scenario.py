@@ -117,7 +117,8 @@ class Scenario:
             object.__setattr__(self, "sha256", _canonical_hash(self))
 
     def to_dict(self) -> dict:
-        """JSON-ready form mirroring the file schema."""
+        """JSON-ready form mirroring the file schema; the hash is taken of
+        it, so a zero is written unsigned (``-0.0 == 0.0``)."""
         out: dict = {"base_case": self.base_case}
         if self.name:
             out["name"] = self.name
@@ -136,7 +137,16 @@ class Scenario:
             out["overrides"] = [dataclasses.asdict(o) for o in self.overrides]
         if self.events:
             out["events"] = [_event_to_dict(e) for e in self.events]
-        return out
+        return _unsigned_zeros(out)
+
+
+def _unsigned_zeros(obj):
+    """``obj`` (dicts, lists and scalars) with each float zero as 0.0."""
+    if isinstance(obj, dict):
+        return {k: _unsigned_zeros(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_unsigned_zeros(v) for v in obj]
+    return 0.0 if isinstance(obj, float) and obj == 0.0 else obj
 
 
 def _canonical_hash(scenario: Scenario) -> str:

@@ -16,10 +16,12 @@ network solve is k source currents and one small matrix-vector product,
 with no LU solve; a stack of samples takes the same closed form once over
 its sample axis.  The assembled object implements the model protocol used
 by ``modal.linearize`` and the time-domain integrator: ``rhs``,
-``equilibrium`` and ``state_labels``.  ``rhs`` accepts a leading sample
-axis, so ``modal.jacobian`` evaluates all 2n perturbed points of a state
-matrix at once: one stacked network solve, then one call per device on its
-slice of the stack, each row with the bits of ``rhs`` on its sample alone.
+``equilibrium``, ``state_labels`` and ``limits`` (the devices' limits on
+system state indices); the integrator evaluates only ``rhs``.  ``rhs``
+accepts a leading sample axis, so ``modal.jacobian`` evaluates all 2n
+perturbed points of a state matrix at once: one stacked network solve, then
+one call per device on its slice of the stack, each row with the bits of
+``rhs`` on its sample alone.
 
 Event support lives here as grid variants: a three-phase fault (bus shunt,
 or midpoint shunt on a split branch), a tripped branch, a scaled load.  Each
@@ -146,7 +148,8 @@ class DynamicSystem:
                 dev.initialize(v_bus, s_gen, base, self.omega_s), dtype=float))
         self._x0 = np.concatenate(x0_parts) if x0_parts else np.empty(0)
 
-        r, self._v_eq = self._evaluate(self._x0)
+        self._v_eq = self.solve_network(self._x0)
+        r = self._derivatives(self._x0, self._v_eq)
         worst = int(np.argmax(np.abs(r)))
         if not abs(r[worst]) <= EQUILIBRIUM_TOL:     # NaN fails too
             raise SystemModelError(
@@ -163,32 +166,18 @@ class DynamicSystem:
     def equilibrium(self) -> np.ndarray:
         return self._x0.copy()
 
+    def limits(self) -> list[tuple[int, float, float]]:
+        """Every device's non-windup limits (``DeviceModel.limits``) as
+        ``(system state index, lower, upper)``, in state order."""
+        return [(sl.start + k, lo, hi)
+                for dev, sl in zip(self.devices, self._slices)
+                for k, lo, hi in dev.limits()]
+
     def rhs(self, x: np.ndarray, grid: GridModel | None = None) -> np.ndarray:
         """``dx/dt`` on ``grid`` (the base grid by default).  ``x`` may
         carry a leading sample axis; the derivatives then have it, each row
         with the bits of a call on that sample alone."""
-        return self._recall(x, grid)[0]
-
-    def _recall(self, x: np.ndarray, grid: GridModel | None
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """``_evaluate`` for ``rhs``.  At the assembled equilibrium (the
-        same bits) on the base grid, the voltages are the ones assembly
-        solved for, so only the device derivatives run: the network is not
-        solved again for ``linearize``'s equilibrium check.  The
-        derivatives are not kept, so that they stay those of the devices
-        as they are now."""
-        if (grid is None or grid is self._base_grid) \
-                and x.tobytes() == self._x0.tobytes():
-            return self._derivatives(x, self._v_eq), self._v_eq
-        return self._evaluate(x, grid)
-
-    def _evaluate(self, x: np.ndarray, grid: GridModel | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """``(dx, v)``: the derivatives and the network solution behind
-        them, so that the integrator keeps the voltages of an accepted step
-        instead of solving the network again."""
-        v = self.solve_network(x, grid=grid)
-        return self._derivatives(x, v), v
+        return self._derivatives(x, self.solve_network(x, grid))
 
     def _derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Device derivatives at the given bus voltages; no network solve.

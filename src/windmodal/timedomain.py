@@ -262,14 +262,14 @@ def _rms(z: np.ndarray) -> float:
 
 def _dopri_step(evaluate, x, f, h):
     """One step of size ``h`` from ``x`` with ``f = f(x)``: the stages
-    ``k`` (7 × n), the 5th-order solution and the voltages behind its
-    derivative ``k[6]``."""
+    ``k`` (7 × n), the 5th-order solution and the held rows' free values
+    there, which come with ``k[6]`` (first same as last) at no extra cost."""
     k = np.empty((7, x.size))
     k[0] = f
     for s, a in enumerate(_DP_A, start=1):
         x1 = x + h * (a @ k[:s])
-        k[s], v1 = evaluate(x1)
-    return k, x1, v1
+        k[s], free1 = evaluate(x1)
+    return k, x1, free1
 
 
 def _dense(x, x1, k, h, theta):
@@ -366,19 +366,18 @@ class _Recorder:
 
 class _Limiters:
     """The devices' non-windup limiters during a run (see ``simulate``):
-    the bounds from ``DeviceModel.limits`` and the held system indices,
-    each with its free derivative at the current point, signed so that a
+    the bounds from ``model.limits()`` and the held system indices, each
+    with its free derivative at the current point, signed so that a
     positive value pushes against the bound.  A held state's row of every
     stage is zero, so the state keeps its bits through steps and dense
     output; no device equation reads another state's derivative, so no
-    other row changes."""
+    other row changes.  Each evaluation, one ``model.rhs`` call, also
+    gives the held rows' free values, so holding costs no extra one."""
 
     def __init__(self, model: DynamicSystem):
         self.model = model
         # (system state index, lo, hi) of every limited state
-        self.bounds = [(sl.start + k, lo, hi)
-                       for dev, sl in zip(model.devices, model._slices)
-                       for k, lo, hi in dev.limits()]
+        self.bounds = model.limits()
         self._index = [g for g, _, _ in self.bounds]
         self._lo = np.array([lo for _, lo, _ in self.bounds])
         self._hi = np.array([hi for _, _, hi in self.bounds])
@@ -390,32 +389,34 @@ class _Limiters:
         return free if x[g] >= hi else -free
 
     def evaluate(self, x, grid):
-        """``model._evaluate`` with the held rows of ``f`` set to zero."""
-        f, v = self.model._evaluate(x, grid)
+        """``(f, free)``: ``model.rhs`` with the held rows zeroed, and
+        their values before, in the order of ``held``."""
+        f = self.model.rhs(x, grid)
+        free = ()
         if self.held:
-            f[list(self.held)] = 0.0
-        return f, v
+            held = list(self.held)
+            free = f[held]
+            f[held] = 0.0
+        return f, free
 
     def start(self, x, grid):
         """``f`` of ``evaluate`` at a fresh start, noting the free
         derivatives of the held states there."""
-        f, _ = self.model._evaluate(x, grid)
-        for g in self.held:
-            self.held[g] = self._push(g, x, f[g])
-            f[g] = 0.0
+        f, free = self.evaluate(x, grid)
+        for g, p in zip(self.held, free):
+            self.held[g] = self._push(g, x, p)
         return f
 
-    def first_switch(self, x, x1, v1):
+    def first_switch(self, x, x1, free1):
         """The first limiter switch inside an accepted step from ``x`` to
-        ``x1`` (bus voltages ``v1`` at ``x1``), as
-        ``(theta, index, bound)``, ``bound`` ``None`` for a release; or
-        ``None``.  ``theta`` is the fraction of the step.  A free state
-        that ends the step beyond a bound crosses it where the secant on
-        ``x_g - bound`` between the step's ends does; a held state whose
-        free derivative at ``x1`` points back inside is released where the
-        secant between its free derivatives at the two ends changes sign.
-        The held states' free derivatives at ``x1`` are noted for the next
-        step."""
+        ``x1``, as ``(theta, index, bound)``, ``bound`` ``None`` for a
+        release; or ``None``.  ``theta`` is the fraction of the step.  A
+        free state that ends the step beyond a bound crosses it where the
+        secant on ``x_g - bound`` between the step's ends does; a held
+        state whose free derivative at ``x1`` points back inside is
+        released where the secant between its free derivatives at the two
+        ends changes sign.  ``free1``, the held states' free derivatives at
+        ``x1`` from the step's last stage, is noted for the next step."""
         first = None
         for g, lo, hi in self.bounds:
             if g in self.held or lo <= x1[g] <= hi:
@@ -429,15 +430,13 @@ class _Limiters:
                      else 1.0 if g0 == 0.0 else 0.0)
             if first is None or theta < first[0]:
                 first = (theta, g, bound)
-        if self.held:
-            free = self.model._derivatives(x1, v1)
-            for g, p0 in self.held.items():
-                p1 = self._push(g, x1, free[g])
-                self.held[g] = p1
-                if p1 < 0.0:
-                    theta = p0 / (p0 - p1) if p0 > 0.0 else 0.0
-                    if first is None or theta < first[0]:
-                        first = (theta, g, None)
+        for (g, p0), p in zip(self.held.items(), free1):
+            p1 = self._push(g, x1, p)
+            self.held[g] = p1
+            if p1 < 0.0:
+                theta = p0 / (p0 - p1) if p0 > 0.0 else 0.0
+                if first is None or theta < first[0]:
+                    first = (theta, g, None)
         return first
 
     def clip(self, xs):
@@ -470,7 +469,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     stability interval (about -3.3), so an equilibrium holds to the size of
     its residual instead of drifting at the tolerance.
 
-    Limited states (``DeviceModel.limits``) are held here, not in the
+    Limited states (``model.limits()``) are held here, not in the
     devices: every stage zeroes the rows of held states, so a held state
     stays on its bound bit for bit.  After each accepted step, a free state
     that ends it beyond a bound has crossed the bound where the secant on
@@ -478,8 +477,9 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     free derivative at the step's end points back inside is released where
     the secant between its free derivatives at the two ends changes sign.
     The step ends at the first such switch, the state is clamped and held
-    or released there, and integration starts afresh.  A run in which no
-    limiter switches makes no extra evaluation.
+    or released there, and integration starts afresh.  The free derivatives
+    at a step's end come from its last stage: a hold costs no extra
+    evaluation, only a switch does.
 
     The event script is turned into segments of constant grid before the
     first step, so a script error (clearing a fault that is not on,
@@ -533,7 +533,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                 h = min(h, H_MAX)
                 last = t + h >= seg_end
                 step = seg_end - t if last else h
-                k, x1, v1 = _dopri_step(evaluate, x, f, step)
+                k, x1, free1 = _dopri_step(evaluate, x, f, step)
                 scale = ATOL + rtol * np.maximum(np.abs(x), np.abs(x1))
                 err = _rms(step * (_DP_E @ k) / scale)
                 # max() keeps MIN_FACTOR for a NaN err; inf gives 0 here
@@ -551,7 +551,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                 h = step * min(factor, 1.0 if rejected else MAX_FACTOR)
                 rejected = False
 
-                switch = limiters.first_switch(x, x1, v1)
+                switch = limiters.first_switch(x, x1, free1)
                 theta = 1.0 if switch is None else switch[0]
                 last = last and theta == 1.0
                 t1 = seg_end if last else t + theta * step

@@ -61,6 +61,17 @@ def test_state_matrix_validation():
         StateMatrix(a=np.zeros((2, 2)), labels=same)
 
 
+def test_building_a_state_matrix_formats_no_label(monkeypatch):
+    # uniqueness is checked on the label values, not on their text
+    def refuse(label):
+        raise AssertionError(f"{label.device_id}.{label.state} formatted")
+
+    monkeypatch.setattr(StateLabel, "__str__", refuse)
+    StateMatrix(a=np.zeros((3, 3)), labels=labels(3))
+    with pytest.raises(ModalError, match="not unique"):
+        StateMatrix(a=np.zeros((2, 2)), labels=labels(1) * 2)
+
+
 # -- linearize --------------------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
                                 simulate_scenario, sweep_to_csv,
                                 sweep_to_text)
 from windmodal.syncgen import SyncGenParams
-from windmodal.timedomain import cycles
+from windmodal.timedomain import Event, cycles
 from windmodal.twoarea import DEFAULT_WIND_MVA, two_area_network
 
 PACKAGED = {
@@ -293,6 +293,38 @@ def test_scenario_hash_is_canonical():
     assert one == two
     other = dataclasses.replace(one, description="tweaked", sha256="")
     assert other.sha256 != one.sha256
+
+
+@pytest.mark.parametrize("kwargs, zero", [
+    (dict(base_case="B"), dict(k_pss=0.0)),
+    (dict(base_case="B", frequency_support=True),
+     dict(droop=DroopParams(kp=0.0, kin=0.0, enabled=True))),
+    (dict(base_case="A"), dict(overrides=(Override("G1", "d_pu", 0.0),))),
+    (dict(base_case="A"), dict(events=(Event("three_phase_fault", 0.0, bus=8,
+                                             duration=0.1),))),
+    (dict(base_case="A"), dict(events=(Event("load_step", 1.0, bus=7,
+                                             scale=0.0),))),
+], ids=["k_pss", "droop", "override", "t_start", "scale"])
+def test_a_signed_zero_leaves_the_scenario_and_its_hash_unchanged(kwargs,
+                                                                  zero):
+    # -0.0 == 0.0, and the validation takes both, so the two scenarios have
+    # equal fields; the canonical form writes the zero unsigned
+    def negated(value):
+        if isinstance(value, float):
+            return -value
+        if isinstance(value, tuple):
+            return tuple(negated(v) for v in value)
+        return dataclasses.replace(value, **{
+            f.name: negated(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if isinstance(getattr(value, f.name), float)
+            and getattr(value, f.name) == 0.0})
+
+    plus = Scenario(**kwargs, **zero)
+    minus = Scenario(**kwargs, **{k: negated(v) for k, v in zero.items()})
+    assert "-0.0" in repr(minus)
+    assert minus == plus and minus.sha256 == plus.sha256
+    assert "-0.0" not in json.dumps(minus.to_dict())
 
 
 def test_scenario_dict_round_trip():

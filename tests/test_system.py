@@ -55,6 +55,22 @@ def test_state_labels_cover_all_devices(system_b):
     assert classes["W1"] == "converter"
 
 
+@pytest.mark.parametrize("name", ["A", "B_voltage_support",
+                                  "C_voltage_support"])
+def test_system_limits_list_each_device_limit_at_its_slice_offset(name):
+    # the integrator reads the limiters from the model alone
+    model = packaged_system(name)
+    labels = model.state_labels()
+    want, start = [], 0
+    for dev in model.devices:
+        for k, lo, hi in dev.limits():
+            want.append((start + k, lo, hi))
+            assert str(labels[start + k]) == \
+                f"{dev.device_id}.{dev.state_names[k]}"
+        start += dev.n_states
+    assert want and model.limits() == want
+
+
 def test_device_outputs_exposes_every_device(system_b):
     x0 = system_b.equilibrium()
     out = system_b.device_outputs(x0, system_b.equilibrium_voltages)
@@ -441,12 +457,11 @@ def test_a_faulted_run_uses_the_scalar_solve_only_to_evaluate_the_model(
     # take theirs from one stacked solve per segment
     model = packaged_system("B_voltage_support")
     scalar, evaluations = [], []
-    voltages, evaluate = model._voltages, model._evaluate
+    voltages, rhs = model._voltages, model.rhs
     monkeypatch.setattr(model, "_voltages", lambda i, grid: scalar.append(1)
                         or voltages(i, grid))
-    monkeypatch.setattr(model, "_evaluate",
-                        lambda x, grid=None: evaluations.append(1)
-                        or evaluate(x, grid))
+    monkeypatch.setattr(model, "rhs", lambda x, grid=None:
+                        evaluations.append(1) or rhs(x, grid))
     tr = simulate(model, events=[Event("three_phase_fault", 0.1,
                                        branch="L8-9a", duration=0.1)],
                   t_end=0.5)
@@ -554,25 +569,27 @@ def test_linearize_makes_one_stacked_rhs_call(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["A", "B_voltage_support"])
-def test_linearize_solves_no_network_at_the_assembled_equilibrium(
+def test_linearize_solves_the_network_at_the_equilibrium_then_over_the_stack(
         monkeypatch, name):
-    # the equilibrium check takes the voltages assembly solved for; the
-    # 2n perturbed points take exactly one solve, over their stack
+    # the equilibrium check is one plain rhs call, with its own scalar
+    # solve; the 2n perturbed points take exactly one solve, over their
+    # stack
     model = packaged_system(name)
-    stacks = []
+    solves = []
     solve = model.solve_network
     monkeypatch.setattr(model, "solve_network",
-                        lambda x, grid=None: stacks.append(x.copy())
+                        lambda x, grid=None: solves.append(x.copy())
                         or solve(x, grid))
     linearize(model)
-    assert [x.shape for x in stacks] == [(2 * model.n_states,
-                                          model.n_states)]
-    assert not (stacks[0] == model.equilibrium()).all(axis=1).any()
+    assert [x.shape for x in solves] == [(model.n_states,),
+                                         (2 * model.n_states, model.n_states)]
+    assert solves[0].tobytes() == model.equilibrium().tobytes()
+    assert not (solves[1] == model.equilibrium()).all(axis=1).any()
 
 
 def test_linearize_names_a_state_that_moves_at_the_assembled_equilibrium(
         monkeypatch):
-    # the voltages at the equilibrium are reused, the derivatives are not
+    # the equilibrium check evaluates the devices as they are now
     model = packaged_system("A")
     g2 = model.devices[1]
     free = g2.derivatives
