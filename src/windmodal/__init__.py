@@ -17,8 +17,7 @@ from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
 from .devices import DeviceError, DeviceModel
 from .syncgen import SyncGen, SyncGenParams
 from .dfig import Dfig, DfigParams, DroopParams
-from .system import (DynamicSystem, FaultSpec, GridModel, SystemModelError,
-                     assemble)
+from .system import DynamicSystem, GridModel, SystemModelError, assemble
 from .twoarea import CASES, two_area_network
 from .smib import (SmibGridPoint, SmibParams, smib_eigenvalues,
                    smib_sensitivity_grid, smib_system_matrix, write_grid_csv)
@@ -47,7 +46,7 @@ __all__ = [
     "DeviceError", "DeviceModel",
     "SyncGen", "SyncGenParams", "Dfig", "DfigParams", "DroopParams",
     # system assembly
-    "DynamicSystem", "FaultSpec", "GridModel", "SystemModelError", "assemble",
+    "DynamicSystem", "GridModel", "SystemModelError", "assemble",
     "CASES", "two_area_network",
     # single-machine closed form
     "SmibGridPoint", "SmibParams", "smib_eigenvalues",

@@ -137,11 +137,8 @@ def cmd_modal(args) -> int:
     print("dominant modes:")
     print(_mode_table(report.dominant))
     out = _out_dir(args)
-    paths = []
     for fmt in args.formats:
-        paths += sc.export_report(report, fmt, out)
-    for p in paths:
-        print(f"wrote {p}")
+        print(f"wrote {sc.export_report(report, fmt, out)}")
     return 0
 
 
@@ -172,11 +169,8 @@ def cmd_sweep(args) -> int:
         print(f"  cell kp={c.kp:g} kin={c.kin:g}: {c.error}",
               file=sys.stderr)
     out = _out_dir(args)
-    paths = []
     for fmt in args.formats:
-        paths += sc.export_report(sweep, fmt, out)
-    for p in paths:
-        print(f"wrote {p}")
+        print(f"wrote {sc.export_report(sweep, fmt, out)}")
     return 1 if failed else 0
 
 

@@ -118,7 +118,8 @@ class Scenario:
 
     def to_dict(self) -> dict:
         """JSON-ready form mirroring the file schema; the hash is taken of
-        it, so a zero is written unsigned (``-0.0 == 0.0``)."""
+        it, so every number the schema types as a float is written as one
+        (``5 == 5.0``) and a zero unsigned (``-0.0 == 0.0``)."""
         out: dict = {"base_case": self.base_case}
         if self.name:
             out["name"] = self.name
@@ -128,13 +129,16 @@ class Scenario:
             out["control_mode"] = self.control_mode
             out["frequency_support"] = self.frequency_support
             if self.frequency_support:
-                out["droop"] = {k: getattr(self.droop, k) for k in _DROOP_KEYS}
+                out["droop"] = {k: float(getattr(self.droop, k))
+                                for k in _DROOP_KEYS}
             if self.wind_mva is not None:
-                out["wind_mva"] = self.wind_mva
+                out["wind_mva"] = float(self.wind_mva)
         if self.k_pss != SyncGenParams.k_pss:
-            out["k_pss"] = self.k_pss
+            out["k_pss"] = float(self.k_pss)
         if self.overrides:
-            out["overrides"] = [dataclasses.asdict(o) for o in self.overrides]
+            out["overrides"] = [dict(dataclasses.asdict(o),
+                                     value=float(o.value))
+                                for o in self.overrides]
         if self.events:
             out["events"] = [_event_to_dict(e) for e in self.events]
         return _unsigned_zeros(out)
@@ -155,17 +159,17 @@ def _canonical_hash(scenario: Scenario) -> str:
 
 
 def _event_to_dict(ev: Event) -> dict:
-    out: dict = {"kind": ev.kind, "t_start": ev.t_start}
+    out: dict = {"kind": ev.kind, "t_start": float(ev.t_start)}
     if ev.bus is not None:
         out["bus"] = ev.bus
     if ev.branch is not None:
         out["branch"] = ev.branch
     if ev.duration is not None:
-        out["duration"] = ev.duration
+        out["duration"] = float(ev.duration)
     if ev.kind == "three_phase_fault":
-        out["admittance"] = ev.admittance
+        out["admittance"] = float(ev.admittance)
     if ev.kind == "load_step":
-        out["scale"] = ev.scale
+        out["scale"] = float(ev.scale)
     return out
 
 
@@ -688,9 +692,9 @@ def sweep_to_csv(sweep: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report(obj, fmt: str, out_dir) -> list[Path]:
+def export_report(obj, fmt: str, out_dir) -> Path:
     """Write a report or sweep to disk as ``report_<scenario>`` or
-    ``sweep_<scenario>``; returns the paths written.
+    ``sweep_<scenario>``; returns the path written.
 
     ``fmt`` is "csv" or "structured_text"; identical inputs produce
     identical bytes.
@@ -711,4 +715,4 @@ def export_report(obj, fmt: str, out_dir) -> list[Path]:
     ext = {"csv": ".csv", "structured_text": ".json"}
     path = out_dir / f"{stem}{ext[fmt]}"
     path.write_text(renders[fmt](obj))
-    return [path]
+    return path

@@ -23,10 +23,12 @@ perturbed points of a state matrix at once: one stacked network solve, then
 one call per device on its slice of the stack, each row with the bits of
 ``rhs`` on its sample alone.
 
-Event support lives here as grid variants: a three-phase fault (bus shunt,
-or midpoint shunt on a split branch), a tripped branch, a scaled load.  Each
-variant is a fresh matrix built from the unmodified base, so clearing an
-event is exact by construction.
+Event support lives here as grid variants built from the script's active
+events: a three-phase fault (bus shunt, or midpoint shunt on a split
+branch), a tripped branch, a scaled load.  Each variant is a fresh matrix
+built from the unmodified base, so clearing an event is exact by
+construction.  The events are read by their fields alone, so this module
+does not import the time-domain one that defines them.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .modal import EQUILIBRIUM_TOL, StateLabel
 from .network import Network, build_ybus, stamp_branch
 from .powerflow import PowerFlowSolution
 
-DEFAULT_FAULT_ADMITTANCE = 1e4
-
 
 class SystemModelError(RuntimeError):
     pass
@@ -56,22 +56,6 @@ class GridModel:
     y: np.ndarray
     # impedance columns Z[:, device rows] (n_aug × k), in device order
     z_dev: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Target of a three-phase fault: a bus id or a named branch midpoint."""
-
-    bus: int | None = None
-    branch: str | None = None
-    admittance: float = DEFAULT_FAULT_ADMITTANCE
-
-    def __post_init__(self):
-        if (self.bus is None) == (self.branch is None):
-            raise SystemModelError("fault needs exactly one of bus or branch")
-        if not (math.isfinite(self.admittance) and self.admittance > 0.0):
-            raise SystemModelError("fault admittance must be finite and "
-                                   "positive")
 
 
 class DynamicSystem:
@@ -297,15 +281,28 @@ class DynamicSystem:
 
     # -- event grid variants -------------------------------------------------
 
-    def grid_variant(self, faults: list[FaultSpec] = (),
-                     out_branches: list[str] = (),
-                     load_scales: dict[int, float] | None = None) -> GridModel:
-        """Admittance matrix with the given modifications applied to base.
+    def grid_variant(self, events) -> GridModel:
+        """Admittance matrix with the active events applied to the base.
 
-        Midpoint faults append one bus per faulted branch; everything else
-        keeps the base dimensions.  Built fresh from the unmodified base so
-        variants never accumulate.
+        ``events`` are three-phase faults, line trips and load steps, of
+        which only ``kind``, ``bus``, ``branch``, ``admittance`` and
+        ``scale`` are read.  They apply in a fixed order: the line trips,
+        then the faults at branch midpoints, then those at buses, then the
+        load steps, each in the order given, so the admittance sums do not
+        depend on how the kinds are interleaved.  A load step scales the
+        base load of its bus, one step per bus.  Midpoint faults append one
+        bus per faulted branch; everything else keeps the base dimensions.
+        Built fresh from the unmodified base so variants never accumulate.
         """
+        by_kind = {"line_trip": [], "three_phase_fault": [], "load_step": []}
+        for ev in events:
+            if ev.kind not in by_kind:
+                raise SystemModelError(f"a {ev.kind} event changes no grid")
+            by_kind[ev.kind].append(ev)
+        trips, faults, steps = by_kind.values()
+        out_branches = [ev.branch for ev in trips]
+        if len({ev.bus for ev in steps}) != len(steps):
+            raise SystemModelError("more than one load step on a bus")
         n = self.network.n_bus
         midpoint = [f for f in faults if f.branch is not None]
         n_aug = n + len(midpoint)
@@ -346,18 +343,15 @@ class DynamicSystem:
                     raise SystemModelError(f"fault targets unknown bus {f.bus}")
                 y[self._idx[f.bus], self._idx[f.bus]] += f.admittance
 
-        if load_scales:
-            for bus_id, scale in load_scales.items():
-                if bus_id not in self._idx:
-                    raise SystemModelError(
-                        f"load step targets unknown bus {bus_id}"
-                    )
-                row = self._idx[bus_id]
-                if self._load_admittance[row] == 0.0:
-                    raise SystemModelError(
-                        f"bus {bus_id} has no load to step"
-                    )
-                y[row, row] += (scale - 1.0) * self._load_admittance[row]
+        for ev in steps:
+            if ev.bus not in self._idx:
+                raise SystemModelError(
+                    f"load step targets unknown bus {ev.bus}"
+                )
+            row = self._idx[ev.bus]
+            if self._load_admittance[row] == 0.0:
+                raise SystemModelError(f"bus {ev.bus} has no load to step")
+            y[row, row] += (ev.scale - 1.0) * self._load_admittance[row]
 
         return self._grid(y)
 

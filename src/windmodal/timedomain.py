@@ -5,13 +5,14 @@ error-controlled Dormand-Prince 5(4) pair; every stage re-solves the network
 algebra, so the differential and algebraic parts stay consistent at all
 times.  The step is free of the recording grid: the samples of the trace
 come from each step's dense output.  Disturbances never mutate the model:
-each event swaps in an admittance variant rebuilt from the unmodified base,
-so clearing a fault restores the pre-fault matrices exactly.  The devices'
-non-windup limiters (field voltage, governor power, the converter's
-reactive integrator) are held and released by the integrator alone, which
-locates each bound crossing and each release inside its step.  The event
-script becomes a list of segments of constant grid before the first step,
-so a script error fails before anything is integrated.  The step loop only
+the event script becomes a list of segments of constant grid before the
+first step, each grid rebuilt from the unmodified base by
+``DynamicSystem.grid_variant`` from the script's own events active then, so
+clearing a fault restores the pre-fault matrices exactly and a script error
+fails before anything is integrated.  The devices' non-windup limiters
+(field voltage, governor power, the converter's reactive integrator) are
+held and released by the integrator alone, which locates each bound
+crossing and each release inside its step.  The step loop only
 integrates: bus voltages, device outputs and the power-balance audit of
 the samples are computed afterwards, once per segment.
 
@@ -32,8 +33,7 @@ import numpy as np
 # only the wrap point of the benchmark's ``timedomain.lu_factor_calls``
 from scipy.linalg import lu_factor  # noqa: F401
 
-from .system import (DEFAULT_FAULT_ADMITTANCE, DynamicSystem, FaultSpec,
-                     GridModel, SystemModelError)
+from .system import DynamicSystem, GridModel, SystemModelError
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +43,7 @@ ATOL = 1e-8        # absolute floor of the step error's scale
 H_MAX = 0.04       # longest step, s (see simulate)
 
 EVENT_KINDS = ("three_phase_fault", "clear_fault", "load_step", "line_trip")
+DEFAULT_FAULT_ADMITTANCE = 1e4     # a bolted fault's shunt, pu
 
 
 class SimulationError(RuntimeError):
@@ -178,35 +179,39 @@ def _segments(model: DynamicSystem, events, t_end: float):
 
     Events apply in stable order of ``t_start``; a fault with a
     ``duration`` expires at ``t_start + duration``, before the events that
-    start at that time.  Each time at which anything happens starts a
-    segment with a freshly built grid (the base grid once nothing is
-    active); changes at or after ``t_end`` never apply.
+    start at that time; the expiry removes that fault only, and nothing if
+    a ``clear_fault`` removed it already.  A load step replaces an earlier
+    one on its bus.  Each time at
+    which anything happens starts a segment with a grid built from the
+    events active then (the base grid once nothing is active); changes at
+    or after ``t_end`` never apply.
     """
-    # time -> its events, and the FaultSpec of each timed fault expiring
-    # then (appended first, since its fault started earlier)
+    # time -> [(event, starts)]: each event, and each timed fault again
+    # where it expires (appended first, since its fault started earlier)
     changes: dict[float, list] = {}
     for ev in sorted(events, key=lambda e: e.t_start):
         if ev.t_start > t_end:
             logger.warning("event at t=%.3fs is beyond t_end=%.3fs; ignored",
                            ev.t_start, t_end)
             continue
-        changes.setdefault(ev.t_start, []).append(ev)
+        changes.setdefault(ev.t_start, []).append((ev, True))
         if ev.kind == "three_phase_fault" and ev.duration is not None:
             changes.setdefault(ev.t_start + ev.duration, []).append(
-                FaultSpec(ev.bus, ev.branch, ev.admittance))
+                (ev, False))
 
-    faults, outs, scales = [], [], {}
+    # faults and trips in start order, and the last load step of each bus
+    faults, trips, steps = [], [], {}
     segments, t0, grid = [], 0.0, model.base_grid
     for t in sorted(t for t in changes if t < t_end):
         if t > 0.0:
             segments.append((t0, t, grid))
             t0 = t
-        for ev in changes[t]:
-            if isinstance(ev, FaultSpec):
+        for ev, starts in changes[t]:
+            if not starts:
                 if ev in faults:
                     faults.remove(ev)
             elif ev.kind == "three_phase_fault":
-                faults.append(FaultSpec(ev.bus, ev.branch, ev.admittance))
+                faults.append(ev)
             elif ev.kind == "clear_fault":
                 kept = [f for f in faults
                         if (f.bus, f.branch) != (ev.bus, ev.branch)]
@@ -216,16 +221,16 @@ def _segments(model: DynamicSystem, events, t_end: float):
                                           f"active fault on {where}")
                 faults = kept
             elif ev.kind == "line_trip":
-                if ev.branch in outs:
+                if any(trip.branch == ev.branch for trip in trips):
                     raise SimulationError(
                         f"line_trip at t={t:.4f}s: branch {ev.branch!r} is "
                         "already out of service")
-                outs.append(ev.branch)
+                trips.append(ev)
             else:
-                scales[ev.bus] = ev.scale
+                steps[ev.bus] = ev
+        active = faults + trips + list(steps.values())
         try:
-            grid = (model.grid_variant(faults, outs, scales)
-                    if faults or outs or scales else model.base_grid)
+            grid = model.grid_variant(active) if active else model.base_grid
         except SystemModelError as exc:
             raise SimulationError(f"cannot build event grid: {exc}") from exc
     return segments + [(t0, t_end, grid)]

@@ -327,6 +327,26 @@ def test_a_signed_zero_leaves_the_scenario_and_its_hash_unchanged(kwargs,
     assert "-0.0" not in json.dumps(minus.to_dict())
 
 
+@pytest.mark.parametrize("kwargs, whole, real", [
+    (dict(base_case="B"), dict(k_pss=5), dict(k_pss=5.0)),
+    (dict(base_case="B"), dict(wind_mva=300), dict(wind_mva=300.0)),
+    (dict(base_case="B", frequency_support=True),
+     dict(droop=DroopParams(kp=20, enabled=True)),
+     dict(droop=DroopParams(kp=20.0, enabled=True))),
+    (dict(base_case="A"), dict(overrides=(Override("G1", "h_s", 5),)),
+     dict(overrides=(Override("G1", "h_s", 5.0),))),
+    (dict(base_case="A"), dict(events=(Event("load_step", 1, bus=7),)),
+     dict(events=(Event("load_step", 1.0, bus=7),))),
+], ids=["k_pss", "wind_mva", "droop", "override", "t_start"])
+def test_a_whole_number_leaves_the_scenario_and_its_hash_unchanged(
+        kwargs, whole, real):
+    # 5 == 5.0, and the parser makes every such field a float, so the
+    # canonical form writes it as one
+    one, two = Scenario(**kwargs, **whole), Scenario(**kwargs, **real)
+    assert one == two and one.sha256 == two.sha256
+    assert json.dumps(one.to_dict()) == json.dumps(two.to_dict())
+
+
 def test_scenario_dict_round_trip():
     sc = Scenario(
         "C", control_mode="reactive_power", frequency_support=True,
@@ -492,8 +512,8 @@ def test_report_csv_shape(report_b):
 
 
 def test_export_report_writes_stable_bytes(tmp_path, report_a):
-    (p1,) = export_report(report_a, "csv", tmp_path)
-    (p2,) = export_report(report_a, "structured_text", tmp_path)
+    p1 = export_report(report_a, "csv", tmp_path)
+    p2 = export_report(report_a, "structured_text", tmp_path)
     assert p1.name == "report_A.csv" and p2.name == "report_A.json"
     first = (p1.read_bytes(), p2.read_bytes())
     export_report(report_a, "csv", tmp_path)

@@ -23,12 +23,24 @@ from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
                                 packaged_scenario_names)
 from windmodal.syncgen import SyncGen, SyncGenParams
-from windmodal.system import (DEFAULT_FAULT_ADMITTANCE, FaultSpec,
-                              SystemModelError, assemble)
-from windmodal.timedomain import Event, simulate
+from windmodal.system import SystemModelError, assemble
+from windmodal.timedomain import DEFAULT_FAULT_ADMITTANCE, Event, simulate
 from windmodal.twoarea import build_two_area
 
 from conftest import build_system
+
+
+# active events as the script hands them to ``grid_variant``
+def fault(**where):
+    return Event("three_phase_fault", 0.0, **where)
+
+
+def trip(branch):
+    return Event("line_trip", 0.0, branch=branch)
+
+
+def load_step(bus, scale):
+    return Event("load_step", 0.0, bus=bus, scale=scale)
 
 
 def test_assembled_equilibrium_has_zero_derivatives(system_a, system_b_support):
@@ -124,7 +136,7 @@ def test_power_balance_residual_matches_the_two_loop_formula(system_b):
     # unfaulted grid the fault current is unaccounted for and it is large
     tr = simulate(system_b, events=[Event("three_phase_fault", 0.0, bus=8)],
                   t_end=0.1)
-    faulted = system_b.grid_variant(faults=[FaultSpec(bus=8)])
+    faulted = system_b.grid_variant([fault(bus=8)])
     large = 0.0
     for x, v in zip(tr.states[::10], tr.voltages[::10]):
         for grid in (faulted, system_b.base_grid):
@@ -152,7 +164,7 @@ def test_base_grid_is_the_branches_plus_load_and_norton_shunts(case):
 
 
 def test_bus_fault_variant_adds_the_shunt(system_a):
-    g = system_a.grid_variant(faults=[FaultSpec(bus=8, admittance=500.0)])
+    g = system_a.grid_variant([fault(bus=8, admittance=500.0)])
     delta = g.y - system_a.base_grid.y
     row = system_a.network.index()[8]
     assert delta[row, row] == pytest.approx(500.0)
@@ -161,7 +173,7 @@ def test_bus_fault_variant_adds_the_shunt(system_a):
 
 
 def test_midpoint_fault_depresses_the_voltage(system_a):
-    g = system_a.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    g = system_a.grid_variant([fault(branch="L8-9a")])
     assert g.y.shape[0] == system_a.network.n_bus + 1
     v = system_a.solve_network(system_a.equilibrium(), grid=g)
     assert abs(v[-1]) < 0.05           # faulted midpoint collapses
@@ -169,7 +181,7 @@ def test_midpoint_fault_depresses_the_voltage(system_a):
 
 
 def test_midpoint_fault_matches_a_network_with_the_branch_split(system_a):
-    g = system_a.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    g = system_a.grid_variant([fault(branch="L8-9a")])
 
     net, _ = build_two_area("A")
     br = net.branch("L8-9a")
@@ -193,7 +205,7 @@ def test_midpoint_fault_matches_a_network_with_the_branch_split(system_a):
 
 def test_line_trip_variant_matches_a_network_built_without_the_branch():
     model = build_system("A")
-    g = model.grid_variant(out_branches=["L8-9b"])
+    g = model.grid_variant([trip("L8-9b")])
 
     net, devices = build_two_area("A")
     net_out = Network(
@@ -211,7 +223,7 @@ def test_line_trip_variant_matches_a_network_built_without_the_branch():
 
 
 def test_load_step_variant_scales_the_constant_impedance(system_a):
-    g = system_a.grid_variant(load_scales={7: 1.05})
+    g = system_a.grid_variant([load_step(7, 1.05)])
     row = system_a.network.index()[7]
     delta = g.y - system_a.base_grid.y
     base_load = system_a._load_admittance[row]
@@ -220,17 +232,35 @@ def test_load_step_variant_scales_the_constant_impedance(system_a):
 
 def test_variant_validation_errors(system_a):
     with pytest.raises(SystemModelError, match="unknown bus"):
-        system_a.grid_variant(faults=[FaultSpec(bus=99)])
+        system_a.grid_variant([fault(bus=99)])
     from windmodal.network import NetworkError
     with pytest.raises(NetworkError, match="no branch"):
-        system_a.grid_variant(out_branches=["nope"])
+        system_a.grid_variant([trip("nope")])
     with pytest.raises(SystemModelError, match="both faulted and out"):
-        system_a.grid_variant(faults=[FaultSpec(branch="L8-9a")],
-                              out_branches=["L8-9a"])
+        system_a.grid_variant([fault(branch="L8-9a"), trip("L8-9a")])
     with pytest.raises(SystemModelError, match="no load to step"):
-        system_a.grid_variant(load_scales={8: 1.1})
+        system_a.grid_variant([load_step(8, 1.1)])
     with pytest.raises(SystemModelError, match="unknown bus"):
-        system_a.grid_variant(load_scales={99: 1.1})
+        system_a.grid_variant([load_step(99, 1.1)])
+    with pytest.raises(SystemModelError, match="more than one load step"):
+        system_a.grid_variant([load_step(7, 1.1), load_step(7, 1.2)])
+    with pytest.raises(SystemModelError, match="clear_fault event changes "
+                       "no grid"):
+        system_a.grid_variant([Event("clear_fault", 0.0, bus=8)])
+
+
+def test_grid_variant_applies_the_kinds_in_a_fixed_order(system_a):
+    # trips, midpoint faults, bus faults, load steps, each kind in the
+    # order given: the sums on buses 8 and 9 come out the same, bit for
+    # bit, however the script interleaves the kinds
+    at_8 = fault(bus=8, admittance=500.0)
+    documented = [trip("L8-9b"), fault(branch="L8-9a"), fault(bus=8), at_8,
+                  load_step(7, 1.05), load_step(9, 0.98)]
+    scrambled = [documented[i] for i in (4, 2, 1, 5, 0, 3)]
+    one, two = (system_a.grid_variant(events)
+                for events in (documented, scrambled))
+    assert one.y.tobytes() == two.y.tobytes()
+    assert one.z_dev.tobytes() == two.z_dev.tobytes()
 
 
 def test_midpoint_fault_rejects_a_branch_already_out_of_service():
@@ -244,10 +274,10 @@ def test_midpoint_fault_rejects_a_branch_already_out_of_service():
         base_mva=net.base_mva, frequency_hz=net.frequency_hz)
     model = assemble(net_out, devices, solve_power_flow(net_out, tol=1e-12))
     with pytest.raises(SystemModelError, match="'L8-9b' is already out"):
-        model.grid_variant(faults=[FaultSpec(branch="L8-9b")])
+        model.grid_variant([fault(branch="L8-9b")])
     with pytest.raises(SystemModelError, match="'L8-9b' is already out"):
-        model.grid_variant(out_branches=["L8-9b"])
-    g = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+        model.grid_variant([trip("L8-9b")])
+    g = model.grid_variant([fault(branch="L8-9a")])
     assert g.y.shape[0] == net.n_bus + 1      # one bus for the midpoint
 
 
@@ -268,20 +298,7 @@ def test_midpoint_fault_rejects_off_nominal_taps():
     pf = solve_power_flow(net2, tol=1e-12)
     model2 = assemble(net2, build_two_area("A")[1], pf)
     with pytest.raises(SystemModelError, match="off-nominal-tap"):
-        model2.grid_variant(faults=[FaultSpec(branch="T1")])
-
-
-def test_fault_spec_validation():
-    with pytest.raises(SystemModelError, match="exactly one"):
-        FaultSpec()
-    with pytest.raises(SystemModelError, match="exactly one"):
-        FaultSpec(bus=8, branch="L8-9a")
-    with pytest.raises(SystemModelError, match="positive"):
-        FaultSpec(bus=8, admittance=0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(SystemModelError, match="finite"):
-            FaultSpec(branch="L8-9a", admittance=bad)
-    assert FaultSpec(bus=8).admittance == DEFAULT_FAULT_ADMITTANCE
+        model2.grid_variant([fault(branch="T1")])
 
 
 def test_assembly_rejects_conflicting_devices():
@@ -387,12 +404,12 @@ def test_closed_form_network_solve_matches_the_fixed_point(name):
     last_bus = model.devices[-1].bus_id     # the converter bus, if any
     grids = [
         model.base_grid,
-        model.grid_variant(faults=[FaultSpec(bus=last_bus)]),
-        model.grid_variant(faults=[FaultSpec(branch="L8-9a")]),
-        model.grid_variant(out_branches=["L8-9b"]),
-        model.grid_variant(load_scales={9: 1.2}),
-        model.grid_variant(faults=[FaultSpec(branch="L8-9a")],
-                           out_branches=["L8-9b"], load_scales={9: 1.2}),
+        model.grid_variant([fault(bus=last_bus)]),
+        model.grid_variant([fault(branch="L8-9a")]),
+        model.grid_variant([trip("L8-9b")]),
+        model.grid_variant([load_step(9, 1.2)]),
+        model.grid_variant([fault(branch="L8-9a"), trip("L8-9b"),
+                            load_step(9, 1.2)]),
     ]
     for k, g in enumerate(grids):
         v = model.solve_network(x, grid=g)
@@ -418,10 +435,10 @@ def assert_rows_are_scalar_solves(model, xs, grid):
 
 @pytest.mark.parametrize("name, grid", [
     ("A", None), ("B_voltage_support", None),
-    ("B_voltage_support", FaultSpec(branch="L8-9a")),
-    ("B_voltage_support", FaultSpec(bus=8)),
+    ("B_voltage_support", fault(branch="L8-9a")),
+    ("B_voltage_support", fault(bus=8)),
     ("C_voltage_support", None),
-    ("C_voltage_support", FaultSpec(branch="L8-9a")),
+    ("C_voltage_support", fault(branch="L8-9a")),
 ], ids=["A", "B_base", "B_midpoint_fault", "B_bus8_fault", "C_base",
         "C_midpoint_fault"])
 def test_broadcast_network_solve_is_the_scalar_one_bit_for_bit(name, grid):
@@ -431,8 +448,7 @@ def test_broadcast_network_solve_is_the_scalar_one_bit_for_bit(name, grid):
     # count; C has no G4, so its converter bus sees a different impedance
     # row
     model = packaged_system(name)
-    grid = model.base_grid if grid is None else model.grid_variant(
-        faults=[grid])
+    grid = model.base_grid if grid is None else model.grid_variant([grid])
     rng = np.random.default_rng(11)
     xs = (model.equilibrium()
           + 0.02 * rng.standard_normal((5000, model.n_states)))
@@ -442,12 +458,12 @@ def test_broadcast_network_solve_is_the_scalar_one_bit_for_bit(name, grid):
 def test_broadcast_network_solve_is_the_scalar_one_on_a_fault_trace():
     # the states a faulted run records, on the faulted and the base grid
     model = packaged_system("B_voltage_support")
-    fault = FaultSpec(branch="L8-9a")
     tr = simulate(model, events=[Event("three_phase_fault", 0.2,
                                        branch="L8-9a", duration=0.1)],
                   t_end=2.0)
     assert tr.time.size == 2001
-    for grid in (model.base_grid, model.grid_variant(faults=[fault])):
+    for grid in (model.base_grid,
+                 model.grid_variant([fault(branch="L8-9a")])):
         assert_rows_are_scalar_solves(model, tr.states, grid)
 
 
@@ -498,7 +514,7 @@ def test_network_solve_makes_no_lu_solve_on_a_built_grid(monkeypatch,
     real = system_module.lu_solve
     monkeypatch.setattr(system_module, "lu_solve",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    grid = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    grid = model.grid_variant([fault(branch="L8-9a")])
     assert len(calls) == 1          # the grid's device-bus impedance columns
     x = model.equilibrium()
     for k in range(5):
@@ -540,10 +556,10 @@ def test_structured_jacobian_is_the_generic_one_off_equilibrium(name):
     model = packaged_system(name)
     rng = np.random.default_rng(11)
     grids = [
-        model.grid_variant(faults=[FaultSpec(bus=8)]),
-        model.grid_variant(faults=[FaultSpec(branch="L8-9a")]),
-        model.grid_variant(out_branches=["L8-9b"]),
-        model.grid_variant(load_scales={9: 1.2}),
+        model.grid_variant([fault(bus=8)]),
+        model.grid_variant([fault(branch="L8-9a")]),
+        model.grid_variant([trip("L8-9b")]),
+        model.grid_variant([load_step(9, 1.2)]),
     ]
     for k, g in enumerate(grids):
         x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
@@ -616,7 +632,7 @@ def test_structured_jacobian_keeps_rows_that_are_not_a_number(monkeypatch):
 
 def test_structured_jacobian_mutates_nothing():
     model = packaged_system("B_voltage_support")
-    grid = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
+    grid = model.grid_variant([fault(branch="L8-9a")])
     rng = np.random.default_rng(5)
     x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
     x_before = x.copy()

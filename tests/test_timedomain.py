@@ -29,10 +29,11 @@ from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (Override, build_scenario_system,
                                 load_packaged_scenario, run_scenario,
                                 simulate_scenario)
-from windmodal.system import FaultSpec, SystemModelError, assemble
-from windmodal.timedomain import (RTOL, Event, RingdownError,
-                                  SimulationError, Trace, _Limiters, cycles,
-                                  ringdown_fit, ringdown_modes, simulate)
+from windmodal.system import SystemModelError, assemble
+from windmodal.timedomain import (DEFAULT_FAULT_ADMITTANCE, RTOL, Event,
+                                  RingdownError, SimulationError, Trace,
+                                  _Limiters, cycles, ringdown_fit,
+                                  ringdown_modes, simulate)
 
 from conftest import build_system
 
@@ -57,6 +58,11 @@ def test_event_validation():
         Event("three_phase_fault", 1.0, bus=8, duration=0.0)
     with pytest.raises(ValueError, match="admittance"):
         Event("three_phase_fault", 1.0, bus=8, duration=0.1, admittance=-1.0)
+    with pytest.raises(ValueError, match="admittance must be finite and "
+                       "positive"):
+        Event("three_phase_fault", 1.0, bus=8, admittance=0.0)
+    assert Event("three_phase_fault", 1.0, bus=8).admittance == \
+        DEFAULT_FAULT_ADMITTANCE
     with pytest.raises(ValueError, match="bus"):
         Event("load_step", 1.0, scale=1.1)
     with pytest.raises(ValueError, match="scale"):
@@ -181,13 +187,13 @@ def test_fault_runs_match_a_dop853_reference(study, branch, n_cycles, t_end,
         scenario, overrides=scenario.overrides + lifted, sha256=""))
     model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
     t_fault, t_clear = 1.0, 1.0 + cycles(n_cycles)
-    tr = simulate(model, t_end=t_end, events=[Event(
-        "three_phase_fault", t_fault, branch=branch,
-        duration=cycles(n_cycles))])
+    event = Event("three_phase_fault", t_fault, branch=branch,
+                  duration=cycles(n_cycles))
+    tr = simulate(model, t_end=t_end, events=[event])
 
     x = model.equilibrium()
     ref = {key: [] for key in columns}
-    fault = model.grid_variant(faults=[FaultSpec(branch=branch)])
+    fault = model.grid_variant([event])
     for t0, t1, grid in ((0.0, t_fault, model.base_grid),
                          (t_fault, t_clear, fault),
                          (t_clear, t_end, model.base_grid)):
@@ -276,6 +282,37 @@ def test_tripping_the_same_branch_twice_fails(system_a):
            Event("line_trip", 0.2, branch="L8-9b")]
     with pytest.raises(SimulationError, match="already"):
         simulate(system_a, events=evs, t_end=0.5)
+
+
+def test_a_second_load_step_on_a_bus_replaces_the_first(system_a):
+    # each step scales the base load; the later one holds alone
+    second = Event("load_step", 0.2, bus=7, scale=1.02)
+    segments = timedomain._segments(
+        system_a, [Event("load_step", 0.1, bus=7, scale=1.05), second], 0.5)
+    assert [(t0, t1) for t0, t1, _ in segments] == \
+        [(0.0, 0.1), (0.1, 0.2), (0.2, 0.5)]
+    alone = system_a.grid_variant([second])
+    last = segments[-1][2]
+    assert last.y.tobytes() == alone.y.tobytes()
+    assert last.z_dev.tobytes() == alone.z_dev.tobytes()
+
+
+def test_a_timed_fault_cleared_already_expires_quietly(system_a):
+    timed = Event("three_phase_fault", 0.25, bus=8, duration=0.25)
+    clear = Event("clear_fault", 0.375, bus=8)
+    segments = timedomain._segments(system_a, [timed, clear], 1.0)
+    assert [(t0, t1) for t0, t1, _ in segments] == \
+        [(0.0, 0.25), (0.25, 0.375), (0.375, 0.5), (0.5, 1.0)]
+    grids = [grid for _, _, grid in segments]
+    assert grids[1] is not system_a.base_grid
+    assert all(grid is system_a.base_grid for grid in grids[2:])
+    # the expiry removes its own fault only, not a later one on that bus
+    later = Event("three_phase_fault", 0.4375, bus=8)
+    segments = timedomain._segments(system_a, [timed, clear, later], 1.0)
+    assert [t0 for t0, _, _ in segments] == [0.0, 0.25, 0.375, 0.4375, 0.5]
+    faulted = system_a.grid_variant([later]).y.tobytes()
+    assert [grid.y.tobytes() == faulted for _, _, grid in segments] == \
+        [False, True, False, True, True]
 
 
 def test_events_beyond_the_horizon_are_ignored_with_a_warning(system_a,
@@ -401,7 +438,7 @@ def test_recorded_voltages_are_the_network_solution_of_each_sample():
     model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
     tr = simulate(model, events=[Event("three_phase_fault", 0.0, bus=8)],
                   t_end=0.3)
-    grid = model.grid_variant(faults=[FaultSpec(bus=8)])
+    grid = model.grid_variant(tr.events)
     for x, v in zip(tr.states, tr.voltages):
         want = model.solve_network(x, grid=grid)[:net.n_bus]
         assert np.max(np.abs(v - want)) <= 1e-12
@@ -506,7 +543,7 @@ def test_a_held_limiter_zeroes_only_its_own_row(study, state, governors):
     hi = next(hi for k, _, hi in limiters.bounds if k == g)
     x = model.equilibrium()
     x[g] = hi
-    grid = model.grid_variant(load_scales={7: 1.1})
+    grid = model.grid_variant([Event("load_step", 0.0, bus=7, scale=1.1)])
     f_free = model.rhs(x, grid)
     assert f_free[g] != 0.0
     limiters.held = {g: 0.0}
@@ -579,8 +616,8 @@ def test_recorded_outputs_equal_the_single_sample_formulas():
         Event("three_phase_fault", t_fault, branch="L8-9a",
               duration=cycles(6)),
         Event("load_step", t_step, bus=9, scale=1.1)])
-    fault = model.grid_variant(faults=[FaultSpec(branch="L8-9a")])
-    step = model.grid_variant(load_scales={9: 1.1})
+    fault = model.grid_variant(tr.events[:1])
+    step = model.grid_variant(tr.events[1:])
     worst = 0.0
     for i, (t, x) in enumerate(zip(tr.time, tr.states)):
         # a sample at an event time closes the segment before it
