@@ -12,6 +12,7 @@ a model's ``rhs`` accepts a leading sample axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,7 +167,18 @@ def linearize(model, equilibrium: np.ndarray | None = None,
 
 
 def decompose(state_matrix: StateMatrix) -> ModalDecomposition:
-    """Eigendecomposition with normalized right/left eigenvector pairs."""
+    """Eigendecomposition with normalized right/left eigenvector pairs.
+
+    The left set is the inverse of the right one, so the inverse must be
+    accurate: a matrix whose eigenvector matrix ``R`` cannot be inverted,
+    or whose Frobenius condition number ``||R||_F ||R^-1||_F`` is not
+    finite or exceeds 1e10, is rejected as defective.  The columns of ``R``
+    have unit norm, so that number is ``sqrt(n) ||R^-1||_F`` and comes from
+    the inverse already in hand.  It is never below the 2-norm condition
+    number (``||M||_2 <= ||M||_F``), so, up to rounding of order
+    ``cond * eps``, it rejects every matrix a 2-norm guard with the same
+    bound would.
+    """
     a = state_matrix.a
     eigvals, right = np.linalg.eig(a)
     norms = np.linalg.norm(right, axis=0)
@@ -176,13 +188,18 @@ def decompose(state_matrix: StateMatrix) -> ModalDecomposition:
     # Rows of inv(right) are the left eigenvectors already scaled to
     # w_i @ u_j = delta_ij. Guard against a defective/near-defective matrix,
     # where this inverse loses all accuracy.
-    cond = np.linalg.cond(right)
+    try:
+        left_rows = np.linalg.inv(right)
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        with np.errstate(over="ignore"):    # an overflow reads as inf
+            cond = math.sqrt(a.shape[0]) * np.linalg.norm(left_rows)
     if not np.isfinite(cond) or cond > 1e10:
         raise ModalError(
             f"eigenvector matrix condition number {cond:.3e}; the state "
             "matrix is defective or too close to defective for modal analysis"
         )
-    left_rows = np.linalg.inv(right)
     # Store left eigenvectors as columns satisfying left^H A = lam left^H.
     left = left_rows.conj().T
     return ModalDecomposition(
@@ -217,19 +234,24 @@ def ccbg_pi(participation: np.ndarray, labels: list[StateLabel]) -> float:
     is sum(converter states) / sum(all states), zero for an all-synchronous
     system, in [0, 1] by construction.
     """
-    return _converter_share(np.abs(np.asarray(participation, dtype=float)),
-                            _converter_mask(labels))
+    p = np.abs(np.asarray(participation, dtype=float))
+    return float(_converter_fractions(p[:, None], _converter_mask(labels))[0])
 
 
 def _converter_mask(labels: list[StateLabel]) -> np.ndarray:
     return np.array([lab.device_class == "converter" for lab in labels])
 
 
-def _converter_share(p: np.ndarray, mask: np.ndarray) -> float:
-    total = p.sum()
-    if total == 0.0:
-        return 0.0
-    return float(p[mask].sum() / total)
+def _converter_fractions(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``ccbg_pi`` of each column of the magnitudes ``p`` (states x modes).
+
+    Each column is summed as one contiguous row, the order numpy sums a
+    single vector in, so a column's share has the bits of that vector's.
+    """
+    total = np.ascontiguousarray(p.T).sum(axis=1)
+    conv = np.ascontiguousarray(p[mask].T).sum(axis=1)
+    total[total == 0.0] = 1.0       # an all-zero column has share 0
+    return conv / total
 
 
 def classify_mode(eigenvalue: complex, converter_share: float) -> str:
@@ -268,27 +290,33 @@ def analyze_modes(state_matrix: StateMatrix) -> list[Mode]:
     Conjugate pairs are reported once, by their positive-frequency member.
     Reference zero modes (|eigenvalue| below ``ZERO_MODE_TOL``) carry no
     damping information and are omitted.  Modes come back sorted by damping
-    ratio, least damped first.
+    ratio, least damped first.  A matrix whose eigenvector matrix has a
+    Frobenius condition number above 1e10 raises ``ModalError``; that
+    number is never below the 2-norm one (see ``decompose``).
+    Damping, frequency and converter share are computed for all modes in
+    one pass, bit for bit ``damping_ratio``, ``abs(lam.imag) / 2 pi`` and
+    ``ccbg_pi`` of each mode.
     """
     dec = decompose(state_matrix)
     pf = participation_factors(dec)
-    converter = _converter_mask(dec.labels)
-    modes = []
-    for i, lam in enumerate(dec.eigenvalues):
-        if lam.imag < 0.0:
-            continue  # conjugate partner carries the same information
-        if abs(lam) <= ZERO_MODE_TOL:
-            continue
-        share = _converter_share(pf[:, i], converter)
-        cls = classify_mode(lam, share)
-        modes.append(Mode(
-            eigenvalue=complex(lam),
-            damping=damping_ratio(lam),
-            frequency_hz=abs(lam.imag) / (2.0 * np.pi),
-            classification=cls,
-            participation=pf[:, i],
-            ccbg_pi=share,
-        ))
+    lam = dec.eigenvalues
+    # np.hypot has the bits of abs() of each complex; np.abs of the array
+    # may differ in the last one
+    mag = np.hypot(lam.real, lam.imag)
+    # the conjugate partner (imag < 0) carries the same information
+    keep = (lam.imag >= 0.0) & (mag > ZERO_MODE_TOL)
+    lam = lam[keep]
+    damping = -lam.real / mag[keep]
+    freq = np.abs(lam.imag) / (2.0 * np.pi)
+    share = _converter_fractions(pf[:, keep], _converter_mask(dec.labels))
+    modes = [
+        Mode(eigenvalue=ev, damping=d, frequency_hz=f,
+             classification=classify_mode(ev, s), participation=pf[:, i],
+             ccbg_pi=s)
+        for i, ev, d, f, s in zip(np.flatnonzero(keep).tolist(), lam.tolist(),
+                                 damping.tolist(), freq.tolist(),
+                                 share.tolist())
+    ]
     modes.sort(key=lambda m: m.damping)
     return modes
 

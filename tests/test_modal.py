@@ -9,12 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from windmodal.modal import (ZERO_MODE_TOL, ModalError, Mode, StateLabel,
                              StateMatrix, analyze_modes, ccbg_pi, classify_mode,
                              damping_ratio, decompose, dominant_modes,
                              jacobian, linearize, participation_factors,
                              participation_products)
+from windmodal.scenario import (assemble, build_scenario_system,
+                                load_packaged_scenario, packaged_scenario_names,
+                                solve_power_flow)
 
 
 def labels(n, device_class="synchronous", prefix="g"):
@@ -161,6 +165,66 @@ def test_defective_matrix_is_rejected():
         decompose(StateMatrix(a=jordan, labels=labels(2)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_singular_eigenvector_matrix_is_rejected_as_defective():
+    # for the 3 x 3 nilpotent block eig returns three parallel
+    # eigenvectors, so inv raises LinAlgError; for the 2 x 2 one the
+    # norm of the inverse overflows.  Both end in decompose's own error.
+    nilpotent = np.diag([1.0, 1.0], 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.eig(nilpotent)[1])
+    for n in (3, 2):
+        with pytest.raises(ModalError, match="defective"):
+            decompose(StateMatrix(a=np.diag(np.ones(n - 1), 1),
+                                  labels=labels(n)))
+
+
+@st.composite
+def eigenproblems(draw):
+    """A random n x n matrix, or one similar to a Jordan block of size k
+    split by eps in its corner (eigenvalues lam + eps^(1/k) roots of 1)."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if not draw(st.booleans()):
+        return rng.normal(size=(n, n))
+    k = draw(st.integers(2, n))
+    eps = 10.0 ** draw(st.floats(-14.0, -2.0))
+    t = np.triu(rng.normal(size=(n, n)))
+    t[:k, :k] = rng.normal() * np.eye(k) + np.eye(k, k=1)
+    t[k - 1, 0] = eps
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return q @ t @ q.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(eigenproblems())
+def test_the_conditioning_guard_is_never_below_the_2_norm_condition(a):
+    # decompose's guard is sqrt(n) ||inv(R)||_F for the unit-column
+    # eigenvector matrix R, which is >= cond_2(R) in exact arithmetic.
+    # Each side carries a relative rounding error of order cond * eps
+    # (the smallest singular value, the inverse), so the floor allows
+    # 8 cond * eps; the largest deficit seen in 20000 draws was
+    # 1.5 cond * eps.
+    n = a.shape[0]
+    vectors = np.linalg.eig(a)[1]
+    right = vectors / np.linalg.norm(vectors, axis=0)
+    try:
+        guard = math.sqrt(n) * np.linalg.norm(np.linalg.inv(right))
+    except np.linalg.LinAlgError:
+        guard = math.inf
+    cond = np.linalg.cond(right)
+    assert guard >= cond * (1.0 - 8.0 * np.finfo(float).eps * cond)
+    try:
+        dec = decompose(StateMatrix(a=a, labels=labels(n)))
+    except ModalError:
+        assert not guard <= 1e10
+    else:
+        assert guard <= 1e10
+        # so an accepted matrix also passes a 2-norm guard of equal bound
+        assert cond <= 1e10 * (1.0 + 8.0 * np.finfo(float).eps * 1e10)
+        assert np.array_equal(dec.right, right)
+
+
 def test_participation_columns_sum_to_one():
     rng = np.random.default_rng(9)
     a = random_stable_matrix(rng, 10)
@@ -210,22 +274,30 @@ def test_ccbg_random_mixtures_stay_in_unit_interval():
         assert 0.0 <= share <= 1.0
 
 
-def test_analyze_modes_share_equals_ccbg_pi_on_a_wind_study():
-    # analyze_modes builds the converter mask once per call; each mode's
-    # share must still be exactly what ccbg_pi gives for its column
-    from windmodal.scenario import (assemble, build_scenario_system,
-                                    load_packaged_scenario, solve_power_flow)
-    net, devices = build_scenario_system(
-        load_packaged_scenario("B_voltage_support"))
-    a = linearize(assemble(net, devices, solve_power_flow(net, tol=1e-12)))
+@pytest.mark.parametrize("study", [*packaged_scenario_names(),
+                                   "all_synchronous", "all_converter"])
+def test_analyze_modes_has_the_bits_of_the_per_mode_formulas(study):
+    # analyze_modes works on all modes at once; each mode must still carry
+    # exactly what the scalar formulas give for its eigenvalue and column
+    if study.startswith("all_"):
+        rng = np.random.default_rng(17)
+        a = StateMatrix(a=random_stable_matrix(rng, 12),
+                        labels=labels(12, study.removeprefix("all_")))
+    else:
+        net, devices = build_scenario_system(load_packaged_scenario(study))
+        a = linearize(assemble(net, devices, solve_power_flow(net)))
     dec = decompose(a)
     pf = participation_factors(dec)
-    want = sorted((lam.real, lam.imag, ccbg_pi(pf[:, i], a.labels))
-                  for i, lam in enumerate(dec.eigenvalues)
-                  if lam.imag >= 0.0 and abs(lam) > ZERO_MODE_TOL)
-    got = sorted((m.eigenvalue.real, m.eigenvalue.imag, m.ccbg_pi)
-                 for m in analyze_modes(a))
-    assert any(share > 0.5 for _, _, share in got)
+    want = []
+    for i, lam in enumerate(dec.eigenvalues):
+        if lam.imag >= 0.0 and abs(lam) > ZERO_MODE_TOL:
+            share = ccbg_pi(pf[:, i], a.labels)
+            want.append((complex(lam), damping_ratio(lam),
+                         abs(lam.imag) / (2.0 * math.pi), share,
+                         classify_mode(lam, share)))
+    want.sort(key=lambda row: row[1])
+    got = [(m.eigenvalue, m.damping, m.frequency_hz, m.ccbg_pi,
+            m.classification) for m in analyze_modes(a)]
     assert got == want
 
 

@@ -15,6 +15,7 @@ import dataclasses
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -111,6 +112,31 @@ def test_event_rejects_non_finite_numbers(bad):
         Event("three_phase_fault", 1.0, branch="L8-9a", admittance=bad)
     with pytest.raises(ValueError, match="scale must be finite"):
         Event("load_step", 1.0, bus=7, scale=bad)
+
+
+@pytest.mark.parametrize("event, message", [
+    (dict(kind="load_step", bus=7.0, scale=1.1),
+     "event bus 7.0: must be an integer bus id"),
+    (dict(kind="load_step", bus=True, scale=1.1),
+     "event bus True: must be an integer bus id"),
+    (dict(kind="three_phase_fault", bus="8"),
+     "event bus '8': must be an integer bus id"),
+    (dict(kind="line_trip", branch=5),
+     "event branch 5: must be a branch name"),
+])
+def test_event_rejects_a_bus_or_branch_of_another_type(event, message):
+    # the scenario parser reads only these types back, so such an event
+    # would leave a scenario whose to_dict() does not parse
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Event(t_start=1.0, **event)
+
+
+def test_rms_has_the_bits_of_the_numpy_mean_formula():
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        z = rng.normal(size=int(rng.integers(7, 201)))
+        z *= 10.0 ** rng.uniform(-12.0, 3.0)
+        assert timedomain._rms(z) == float(np.sqrt(np.mean(np.square(z))))
 
 
 # -- equilibrium persistence and the matrix-exponential oracle --------------------
