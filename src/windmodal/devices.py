@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,27 +23,47 @@ class DeviceError(ValueError):
     pass
 
 
-# The operations whose float and array forms differ.  Each device equation
-# is written once, in real arithmetic over its state columns, with the
-# table ``OPS[x.ndim]``: Python floats for one sample (1-D states), arrays
-# over a leading sample axis for a stack (2-D).  Each array form has the
-# bits of its float form: ``np.hypot`` those of ``abs`` of a complex, and
-# ``max``/``min`` keep Python's choice of operand (the first unless the
+def _complex_array(re, im):
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+# The operations whose float and array forms differ.  Each device equation,
+# and the network's closed form (``DynamicSystem.solve_network``), is
+# written once, in real arithmetic over its state columns, with the table
+# ``OPS[x.ndim]``: Python floats and numpy scalars for one sample (1-D
+# states), arrays over a leading sample axis for a stack (2-D).  Each array
+# form has the bits of its scalar form: ``np.hypot`` those of ``abs`` of a
+# complex (``np.abs`` rounds differently), ``cmul`` writes the product out
+# as the scalar one does, (ac - bd) + (ad + bc)j (numpy's vectorized
+# product rounds differently), ``dot`` and ``matvec`` are stacked
+# ``matmul``s, so each row takes the BLAS dot or gemv of the scalar call,
+# and ``max``/``min`` keep Python's choice of operand (the first unless the
 # second is strictly beyond it), NaN and signed zeros included.  ``phase``
 # and ``pow`` run per element on a stack, because ``np.arctan2`` and
-# ``np.power`` round differently from ``cmath.phase`` and ``**``.
+# ``np.power`` round differently from ``cmath.phase`` and ``**``; squares
+# are products in both forms, because a numpy scalar's ``** 2`` rounds
+# through ``pow``.  ``column`` copies, where ``states`` may give a view.
 SCALAR = SimpleNamespace(
     states=np.ndarray.tolist, array=np.array, complex=complex,
     cos=math.cos, sin=math.sin, modulus=abs, phase=cmath.phase, pow=pow,
-    max=max, min=min, where=lambda cond, a, b: a if cond else b)
+    max=max, min=min, where=lambda cond, a, b: a if cond else b,
+    column=operator.getitem, dot=np.dot, cmul=operator.mul, sqrt=math.sqrt,
+    any=bool, matvec=np.matmul)
 STACK = SimpleNamespace(
     states=np.transpose, array=lambda cols: np.stack(cols, axis=-1),
-    complex=lambda re, im: np.stack([re, im], axis=-1).view(complex)[..., 0],
+    complex=_complex_array,
     cos=np.cos, sin=np.sin, modulus=lambda z: np.hypot(z.real, z.imag),
     phase=lambda z: np.array([cmath.phase(s) for s in z.tolist()]),
     pow=lambda a, n: np.array([s ** n for s in a.tolist()]),
     max=lambda a, b: np.where(b > a, b, a),
-    min=lambda a, b: np.where(b < a, b, a), where=np.where)
+    min=lambda a, b: np.where(b < a, b, a), where=np.where,
+    column=lambda a, k: a[:, k].copy(),
+    dot=lambda a, b: (a[:, None, :] @ b[:, None])[:, 0, 0],
+    cmul=lambda a, b: _complex_array(a.real * b.real - a.imag * b.imag,
+                                     a.real * b.imag + a.imag * b.real),
+    sqrt=np.sqrt, any=np.any, matvec=lambda a, b: (a @ b[..., None])[..., 0])
 OPS = (None, SCALAR, STACK)
 
 

@@ -219,14 +219,6 @@ def _parse_event(obj: dict, path: str) -> Event:
     n_cycles = _number(obj, "duration_cycles", f"{path}.")
     if n_cycles is not None:
         duration = cycles(n_cycles)
-    bus = obj.get("bus")
-    if bus is not None:
-        _require(isinstance(bus, int) and not isinstance(bus, bool),
-                 f"{path}.bus", "must be an integer bus id")
-    branch = obj.get("branch")
-    if branch is not None:
-        _require(isinstance(branch, str), f"{path}.branch",
-                 "must be a branch name")
     kwargs = {}
     for key, kind in (("admittance", "three_phase_fault"),
                       ("scale", "load_step")):
@@ -236,8 +228,8 @@ def _parse_event(obj: dict, path: str) -> Event:
             kwargs[key] = _number(obj, key, f"{path}.")
     t_start = _number(obj, "t_start", f"{path}.")
     try:
-        return Event(kind=obj["kind"], t_start=t_start, bus=bus,
-                     branch=branch, duration=duration, **kwargs)
+        return Event(kind=obj["kind"], t_start=t_start, bus=obj.get("bus"),
+                     branch=obj.get("branch"), duration=duration, **kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -283,6 +275,8 @@ def parse_scenario(obj: dict, name_hint: str = "",
     else:
         droop = DroopParams()
 
+    for key in ("overrides", "events"):
+        _require(isinstance(obj.get(key, []), list), key, "must be a list")
     overrides = []
     for i, entry in enumerate(obj.get("overrides", [])):
         path = f"overrides[{i}]"

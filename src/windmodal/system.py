@@ -13,8 +13,9 @@ Machine sources depend only on machine states; a converter source
 ``c·V_r/|V_r|`` follows its own terminal voltage, and on the k×k block
 Z[rows, rows] its magnitude |V_r| solves a scalar quadratic.  Either way a
 network solve is k source currents and one small matrix-vector product,
-with no LU solve; a stack of samples takes the same closed form once over
-its sample axis.  The assembled object implements the model protocol used
+with no LU solve.  The closed form and the device loop are written once,
+over ``devices.OPS``: numpy scalars for one sample, arrays over the sample
+axis for a stack.  The assembled object implements the model protocol used
 by ``modal.linearize`` and the time-domain integrator: ``rhs``,
 ``equilibrium``, ``state_labels`` and ``limits`` (the devices' limits on
 system state indices); the integrator evaluates only ``rhs``.  ``rhs``
@@ -33,13 +34,12 @@ does not import the time-domain one that defines them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .devices import DeviceModel
+from .devices import OPS, DeviceModel
 from .modal import EQUILIBRIUM_TOL, StateLabel
 from .network import Network, build_ybus, stamp_branch
 from .powerflow import PowerFlowSolution
@@ -166,14 +166,11 @@ class DynamicSystem:
     def _derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Device derivatives at the given bus voltages; no network solve.
         Over a stack, each device is called once on its slice of it."""
-        if x.ndim == 2:
-            parts = [dev.derivatives(x[:, sl], v_k) for dev, sl, v_k
-                     in zip(self.devices, self._slices, v[:, self._rows].T)]
-        else:
-            parts = [dev.derivatives(x[sl], v_k) for dev, sl, v_k
-                     in zip(self.devices, self._slices,
-                            v[self._rows].tolist())]
-        return np.concatenate(parts, axis=-1)
+        return np.concatenate(
+            [dev.derivatives(x[..., sl], v_k) for dev, sl, v_k
+             in zip(self.devices, self._slices,
+                    OPS[x.ndim].states(v.take(self._rows, axis=-1)))],
+            axis=-1)
 
     # -- network solution --------------------------------------------------
 
@@ -201,83 +198,35 @@ class DynamicSystem:
         (voltage collapse) and ``SystemModelError`` is raised.
 
         ``x`` may carry a leading sample axis; the voltages then have it,
-        and each row has the bits of a call on that sample alone.  Each
-        device gives the source currents of the whole stack in one call,
-        and the closed form runs once over all samples
-        (``_stacked_voltages``).  A single sample keeps its own scalar
-        closed form, ``_voltages``: it runs in every model evaluation,
-        where a batch of one costs several times as much.
+        and each row has the bits of a call on that sample alone.  The
+        closed form is written once, with the operations ``OPS[x.ndim]``
+        (``devices.OPS``): numpy scalars for one sample, which every model
+        evaluation solves, and arrays over the sample axis for a stack,
+        whose source currents each device gives in one call.
         """
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
-        if x.ndim == 2:
-            i = np.column_stack([dev.source_current(x[:, sl], base)
-                                 for dev, sl in zip(self.devices,
-                                                    self._slices)])
-            return self._stacked_voltages(i, grid)
-        i = [dev.source_current(x[sl], base)
-             for dev, sl in zip(self.devices, self._slices)]
-        return self._voltages(i, grid)
-
-    def _voltages(self, i, grid: GridModel) -> np.ndarray:
-        """``solve_network`` for one sample's source currents ``i``, a list
-        whose converter entry is ``c``."""
-        k = self._converter
-        if k is None:
-            return grid.z_dev @ i
-
-        r = self._rows[k]
-        c = i[k]
-        i = np.array(i)
-        i[k] = 0.0
-        z_r = grid.z_dev[r]
-        w_r = z_r @ i
-        zc = z_r[k] * c
-        a = abs(w_r)
-        disc = a * a - zc.imag * zc.imag
-        m = zc.real + math.sqrt(max(disc, 0.0))
-        if disc < 0.0 or m <= 0.0:
-            raise self._collapse()
-        i[k] = c * w_r / (m - zc)
-        return grid.z_dev @ i
-
-    def _stacked_voltages(self, i: np.ndarray, grid: GridModel) -> np.ndarray:
-        """``_voltages`` over the rows of ``i`` (samples × k, changed in
-        place), with the bits of one call per row.  The matrix products
-        are stacked ``matmul`` calls, so each row takes the BLAS dot or
-        gemv of the scalar ``@``; the complex products are written out as
-        the scalar complex arithmetic does them, (ac - bd) + (ad + bc)j,
-        and the modulus is ``np.hypot`` (the bits of scalar ``abs``),
-        because numpy's vectorized complex product and ``np.abs`` round
-        differently.  Both forms square by a product: an array's ``** 2``
-        is one, but a numpy scalar's rounds through ``pow``, which differs
-        from the product in the last bit about once in a thousand."""
+        ops = OPS[x.ndim]
+        i = ops.array([dev.source_current(x[..., sl], base)
+                       for dev, sl in zip(self.devices, self._slices)])
         k = self._converter
         if k is not None:
-            r = self._rows[k]
-            c = i[:, k].copy()
-            i[:, k] = 0.0
-            z_r = grid.z_dev[r]
-            w = (i[:, None, :] @ z_r[:, None])[:, 0, 0]
-            z = z_r[k]
-            zc = ((z.real * c.real - z.imag * c.imag)
-                  + 1j * (z.real * c.imag + z.imag * c.real))
-            a = np.hypot(w.real, w.imag)
+            c = ops.column(i, k)
+            i[..., k] = 0.0
+            z_r = grid.z_dev[self._rows[k]]
+            w = ops.dot(i, z_r)
+            zc = ops.cmul(z_r[k], c)
+            a = ops.modulus(w)
             disc = a * a - zc.imag * zc.imag
-            m = zc.real + np.sqrt(np.maximum(disc, 0.0))
-            if np.any((disc < 0.0) | (m <= 0.0)):
-                raise self._collapse()
-            cw = ((c.real * w.real - c.imag * w.imag)
-                  + 1j * (c.real * w.imag + c.imag * w.real))
-            i[:, k] = cw / (m - zc)
-        return (grid.z_dev @ i[:, :, None])[:, :, 0]
-
-    def _collapse(self) -> SystemModelError:
-        dev = self.devices[self._converter]
-        return SystemModelError(
-            f"no network solution: converter {dev.device_id} injects more "
-            f"current than bus {dev.bus_id} can carry (voltage collapse)"
-        )
+            m = zc.real + ops.sqrt(ops.max(disc, 0.0))
+            if ops.any((disc < 0.0) | (m <= 0.0)):
+                dev = self.devices[k]
+                raise SystemModelError(
+                    f"no network solution: converter {dev.device_id} injects "
+                    f"more current than bus {dev.bus_id} can carry (voltage "
+                    "collapse)")
+            i[..., k] = ops.cmul(c, w) / (m - zc)
+        return ops.matvec(grid.z_dev, i)
 
     # -- event grid variants -------------------------------------------------
 

@@ -313,11 +313,10 @@ def _starting_step(evaluate, x, f, rtol):
 class _Recorder:
     """Samples of the run, one segment at a time.  ``add`` stores times
     and states; ``close`` takes the voltages of the segment's samples from
-    one ``solve_network`` over the stacked samples, whose closed form runs
-    once over the sample axis with the bits of a solve per sample, then
-    their device outputs and power-balance residual, also stacked.  The
-    scalar closed form thus runs once per model evaluation, never per
-    sample."""
+    one ``solve_network`` over the stacked samples, with the bits of a
+    solve per sample, then their device outputs and power-balance residual,
+    also stacked.  A single-sample network solve thus runs once per model
+    evaluation, never per recorded sample."""
 
     def __init__(self, model: DynamicSystem):
         self.model = model

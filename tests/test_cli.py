@@ -151,6 +151,14 @@ def test_powerflow_tags_a_bad_override_with_its_stage(tmp_path, capsys):
         "error: [build] override device 'G9' not in scenario")
 
 
+def test_powerflow_names_events_that_are_not_a_list(tmp_path, capsys):
+    path = tmp_path / "events.json"
+    path.write_text('{"base_case": "B", "events": 5}')
+    assert main(["powerflow", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [load] events: must be a list")
+
+
 def test_invalid_gain_spec_is_a_usage_error(capsys):
     for spec in ("5:1:1", "0:inf:10"):
         with pytest.raises(SystemExit) as exc:

@@ -282,6 +282,19 @@ def test_parse_type_checks():
             {"kind": "load_step", "t_start": 1.0, "bus": 7.5}]})
     with pytest.raises(ScenarioError, match="must be a JSON object"):
         parse_scenario(["base_case", "B"])
+    with pytest.raises(ScenarioError, match="branch name"):
+        parse_scenario({"base_case": "B", "events": [
+            {"kind": "line_trip", "t_start": 1.0, "branch": 5}]})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("events", 5), ("overrides", 5), ("events", {"kind": "x"}),
+    ("overrides", "ab")])
+def test_parse_rejects_events_or_overrides_that_are_not_lists(key, value):
+    # an int is not iterable, and a mapping or string would be iterated as
+    # its keys or characters
+    with pytest.raises(ScenarioError, match=rf"^{key}: must be a list$"):
+        parse_scenario({"base_case": "B", key: value})
 
 
 def test_scenario_hash_is_canonical():

@@ -469,20 +469,26 @@ def test_broadcast_network_solve_is_the_scalar_one_on_a_fault_trace():
 
 def test_a_faulted_run_uses_the_scalar_solve_only_to_evaluate_the_model(
         monkeypatch):
-    # one scalar closed form per model evaluation; the recorded samples
-    # take theirs from one stacked solve per segment
+    # one single-sample network solve per model evaluation; the recorded
+    # samples take theirs from one stacked solve per segment (before, during
+    # and after the fault)
     model = packaged_system("B_voltage_support")
-    scalar, evaluations = [], []
-    voltages, rhs = model._voltages, model.rhs
-    monkeypatch.setattr(model, "_voltages", lambda i, grid: scalar.append(1)
-                        or voltages(i, grid))
+    solves, evaluations = {1: 0, 2: 0}, []
+    solve_network, rhs = model.solve_network, model.rhs
+
+    def counted_solve(x, grid=None):
+        solves[x.ndim] += 1
+        return solve_network(x, grid)
+
+    monkeypatch.setattr(model, "solve_network", counted_solve)
     monkeypatch.setattr(model, "rhs", lambda x, grid=None:
                         evaluations.append(1) or rhs(x, grid))
     tr = simulate(model, events=[Event("three_phase_fault", 0.1,
                                        branch="L8-9a", duration=0.1)],
                   t_end=0.5)
     assert tr.time.size == 501
-    assert len(scalar) == len(evaluations) > 0
+    assert solves[1] == len(evaluations) > 0
+    assert solves[2] == 3
 
 
 def test_broadcast_network_solve_names_a_collapsing_sample():
