@@ -28,9 +28,9 @@ from .modal import (ModalDecomposition, ModalError, Mode, StateLabel,
 from .timedomain import (Event, RingdownError, RingdownFit, SimulationError,
                          Trace, cycles, ringdown_fit, ringdown_modes,
                          simulate)
-from .scenario import (ModeSummary, Override, PipelineError,
-                       PowerFlowSummary, Report, Scenario, ScenarioError,
-                       SweepCell, SweepResult, build_scenario_system,
+from .scenario import (Override, PipelineError, PowerFlowSummary, Report,
+                       Scenario, ScenarioError, SweepCell, SweepResult,
+                       build_scenario_system,
                        export_report, load_packaged_scenario, load_scenario,
                        packaged_scenario_names, parse_report, parse_scenario,
                        parse_sweep, report_to_csv, report_to_text,
@@ -59,8 +59,8 @@ __all__ = [
     "Event", "RingdownError", "RingdownFit", "SimulationError", "Trace",
     "cycles", "ringdown_fit", "ringdown_modes", "simulate",
     # scenarios
-    "ModeSummary", "Override", "PipelineError", "PowerFlowSummary", "Report",
-    "Scenario", "ScenarioError", "SweepCell", "SweepResult",
+    "Override", "PipelineError", "PowerFlowSummary", "Report", "Scenario",
+    "ScenarioError", "SweepCell", "SweepResult",
     "build_scenario_system", "export_report", "load_packaged_scenario",
     "load_scenario", "packaged_scenario_names",
     "parse_report", "parse_scenario", "parse_sweep", "report_to_csv",

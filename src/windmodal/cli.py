@@ -6,7 +6,8 @@ reports eigenstructure for a scenario, ``simulate`` runs its disturbance
 script, ``sweep`` scans droop gains, and ``report`` batches the canned
 studies.  Output files land in --out, falling back to the
 WINDMODAL_OUTPUT_DIR environment variable and then the working directory.
-All failures exit nonzero with a stage-tagged message on stderr.
+All failures exit nonzero with a stage-tagged message on stderr; an output
+that cannot be written is tagged ``[export]``.
 """
 
 from __future__ import annotations
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
     except (sc.ScenarioError, sc.PipelineError, SimulationError,
             SystemModelError, PowerFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: [export] {exc}", file=sys.stderr)
         return 1
 
 

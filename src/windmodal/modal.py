@@ -1,10 +1,10 @@
 """Eigenvalue analysis of linearized power-system models.
 
 Builds the state matrix of a nonlinear model by central finite differences,
-decomposes it into modes, and attaches the quantities used throughout the
-toolkit: damping ratio, modal frequency, participation factors, the share of
-participation carried by converter-based devices, and a coarse mode
-classification (inter-area / local / converter control).  Every state
+decomposes it into modes, and reduces each mode to one row of the report
+table (``Mode``): the eigenvalue's parts, damping ratio, modal frequency,
+the share of participation carried by converter-based devices, and a
+coarse classification (inter-area / local / converter control).  Every state
 matrix in the toolkit comes from one routine, ``jacobian``: it stacks the
 2n central-difference points and evaluates the model once on the stack, so
 a model's ``rhs`` accepts a leading sample axis.
@@ -13,7 +13,7 @@ a model's ``rhs`` accepts a leading sample axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,6 @@ CONVERTER_SHARE_THRESHOLD = 0.5
 
 # An eigenvalue whose imaginary part is at most this is non-oscillatory.
 REAL_MODE_TOL = 1e-9
-
-CRITICAL_DAMPING = 0.05
 
 EQUILIBRIUM_TOL = 1e-8
 
@@ -85,20 +83,19 @@ class ModalDecomposition:
     labels: list[StateLabel]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mode:
-    """One oscillatory (or real) mode of the linearized system."""
+    """One oscillatory (or real) mode: a row of the report's mode table.
 
-    eigenvalue: complex
+    ``imag`` is |Im lam|, so the eigenvalue is ``complex(real, imag)``.
+    """
+
+    classification: str
+    real: float
+    imag: float
     damping: float
     frequency_hz: float
-    classification: str
-    participation: np.ndarray  # normalized magnitudes, one entry per state
     ccbg_pi: float
-    is_critical: bool = field(init=False)
-
-    def __post_init__(self):
-        self.is_critical = self.damping <= CRITICAL_DAMPING
 
 
 def damping_ratio(eigenvalue: complex) -> float:
@@ -285,7 +282,7 @@ washouts) yet far above the splitting."""
 
 
 def analyze_modes(state_matrix: StateMatrix) -> list[Mode]:
-    """Full modal workup of a state matrix.
+    """Full modal workup of a state matrix: the rows of its mode table.
 
     Conjugate pairs are reported once, by their positive-frequency member.
     Reference zero modes (|eigenvalue| below ``ZERO_MODE_TOL``) carry no
@@ -295,7 +292,8 @@ def analyze_modes(state_matrix: StateMatrix) -> list[Mode]:
     number is never below the 2-norm one (see ``decompose``).
     Damping, frequency and converter share are computed for all modes in
     one pass, bit for bit ``damping_ratio``, ``abs(lam.imag) / 2 pi`` and
-    ``ccbg_pi`` of each mode.
+    ``ccbg_pi`` of each mode.  The rows carry no per-state participation;
+    ``participation_factors`` of ``decompose`` gives it.
     """
     dec = decompose(state_matrix)
     pf = participation_factors(dec)
@@ -306,16 +304,16 @@ def analyze_modes(state_matrix: StateMatrix) -> list[Mode]:
     # the conjugate partner (imag < 0) carries the same information
     keep = (lam.imag >= 0.0) & (mag > ZERO_MODE_TOL)
     lam = lam[keep]
+    imag = np.abs(lam.imag)
     damping = -lam.real / mag[keep]
-    freq = np.abs(lam.imag) / (2.0 * np.pi)
+    freq = imag / (2.0 * np.pi)
     share = _converter_fractions(pf[:, keep], _converter_mask(dec.labels))
     modes = [
-        Mode(eigenvalue=ev, damping=d, frequency_hz=f,
-             classification=classify_mode(ev, s), participation=pf[:, i],
-             ccbg_pi=s)
-        for i, ev, d, f, s in zip(np.flatnonzero(keep).tolist(), lam.tolist(),
-                                 damping.tolist(), freq.tolist(),
-                                 share.tolist())
+        Mode(classification=classify_mode(complex(re, im), s), real=re,
+             imag=im, damping=d, frequency_hz=f, ccbg_pi=s)
+        for re, im, d, f, s in zip(lam.real.tolist(), imag.tolist(),
+                                   damping.tolist(), freq.tolist(),
+                                   share.tolist())
     ]
     modes.sort(key=lambda m: m.damping)
     return modes
@@ -338,4 +336,4 @@ def dominant_modes(modes: list[Mode]) -> dict[str, Mode]:
 
 
 def _dominance_key(m: Mode):
-    return (m.damping, -m.eigenvalue.real, m.frequency_hz)
+    return (m.damping, -m.real, m.frequency_hz)

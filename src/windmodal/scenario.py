@@ -227,6 +227,11 @@ def _parse_event(obj: dict, path: str) -> Event:
                      f"applies only to a {kind} event")
             kwargs[key] = _number(obj, key, f"{path}.")
     t_start = _number(obj, "t_start", f"{path}.")
+    # an explicit null is a wrong type here, not an absent key
+    for key, message in (("bus", "must be an integer bus id"),
+                         ("branch", "must be a branch name")):
+        _require(key not in obj or obj[key] is not None, f"{path}.{key}",
+                 message)
     try:
         return Event(kind=obj["kind"], t_start=t_start, bus=obj.get("bus"),
                      branch=obj.get("branch"), duration=duration, **kwargs)
@@ -255,15 +260,14 @@ def parse_scenario(obj: dict, name_hint: str = "",
     support = obj.get("frequency_support", False)
     _require(isinstance(support, bool), "frequency_support",
              "must be true or false")
-    droop_obj = obj.get("droop")
-    if droop_obj is not None:
-        _require(isinstance(droop_obj, dict), "droop", "must be an object")
+    droop_obj = obj.get("droop", {})
+    _require(isinstance(droop_obj, dict), "droop", "must be an object")
+    if "droop" in obj:
         _require(support, "droop",
                  "droop gains apply only when frequency_support is true")
         _check_keys(droop_obj, dict.fromkeys(_DROOP_KEYS, False), "droop")
     if support:
         # the file's keys over the gain defaults; DroopParams owns the rest
-        droop_obj = droop_obj or {}
         gains = {"kp": DEFAULT_SUPPORT_KP, "kin": DEFAULT_SUPPORT_KIN}
         for key in _DROOP_KEYS:
             if key in droop_obj:
@@ -360,18 +364,6 @@ def resolve_scenario(ref: str) -> Scenario:
 
 
 @dataclass(frozen=True)
-class ModeSummary:
-    """Row of a report: one mode reduced to its table quantities."""
-
-    classification: str
-    real: float
-    imag: float
-    damping: float
-    frequency_hz: float
-    ccbg_pi: float
-
-
-@dataclass(frozen=True)
 class PowerFlowSummary:
     iterations: int
     max_mismatch: float
@@ -383,12 +375,16 @@ class PowerFlowSummary:
 
 @dataclass(frozen=True)
 class Report:
-    """Modal table for one scenario plus the operating-point summary."""
+    """Modal table for one scenario plus the operating-point summary.
+
+    ``modes`` are the rows ``analyze_modes`` returns, and each ``dominant``
+    row is one of them.
+    """
 
     scenario_name: str
     base_case: str
-    dominant: tuple[ModeSummary, ...]   # one per class, sorted by class name
-    modes: tuple[ModeSummary, ...]      # least-damped first
+    dominant: tuple[Mode, ...]   # one per class, sorted by class name
+    modes: tuple[Mode, ...]      # least-damped first
     power_flow: PowerFlowSummary
     n_states: int
     scenario_sha256: str
@@ -397,9 +393,12 @@ class Report:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One grid point: the dominant ``analyze_modes`` rows of its state
+    matrix, one per class, or the error that stopped it."""
+
     kp: float
     kin: float
-    dominant: tuple[ModeSummary, ...]
+    dominant: tuple[Mode, ...]
     error: str = ""
 
 
@@ -413,20 +412,9 @@ class SweepResult:
     version: str
 
 
-def _summarize(mode: Mode) -> ModeSummary:
-    return ModeSummary(
-        classification=mode.classification,
-        real=float(mode.eigenvalue.real),
-        imag=float(abs(mode.eigenvalue.imag)),
-        damping=float(mode.damping),
-        frequency_hz=float(mode.frequency_hz),
-        ccbg_pi=float(mode.ccbg_pi),
-    )
-
-
-def _dominant_rows(modes: list[Mode]) -> tuple[ModeSummary, ...]:
+def _dominant_rows(modes: list[Mode]) -> tuple[Mode, ...]:
     best = dominant_modes(modes)
-    return tuple(_summarize(best[c]) for c in sorted(best))
+    return tuple(best[c] for c in sorted(best))
 
 
 def build_scenario_system(scenario: Scenario):
@@ -491,7 +479,7 @@ def run_scenario(scenario: Scenario) -> Report:
         scenario_name=scenario.name or scenario.base_case,
         base_case=scenario.base_case,
         dominant=_dominant_rows(modes),
-        modes=tuple(_summarize(m) for m in modes),
+        modes=tuple(modes),
         power_flow=pf_summary,
         n_states=system.n_states,
         scenario_sha256=scenario.sha256,
@@ -617,8 +605,8 @@ def parse_report(text: str) -> Report:
     return Report(
         scenario_name=obj["scenario_name"],
         base_case=obj["base_case"],
-        dominant=tuple(ModeSummary(**m) for m in obj["dominant"]),
-        modes=tuple(ModeSummary(**m) for m in obj["modes"]),
+        dominant=tuple(Mode(**m) for m in obj["dominant"]),
+        modes=tuple(Mode(**m) for m in obj["modes"]),
         power_flow=PowerFlowSummary(**obj["power_flow"]),
         n_states=obj["n_states"],
         scenario_sha256=obj["scenario_sha256"],
@@ -645,7 +633,7 @@ def parse_sweep(text: str) -> SweepResult:
     obj = json.loads(text)
     cells = tuple(
         SweepCell(kp=c["kp"], kin=c["kin"],
-                  dominant=tuple(ModeSummary(**m) for m in c["dominant"]),
+                  dominant=tuple(Mode(**m) for m in c["dominant"]),
                   error=c["error"])
         for c in obj["cells"])
     return SweepResult(

@@ -142,6 +142,20 @@ def test_a_number_too_large_for_a_float_is_a_load_error(tmp_path, capsys):
         "error: [load] k_pss: too large for a float")
 
 
+@pytest.mark.parametrize("argv", [
+    ["modal", "--scenario", "A"],
+    ["report", "--scenario", "A"],
+    ["sweep", "--scenario", "B_voltage", "--kp", "0", "--kin", "0"],
+    ["simulate", "--scenario", "A", "--tend", "0.1"],
+    ["smib"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_output_is_an_export_error(tmp_path, capsys, argv):
+    taken = tmp_path / "taken"
+    taken.write_text("")           # --out names a file, not a directory
+    assert main([*argv, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: [export] ")
+
+
 def test_powerflow_tags_a_bad_override_with_its_stage(tmp_path, capsys):
     path = tmp_path / "stray.json"
     path.write_text('{"base_case": "B", "overrides": '

@@ -296,7 +296,7 @@ def test_analyze_modes_has_the_bits_of_the_per_mode_formulas(study):
                          abs(lam.imag) / (2.0 * math.pi), share,
                          classify_mode(lam, share)))
     want.sort(key=lambda row: row[1])
-    got = [(m.eigenvalue, m.damping, m.frequency_hz, m.ccbg_pi,
+    got = [(complex(m.real, m.imag), m.damping, m.frequency_hz, m.ccbg_pi,
             m.classification) for m in analyze_modes(a)]
     assert got == want
 
@@ -334,20 +334,18 @@ def test_analyze_modes_reports_each_conjugate_pair_once():
     a[2:, 2:] = oscillator(0.05, 2.0 * math.pi * 1.5)
     modes = analyze_modes(StateMatrix(a=a, labels=labels(4)))
     assert len(modes) == 2
-    assert all(m.eigenvalue.imag > 0.0 for m in modes)
+    assert all(m.imag > 0.0 for m in modes)
     # sorted least damped first
     assert modes[0].damping <= modes[1].damping
     assert modes[0].classification == "local"
-    assert modes[0].is_critical
     assert modes[1].classification == "inter_area"
-    assert not modes[1].is_critical
 
 
 def test_analyze_modes_drops_reference_zeros():
     a = np.array([[0.0, 0.0], [1.0, -1.0]])
     modes = analyze_modes(StateMatrix(a=a, labels=labels(2)))
     assert len(modes) == 1
-    assert modes[0].eigenvalue == pytest.approx(-1.0)
+    assert complex(modes[0].real, modes[0].imag) == pytest.approx(-1.0)
 
 
 def test_analyze_modes_on_assembled_case_a(system_a):
@@ -364,9 +362,9 @@ def test_analyze_modes_on_assembled_case_a(system_a):
 
 def test_dominant_mode_tie_breaks():
     def mode(lam, cls):
-        return Mode(eigenvalue=lam, damping=damping_ratio(lam),
+        return Mode(classification=cls, real=lam.real, imag=abs(lam.imag),
+                    damping=damping_ratio(lam),
                     frequency_hz=abs(lam.imag) / (2.0 * math.pi),
-                    classification=cls, participation=np.ones(1),
                     ccbg_pi=0.0)
 
     a = mode(complex(-0.1, 4.0), "inter_area")
@@ -380,7 +378,6 @@ def test_dominant_mode_tie_breaks():
     assert abs(c.damping - d.damping) < 1e-12
     assert dominant_modes([d, c])["inter_area"] is c
 
-    nonosc = Mode(eigenvalue=-1.0 + 0.0j, damping=1.0, frequency_hz=0.0,
-                  classification="non_oscillatory",
-                  participation=np.ones(1), ccbg_pi=0.0)
+    nonosc = Mode(classification="non_oscillatory", real=-1.0, imag=0.0,
+                  damping=1.0, frequency_hz=0.0, ccbg_pi=0.0)
     assert dominant_modes([nonosc]) == {}

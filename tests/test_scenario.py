@@ -5,21 +5,23 @@ packaged benchmark studies; schema tests feed hand-built mappings through
 the strict parser and check that every rejection names the offending key.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import windmodal
 from windmodal.dfig import CONTROL_MODES, DroopParams
-from windmodal.modal import StateMatrix
+from windmodal.modal import StateMatrix, analyze_modes, linearize
 from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
                                 Report, Scenario, ScenarioError, _with_gains,
-                                build_scenario_system,
+                                assemble, build_scenario_system,
                                 export_report, load_packaged_scenario,
                                 load_scenario,
                                 packaged_scenario_names, parse_report,
@@ -297,6 +299,66 @@ def test_parse_rejects_events_or_overrides_that_are_not_lists(key, value):
         parse_scenario({"base_case": "B", key: value})
 
 
+# every optional key of a scenario, its droop block, an override and events
+_FULL_SCENARIO = {
+    "base_case": "B", "name": "n", "description": "d",
+    "control_mode": "voltage", "frequency_support": True,
+    "droop": {"kp": 5.0, "kin": 1.0, "rocof_filter_time": 0.1},
+    "wind_mva": 300.0, "k_pss": 10.0,
+    "overrides": [{"device": "G1", "field": "h", "value": 6.0}],
+    "events": [{"kind": "three_phase_fault", "t_start": 1.0,
+                "branch": "L8-9a", "duration": 0.1, "admittance": 1e4},
+               {"kind": "load_step", "t_start": 2.0, "bus": 7,
+                "scale": 1.1}]}
+
+
+_NULL_CASES = [
+    (("name",), "must be a string"),
+    (("description",), "must be a string"),
+    (("control_mode",), "expected one of"),
+    (("frequency_support",), "must be true or false"),
+    (("droop",), "must be an object"),
+    (("wind_mva",), "must be a number"),
+    (("k_pss",), "must be a number"),
+    (("overrides",), "must be a list"),
+    (("events",), "must be a list"),
+    (("droop", "kp"), "must be a number"),
+    (("droop", "kin"), "must be a number"),
+    (("droop", "rocof_filter_time"), "must be a number"),
+    (("overrides", 0, "device"), "must be a device id"),
+    (("overrides", 0, "field"), "must be a parameter name"),
+    (("overrides", 0, "value"), "must be a number"),
+    (("events", 0, "kind"), "must be a string"),
+    (("events", 0, "t_start"), "must be a number"),
+    (("events", 0, "bus"), "must be an integer bus id"),
+    (("events", 0, "duration"), "must be a number"),
+    (("events", 0, "admittance"), "must be a number"),
+    (("events", 1, "branch"), "must be a branch name"),
+    (("events", 1, "duration_cycles"), "must be a number"),
+    (("events", 1, "scale"), "must be a number"),
+]
+
+
+@pytest.mark.parametrize("keys, message", _NULL_CASES,
+                         ids=[".".join(map(str, k)) for k, _ in _NULL_CASES])
+def test_parse_rejects_null_for_every_optional_key(keys, message):
+    # a JSON null is a value of the wrong type, never an absent key
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                    for k in keys).lstrip(".")
+    parse_scenario(_FULL_SCENARIO)       # valid as it stands
+    docs = [copy.deepcopy(_FULL_SCENARIO)]
+    if len(keys) == 1:                   # and in a file without support
+        docs.append({"base_case": "B"})
+    for doc in docs:
+        target = doc
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = None
+        with pytest.raises(ScenarioError,
+                           match=rf"^{re.escape(where)}: {message}"):
+            parse_scenario(doc)
+
+
 def test_scenario_hash_is_canonical():
     study = {"base_case": "B", "frequency_support": True,
              "droop": {"kp": 15.0}}
@@ -409,6 +471,18 @@ def test_no_wind_report(report_a):
     # the table is sorted least-damped first
     damp = [m.damping for m in report_a.modes]
     assert damp == sorted(damp)
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGED))
+def test_report_rows_are_the_rows_analyze_modes_returns(name):
+    # nothing converts a mode between the modal workup and the report
+    scenario = load_packaged_scenario(name)
+    net, devices = build_scenario_system(scenario)
+    system = assemble(net, devices, solve_power_flow(net))
+    report = run_scenario(scenario)
+    assert report.modes == tuple(analyze_modes(linearize(system)))
+    assert report.dominant
+    assert all(m in report.modes for m in report.dominant)
 
 
 def test_wind_report_adds_a_converter_class(report_b):
