@@ -12,6 +12,7 @@ stays on the device base.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import operator
 from types import SimpleNamespace
@@ -70,10 +71,12 @@ OPS = (None, SCALAR, STACK)
 def require_finite(params) -> None:
     """Reject a parameter dataclass with a NaN or infinite float field,
     naming the field.  Comparison checks let NaN through, so without this a
-    NaN limit such as ``i_pmax`` silently switches the limit off."""
-    for name, value in vars(params).items():
+    NaN limit such as ``i_pmax`` silently switches the limit off.  Reads by
+    name: ``vars`` builds a ``__dict__``, whose fields CPython reads slowly."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise DeviceError(f"{name} must be finite")
+            raise DeviceError(f"{f.name} must be finite")
 
 
 class DeviceModel:

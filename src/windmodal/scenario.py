@@ -48,11 +48,12 @@ class ScenarioError(ValueError):
 
 
 class PipelineError(RuntimeError):
-    """A pipeline stage failed; ``stage`` names it."""
+    """A stage failed; ``stage`` names it, ``trace`` holds a partial run."""
 
-    def __init__(self, stage: str, message: str):
+    def __init__(self, stage: str, message: str, trace: Trace | None = None):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ class Scenario:
     sha256: str = ""
 
     def __post_init__(self):
+        if {"/", "\\", "\0"} & set(self.name):
+            raise ScenarioError(f"name: {self.name!r} has '/', '\\' or NUL")
         if self.base_case not in CASES:
             raise ScenarioError(f"base_case: expected one of {CASES}, "
                                 f"got {self.base_case!r}")
@@ -448,8 +451,8 @@ def _stage(stage: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except PipelineError:
         raise
-    except Exception as exc:
-        raise PipelineError(stage, str(exc)) from exc
+    except Exception as e:      # a SimulationError's partial trace goes on
+        raise PipelineError(stage, str(e), getattr(e, "trace", None)) from e
 
 
 def _assembled(scenario: Scenario):

@@ -1,13 +1,12 @@
-"""Sixth-order synchronous machine with excitation, stabilizer and governor.
+"""Sixth-order synchronous machine with excitation and stabilizer.
 
 Two-axis model with one transient and one subtransient circuit per axis,
 interfaced to the network as a Norton source behind Ra + jX''.  Equal d- and
 q-axis subtransient reactances are required so the interface reduces to a
 single complex impedance.  Controls are deliberately low order: a first-order
-static exciter, a speed-input stabilizer (washout plus two lead-lag stages),
-and a first-order droop governor.  The stabilizer output is clamped inside
-the model; field voltage and mechanical power carry non-windup limits
-(``limits``) that the integrator holds.
+static exciter and a speed-input stabilizer (washout plus two lead-lag stages)
+whose output is clamped; mechanical power is a first-order lag to its dispatch.
+Field voltage has a non-windup limit (``limits``) that the integrator holds.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import numpy as np
 from .devices import (OPS, STACK, DeviceError, DeviceModel,
                       require_finite)
 
-# indices of the limited states: field voltage and mechanical power
-EFD, PM = 6, 7
+# index of the limited state: field voltage
+EFD = 6
 # the rotor angle delta locates the q axis; the d axis lags it by pi/2
 _QUARTER_TURN = math.pi / 2.0
 
@@ -60,10 +59,7 @@ class SyncGenParams:
     t4: float = 5.4
     vs_max: float = 0.2
 
-    # governor; has_governor=False holds mechanical power at its dispatch
-    # (pm relaxes to pm_ref so the state keeps a well-defined eigenvalue)
-    has_governor: bool = True
-    r_droop: float = 0.05
+    # turbine: pm is a first-order lag to its dispatch in (pm_min, pm_max)
     t_gov: float = 0.5
     pm_max: float = 1.0
     pm_min: float = 0.0
@@ -153,7 +149,7 @@ class SyncGen(DeviceModel):
         if not p.pm_min < te0 < p.pm_max:
             raise DeviceError(
                 f"{self.device_id}: mechanical power {te0:.3f} pu at the "
-                "operating point violates the governor limits"
+                "operating point violates the turbine limits"
             )
         # plain floats, so that derivatives() does no numpy scalar arithmetic
         self.v_ref = float(abs(v) + efd0 / p.ka)
@@ -166,7 +162,7 @@ class SyncGen(DeviceModel):
 
     def limits(self):
         p = self.params
-        return ((EFD, p.efd_min, p.efd_max), (PM, p.pm_min, p.pm_max))
+        return ((EFD, p.efd_min, p.efd_max),)
 
     def derivatives(self, x, v):
         p = self.params
@@ -192,8 +188,6 @@ class SyncGen(DeviceModel):
         y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
         v_s = m.min(m.max(p.k_pss * y_2, -p.vs_max), p.vs_max)
 
-        droop = speed / p.r_droop if p.has_governor else 0.0
-
         return m.array([
             self._omega_s * speed,
             (pm - te - p.d_pu * speed) / (2.0 * p.h_s),
@@ -202,7 +196,7 @@ class SyncGen(DeviceModel):
             (eq_t - eq_st - (p.xd_t - p.xd_st) * id_) / p.td0_st,
             (ed_t - ed_st + (p.xq_t - p.xq_st) * iq) / p.tq0_st,
             (p.ka * (self.v_ref - m.modulus(v) + v_s) - efd) / p.ta,
-            (self.pm_ref - droop - pm) / p.t_gov,
+            (self.pm_ref - pm) / p.t_gov,
             y_w / p.t_washout,
             (y_w - pss_a) / p.t2,
             (y_1 - pss_b) / p.t4,

@@ -10,7 +10,7 @@ first step, each grid rebuilt from the unmodified base by
 ``DynamicSystem.grid_variant`` from the script's own events active then, so
 clearing a fault restores the pre-fault matrices exactly and a script error
 fails before anything is integrated.  The devices' non-windup limiters
-(field voltage, governor power, the converter's reactive integrator) are
+(the machines' field voltage, the converter's reactive integrator) are
 held and released by the integrator alone, which locates each bound
 crossing and each release inside its step.  The step loop only
 integrates: bus voltages, device outputs and the power-balance audit of
@@ -380,8 +380,8 @@ class _Recorder:
 
 
 class _Limiters:
-    """The devices' non-windup limiters during a run (see ``simulate``):
-    the bounds from ``model.limits()`` and the held system indices, each
+    """The exciters' and converters' non-windup limiters in a ``simulate``
+    run: the bounds from ``model.limits()`` and the held system indices, each
     with its free derivative at the current point, signed so that a
     positive value pushes against the bound.  A held state's row of every
     stage is zero, so the state keeps its bits through steps and dense

@@ -56,7 +56,7 @@ def _step_up(name: str, f: int, t: int, mva: float, x_pu: float) -> Branch:
 def machine_params(area: int, k_pss: float) -> SyncGenParams:
     """Round-rotor 900 MVA unit; area 2 carries slightly less inertia.
 
-    Mechanical power is held at the dispatch point (no governor action), the
+    Mechanical power follows its dispatch (``SyncGen`` has no governor), the
     standard setup for small-signal studies on this system.  The stabilizer's
     second stage rolls off below ~3 rad/s so the tie-line mode stays poorly
     damped at the study's stabilizer gain, which is the condition the
@@ -67,7 +67,6 @@ def machine_params(area: int, k_pss: float) -> SyncGenParams:
         h_s=6.5 if area == 1 else 6.175,
         k_pss=k_pss,
         t3=0.3,
-        has_governor=False,
     )
 
 

@@ -165,6 +165,18 @@ def test_powerflow_tags_a_bad_override_with_its_stage(tmp_path, capsys):
         "error: [build] override device 'G9' not in scenario")
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a\\b", "a\0b"],
+                         ids=["slash", "backslash", "nul"])
+def test_a_name_that_cannot_be_a_file_stem_fails_at_load(tmp_path, capsys,
+                                                         name):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"base_case": "A", "name": name}))
+    out = tmp_path / "out"
+    assert main(["report", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: [load] name: ")
+    assert not out.exists()
+
+
 def test_powerflow_names_events_that_are_not_a_list(tmp_path, capsys):
     path = tmp_path / "events.json"
     path.write_text('{"base_case": "B", "events": 5}')

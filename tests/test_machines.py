@@ -20,7 +20,7 @@ from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
 from windmodal.system import assemble
 from windmodal.dfig import (Q_CTRL, Dfig, DfigParams, DroopParams,
                             MpptCurve, frequency_support_reference)
-from windmodal.syncgen import EFD, PM, SyncGen, SyncGenParams
+from windmodal.syncgen import EFD, SyncGen, SyncGenParams
 from windmodal.timedomain import simulate
 
 OMEGA_S = 2.0 * math.pi * 60.0
@@ -82,7 +82,7 @@ def test_syncgen_exciter_limit_is_non_windup():
     gen = SyncGen("G", 1, p)
     v = 1.0 + 0.0j
     x0 = gen.initialize(v, 4.0 + 0.8j, 100.0, OMEGA_S)
-    assert (EFD, p.efd_min, p.efd_max) in gen.limits()
+    assert gen.limits() == ((EFD, p.efd_min, p.efd_max),)
     x = x0.copy()
     x[6] = p.efd_max
     sag = 0.8 * v  # deep sag drives the exciter up against its ceiling
@@ -93,21 +93,10 @@ def test_syncgen_exciter_limit_is_non_windup():
     assert gen.derivatives(x, swell)[6] < 0.0
 
 
-def test_syncgen_governor_limit_is_non_windup():
-    p = SyncGenParams()
-    gen = SyncGen("G", 1, p)
-    v = 1.0 + 0.0j
-    x0 = gen.initialize(v, 4.0 + 0.8j, 100.0, OMEGA_S)
-    assert (PM, p.pm_min, p.pm_max) in gen.limits()
-    x = x0.copy()
-    x[1] = -0.05         # slow rotor: the droop governor opens up
-    x[7] = p.pm_max
-    assert gen.derivatives(x, v)[7] > 0.0     # free; the integrator holds
-
-
 def test_syncgen_rejects_dispatch_outside_limits():
     gen = SyncGen("G", 1, SyncGenParams())
-    with pytest.raises(DeviceError, match="mechanical power"):
+    with pytest.raises(DeviceError, match="mechanical power .* turbine "
+                       "limits"):
         gen.initialize(1.0 + 0.0j, 15.0 + 0.0j, 100.0, OMEGA_S)
 
 
@@ -128,7 +117,8 @@ def test_syncgen_parameter_validation(kwargs, match):
 
 
 def test_governor_holds_dispatch_when_disabled():
-    gen = SyncGen("G", 1, SyncGenParams(has_governor=False))
+    # the machine has no governor: mechanical power ignores speed
+    gen = SyncGen("G", 1, SyncGenParams())
     v = 1.0 + 0.0j
     x0 = gen.initialize(v, 5.0 + 0.5j, 100.0, OMEGA_S)
     x = x0.copy()
@@ -401,9 +391,8 @@ def random_voltages(rng, n):
     return v
 
 
-@pytest.mark.parametrize("has_governor", [True, False])
-def test_syncgen_stack_has_the_bits_of_one_sample_at_a_time(has_governor):
-    p = SyncGenParams(has_governor=has_governor)
+def test_syncgen_stack_has_the_bits_of_one_sample_at_a_time():
+    p = SyncGenParams()
     gen = SyncGen("G", 1, p)
     x0 = gen.initialize(1.0 + 0.0j, 5.0 + 0.5j, 100.0, OMEGA_S)
     rng = np.random.default_rng(7)
@@ -473,7 +462,6 @@ def complex_form_derivatives(gen, x, v):
     y_1 = (p.t1 / p.t2) * y_w + (1.0 - p.t1 / p.t2) * pss_a
     y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
     v_s = min(max(p.k_pss * y_2, -p.vs_max), p.vs_max)
-    droop = speed / p.r_droop if p.has_governor else 0.0
     return np.array([
         gen._omega_s * speed,
         (pm - te - p.d_pu * speed) / (2.0 * p.h_s),
@@ -482,7 +470,7 @@ def complex_form_derivatives(gen, x, v):
         (eq_t - eq_st - (p.xd_t - p.xd_st) * id_) / p.td0_st,
         (ed_t - ed_st + (p.xq_t - p.xq_st) * iq) / p.tq0_st,
         (p.ka * (gen.v_ref - abs(v) + v_s) - efd) / p.ta,
-        (gen.pm_ref - droop - pm) / p.t_gov,
+        (gen.pm_ref - pm) / p.t_gov,
         y_w / p.t_washout,
         (y_w - pss_a) / p.t2,
         (y_1 - pss_b) / p.t4,
@@ -491,7 +479,7 @@ def complex_form_derivatives(gen, x, v):
 
 @pytest.mark.parametrize("ra", [0.0, 0.0025, 0.2])
 def test_syncgen_real_arithmetic_has_the_bits_of_the_complex_form(ra):
-    gen = SyncGen("G", 1, SyncGenParams(ra=ra, has_governor=True))
+    gen = SyncGen("G", 1, SyncGenParams(ra=ra))
     x0 = gen.initialize(1.0 + 0.0j, 5.0 + 0.5j, 100.0, OMEGA_S)
     rng = np.random.default_rng(2)
     xs = x0 + 0.1 * rng.standard_normal((500, gen.n_states))

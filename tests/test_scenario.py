@@ -504,11 +504,22 @@ def test_zero_gain_support_matches_disabled_support():
         assert m_on.imag == pytest.approx(m_off.imag, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["a/b", "../escaped", "a\\b", "a\0b"],
+                         ids=["slash", "parent", "backslash", "nul"])
+def test_a_name_that_cannot_be_a_file_stem_is_rejected(name):
+    # the name is the stem of the report, sweep and trace files
+    with pytest.raises(ScenarioError, match=r"^name: .* has '/', '\\' or NUL$"):
+        Scenario(base_case="A", name=name)
+    with pytest.raises(ScenarioError, match="^name: "):
+        parse_scenario({"base_case": "A", "name": name})
+
+
 def test_pipeline_failures_carry_their_stage():
     bad = Scenario(base_case="B", overrides=(Override("G9", "h_s", 7.0),))
     with pytest.raises(PipelineError, match=r"\[build\]") as err:
         run_scenario(bad)
     assert err.value.stage == "build"
+    assert err.value.trace is None
     with pytest.raises(PipelineError, match="no wind farm to sweep|sweep"):
         run_sensitivity_sweep(Scenario(base_case="A"))
 
@@ -527,8 +538,7 @@ def test_overrides_patch_device_parameters():
 
 
 @pytest.mark.parametrize("device, name", [
-    ("W1", "droop"), ("W1", "mppt"), ("G1", "has_governor"),
-    ("W1", "control_mode"),
+    ("W1", "droop"), ("W1", "mppt"), ("W1", "control_mode"),
 ])
 def test_override_of_a_parameter_that_is_not_a_number_fails_at_build(
         device, name):
@@ -537,6 +547,16 @@ def test_override_of_a_parameter_that_is_not_a_number_fails_at_build(
     bad = Scenario(base_case="B", overrides=(Override(device, name, 0.0),))
     with pytest.raises(PipelineError, match=rf"^\[build\] override field "
                        rf"'{name}' of {device} is not a number"):
+        run_scenario(bad)
+
+
+@pytest.mark.parametrize("name", ["r_droop", "has_governor"])
+def test_override_of_a_governor_field_fails_at_build(name):
+    # the machines have no governor, so its gain and switch are gone; an
+    # override of either names no parameter rather than doing nothing
+    bad = Scenario(base_case="A", overrides=(Override("G1", name, 0.05),))
+    with pytest.raises(PipelineError, match=rf"^\[build\] override field "
+                       rf"'{name}' is not a parameter of G1$"):
         run_scenario(bad)
 
 
@@ -578,6 +598,21 @@ def test_simulate_scenario_runs_the_packaged_fault(report_a):
     k_pre = int((abs(tr.time - 0.5)).argmin())
     k_mid = int((abs(tr.time - 1.05)).argmin())
     assert v8[k_mid] < 0.7 * v8[k_pre]
+
+
+def test_a_failed_simulation_keeps_its_partial_trace():
+    # case C's farm is a constant-magnitude current source: a bolted fault
+    # at bus 9 leaves the network no solution at 0.5 s, after 501 samples
+    fault = Event("three_phase_fault", 0.5, bus=9, duration=cycles(6))
+    scenario = dataclasses.replace(load_packaged_scenario("C_voltage"),
+                                   events=(fault,), sha256="")
+    with pytest.raises(PipelineError, match=r"^\[simulate\] network "
+                       "solution failed at t=0.500000s") as err:
+        simulate_scenario(scenario, t_end=1.0)
+    assert err.value.stage == "simulate"
+    assert err.value.trace is err.value.__cause__.trace
+    assert err.value.trace.time.size == 501
+    assert err.value.trace.time[-1] == pytest.approx(0.5)
 
 
 # -- report serialization --------------------------------------------------------------

@@ -41,6 +41,8 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
 NONNEG_OR_INT = NONNEG | st.integers(min_value=0, max_value=2 ** 53)
 POSITIVE_OR_INT = POSITIVE | st.integers(min_value=1, max_value=2 ** 53)
 TEXT = st.text(max_size=6)
+# a scenario name is a file-name stem: no path separator and no NUL
+NAME = st.text(st.characters(exclude_characters="/\\\0"), max_size=6)
 
 # the fields that the second scenario of a pair may take from another draw;
 # the farm fields go together, since they must agree with the case
@@ -88,7 +90,7 @@ def scenarios(draw):
                           st.floats(allow_nan=False) | st.integers(
                               min_value=-2 ** 53, max_value=2 ** 53))
     return Scenario(
-        case, name=draw(TEXT), description=draw(TEXT),
+        case, name=draw(NAME), description=draw(TEXT),
         k_pss=draw(st.just(SyncGenParams.k_pss) | NONNEG_OR_INT),
         overrides=tuple(draw(st.lists(overrides, max_size=2))),
         events=tuple(draw(st.lists(events(), max_size=2))), **farm)

@@ -515,55 +515,51 @@ def test_exciter_limiter_holds_each_bound_exactly_then_releases():
         assert p.efd_min < efd[-1] < p.efd_max
 
 
-def _governed(study, governors):
-    """Network and devices of a packaged study, the machines' governors
-    switched on when ``governors`` (a flag no override can set)."""
+def _packaged_model(study):
+    """The assembled model of a packaged study."""
     net, devices = build_scenario_system(load_packaged_scenario(study))
-    if governors:
-        devices = [type(d)(d.device_id, d.bus_id,
-                           dataclasses.replace(d.params, has_governor=True))
-                   if d.device_class == "synchronous" else d
-                   for d in devices]
-    return net, devices
+    return assemble(net, devices, solve_power_flow(net))
 
 
-@pytest.mark.parametrize("study, column, bound, events, governors, t_end", [
-    # load shed with the governors switched on: they close down to
-    # pm_min = 0 and stay there
-    ("A", "G1.pm", 0.0, (Event("load_step", 0.1, bus=9, scale=0.0),
-                         Event("load_step", 0.1, bus=7, scale=0.0)),
-     True, 2.0),
+def test_converter_limit_holds_its_bound():
     # a fault at the farm bus winds the reactive integrator up to i_qmax;
     # with the anti-windup in the derivatives this run stalled at 0.524 s
-    ("C_voltage_support", "W1.q_ctrl", 0.66,
-     (Event("three_phase_fault", 0.5, bus=12, duration=cycles(10)),), False,
-     1.0),
-], ids=["governor", "converter"])
-def test_governor_and_converter_limits_hold_their_bound(study, column, bound,
-                                                       events, governors,
-                                                       t_end):
-    net, devices = _governed(study, governors)
-    model = assemble(net, devices, solve_power_flow(net))
-    tr = simulate(model, events=events, t_end=t_end)
-    y = tr.column(column)
-    at = np.flatnonzero(y == bound)
+    model = _packaged_model("C_voltage_support")
+    tr = simulate(model, events=[Event("three_phase_fault", 0.5, bus=12,
+                                       duration=cycles(10))], t_end=1.0)
+    y = tr.column("W1.q_ctrl")
+    at = np.flatnonzero(y == 0.66)
     assert at.size >= 20
     assert np.array_equal(at, np.arange(at[0], at[-1] + 1))
-    assert np.all(y >= bound) if bound == 0.0 else np.all(y <= bound)
+    assert np.all(y <= 0.66)
 
 
-@pytest.mark.parametrize("study, state, governors", [
-    ("A", "G1.efd", False),
-    ("A", "G1.pm", True),
-    ("C_voltage_support", "W1.q_ctrl", False),
-], ids=["exciter", "governor", "converter"])
-def test_a_held_limiter_zeroes_only_its_own_row(study, state, governors):
+@pytest.mark.parametrize("study", ["A", "B_voltage_support",
+                                   "C_reactive_power_support"])
+def test_mechanical_power_stays_on_its_dispatch_through_a_fault(study):
+    # the machines have no governor: pm relaxes to its dispatch and, starting
+    # there, never leaves it, whatever the rotor speed does
+    model = _packaged_model(study)
+    events = load_packaged_scenario(study).events
+    assert events
+    tr = simulate(model, events=list(events), t_end=3.0)
+    for dev in model.devices:
+        if dev.device_class == "synchronous":
+            pm = tr.column(f"{dev.device_id}.pm")
+            assert np.array_equal(pm.view(np.uint64),
+                                  np.full_like(pm, dev.pm_ref).view(np.uint64))
+
+
+@pytest.mark.parametrize("study, state", [
+    ("A", "G1.efd"),
+    ("C_voltage_support", "W1.q_ctrl"),
+], ids=["exciter", "converter"])
+def test_a_held_limiter_zeroes_only_its_own_row(study, state):
     # the integrator evaluates the free model and zeroes the held rows; no
     # device equation reads another state's derivative, so the rest of f
     # keeps the bits of the free evaluation, and ``free`` holds the held
     # row's free value, which the release test reads
-    net, devices = _governed(study, governors)
-    model = assemble(net, devices, solve_power_flow(net))
+    model = _packaged_model(study)
     g = [str(lab) for lab in model.state_labels()].index(state)
     limiters = _Limiters(model)
     hi = next(hi for k, _, hi in limiters.bounds if k == g)
@@ -606,8 +602,7 @@ def test_a_held_limiter_costs_no_extra_evaluation(monkeypatch):
     # stage, so every device runs exactly once per model evaluation even
     # while a limiter is held (re-running the devices at each step's end
     # made 41 more calls here)
-    net, devices = build_scenario_system(load_packaged_scenario("A"))
-    model = assemble(net, devices, solve_power_flow(net))
+    model = _packaged_model("A")
     evaluations, calls = [], {dev.device_id: [] for dev in model.devices}
     rhs = model.rhs
     monkeypatch.setattr(model, "rhs", lambda x, grid=None:
