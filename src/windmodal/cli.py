@@ -7,7 +7,8 @@ script, ``sweep`` scans droop gains, and ``report`` batches the canned
 studies.  Output files land in --out, falling back to the
 WINDMODAL_OUTPUT_DIR environment variable and then the working directory.
 All failures exit nonzero with a stage-tagged message on stderr; an output
-that cannot be written is tagged ``[export]``.
+that cannot be written is tagged ``[export]``.  A ``simulate`` run that
+fails part way still writes the samples up to the failure as its trace.
 """
 
 from __future__ import annotations
@@ -145,10 +146,25 @@ def cmd_modal(args) -> int:
 
 def cmd_simulate(args) -> int:
     scen = _load(args.scenario)
-    trace = sc.simulate_scenario(scen, t_end=args.tend, dt_max=args.dt_max)
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"trace_{scen.name or scen.base_case}.csv"
+    try:
+        trace = sc.simulate_scenario(scen, t_end=args.tend,
+                                     dt_max=args.dt_max)
+    except sc.PipelineError as exc:
+        if exc.trace is not None:       # the samples up to the failure
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+                exc.trace.to_csv(path)
+            except OSError as write_exc:
+                # the [simulate] failure stays the error reported
+                print(f"note: could not write the partial trace: "
+                      f"{write_exc}", file=sys.stderr)
+            else:
+                print(f"wrote a partial trace, {exc.trace.time.size} "
+                      f"samples to t={exc.trace.time[-1]:.3f}s: {path}")
+        raise
+    out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(path)
     print(f"simulated {scen.name or scen.base_case}: "
           f"{trace.time.size} samples to t={trace.time[-1]:.3f}s, "

@@ -8,6 +8,12 @@ coarse classification (inter-area / local / converter control).  Every state
 matrix in the toolkit comes from one routine, ``jacobian``: it stacks the
 2n central-difference points and evaluates the model once on the stack, so
 a model's ``rhs`` accepts a leading sample axis.
+
+Rows come from one eigensolve per matrix (``mode_spectrum``) and one array
+rule that classifies the eigenvalues of any number of matrices and picks
+each one's dominant modes with a stable sort.  ``analyze_modes`` is the
+one-matrix case; a gain sweep makes one pass over all its cells
+(``dominant_rows``) and builds rows only for the dominant modes.
 """
 
 from __future__ import annotations
@@ -28,6 +34,13 @@ CONVERTER_SHARE_THRESHOLD = 0.5
 
 # An eigenvalue whose imaginary part is at most this is non-oscillatory.
 REAL_MODE_TOL = 1e-9
+
+# Mode classes sorted by name.  A class's index is its code in the array
+# rule, so dominant rows come out in this order.
+MODE_CLASSES = ("converter_control", "inter_area", "local",
+                "non_oscillatory", "other")
+(_CONVERTER_CONTROL, _INTER_AREA, _LOCAL, _NON_OSCILLATORY,
+ _OTHER) = range(len(MODE_CLASSES))
 
 EQUILIBRIUM_TOL = 1e-8
 
@@ -176,7 +189,19 @@ def decompose(state_matrix: StateMatrix) -> ModalDecomposition:
     ``cond * eps``, it rejects every matrix a 2-norm guard with the same
     bound would.
     """
-    a = state_matrix.a
+    eigvals, right, left_rows = _eigenpairs(state_matrix.a)
+    # Store left eigenvectors as columns satisfying left^H A = lam left^H.
+    return ModalDecomposition(
+        eigenvalues=eigvals,
+        right=right,
+        left=left_rows.conj().T,
+        labels=list(state_matrix.labels),
+    )
+
+
+def _eigenpairs(a: np.ndarray):
+    """``(eigenvalues, R, inv(R))`` of ``a``, the columns of ``R`` of unit
+    norm, behind the conditioning guard ``decompose`` describes."""
     eigvals, right = np.linalg.eig(a)
     norms = np.linalg.norm(right, axis=0)
     if np.any(norms == 0.0):
@@ -197,14 +222,7 @@ def decompose(state_matrix: StateMatrix) -> ModalDecomposition:
             f"eigenvector matrix condition number {cond:.3e}; the state "
             "matrix is defective or too close to defective for modal analysis"
         )
-    # Store left eigenvectors as columns satisfying left^H A = lam left^H.
-    left = left_rows.conj().T
-    return ModalDecomposition(
-        eigenvalues=eigvals,
-        right=right,
-        left=left,
-        labels=list(state_matrix.labels),
-    )
+    return eigvals, right, left_rows
 
 
 def participation_products(dec: ModalDecomposition) -> np.ndarray:
@@ -213,12 +231,20 @@ def participation_products(dec: ModalDecomposition) -> np.ndarray:
     Entry (k, i) is right[k, i] * left_row[i, k]; each column sums to exactly
     one by biorthogonality.
     """
-    return dec.right * dec.left.conj()
+    return _participation(dec.right, dec.left.conj().T)
+
+
+def _participation(right: np.ndarray, left_rows: np.ndarray) -> np.ndarray:
+    """``participation_products`` from ``R`` and the rows of ``inv(R)``."""
+    return right * left_rows.T
 
 
 def participation_factors(dec: ModalDecomposition) -> np.ndarray:
     """Participation magnitudes normalized to unit column sum."""
-    mags = np.abs(participation_products(dec))
+    return _unit_columns(np.abs(participation_products(dec)))
+
+
+def _unit_columns(mags: np.ndarray) -> np.ndarray:
     sums = mags.sum(axis=0)
     sums[sums == 0.0] = 1.0
     return mags / sums
@@ -232,10 +258,11 @@ def ccbg_pi(participation: np.ndarray, labels: list[StateLabel]) -> float:
     system, in [0, 1] by construction.
     """
     p = np.abs(np.asarray(participation, dtype=float))
-    return float(_converter_fractions(p[:, None], _converter_mask(labels))[0])
+    return float(_converter_fractions(p[:, None], converter_mask(labels))[0])
 
 
-def _converter_mask(labels: list[StateLabel]) -> np.ndarray:
+def converter_mask(labels: list[StateLabel]) -> np.ndarray:
+    """True at each converter state: the ``converter`` of ``mode_spectrum``."""
     return np.array([lab.device_class == "converter" for lab in labels])
 
 
@@ -258,16 +285,23 @@ def classify_mode(eigenvalue: complex, converter_share: float) -> str:
     converter-control modes falling inside the electromechanical range are
     not mislabelled.
     """
-    if abs(eigenvalue.imag) <= REAL_MODE_TOL:
-        return "non_oscillatory"
-    if converter_share >= CONVERTER_SHARE_THRESHOLD:
-        return "converter_control"
-    f = abs(eigenvalue.imag) / (2.0 * np.pi)
-    if INTER_AREA_BAND_HZ[0] <= f < INTER_AREA_BAND_HZ[1]:
-        return "inter_area"
-    if LOCAL_BAND_HZ[0] <= f <= LOCAL_BAND_HZ[1]:
-        return "local"
-    return "other"
+    code = _class_codes(np.abs([eigenvalue.imag]),
+                        np.array([converter_share], dtype=float))
+    return MODE_CLASSES[code[0]]
+
+
+def _class_codes(imag: np.ndarray, share: np.ndarray) -> np.ndarray:
+    """``MODE_CLASSES`` index of each mode from |Im lam| and its converter
+    share: the one place the bands are applied."""
+    f = imag / (2.0 * np.pi)
+    codes = np.full(imag.shape, _OTHER)
+    # each assignment overrides the ones before it
+    codes[(LOCAL_BAND_HZ[0] <= f) & (f <= LOCAL_BAND_HZ[1])] = _LOCAL
+    codes[(INTER_AREA_BAND_HZ[0] <= f) & (f < INTER_AREA_BAND_HZ[1])] = \
+        _INTER_AREA
+    codes[share >= CONVERTER_SHARE_THRESHOLD] = _CONVERTER_CONTROL
+    codes[imag <= REAL_MODE_TOL] = _NON_OSCILLATORY
+    return codes
 
 
 ZERO_MODE_TOL = 1e-3
@@ -281,59 +315,102 @@ magnitude, far below any physical mode (the slowest here are ~0.1 rad/s
 washouts) yet far above the splitting."""
 
 
+def mode_spectrum(a: np.ndarray, converter: np.ndarray):
+    """``(eigenvalues, shares)`` of the modes of ``a`` that get a row, in
+    ``eig`` order, with ``decompose``'s guard and errors.
+
+    ``converter`` marks the converter states (``converter_mask``).
+    """
+    lam, right, left_rows = _eigenpairs(a)
+    # the conjugate partner (imag < 0) carries the same information;
+    # np.hypot has the bits of abs() of each complex, np.abs of the array
+    # may differ in the last one
+    keep = (lam.imag >= 0.0) & (np.hypot(lam.real, lam.imag) > ZERO_MODE_TOL)
+    # all columns: numpy sums an (n, 1) array's column pairwise, so one
+    # kept mode would move its share's last bit
+    pf = _unit_columns(np.abs(_participation(right, left_rows)))
+    return lam[keep], _converter_fractions(pf[:, keep], converter)
+
+
+def _mode_table(lam: np.ndarray, share: np.ndarray):
+    """Class codes, |Im lam|, damping ratios and frequencies of the rows:
+    bit for bit ``classify_mode``, ``abs(lam.imag)``, ``damping_ratio``
+    and ``abs(lam.imag) / 2 pi`` of each."""
+    imag = np.abs(lam.imag)
+    return (_class_codes(imag, share), imag,
+            -lam.real / np.hypot(lam.real, lam.imag), imag / (2.0 * np.pi))
+
+
+def _modes(lam, share, table, index) -> list[Mode]:
+    """``Mode`` rows of the spectrum entries at ``index``, in that order."""
+    codes, imag, damping, freq = (col[index].tolist() for col in table)
+    return [
+        Mode(classification=MODE_CLASSES[c], real=re, imag=im, damping=d,
+             frequency_hz=f, ccbg_pi=s)
+        for c, re, im, d, f, s in zip(codes, lam.real[index].tolist(), imag,
+                                      damping, freq, share[index].tolist())
+    ]
+
+
+def _dominant(cell, codes, damping, real, freq) -> np.ndarray:
+    """Indices of the dominant rows: in each cell, the least-damped mode of
+    each oscillatory class, ties broken toward the larger real part, then
+    the lower frequency, then the earlier row (``np.lexsort`` is stable);
+    ordered by cell, then by class name.
+    """
+    order = np.lexsort((freq, -real, damping, codes, cell))
+    cell, codes = cell[order], codes[order]
+    first = codes != _NON_OSCILLATORY
+    first[1:] &= (cell[1:] != cell[:-1]) | (codes[1:] != codes[:-1])
+    return order[first]
+
+
 def analyze_modes(state_matrix: StateMatrix) -> list[Mode]:
     """Full modal workup of a state matrix: the rows of its mode table.
 
     Conjugate pairs are reported once, by their positive-frequency member.
     Reference zero modes (|eigenvalue| below ``ZERO_MODE_TOL``) carry no
     damping information and are omitted.  Modes come back sorted by damping
-    ratio, least damped first.  A matrix whose eigenvector matrix has a
-    Frobenius condition number above 1e10 raises ``ModalError``; that
-    number is never below the 2-norm one (see ``decompose``).
-    Damping, frequency and converter share are computed for all modes in
-    one pass, bit for bit ``damping_ratio``, ``abs(lam.imag) / 2 pi`` and
-    ``ccbg_pi`` of each mode.  The rows carry no per-state participation;
+    ratio, least damped first, ties in ``eig`` order.  A matrix whose
+    eigenvector matrix has a Frobenius condition number above 1e10 raises
+    ``ModalError``; that number is never below the 2-norm one (see
+    ``decompose``).  Each row has the bits of ``damping_ratio``,
+    ``abs(lam.imag) / 2 pi``, ``ccbg_pi`` and ``classify_mode`` of its
+    mode.  The rows carry no per-state participation;
     ``participation_factors`` of ``decompose`` gives it.
     """
-    dec = decompose(state_matrix)
-    pf = participation_factors(dec)
-    lam = dec.eigenvalues
-    # np.hypot has the bits of abs() of each complex; np.abs of the array
-    # may differ in the last one
-    mag = np.hypot(lam.real, lam.imag)
-    # the conjugate partner (imag < 0) carries the same information
-    keep = (lam.imag >= 0.0) & (mag > ZERO_MODE_TOL)
-    lam = lam[keep]
-    imag = np.abs(lam.imag)
-    damping = -lam.real / mag[keep]
-    freq = imag / (2.0 * np.pi)
-    share = _converter_fractions(pf[:, keep], _converter_mask(dec.labels))
-    modes = [
-        Mode(classification=classify_mode(complex(re, im), s), real=re,
-             imag=im, damping=d, frequency_hz=f, ccbg_pi=s)
-        for re, im, d, f, s in zip(lam.real.tolist(), imag.tolist(),
-                                   damping.tolist(), freq.tolist(),
-                                   share.tolist())
-    ]
-    modes.sort(key=lambda m: m.damping)
-    return modes
+    lam, share = mode_spectrum(state_matrix.a,
+                               converter_mask(state_matrix.labels))
+    table = _, _, damping, _ = _mode_table(lam, share)
+    return _modes(lam, share, table, np.argsort(damping, kind="stable"))
+
+
+def dominant_rows(spectra) -> list[tuple[Mode, ...]]:
+    """Dominant rows of each ``(eigenvalues, shares)`` of ``mode_spectrum``.
+
+    Each tuple is what ``dominant_modes`` picks from ``analyze_modes`` of
+    that matrix, from one array pass over all the spectra.
+    """
+    lam = np.concatenate([np.empty(0, complex), *(s[0] for s in spectra)])
+    share = np.concatenate([np.empty(0), *(s[1] for s in spectra)])
+    cell = np.repeat(np.arange(len(spectra)), [s[0].size for s in spectra])
+    table = codes, _, damping, freq = _mode_table(lam, share)
+    pick = _dominant(cell, codes, damping, lam.real, freq)
+    rows = [[] for _ in spectra]
+    for c, mode in zip(cell[pick].tolist(), _modes(lam, share, table, pick)):
+        rows[c].append(mode)
+    return [tuple(r) for r in rows]
 
 
 def dominant_modes(modes: list[Mode]) -> dict[str, Mode]:
-    """Least-damped oscillatory mode of each class.
+    """Least-damped oscillatory mode of each class, in class-name order.
 
     Ties on damping are broken toward the larger real part, then the lower
-    frequency.  Non-oscillatory modes are never dominant.
+    frequency, then the earlier mode in ``modes``.  Non-oscillatory modes
+    are never dominant.  This is the rule ``dominant_rows`` applies to a
+    sweep's cells, run on one cell.
     """
-    best: dict[str, Mode] = {}
-    for m in modes:
-        if m.classification == "non_oscillatory":
-            continue
-        cur = best.get(m.classification)
-        if cur is None or _dominance_key(m) < _dominance_key(cur):
-            best[m.classification] = m
-    return best
-
-
-def _dominance_key(m: Mode):
-    return (m.damping, -m.real, m.frequency_hz)
+    table = np.array([(MODE_CLASSES.index(m.classification), m.damping,
+                        m.real, m.frequency_hz) for m in modes]).reshape(-1, 4)
+    pick = _dominant(np.zeros(len(modes)), *table.T)
+    return {modes[i].classification: modes[i] for i in pick.tolist()}

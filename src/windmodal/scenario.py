@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .dfig import CONTROL_MODES, DEFAULT_GAIN_GRID, DfigParams, DroopParams
-from .modal import (Mode, StateMatrix, analyze_modes, dominant_modes,
-                    linearize)
+from .modal import (Mode, analyze_modes, converter_mask, dominant_modes,
+                    dominant_rows, linearize, mode_spectrum)
 from .powerflow import solve_power_flow
 from .syncgen import SyncGenParams
 from .system import assemble
@@ -396,8 +396,9 @@ class Report:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One grid point: the dominant ``analyze_modes`` rows of its state
-    matrix, one per class, or the error that stopped it."""
+    """One grid point: the rows ``dominant_modes`` picks from
+    ``analyze_modes`` of its state matrix, one per class, or the error that
+    stopped it.  The sweep builds only these rows (``dominant_rows``)."""
 
     kp: float
     kin: float
@@ -416,8 +417,7 @@ class SweepResult:
 
 
 def _dominant_rows(modes: list[Mode]) -> tuple[Mode, ...]:
-    best = dominant_modes(modes)
-    return tuple(best[c] for c in sorted(best))
+    return tuple(dominant_modes(modes).values())
 
 
 def build_scenario_system(scenario: Scenario):
@@ -546,11 +546,14 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
     and leave the equilibrium unchanged, so the state matrix is affine in
     them.  The sweep solves the power flow once, linearizes four systems on
     it (see ``_affine_gain_model``; K* is the largest finite grid value of
-    each gain, or 1 if that is 0) and runs one modal analysis per (K_in, K_p)
-    cell on A00 + K_p*G_p + K_in*G_i.  A failure in the shared work is
+    each gain, or 1 if that is 0) and runs one eigensolve
+    (``mode_spectrum``) per (K_in, K_p) cell on A00 + K_p*G_p + K_in*G_i,
+    one cell at a time, so no stack of cell matrices is held.  One array
+    pass over all the cells' eigenvalues (``dominant_rows``) then picks
+    each cell's dominant rows, the rows ``dominant_modes`` picks from
+    ``analyze_modes`` of the cell's matrix.  A failure in the shared work is
     recorded, with its stage tag, in every cell; a cell with invalid gains
-    or a failed modal analysis records its own error, and the sweep
-    continues.
+    or a failed eigensolve records its own error, and the sweep continues.
     """
     if scenario.base_case == "A":
         raise PipelineError("build", "sweep needs a wind farm; case A has "
@@ -567,24 +570,29 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
             scenario, k_star(kp_values), k_star(kin_values))
     except PipelineError as exc:
         shared_error = str(exc)
+    else:
+        converter = converter_mask(labels)
 
-    cells = []
+    grid, spectra = [], {}      # spectra: cell index -> mode_spectrum
     for kin in kin_values:
         for kp in kp_values:
-            dominant, error = (), shared_error
+            error = shared_error
             try:
                 DroopParams(kp=kp, kin=kin)     # rejects invalid gains
                 if not error:
-                    a = StateMatrix(a00 + kp * g_p + kin * g_i, labels)
-                    dominant = _dominant_rows(
-                        _stage("modal", analyze_modes, a))
+                    spectra[len(grid)] = _stage(
+                        "modal", mode_spectrum, a00 + kp * g_p + kin * g_i,
+                        converter)
             except Exception as exc:
                 error = str(exc)
-            cells.append(SweepCell(kp=kp, kin=kin, dominant=dominant,
-                                   error=error))
+            grid.append((kp, kin, error))
+    dominant = dict(zip(spectra, dominant_rows(list(spectra.values()))))
+    cells = tuple(SweepCell(kp=kp, kin=kin, dominant=dominant.get(i, ()),
+                            error=error)
+                  for i, (kp, kin, error) in enumerate(grid))
     return SweepResult(
         scenario_name=scenario.name or scenario.base_case,
-        kp_values=kp_values, kin_values=kin_values, cells=tuple(cells),
+        kp_values=kp_values, kin_values=kin_values, cells=cells,
         scenario_sha256=scenario.sha256, version=__version__,
     )
 

@@ -91,6 +91,45 @@ def test_simulate_rejects_an_infinite_step_bound(tmp_path, capsys):
     assert not (tmp_path / "trace_A.csv").exists()
 
 
+def _c_bus9_study(tmp_path):
+    # case C's farm is a constant-magnitude current source: a bolted fault
+    # at bus 9 leaves the network no solution at 0.5 s, after 501 samples
+    study = tmp_path / "c_bus9.json"
+    study.write_text(json.dumps({
+        "base_case": "C", "name": "c_bus9", "events": [
+            {"kind": "three_phase_fault", "t_start": 0.5, "bus": 9,
+             "duration_cycles": 6}]}))
+    return study
+
+
+def test_a_failed_simulation_writes_its_partial_trace(tmp_path, capsys):
+    assert main(["simulate", "--scenario", str(_c_bus9_study(tmp_path)),
+                 "--tend", "1", "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [simulate] network solution "
+                                   "failed at t=0.500000s")
+    trace = tmp_path / "out" / "trace_c_bus9.csv"
+    assert f"wrote a partial trace, 501 samples to t=0.500s: {trace}" \
+        in captured.out
+    lines = trace.read_text().splitlines()
+    assert lines[0].startswith("time,") and len(lines) == 1 + 501
+    assert float(lines[-1].split(",")[0]) == pytest.approx(0.5)
+
+
+def test_an_unwritable_partial_trace_keeps_the_simulate_error(tmp_path,
+                                                               capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    assert main(["simulate", "--scenario", str(_c_bus9_study(tmp_path)),
+                 "--tend", "1", "--out", str(taken)]) == 1
+    captured = capsys.readouterr()
+    note, error = captured.err.splitlines()
+    assert note.startswith("note: could not write the partial trace:")
+    assert error.startswith("error: [simulate] network solution failed")
+    assert "partial trace" not in captured.out
+    assert taken.read_text() == "a file, not a directory"
+
+
 def test_sweep_command(tmp_path, capsys):
     assert main(["sweep", "--scenario", "B_voltage", "--kp", "0:10:10",
                  "--kin", "0", "--out",

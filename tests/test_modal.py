@@ -5,20 +5,24 @@ The damped oscillator [[0, 1], [-w^2, -2 z w]] supplies exact eigenvalues
 the biorthogonality and reconstruction identities.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import windmodal.scenario
 from windmodal.modal import (ZERO_MODE_TOL, ModalError, Mode, StateLabel,
-                             StateMatrix, analyze_modes, ccbg_pi, classify_mode,
-                             damping_ratio, decompose, dominant_modes,
-                             jacobian, linearize, participation_factors,
+                             StateMatrix, analyze_modes, ccbg_pi,
+                             classify_mode, damping_ratio, decompose,
+                             dominant_modes, dominant_rows, jacobian,
+                             linearize, participation_factors,
                              participation_products)
-from windmodal.scenario import (assemble, build_scenario_system,
-                                load_packaged_scenario, packaged_scenario_names,
-                                solve_power_flow)
+from windmodal.scenario import (Scenario, _dominant_rows, assemble,
+                                build_scenario_system, load_packaged_scenario,
+                                packaged_scenario_names,
+                                run_sensitivity_sweep, solve_power_flow)
 
 
 def labels(n, device_class="synchronous", prefix="g"):
@@ -381,3 +385,80 @@ def test_dominant_mode_tie_breaks():
     nonosc = Mode(classification="non_oscillatory", real=-1.0, imag=0.0,
                   damping=1.0, frequency_hz=0.0, ccbg_pi=0.0)
     assert dominant_modes([nonosc]) == {}
+
+    # same damping and real part: the lower frequency wins, then the
+    # earlier row
+    e = Mode(classification="local", real=-0.3, imag=9.0, damping=0.05,
+             frequency_hz=1.5, ccbg_pi=0.0)
+    f = dataclasses.replace(e, frequency_hz=1.4)
+    g = dataclasses.replace(f, ccbg_pi=0.2)
+    assert dominant_modes([e, f, g])["local"] is f
+    assert dominant_modes([g, e, f])["local"] is g
+    assert list(dominant_modes([e, c, nonosc])) == ["inter_area", "local"]
+
+
+def _rows_by_the_scalar_formulas(lam, share):
+    return [Mode(classification=classify_mode(x, s), real=x.real,
+                 imag=abs(x.imag), damping=damping_ratio(x),
+                 frequency_hz=abs(x.imag) / (2.0 * math.pi), ccbg_pi=s)
+            for x, s in zip(lam.tolist(), share.tolist())]
+
+
+def test_dominant_rows_picks_each_cell_on_its_own():
+    # eig order: inter-area modes of equal damping, the larger real part
+    # second; two identical local modes told apart by their share; a
+    # converter mode and a real one
+    lam = np.array([-0.5 + 5.0j, -0.25 + 2.5j, -0.3 + 8.0j, -0.3 + 8.0j,
+                    -1.0 + 6.0j, -4.0 + 0.0j])
+    share = np.array([0.1, 0.2, 0.3, 0.1, 0.7, 0.0])
+    assert damping_ratio(lam[0]) == damping_ratio(lam[1])
+    rows = _rows_by_the_scalar_formulas(lam, share)
+    assert [m.classification for m in rows] == [
+        "inter_area", "inter_area", "local", "local", "converter_control",
+        "non_oscillatory"]
+    other = (np.array([-0.1 + 3.0j]), np.array([0.0]))
+    # rows in class-name order; of the identical local modes the earlier
+    # one in eig order, which the reversed cell turns round
+    assert dominant_rows([(lam, share), other, (lam[::-1], share[::-1])]) \
+        == [(rows[4], rows[1], rows[2]),
+            tuple(_rows_by_the_scalar_formulas(*other)),
+            (rows[4], rows[1], rows[3])]
+    assert dominant_rows([]) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_sweep_cell_whose_matrix_fails_fails_alone(monkeypatch):
+    # an oscillator plus a 2 x 2 block that is a Jordan block at kin = 1;
+    # kp = 10 overflows one entry to inf
+    a00 = np.zeros((4, 4))
+    a00[:2, :2] = oscillator(0.05, 3.0)
+    a00[2:, 2:] = [[-1.0, 1.0], [0.0, -2.0]]
+    g_p = np.zeros((4, 4))
+    g_p[0, 1] = 1e308
+    g_i = np.zeros((4, 4))
+    g_i[3, 3] = 1.0
+    labs = labels(2) + labels(2, "converter", prefix="w")
+    monkeypatch.setattr(windmodal.scenario, "_affine_gain_model",
+                        lambda *args: (a00, g_p, g_i, labs))
+    scenario = Scenario(base_case="B")
+    sweep = run_sensitivity_sweep(scenario, kp_values=(0.0, 10.0),
+                                  kin_values=(0.0, 1.0, 0.5))
+    errors = {}
+    for cell in sweep.cells:
+        a = StateMatrix(a00 + cell.kp * g_p + cell.kin * g_i, labs)
+        try:
+            want = _dominant_rows(analyze_modes(a))
+        except (ModalError, np.linalg.LinAlgError) as exc:
+            assert cell.error == f"[modal] {exc}" and not cell.dominant
+            errors[cell.kp, cell.kin] = cell.error
+        else:
+            assert not cell.error and cell.dominant == want
+    assert sorted(errors) == [(0.0, 1.0), (10.0, 0.0), (10.0, 0.5),
+                              (10.0, 1.0)]
+    assert errors[0.0, 1.0].startswith(
+        "[modal] eigenvector matrix condition number")
+    assert errors[10.0, 0.0] == "[modal] Array must not contain infs or NaNs"
+    # the cells that pass have the rows of a sweep without the failing ones
+    alone = run_sensitivity_sweep(scenario, kp_values=(0.0,),
+                                  kin_values=(0.0, 0.5))
+    assert alone.cells == (sweep.cells[0], sweep.cells[4])

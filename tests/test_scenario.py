@@ -20,8 +20,9 @@ from windmodal.dfig import CONTROL_MODES, DroopParams
 from windmodal.modal import StateMatrix, analyze_modes, linearize
 from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
-                                Report, Scenario, ScenarioError, _with_gains,
-                                assemble, build_scenario_system,
+                                Report, Scenario, ScenarioError,
+                                _affine_gain_model, _dominant_rows,
+                                _with_gains, assemble, build_scenario_system,
                                 export_report, load_packaged_scenario,
                                 load_scenario,
                                 packaged_scenario_names, parse_report,
@@ -672,6 +673,24 @@ def test_sweep_grid_ordering_and_affine_equivalence():
                           "ccbg_pi"):
                     assert abs(getattr(got, f) - getattr(want, f)) <= 1e-9, \
                         (name, cell.kp, cell.kin, f)
+
+
+@pytest.mark.parametrize("name", ["B_voltage", "B_reactive_power",
+                                  "C_voltage", "C_reactive_power"])
+def test_sweep_cells_are_the_dominant_rows_of_a_full_workup(name):
+    # the sweep picks every cell's rows in one array pass over all cells;
+    # they must be, bit for bit, the rows a full workup of the cell's
+    # affine matrix picks
+    scenario = load_packaged_scenario(name)
+    sweep = run_sensitivity_sweep(scenario)
+    k_star = max(DEFAULT_GAIN_GRID)
+    a00, g_p, g_i, labels = _affine_gain_model(scenario, k_star, k_star)
+    assert len(sweep.cells) == 36
+    for cell in sweep.cells:
+        a = StateMatrix(a00 + cell.kp * g_p + cell.kin * g_i, labels)
+        assert not cell.error
+        assert cell.dominant == _dominant_rows(analyze_modes(a)), \
+            (cell.kp, cell.kin)
 
 
 def test_sweep_rejects_a_model_that_is_not_affine_in_the_gains(
