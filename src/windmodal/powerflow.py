@@ -47,18 +47,24 @@ def _mismatch(v, ybus, s_sched):
 
 
 def _jacobian(v, ybus, pvpq, pq):
-    """Standard polar power-flow Jacobian blocks, assembled dense."""
+    """Standard polar power-flow Jacobian blocks, assembled dense.
+
+    The diagonal matmuls set the bits of ``ds_dva``/``ds_dvm``; the blocks
+    are row-then-column gathers of them into one array.
+    """
     i_bus = ybus @ v
     diag_v = np.diag(v)
     diag_i = np.diag(i_bus)
     diag_vn = np.diag(v / np.abs(v))
     ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
     ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
-    j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-    j12 = ds_dvm[np.ix_(pvpq, pq)].real
-    j21 = ds_dva[np.ix_(pq, pvpq)].imag
-    j22 = ds_dvm[np.ix_(pq, pq)].imag
-    return np.block([[j11, j12], [j21, j22]])
+    n_a = pvpq.size
+    jac = np.empty((n_a + pq.size, n_a + pq.size))
+    jac[:n_a, :n_a] = ds_dva[pvpq][:, pvpq].real
+    jac[:n_a, n_a:] = ds_dvm[pvpq][:, pq].real
+    jac[n_a:, :n_a] = ds_dva[pq][:, pvpq].imag
+    jac[n_a:, n_a:] = ds_dvm[pq][:, pq].imag
+    return jac
 
 
 def solve_power_flow(network: Network, tol: float = 1e-12,

@@ -14,11 +14,13 @@ results can be diffed and reloaded faithfully.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -601,11 +603,74 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
 # export / parse
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@functools.cache
+def _record_keys(cls) -> tuple[tuple[str, str], ...]:
+    """(field name, encoded key) of a dataclass, sorted by name."""
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"cannot write {cls.__name__} as structured text")
+    return tuple((name, encode_basestring_ascii(name) + ": ")
+                 for name in sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _write_record(obj, indent: str, out: list) -> None:
+    keys = _record_keys(type(obj))
+    if not keys:
+        out.append("{}")
+        return
+    inner = indent + "  "
+    sep = "{\n" + inner
+    for name, key in keys:
+        out.append(sep)
+        out.append(key)
+        _write_value(getattr(obj, name), inner, out)
+        sep = ",\n" + inner
+    out.append("\n" + indent + "}")
+
+
+def _write_value(obj, indent: str, out: list) -> None:
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is True:                   # bool before int: True is an int
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            _write_value(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        _write_record(obj, indent, out)
+
+
 def report_to_text(obj) -> str:
     """Structured-text form of a report or a sweep: JSON that parse_report
-    or parse_sweep restores exactly."""
-    return json.dumps(dataclasses.asdict(obj), sort_keys=True, indent=2) \
-        + "\n"
+    or parse_sweep restores exactly.
+
+    The text is, byte for byte, ``json.dumps`` of the record's fields with
+    sorted keys and a 2-space indent, written in one walk over the fields
+    with no intermediate dict.
+    """
+    out: list[str] = []
+    _write_record(obj, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 sweep_to_text = report_to_text
@@ -689,8 +754,9 @@ def export_report(obj, fmt: str, out_dir) -> Path:
     """Write a report or sweep to disk as ``report_<scenario>`` or
     ``sweep_<scenario>``; returns the path written.
 
-    ``fmt`` is "csv" or "structured_text"; identical inputs produce
-    identical bytes.
+    ``fmt`` is "csv" or "structured_text".  The file is the render's
+    UTF-8 bytes with ``\\n`` line ends, whatever the locale and platform, so
+    identical inputs produce identical bytes.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -707,5 +773,5 @@ def export_report(obj, fmt: str, out_dir) -> Path:
                          f"{fmt!r}")
     ext = {"csv": ".csv", "structured_text": ".json"}
     path = out_dir / f"{stem}{ext[fmt]}"
-    path.write_text(renders[fmt](obj))
+    path.write_bytes(renders[fmt](obj).encode("utf-8"))
     return path

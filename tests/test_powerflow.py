@@ -8,8 +8,11 @@ load 0.8 + j0.3 behind r=0.02, x=0.15), then frozen here.
 import numpy as np
 import pytest
 
+from windmodal import powerflow
 from windmodal.network import Branch, Bus, Network, build_ybus
 from windmodal.powerflow import PowerFlowError, solve_power_flow
+from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
+                                packaged_scenario_names)
 from windmodal.twoarea import build_two_area
 
 V2_ORACLE = 0.9419822340317148 - 0.11176470588235295j
@@ -119,3 +122,60 @@ def test_random_feasible_cases_converge():
         assert residual(net, sol) <= 1e-10
         # an inductive load behind an inductive line depresses the far bus
         assert abs(sol.voltage(2)) < 1.02
+
+
+# -- the gathered Jacobian against the block assembly ------------------------
+
+
+def block_jacobian(v, ybus, pvpq, pq):
+    """The Jacobian assembled by ``np.ix_`` slices and ``np.block``, from
+    the same diagonal products as ``powerflow._jacobian``."""
+    i_bus = ybus @ v
+    diag_v = np.diag(v)
+    diag_i = np.diag(i_bus)
+    diag_vn = np.diag(v / np.abs(v))
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_vn) + np.conj(diag_i) @ diag_vn
+    j11 = ds_dva[np.ix_(pvpq, pvpq)].real
+    j12 = ds_dvm[np.ix_(pvpq, pq)].real
+    j21 = ds_dva[np.ix_(pq, pvpq)].imag
+    j22 = ds_dvm[np.ix_(pq, pq)].imag
+    return np.block([[j11, j12], [j21, j22]])
+
+
+def study_networks():
+    return {name: build_scenario_system(load_packaged_scenario(name))[0]
+            for name in packaged_scenario_names()}
+
+
+def test_gathered_jacobian_is_the_block_assembly_at_every_iterate(
+        monkeypatch):
+    calls = []
+
+    def recording(*args):
+        jac = jacobian(*args)
+        calls.append((args, jac))
+        return jac
+
+    jacobian = powerflow._jacobian
+    monkeypatch.setattr(powerflow, "_jacobian", recording)
+    networks = study_networks()
+    for name, net in networks.items():
+        before = len(calls)
+        sol = solve_power_flow(net)
+        assert len(calls) - before == sol.iterations >= 5, name
+    for args, jac in calls:
+        want = block_jacobian(*args)
+        assert jac.shape == want.shape and jac.dtype == want.dtype
+        assert jac.tobytes() == want.tobytes()
+
+
+def test_power_flow_is_unchanged_under_the_block_jacobian(monkeypatch):
+    networks = study_networks()
+    gathered = {name: solve_power_flow(net) for name, net in networks.items()}
+    monkeypatch.setattr(powerflow, "_jacobian", block_jacobian)
+    for name, net in networks.items():
+        sol, want = solve_power_flow(net), gathered[name]
+        assert sol.v.tobytes() == want.v.tobytes(), name
+        assert sol.iterations == want.iterations, name
+        assert sol.mismatch == want.mismatch, name

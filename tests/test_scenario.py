@@ -639,6 +639,8 @@ def test_export_report_writes_stable_bytes(tmp_path, report_a):
     p2 = export_report(report_a, "structured_text", tmp_path)
     assert p1.name == "report_A.csv" and p2.name == "report_A.json"
     first = (p1.read_bytes(), p2.read_bytes())
+    assert first == (report_to_csv(report_a).encode("utf-8"),
+                     report_to_text(report_a).encode("utf-8"))
     export_report(report_a, "csv", tmp_path)
     export_report(report_a, "structured_text", tmp_path)
     assert (p1.read_bytes(), p2.read_bytes()) == first
