@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from . import scenario as sc
-from .powerflow import PowerFlowError, solve_power_flow
+from .powerflow import solve_power_flow
 from .smib import (SmibParams, smib_eigenvalues, smib_sensitivity_grid,
                    write_grid_csv)
 from .system import SystemModelError
@@ -92,10 +92,7 @@ def cmd_powerflow(args) -> int:
     else:
         net = two_area_network(args.case)
         label = args.case
-    try:
-        pf = solve_power_flow(net)
-    except PowerFlowError as exc:
-        raise sc.PipelineError("powerflow", str(exc)) from exc
+    pf = sc._stage("powerflow", solve_power_flow, net)
     print(f"power flow {label}: {pf.iterations} iterations, "
           f"max mismatch {pf.mismatch:.3e} pu")
     print(f"{'bus':>4s} {'kind':>6s} {'|V| pu':>8s} {'angle deg':>10s} "
@@ -306,7 +303,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (sc.ScenarioError, sc.PipelineError, SimulationError,
-            SystemModelError, PowerFlowError) as exc:
+            SystemModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

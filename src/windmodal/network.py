@@ -24,7 +24,6 @@ class NetworkError(ValueError):
 class Bus:
     id: int
     kind: str = "pq"
-    base_kv: float = 230.0
     voltage_mag: float = 1.0   # setpoint for slack/pv, initial guess for pq
     voltage_angle: float = 0.0  # rad; only the slack angle is held
     p_load: float = 0.0        # pu on system base; negative q_load = shunt cap

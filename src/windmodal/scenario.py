@@ -515,21 +515,21 @@ def _affine_gain_model(scenario: Scenario, kp_star: float, kin_star: float):
     (K_p*, 0) and (0, K_in*), and the check point (K_p*/2, K_in*/2), where
     the affine matrix must match a direct linearization to AFFINE_TOL.
     """
-    net, _ = _stage("build", build_scenario_system,
-                    _with_gains(scenario, 0.0, 0.0))
-    pf = _stage("powerflow", solve_power_flow, net)
+    def built_at(kp, kin):
+        return _stage("build", build_scenario_system,
+                      _with_gains(scenario, kp, kin))
 
-    def linearized_at(kp, kin):
-        net, devices = _stage("build", build_scenario_system,
-                              _with_gains(scenario, kp, kin))
+    def linearized(net, devices):
         system = _stage("assemble", assemble, net, devices, pf)
         return _stage("linearize", linearize, system)
 
-    base = linearized_at(0.0, 0.0)
-    g_p = (linearized_at(kp_star, 0.0).a - base.a) / kp_star
-    g_i = (linearized_at(0.0, kin_star).a - base.a) / kin_star
+    net, devices = built_at(0.0, 0.0)
+    pf = _stage("powerflow", solve_power_flow, net)
+    base = linearized(net, devices)
+    g_p = (linearized(*built_at(kp_star, 0.0)).a - base.a) / kp_star
+    g_i = (linearized(*built_at(0.0, kin_star)).a - base.a) / kin_star
     kp_c, kin_c = kp_star / 2.0, kin_star / 2.0
-    direct = linearized_at(kp_c, kin_c).a
+    direct = linearized(*built_at(kp_c, kin_c)).a
     residual = (np.max(np.abs(direct - (base.a + kp_c * g_p + kin_c * g_i)))
                 / max(1.0, np.max(np.abs(direct))))
     if not residual <= AFFINE_TOL:       # a NaN residual fails too

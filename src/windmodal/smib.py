@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dfig import DEFAULT_GAIN_GRID, DroopParams
+from .dfig import DEFAULT_GAIN_GRID
 from .modal import StateLabel, damping_ratio
 
 
@@ -31,48 +31,44 @@ class SmibError(ValueError):
 
 @dataclass(frozen=True)
 class SmibParams:
-    """Aggregate machine constants plus the droop gains.
+    """The six numbers of the swing equation above: machine constants and
+    the droop gains K_p and K_in, which default to zero (no support).
 
     Defaults reproduce the reference operating point used across the test
-    suite: H = 3.5 s, K_D = 10, K_S = 0.75, 60 Hz.
+    suite: H = 3.5 s, K_D = 10, K_S = 0.75, 60 Hz.  Construction rejects a
+    negative or non-finite gain and a nonpositive 2H + K_in.
     """
 
     h_s: float = 3.5
     k_damping: float = 10.0
     k_synchronizing: float = 0.75
     omega0: float = 377.0  # conventional 60 Hz synchronous speed, rad/s
-    droop: DroopParams = field(default_factory=DroopParams)
+    kp: float = 0.0
+    kin: float = 0.0
 
-    def with_gains(self, kp: float, kin: float) -> "SmibParams":
-        droop = DroopParams(kp=kp, kin=kin,
-                            rocof_filter_time=self.droop.rocof_filter_time,
-                            enabled=True)
-        return SmibParams(h_s=self.h_s, k_damping=self.k_damping,
-                          k_synchronizing=self.k_synchronizing,
-                          omega0=self.omega0, droop=droop)
-
-    @property
-    def active_gains(self) -> tuple[float, float]:
-        """(K_p, K_in) actually applied; a disabled droop contributes nothing."""
-        if not self.droop.enabled:
-            return 0.0, 0.0
-        return self.droop.kp, self.droop.kin
-
-    @property
-    def effective_inertia(self) -> float:
-        """2H + K_in; raises ``SmibError`` unless it is positive."""
-        m = 2.0 * self.h_s + self.active_gains[1]
+    def __post_init__(self):
+        if not (0.0 <= self.kp < math.inf and 0.0 <= self.kin < math.inf):
+            raise SmibError("droop gains must be finite and nonnegative "
+                            f"(kp={self.kp}, kin={self.kin})")
+        m = 2.0 * self.h_s + self.kin
         if not m > 0.0:
             raise SmibError(
                 f"effective inertia 2H + K_in = {m:.4f} must be positive"
             )
-        return m
+
+    def with_gains(self, kp: float, kin: float) -> "SmibParams":
+        return replace(self, kp=kp, kin=kin)
+
+    @property
+    def effective_inertia(self) -> float:
+        """2H + K_in, positive by construction."""
+        return 2.0 * self.h_s + self.kin
 
 
 def smib_system_matrix(params: SmibParams) -> np.ndarray:
     """2x2 state matrix in (frequency deviation, angle deviation) order."""
     m = params.effective_inertia
-    kd_total = params.k_damping + params.active_gains[0]
+    kd_total = params.k_damping + params.kp
     return np.array([
         [-kd_total / m, -params.k_synchronizing / m],
         [params.omega0, 0.0],
@@ -87,7 +83,7 @@ def smib_eigenvalues(params: SmibParams) -> tuple[np.ndarray, bool]:
     otherwise two real roots come back with ``oscillatory=False``.
     """
     m = params.effective_inertia
-    kd_total = params.k_damping + params.active_gains[0]
+    kd_total = params.k_damping + params.kp
     # characteristic polynomial: m*s^2 + kd_total*s + K_S*omega0 = 0
     disc = kd_total ** 2 - 4.0 * m * params.k_synchronizing * params.omega0
     re = -kd_total / (2.0 * m)
@@ -116,8 +112,6 @@ def smib_sensitivity_grid(params: SmibParams, kp_values=None,
     """
     kp_values = list(DEFAULT_GAIN_GRID if kp_values is None else kp_values)
     kin_values = list(DEFAULT_GAIN_GRID if kin_values is None else kin_values)
-    if any(k < 0 for k in kp_values) or any(k < 0 for k in kin_values):
-        raise SmibError("droop gains must be nonnegative")
     points = []
     for kin in kin_values:
         for kp in kp_values:
@@ -138,7 +132,7 @@ def write_grid_csv(points: list[SmibGridPoint], path: str | Path) -> Path:
     oscillatory_flag."""
     path = Path(path)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["kp", "kin", "re", "im", "damping", "freq_hz",
                          "oscillatory_flag"])
         for pt in points:
@@ -162,7 +156,6 @@ class SmibModel:
 
     def __init__(self, params: SmibParams):
         self.params = params
-        params.effective_inertia  # raises unless positive
 
     def state_labels(self):
         return [
@@ -178,6 +171,5 @@ class SmibModel:
         p = self.params
         df, dd = np.moveaxis(x, -1, 0)
         m = p.effective_inertia
-        accel = (-(p.k_damping + p.active_gains[0]) * df
-                 - p.k_synchronizing * dd) / m
+        accel = (-(p.k_damping + p.kp) * df - p.k_synchronizing * dd) / m
         return np.stack([accel, p.omega0 * df], axis=-1)

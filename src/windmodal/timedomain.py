@@ -174,8 +174,9 @@ class Trace:
         cols += [np.abs(self.voltages[:, j])
                  for j in range(len(self.bus_ids))]
         data = np.column_stack(cols)
-        np.savetxt(path, data, delimiter=",", comments="",
-                   header=",".join(header), fmt="%.10g")
+        with open(path, "wb") as fh:     # "\n" line ends on every platform
+            np.savetxt(fh, data, delimiter=",", comments="",
+                       header=",".join(header), fmt="%.10g")
 
 
 # --------------------------------------------------------------------------

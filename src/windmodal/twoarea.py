@@ -1,11 +1,13 @@
 """Two-area, four-machine benchmark with an optional DFIG wind farm.
 
 Classic symmetric test system: two generation areas joined by a long
-double-circuit tie through a load corridor.  All impedances are expressed on
-the 100 MVA system base; machine data stay on the 900 MVA unit base and the
-devices convert internally.  Loads are scaled so the system serves 2300 MW,
-dispatched 585 MW per regulated machine with the remaining slack picked up
-in area 2.
+double-circuit tie through a load corridor.  The machine and farm buses
+(1-4, 12) are 20 kV and the transmission network (5-11) is 230 kV; the model
+is per unit throughout, so no bus carries its level.  All impedances are
+expressed on the 100 MVA system base; machine data stay on the 900 MVA unit
+base and the devices convert internally.  Loads are scaled so the system
+serves 2300 MW, dispatched 585 MW per regulated machine with the remaining
+slack picked up in area 2.
 
 Three cases:
 
@@ -101,18 +103,18 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
     disp4 = 0.0 if case == "C" else disp - wind_p
 
     buses = [
-        Bus(id=1, kind="pv", base_kv=20.0, voltage_mag=1.03, p_gen=disp),
-        Bus(id=2, kind="pv", base_kv=20.0, voltage_mag=1.01, p_gen=disp),
-        Bus(id=3, kind="slack", base_kv=20.0, voltage_mag=1.03),
-        Bus(id=4, kind="pv" if case != "C" else "pq", base_kv=20.0,
-            voltage_mag=1.01, p_gen=disp4),
-        Bus(id=5, base_kv=230.0),
-        Bus(id=6, base_kv=230.0),
-        Bus(id=7, base_kv=230.0, p_load=p7, q_load=q7),
-        Bus(id=8, base_kv=230.0),
-        Bus(id=9, base_kv=230.0, p_load=p9, q_load=q9),
-        Bus(id=10, base_kv=230.0),
-        Bus(id=11, base_kv=230.0),
+        Bus(id=1, kind="pv", voltage_mag=1.03, p_gen=disp),
+        Bus(id=2, kind="pv", voltage_mag=1.01, p_gen=disp),
+        Bus(id=3, kind="slack", voltage_mag=1.03),
+        Bus(id=4, kind="pv" if case != "C" else "pq", voltage_mag=1.01,
+            p_gen=disp4),
+        Bus(id=5),
+        Bus(id=6),
+        Bus(id=7, p_load=p7, q_load=q7),
+        Bus(id=8),
+        Bus(id=9, p_load=p9, q_load=q9),
+        Bus(id=10),
+        Bus(id=11),
     ]
     trafo_x = 0.15
     branches = [
@@ -132,8 +134,8 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
 
     if case != "A":
         farm_kind = "pv" if control_mode == "voltage" else "pq"
-        buses.append(Bus(id=12, kind=farm_kind, base_kv=20.0,
-                         voltage_mag=1.01, p_gen=wind_p))
+        buses.append(Bus(id=12, kind=farm_kind, voltage_mag=1.01,
+                         p_gen=wind_p))
         branches.append(_step_up("TW", 12, 4, wind_mva, 0.10))
 
     return Network(buses=buses, branches=branches,

@@ -11,8 +11,9 @@ import json
 import pytest
 
 import windmodal
-from windmodal import __version__
+from windmodal import __version__, cli
 from windmodal.cli import OUTPUT_DIR_ENV, _gain_values, main
+from windmodal.powerflow import PowerFlowError
 
 
 def test_gain_grid_parsing():
@@ -41,6 +42,16 @@ def test_powerflow_case(capsys):
     assert len(rows) == 11
 
 
+def test_a_failed_power_flow_is_tagged_with_its_stage(monkeypatch, capsys):
+    def diverge(net):
+        raise PowerFlowError("did not converge in 1 iterations")
+
+    monkeypatch.setattr(cli, "solve_power_flow", diverge)
+    assert main(["powerflow", "--case", "A"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [powerflow] did not converge in 1")
+
+
 def test_powerflow_scenario_includes_the_farm_bus(capsys):
     assert main(["powerflow", "--scenario", "B_voltage"]) == 0
     out = capsys.readouterr().out
@@ -56,6 +67,13 @@ def test_smib_writes_the_damping_grid(tmp_path, capsys):
     grid = tmp_path / "smib_grid.csv"
     assert grid.is_file()
     assert len(grid.read_text().strip().splitlines()) == 1 + 36
+
+
+def test_smib_grid_lines_end_in_a_bare_newline(tmp_path, capsys):
+    assert main(["smib", "--out", str(tmp_path)]) == 0
+    raw = (tmp_path / "smib_grid.csv").read_bytes()
+    assert b"\r" not in raw
+    assert raw.count(b"\n") == 1 + 36 and raw.endswith(b"\n")
 
 
 def test_modal_exports_requested_formats(tmp_path, capsys):

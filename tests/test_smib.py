@@ -74,14 +74,38 @@ def test_overdamped_regime_returns_real_pair():
     assert lam[0].real < 0.0 and lam[1].real < 0.0
 
 
-def test_gains_apply_only_when_enabled():
-    p = SmibParams()
-    assert p.active_gains == (0.0, 0.0)
-    assert p.effective_inertia == 7.0
+@pytest.mark.parametrize("gains", [
+    {"kp": math.nan}, {"kin": math.nan}, {"kp": math.inf}, {"kin": math.inf},
+    {"kp": -math.inf}, {"kin": -math.inf}, {"kp": -1.0}, {"kin": -0.5},
+])
+def test_a_negative_or_nonfinite_gain_is_rejected(gains):
+    with pytest.raises(SmibError, match="nonnegative"):
+        SmibParams(**gains)
+    kp, kin = gains.get("kp", 0.0), gains.get("kin", 0.0)
+    with pytest.raises(SmibError, match="nonnegative"):
+        SmibParams().with_gains(kp, kin)
+
+
+@pytest.mark.parametrize("h_s, kin", [(0.0, 0.0), (-1.0, 2.0), (-3.0, 1.0)])
+def test_a_nonpositive_effective_inertia_fails_at_construction(h_s, kin):
+    with pytest.raises(SmibError, match=r"effective inertia 2H \+ K_in"):
+        SmibParams(h_s=h_s, kin=kin)
+
+
+def test_with_gains_keeps_the_machine_constants():
+    p = SmibParams(h_s=4.0, k_damping=12.0, k_synchronizing=0.9, omega0=314.0,
+                   kp=1.0, kin=2.0)
     g = p.with_gains(20.0, 10.0)
-    assert g.droop.enabled
-    assert g.active_gains == (20.0, 10.0)
-    assert g.effective_inertia == 17.0
+    assert (g.h_s, g.k_damping, g.k_synchronizing, g.omega0) == (
+        4.0, 12.0, 0.9, 314.0)
+    assert (g.kp, g.kin) == (20.0, 10.0)
+
+
+def test_effective_inertia_is_twice_h_plus_the_inertial_gain():
+    assert SmibParams().effective_inertia == 7.0
+    assert SmibParams().with_gains(20.0, 10.0).effective_inertia == 17.0
+    p = SmibParams(h_s=2.5, kin=0.25)
+    assert p.effective_inertia == 2.0 * p.h_s + p.kin
 
 
 @pytest.mark.parametrize("entry", [smib_system_matrix, smib_eigenvalues,

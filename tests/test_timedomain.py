@@ -671,6 +671,8 @@ def test_trace_lookup_and_csv_round_trip(tmp_path, system_a):
 
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
+    raw = path.read_bytes()
+    assert b"\r" not in raw and raw.count(b"\n") == 1 + tr.time.size
     with path.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == tr.time.size
