@@ -34,10 +34,11 @@ does not import the time-domain one that defines them.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .devices import OPS, DeviceModel
 from .modal import EQUILIBRIUM_TOL, StateLabel
@@ -306,11 +307,35 @@ class DynamicSystem:
 
     def _grid(self, y: np.ndarray) -> GridModel:
         """A grid view with its device-bus impedance columns: one LU
-        factorization and one multi-column solve, paid once per grid."""
+        factorization and one multi-column solve, paid once per grid.  A
+        zero pivot (an island with no path to ground, such as a farm bus
+        whose only branch is out) raises ``SystemModelError`` naming those
+        buses."""
         k = len(self._rows)
         unit = np.zeros((y.shape[0], k), dtype=complex)
         unit[self._rows, np.arange(k)] = 1.0
-        return GridModel(y=y, z_dev=lu_solve(lu_factor(y), unit))
+        with warnings.catch_warnings():
+            # reported below, with the buses that cause it
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu = lu_factor(y)
+        if not lu[0].diagonal().all():
+            raise SystemModelError(
+                "admittance matrix is singular: no path to ground from bus "
+                + ", ".join(str(b) for b in self._floating_buses(y)))
+        return GridModel(y=y, z_dev=lu_solve(lu, unit))
+
+    def _floating_buses(self, y: np.ndarray) -> list[int]:
+        """Ids of the buses whose connected component of ``y``'s branches
+        carries no shunt (load, Norton, line charging or fault): the rows
+        of such a component sum to zero up to rounding."""
+        grounded = (np.abs(y.sum(axis=1))
+                    > 1e-9 * np.abs(y).max(axis=1, initial=0.0))
+        reach = np.eye(len(y), dtype=bool)      # i reaches j by branches
+        for _ in range(len(y)):
+            reach = reach | reach @ (y != 0)
+        # fault buses are grounded, so every floating row is a network bus
+        return sorted(self.network.buses[i].id
+                      for i in np.flatnonzero(~(reach @ grounded)))
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -423,6 +423,11 @@ class _Limiters:
             self.held[g] = self._push(g, x, p)
         return f
 
+    def inside(self, x):
+        """Whether every limited state lies strictly inside its bounds."""
+        z = x[self._index]
+        return bool(np.all((self._lo < z) & (z < self._hi)))
+
     def first_switch(self, x, x1, free1):
         """The first limiter switch inside an accepted step from ``x`` to
         ``x1``, as ``(theta, index, bound)``, ``bound`` ``None`` for a
@@ -485,6 +490,20 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     stability interval (about -3.3), so an equilibrium holds to the size of
     its residual instead of drifting at the tolerance.
 
+    The quiet stretch before the first event is not integrated when the
+    first segment ends at an event before ``t_end``, every limited state
+    lies strictly inside its bounds at the start state ``x0``, and
+    ``max|f(x0)| * t_first <= ATOL``: that segment's samples are ``x0``
+    and integration starts at the event.  Over a stretch of length t the
+    state moves by about ``|f(x0)| t``, which the error control cannot tell
+    from standing still within its absolute floor ``ATOL``.  The rule reads
+    only ``f(x0)``, the segment's first evaluation and the stretch's only
+    one, so ``equilibrium=model.equilibrium()`` runs exactly as ``None``
+    does.  An equilibrium with an unstable mode is thus held exactly until
+    the first event instead of growing from its residual; a start state off
+    the equilibrium, with ``|f(x0)|`` far above ``ATOL``, integrates from
+    t = 0, and a run with no event before ``t_end`` integrates throughout.
+
     Limited states (``model.limits()``) are held here, not in the
     devices: every stage zeroes the rows of held states, so a held state
     stays on its bound bit for bit.  After each accepted step, a free state
@@ -540,9 +559,14 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                                                          / n)
             i = 0                       # the segment's next sample
             f = limiters.start(x, grid)
+            h, rejected, last = None, False, False
             if seg_start == 0.0:
                 rec.add(np.zeros(1), x[None, :].copy(), grid)
-            h, rejected, last = None, False, False
+                # the quiet stretch before the first event (see docstring)
+                if (seg_end < t_end and limiters.inside(x)
+                        and np.abs(f).max() * seg_end <= ATOL):
+                    rec.add(samples, np.broadcast_to(x, (n, x.size)), grid)
+                    t, last = seg_end, True
             while not last:
                 if h is None:           # a fresh start
                     h, rejected = _starting_step(evaluate, x, f, rtol), False

@@ -193,6 +193,19 @@ def test_refining_rtol_tenfold_barely_moves_a_load_step_run(system_a):
     assert 0.0 < worst <= 10.0 * RTOL
 
 
+def _lifted_model(study):
+    """A packaged study with the exciter limits out of reach, as in the
+    benchmark's fault workloads."""
+    scenario = load_packaged_scenario(study)
+    _, devices = build_scenario_system(scenario)
+    lifted = tuple(Override(d.device_id, f, v) for d in devices
+                   if d.device_class == "synchronous"
+                   for f, v in (("efd_max", 1e3), ("efd_min", -1e3)))
+    net, devices = build_scenario_system(dataclasses.replace(
+        scenario, overrides=scenario.overrides + lifted, sha256=""))
+    return assemble(net, devices, solve_power_flow(net, tol=1e-12))
+
+
 # the first two faults the benchmark draws at seed 5, on the fault_sim and
 # fault_ringdown studies with the exciter limits out of reach
 @pytest.mark.parametrize("study, branch, n_cycles, t_end, columns", [
@@ -204,14 +217,7 @@ def test_fault_runs_match_a_dop853_reference(study, branch, n_cycles, t_end,
                                              columns):
     from scipy.integrate import solve_ivp
 
-    scenario = load_packaged_scenario(study)
-    _, devices = build_scenario_system(scenario)
-    lifted = tuple(Override(d.device_id, f, v) for d in devices
-                   if d.device_class == "synchronous"
-                   for f, v in (("efd_max", 1e3), ("efd_min", -1e3)))
-    net, devices = build_scenario_system(dataclasses.replace(
-        scenario, overrides=scenario.overrides + lifted, sha256=""))
-    model = assemble(net, devices, solve_power_flow(net, tol=1e-12))
+    model = _lifted_model(study)
     t_fault, t_clear = 1.0, 1.0 + cycles(n_cycles)
     event = Event("three_phase_fault", t_fault, branch=branch,
                   duration=cycles(n_cycles))
@@ -239,6 +245,62 @@ def test_fault_runs_match_a_dop853_reference(study, branch, n_cycles, t_end,
         want = np.concatenate(ref[key])
         err = np.max(np.abs(tr.column(key) - want)) / np.ptp(want)
         assert err <= 3e-5, f"{key}: {err:.2e} of its range"
+
+
+def test_the_quiet_stretch_before_the_first_event_is_held_at_x0(
+        monkeypatch):
+    # at the equilibrium, a state moves by at most max|f(x0)| * t_first
+    # before the first event, under ATOL, so its samples are x0 and
+    # integration starts at the event.  Reference: the stretch integrated
+    # by an eventless run, which then continues with the events shifted.
+    # Tolerance 1e-9 of each column's range (about 1e-13 measured).
+    model = _lifted_model("B_voltage_support")
+    x0 = model.equilibrium()
+    t_first, t_end = 1.0, 3.0
+    event = Event("three_phase_fault", t_first, branch="L8-9b",
+                  duration=cycles(8.967147957042918))
+    grids = []
+    rhs = model.rhs
+    monkeypatch.setattr(model, "rhs", lambda x, grid=None:
+                        grids.append(grid) or rhs(x, grid))
+
+    def evaluations_before_the_event():
+        n = next(k for k, g in enumerate(grids) if g is not model.base_grid)
+        grids.clear()
+        return n
+
+    tr = simulate(model, events=[event], t_end=t_end)
+    assert evaluations_before_the_event() == 1
+    quiet = tr.time <= t_first + 1e-9
+    assert quiet.sum() == 1001
+    assert tr.states[quiet].tobytes() == np.tile(x0, (1001, 1)).tobytes()
+
+    head = simulate(model, t_end=t_first)
+    assert len(grids) > 1                   # an eventless run integrates
+    grids.clear()
+    tail = simulate(model, equilibrium=head.states[-1],
+                    events=[dataclasses.replace(event, t_start=0.0)],
+                    t_end=t_end - t_first)
+    np.testing.assert_allclose(tail.time[1:] + t_first, tr.time[~quiet],
+                               rtol=0.0, atol=1e-12)
+    want = np.column_stack([np.vstack([head.states, tail.states[1:]]),
+                            *(np.concatenate([head.outputs[k],
+                                              tail.outputs[k][1:]])
+                              for k in sorted(tr.outputs))])
+    got = np.column_stack([tr.states,
+                           *(tr.outputs[k] for k in sorted(tr.outputs))])
+    # a column that never moves (each machine's pm) must match exactly
+    scale = np.ptp(want, axis=0)
+    assert np.all(np.abs(got - want) <= 1e-9 * scale)
+    assert tr.max_balance_residual < 1e-10
+
+    # a start state off the equilibrium integrates from t = 0
+    labels = [str(lab) for lab in model.state_labels()]
+    x = x0.copy()
+    x[labels.index("G1.speed")] += 1e-3
+    grids.clear()
+    simulate(model, equilibrium=x, events=[event], t_end=1.1)
+    assert evaluations_before_the_event() > 100
 
 
 # -- event mechanics -----------------------------------------------------------------
@@ -366,17 +428,16 @@ def test_stall_below_dt_min_reports_partial_progress(system_a, monkeypatch):
     assert np.all(np.isfinite(tr.states))
 
 
-# with a load step at t = 14 ms: solve 1 enters the first segment, solve 2
-# is the starting-step probe, and the segment's four steps (0.1 ms, 1 ms,
-# 10 ms, then 2.9 ms to land on the event) take 6 stage solves each
-# (solves 3-26).  Solve 27 is the broadcast over the segment's samples and
-# solve 28 enters the next segment, solve 29 is its probe; its first step
-# (solves 30-35) is rejected, the retry from 14 ms is accepted (36-41) and
-# the next step starts at 24.419 ms (42-47).  So the 28th network solve is
-# the segment entry after the event and the 45th a stage of the step from
-# 24.419 ms.  Every solve after the injected failure fails too, so the
-# open segment's samples cannot be closed and the trace ends at 14 ms.
-@pytest.mark.parametrize("fail_after, t_fail", [(44, 0.024419), (27, 0.014)],
+# with a load step at t = 14 ms the first segment is the quiet stretch at
+# the equilibrium: solve 1 is f(x0) and solve 2 the broadcast over its
+# samples, which are held at x0 without a step.  Solve 3 enters the next
+# segment and solve 4 is its probe; its first step (solves 5-10) is
+# rejected, the retry from 14 ms is accepted (11-16) and the next step
+# starts at 24.419 ms (17-22).  So the 3rd network solve is the segment
+# entry after the event and the 20th a stage of the step from 24.419 ms.
+# Every solve after the injected failure fails too, so the open segment's
+# samples cannot be closed and the trace ends at 14 ms.
+@pytest.mark.parametrize("fail_after, t_fail", [(19, 0.024419), (2, 0.014)],
                          ids=["stage", "segment_entry"])
 def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
                                                          fail_after, t_fail):
@@ -453,6 +514,24 @@ def test_script_errors_fail_before_any_network_solve(monkeypatch, events):
         simulate(model, events=events, t_end=25.0)
     assert err.value.trace is None
     assert calls == []
+
+
+# the farm is a current source with no Norton shunt, and case C's bus 4
+# holds no machine: each trip leaves the named buses with no path to ground
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("study, branch, buses", [
+    ("B_voltage", "TW", "12"), ("C_voltage", "T4", "4, 12"),
+    ("C_voltage", "TW", "12"),
+])
+def test_an_islanding_trip_fails_by_name_before_any_step(study, branch,
+                                                         buses):
+    with pytest.raises(SimulationError,
+                       match="cannot build event grid: admittance matrix is "
+                             f"singular: no path to ground from bus {buses}$"
+                       ) as err:
+        simulate(_packaged_model(study), t_end=1.0,
+                 events=[Event("line_trip", 0.5, branch=branch)])
+    assert err.value.trace is None
 
 
 def test_recorded_voltages_are_the_network_solution_of_each_sample():
