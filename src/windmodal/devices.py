@@ -5,7 +5,7 @@ through a Norton pair: a constant shunt admittance that is folded into the
 dynamic admittance matrix once, and a source current set by the device
 states (for a converter, its size; the network solve gives it the angle of
 the terminal voltage).
-Both are expressed on the system MVA base; everything inside ``derivatives``
+Both are expressed on the system MVA base; everything inside ``rates``
 stays on the device base.
 """
 
@@ -34,7 +34,13 @@ def _complex_array(re, im):
 # and the network's closed form (``DynamicSystem.solve_network``), is
 # written once, in real arithmetic over its state columns, with the table
 # ``OPS[x.ndim]``: Python floats and numpy scalars for one sample (1-D
-# states), arrays over a leading sample axis for a stack (2-D).  Each array
+# states), arrays over a leading sample axis for a stack (2-D).  One model
+# evaluation takes one list in and gives one array out: ``states`` turns
+# the whole state vector into a list of floats (a stack: into its columns)
+# once, each device reads its slice of that list, computes its internal
+# quantities (a machine's E'') and Norton source once, and returns its rates
+# as a plain list, and ``array`` builds the one derivative array from all
+# of them (``DynamicSystem._evaluate``).  Each array
 # form has the bits of its scalar form: ``np.hypot`` those of ``abs`` of a
 # complex (``np.abs`` rounds differently), ``cmul`` writes the product out
 # as the scalar one does, (ac - bd) + (ad + bc)j (numpy's vectorized
@@ -120,12 +126,35 @@ class DeviceModel:
     def norton_admittance(self, system_base_mva: float) -> complex:
         return 0.0 + 0.0j
 
-    def source_current(self, x: np.ndarray, system_base_mva: float):
+    # One evaluation calls ``internal``, ``source`` and, after the network
+    # solve, ``rates``, each once, with ``m = OPS[x.ndim]`` and ``states =
+    # m.states(x)`` (see ``OPS``); ``source_current`` and ``derivatives``
+    # wrap them.
+
+    def internal(self, states, m):
+        """What ``source`` and ``rates`` both read, from the states alone
+        (a machine's E''); ``None`` by default."""
+        return None
+
+    def source(self, states, internal, m, system_base_mva: float):
         """Norton source current on the system base; ``c`` when
-        ``source_depends_on_v``.  ``x`` may carry a leading sample axis;
-        the currents then have it, each with the bits of one call on its
-        sample alone."""
+        ``source_depends_on_v``."""
         raise NotImplementedError
+
+    def rates(self, states, internal, v, m) -> list:
+        """The state derivatives at terminal voltage ``v`` as a list, one
+        entry per state: the free model, which is what linearization sees
+        (limiting is the integrator's; see ``limits``)."""
+        raise NotImplementedError
+
+    def source_current(self, x: np.ndarray, system_base_mva: float):
+        """``source`` at the states ``x``.  ``x`` may carry a leading
+        sample axis; the currents then have it, each with the bits of one
+        call on its sample alone."""
+        m = OPS[x.ndim]
+        states = m.states(x)
+        return self.source(states, self.internal(states, m), m,
+                           system_base_mva)
 
     def limits(self) -> tuple[tuple[int, float, float], ...]:
         """Non-windup limits as ``(state index, lower, upper)``, with finite
@@ -140,12 +169,13 @@ class DeviceModel:
         return ()
 
     def derivatives(self, x: np.ndarray, v) -> np.ndarray:
-        """State derivatives at terminal voltage ``v``: the free model,
-        which is what linearization sees (limiting is the integrator's; see
-        ``limits``).  ``x`` may carry a leading sample axis, with ``v`` the
+        """``rates`` at the states ``x`` and terminal voltage ``v``, as an
+        array.  ``x`` may carry a leading sample axis, with ``v`` the
         matching terminal voltages; the derivatives then have it, each row
         with the bits of one call on its sample alone (see ``OPS``)."""
-        raise NotImplementedError
+        m = OPS[x.ndim]
+        states = m.states(x)
+        return m.array(self.rates(states, self.internal(states, m), v, m))
 
     def outputs(self, x: np.ndarray, v) -> dict:
         """Per-device trace quantities (per unit on the device base).

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .devices import (OPS, SCALAR, DeviceError, DeviceModel,
-                      require_finite)
+from .devices import SCALAR, DeviceError, DeviceModel, require_finite
 
 # Rotor-speed protection band, per unit.  A simulation logs an excursion
 # on the recorded speed (``DeviceModel.speed_band``); nothing trips.
@@ -239,9 +238,11 @@ class Dfig(DeviceModel):
             0.0, p0,
         ])
 
-    def source_current(self, x, system_base_mva):
-        m = OPS[x.ndim]
-        states = m.states(x)
+    # named on the class, where ``bench/tracer.py`` wraps them
+    source_current = DeviceModel.source_current
+    derivatives = DeviceModel.derivatives
+
+    def source(self, states, internal, m, system_base_mva):
         base = self.params.base_mva
         return m.complex(states[5] * base / system_base_mva,
                          -states[8] * base / system_base_mva)
@@ -249,11 +250,10 @@ class Dfig(DeviceModel):
     def limits(self):
         return ((Q_CTRL, -self.params.i_qmax, self.params.i_qmax),)
 
-    def derivatives(self, x, v):
+    def rates(self, states, internal, v, m):
         p = self.params
-        m = OPS[x.ndim]
         (speed, p_cmd, p_rate, droop_p, droop_rate, i_p, v_filt, q_ctrl, i_q,
-         angle_filt, rocof_filt, p_track) = m.states(x)
+         angle_filt, rocof_filt, p_track) = states
         vm = m.modulus(v)
         # washout frequency estimate from the bus angle; wrap-safe difference
         dth = _wrap_angle(m.phase(v) - angle_filt)
@@ -288,7 +288,7 @@ class Dfig(DeviceModel):
             iq_cmd = q_ctrl + p.kq_p * err
         d_i_q = (m.min(m.max(iq_cmd, -p.i_qmax), p.i_qmax) - i_q) / p.t_current
 
-        return m.array([
+        return [
             d_speed,
             d_p_cmd,
             d_p_rate,
@@ -302,7 +302,7 @@ class Dfig(DeviceModel):
             dth / p.freq_filter_time,
             rocof,
             (p_opt - p_track) / p.mppt_filter_time,
-        ])
+        ]
 
     def outputs(self, x, v):
         x, v = np.asarray(x), np.asarray(v)

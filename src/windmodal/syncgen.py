@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import (OPS, STACK, DeviceError, DeviceModel,
-                      require_finite)
+from .devices import STACK, DeviceError, DeviceModel, require_finite
 
 # index of the limited state: field voltage
 EFD = 6
@@ -110,9 +109,14 @@ class SyncGen(DeviceModel):
     def norton_admittance(self, system_base_mva):
         return self._y_dev * self.params.base_mva / system_base_mva
 
-    def source_current(self, x, system_base_mva):
-        m = OPS[x.ndim]
-        e_re, e_im, _, _ = _subtransient_emf(m, m.states(x))
+    # named on the class, where ``bench/tracer.py`` wraps it
+    derivatives = DeviceModel.derivatives
+
+    def internal(self, states, m):
+        return _subtransient_emf(m, states)
+
+    def source(self, states, emf, m, system_base_mva):
+        e_re, e_im, _, _ = emf
         y, base = self._y_dev, self.params.base_mva
         i_re = (y.real * e_re - y.imag * e_im) * base
         i_im = (y.real * e_im + y.imag * e_re) * base
@@ -164,13 +168,11 @@ class SyncGen(DeviceModel):
         p = self.params
         return ((EFD, p.efd_min, p.efd_max),)
 
-    def derivatives(self, x, v):
+    def rates(self, states, emf, v, m):
         p = self.params
-        m = OPS[x.ndim]
-        states = m.states(x)
         (delta, speed, eq_t, ed_t, eq_st, ed_st, efd, pm,
          pss_w, pss_a, pss_b) = states
-        e_re, e_im, c, s = _subtransient_emf(m, states)
+        e_re, e_im, c, s = emf
         # stator current (E'' - v) / (ra + j xd''), divided as Python's
         # complex ``/`` does (numpy's division rounds differently)
         a_re, a_im = e_re - v.real, e_im - v.imag
@@ -188,7 +190,7 @@ class SyncGen(DeviceModel):
         y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
         v_s = m.min(m.max(p.k_pss * y_2, -p.vs_max), p.vs_max)
 
-        return m.array([
+        return [
             self._omega_s * speed,
             (pm - te - p.d_pu * speed) / (2.0 * p.h_s),
             (efd - eq_t - (p.xd - p.xd_t) * id_) / p.td0_t,
@@ -200,7 +202,7 @@ class SyncGen(DeviceModel):
             y_w / p.t_washout,
             (y_w - pss_a) / p.t2,
             (y_1 - pss_b) / p.t4,
-        ])
+        ]
 
     def outputs(self, x, v):
         # the emf's product written out for the bits of one sample at a

@@ -13,16 +13,22 @@ Machine sources depend only on machine states; a converter source
 ``c·V_r/|V_r|`` follows its own terminal voltage, and on the k×k block
 Z[rows, rows] its magnitude |V_r| solves a scalar quadratic.  Either way a
 network solve is k source currents and one small matrix-vector product,
-with no LU solve.  The closed form and the device loop are written once,
-over ``devices.OPS``: numpy scalars for one sample, arrays over the sample
-axis for a stack.  The assembled object implements the model protocol used
+with no LU solve.
+
+One evaluation is one list in and one array out, written once over
+``devices.OPS`` in ``DynamicSystem._evaluate``: the state vector becomes a
+Python list once (a stack: its columns), each device computes its internal
+quantities and Norton source once from its slice of that list (a machine's
+E'' once), the closed form runs once, and each device returns its rates as
+a plain list, of which one array is built.  ``rhs`` and ``solve_network``
+(and the devices' ``source_current`` and ``derivatives``) are thin wrappers
+over that pass.  The assembled object implements the model protocol used
 by ``modal.linearize`` and the time-domain integrator: ``rhs``,
 ``equilibrium``, ``state_labels`` and ``limits`` (the devices' limits on
 system state indices); the integrator evaluates only ``rhs``.  ``rhs``
 accepts a leading sample axis, so ``modal.jacobian`` evaluates all 2n
-perturbed points of a state matrix at once: one stacked network solve, then
-one call per device on its slice of the stack, each row with the bits of
-``rhs`` on its sample alone.
+perturbed points of a state matrix at once, in the same pass over arrays
+of samples, each row with the bits of ``rhs`` on its sample alone.
 
 Event support lives here as grid variants built from the script's active
 events: a three-phase fault (bus shunt, or midpoint shunt on a split
@@ -133,8 +139,7 @@ class DynamicSystem:
                 dev.initialize(v_bus, s_gen, base, self.omega_s), dtype=float))
         self._x0 = np.concatenate(x0_parts) if x0_parts else np.empty(0)
 
-        self._v_eq = self.solve_network(self._x0)
-        r = self._derivatives(self._x0, self._v_eq)
+        self._v_eq, r = self._evaluate(self._x0, None)
         worst = int(np.argmax(np.abs(r)))
         if not abs(r[worst]) <= EQUILIBRIUM_TOL:     # NaN fails too
             raise SystemModelError(
@@ -162,16 +167,7 @@ class DynamicSystem:
         """``dx/dt`` on ``grid`` (the base grid by default).  ``x`` may
         carry a leading sample axis; the derivatives then have it, each row
         with the bits of a call on that sample alone."""
-        return self._derivatives(x, self.solve_network(x, grid))
-
-    def _derivatives(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Device derivatives at the given bus voltages; no network solve.
-        Over a stack, each device is called once on its slice of it."""
-        return np.concatenate(
-            [dev.derivatives(x[..., sl], v_k) for dev, sl, v_k
-             in zip(self.devices, self._slices,
-                    OPS[x.ndim].states(v.take(self._rows, axis=-1)))],
-            axis=-1)
+        return self._evaluate(x, grid)[1]
 
     # -- network solution --------------------------------------------------
 
@@ -200,16 +196,25 @@ class DynamicSystem:
 
         ``x`` may carry a leading sample axis; the voltages then have it,
         and each row has the bits of a call on that sample alone.  The
-        closed form is written once, with the operations ``OPS[x.ndim]``
-        (``devices.OPS``): numpy scalars for one sample, which every model
-        evaluation solves, and arrays over the sample axis for a stack,
-        whose source currents each device gives in one call.
+        closed form is written once, in ``_evaluate``, with the operations
+        ``OPS[x.ndim]`` (``devices.OPS``), and ``rhs`` runs it in the same
+        pass that gives the derivatives.
         """
+        return self._evaluate(x, grid, rates=False)[0]
+
+    def _evaluate(self, x: np.ndarray, grid: GridModel | None,
+                  rates: bool = True):
+        """``(V, dx/dt)``, ``dx/dt`` ``None`` unless ``rates``: the one
+        pass behind ``rhs`` and ``solve_network`` (see the module
+        docstring).  The closed form is ``solve_network``'s."""
         grid = grid if grid is not None else self._base_grid
-        base = self.network.base_mva
         ops = OPS[x.ndim]
-        i = ops.array([dev.source_current(x[..., sl], base)
-                       for dev, sl in zip(self.devices, self._slices)])
+        cols = ops.states(x)
+        states = [cols[sl] for sl in self._slices]
+        inner = [dev.internal(s, ops) for dev, s in zip(self.devices, states)]
+        base = self.network.base_mva
+        i = ops.array([dev.source(s, e, ops, base) for dev, s, e
+                       in zip(self.devices, states, inner)])
         k = self._converter
         if k is not None:
             c = ops.column(i, k)
@@ -227,7 +232,14 @@ class DynamicSystem:
                     f"more current than bus {dev.bus_id} can carry (voltage "
                     "collapse)")
             i[..., k] = ops.cmul(c, w) / (m - zc)
-        return ops.matvec(grid.z_dev, i)
+        v = ops.matvec(grid.z_dev, i)
+        if not rates:
+            return v, None
+        f = []
+        for dev, s, e, v_r in zip(self.devices, states, inner,
+                                  ops.states(v.take(self._rows, axis=-1))):
+            f += dev.rates(s, e, v_r, ops)
+        return v, ops.array(f)
 
     # -- event grid variants -------------------------------------------------
 

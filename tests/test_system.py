@@ -471,16 +471,17 @@ def test_a_faulted_run_uses_the_scalar_solve_only_to_evaluate_the_model(
         monkeypatch):
     # one single-sample network solve per model evaluation; the recorded
     # samples take theirs from one stacked solve per segment (before, during
-    # and after the fault)
+    # and after the fault).  ``rhs`` and ``solve_network`` both solve the
+    # network in ``_evaluate``
     model = packaged_system("B_voltage_support")
     solves, evaluations = {1: 0, 2: 0}, []
-    solve_network, rhs = model.solve_network, model.rhs
+    evaluate, rhs = model._evaluate, model.rhs
 
-    def counted_solve(x, grid=None):
+    def counted_solve(x, grid, rates=True):
         solves[x.ndim] += 1
-        return solve_network(x, grid)
+        return evaluate(x, grid, rates)
 
-    monkeypatch.setattr(model, "solve_network", counted_solve)
+    monkeypatch.setattr(model, "_evaluate", counted_solve)
     monkeypatch.setattr(model, "rhs", lambda x, grid=None:
                         evaluations.append(1) or rhs(x, grid))
     tr = simulate(model, events=[Event("three_phase_fault", 0.1,
@@ -527,6 +528,38 @@ def test_network_solve_makes_no_lu_solve_on_a_built_grid(monkeypatch,
         model.solve_network(x * (1.0 + 1e-3 * k), grid=grid)
     model.rhs(x, grid=grid)
     assert len(calls) == 1
+
+
+# -- one evaluation: rhs is the devices' derivatives at the network solution ---
+
+@pytest.mark.parametrize("name", packaged_scenario_names())
+def test_rhs_is_each_devices_derivatives_at_the_network_solution(name):
+    # rhs computes every source once and runs the devices' rates off the
+    # same pass; the reference is the public calls one by one: each
+    # device's derivatives on its state slice, at its bus voltage from
+    # solve_network as the Python complex one sample's voltages are
+    model = packaged_system(name)
+    rows = model.network.index()
+    rng = np.random.default_rng(17)
+    grids = [
+        model.base_grid,
+        model.grid_variant([fault(bus=model.devices[-1].bus_id)]),
+        model.grid_variant([fault(branch="L8-9a")]),
+        model.grid_variant([trip("L8-9b")]),
+        model.grid_variant([load_step(9, 1.2)]),
+    ]
+    for k, g in enumerate(grids):
+        for _ in range(20):
+            x = model.equilibrium() + 0.02 * rng.standard_normal(
+                model.n_states)
+            v = model.solve_network(x, grid=g).tolist()
+            want, pos = [], 0
+            for dev in model.devices:
+                want.append(dev.derivatives(x[pos:pos + dev.n_states],
+                                            v[rows[dev.bus_id]]))
+                pos += dev.n_states
+            assert np.array_equal(bits(model.rhs(x, g)),
+                                  bits(np.concatenate(want))), f"grid {k}"
 
 
 # -- structured Jacobian: one stacked evaluation of the assembled system ---
@@ -598,10 +631,10 @@ def test_linearize_solves_the_network_at_the_equilibrium_then_over_the_stack(
     # stack
     model = packaged_system(name)
     solves = []
-    solve = model.solve_network
-    monkeypatch.setattr(model, "solve_network",
-                        lambda x, grid=None: solves.append(x.copy())
-                        or solve(x, grid))
+    evaluate = model._evaluate
+    monkeypatch.setattr(model, "_evaluate",
+                        lambda x, grid, rates=True: solves.append(x.copy())
+                        or evaluate(x, grid, rates))
     linearize(model)
     assert [x.shape for x in solves] == [(model.n_states,),
                                          (2 * model.n_states, model.n_states)]
@@ -614,10 +647,11 @@ def test_linearize_names_a_state_that_moves_at_the_assembled_equilibrium(
     # the equilibrium check evaluates the devices as they are now
     model = packaged_system("A")
     g2 = model.devices[1]
-    free = g2.derivatives
+    free = g2.rates
     push = np.zeros(g2.n_states)
     push[2] = 1e-3
-    monkeypatch.setattr(g2, "derivatives", lambda x, v: free(x, v) + push)
+    monkeypatch.setattr(g2, "rates", lambda *args: [
+        r + p for r, p in zip(free(*args), push)])
     label = str(model.state_labels()[model.n_states // 4 + 2])
     with pytest.raises(ModalError, match=rf"'{re.escape(label)}'"):
         linearize(model)
@@ -626,10 +660,10 @@ def test_linearize_names_a_state_that_moves_at_the_assembled_equilibrium(
 def test_structured_jacobian_keeps_rows_that_are_not_a_number(monkeypatch):
     model = packaged_system("A")
     g2 = model.devices[1]
-    finite = g2.derivatives
-    monkeypatch.setattr(g2, "derivatives",
-                        lambda x, v: finite(x, v) * np.array(
-                            [math.nan] + [1.0] * (g2.n_states - 1)))
+    finite = g2.rates
+    monkeypatch.setattr(g2, "rates", lambda *args: [
+        r * w for r, w in zip(finite(*args),
+                              [math.nan] + [1.0] * (g2.n_states - 1))])
     x = model.equilibrium()
     got = jacobian(model.rhs, x)
     assert np.isnan(got[model.n_states // 4]).all()    # G2.delta's row

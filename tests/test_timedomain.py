@@ -442,16 +442,16 @@ def test_stall_below_dt_min_reports_partial_progress(system_a, monkeypatch):
 def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
                                                          fail_after, t_fail):
     model = build_system("A")
-    solve = model.solve_network
+    evaluate = model._evaluate     # every network solve, in rhs or not
     calls = []
 
-    def failing(x, grid=None):
+    def failing(x, grid, rates=True):
         calls.append(1)
         if len(calls) > fail_after:
             raise SystemModelError("injected network failure")
-        return solve(x, grid=grid)
+        return evaluate(x, grid, rates)
 
-    monkeypatch.setattr(model, "solve_network", failing)
+    monkeypatch.setattr(model, "_evaluate", failing)
     with pytest.raises(SimulationError,
                        match=f"network solution failed at t={t_fail:.6f}s"
                              ".*injected") as err:
@@ -502,14 +502,14 @@ def test_simulate_rejects_bad_time_arguments(system_a, kwargs):
 ], ids=["clear_without_fault", "second_trip", "load_free_bus"])
 def test_script_errors_fail_before_any_network_solve(monkeypatch, events):
     model = build_system("A")
-    solve = model.solve_network
+    evaluate = model._evaluate     # every network solve, in rhs or not
     calls = []
 
-    def counting(x, grid=None):
+    def counting(x, grid, rates=True):
         calls.append(1)
-        return solve(x, grid=grid)
+        return evaluate(x, grid, rates)
 
-    monkeypatch.setattr(model, "solve_network", counting)
+    monkeypatch.setattr(model, "_evaluate", counting)
     with pytest.raises(SimulationError) as err:
         simulate(model, events=events, t_end=25.0)
     assert err.value.trace is None
@@ -555,15 +555,15 @@ def test_a_derivative_that_turns_nan_stalls_the_run(monkeypatch):
     # finite part of its history
     model = build_system("A")
     g2 = model.devices[1]
-    finite = g2.derivatives
+    finite = g2.rates
     calls = []
 
-    def turns_nan(x, v):
+    def turns_nan(*args):
         calls.append(1)
-        dx = finite(x, v)
-        return dx * math.nan if len(calls) > 100 else dx
+        dx = finite(*args)
+        return [r * math.nan for r in dx] if len(calls) > 100 else dx
 
-    monkeypatch.setattr(g2, "derivatives", turns_nan)
+    monkeypatch.setattr(g2, "rates", turns_nan)
     with pytest.raises(SimulationError, match="integration stalled") as err:
         simulate(model, events=[Event("load_step", 0.01, bus=7, scale=1.1)],
                  t_end=0.5)
@@ -687,9 +687,9 @@ def test_a_held_limiter_costs_no_extra_evaluation(monkeypatch):
     monkeypatch.setattr(model, "rhs", lambda x, grid=None:
                         evaluations.append(1) or rhs(x, grid))
     for dev in model.devices:
-        monkeypatch.setattr(dev, "derivatives",
-                            lambda x, v, f=dev.derivatives,
-                            n=calls[dev.device_id]: n.append(1) or f(x, v))
+        monkeypatch.setattr(dev, "rates",
+                            lambda *args, f=dev.rates,
+                            n=calls[dev.device_id]: n.append(1) or f(*args))
     ev = Event("three_phase_fault", 1.0, branch="L8-9a",
                duration=cycles(6.55))
     tr = simulate(model, events=[ev], t_end=2.0)
