@@ -13,8 +13,12 @@ fails before anything is integrated.  The devices' non-windup limiters
 (the machines' field voltage, the converter's reactive integrator) are
 held and released by the integrator alone, which locates each bound
 crossing and each release inside its step.  The step loop only
-integrates: bus voltages, device outputs and the power-balance audit of
-the samples are computed afterwards, once per segment.
+integrates: it hands each accepted step that contains samples, as it
+holds it, to the recorder, which evaluates the dense output of up to
+``DENSE_BLOCK`` pending samples in one stacked pass; bus voltages, device
+outputs and the power-balance audit of the samples are computed
+afterwards, once per segment, and the quiet stretch held before the
+first event is solved as one row.
 
 ``ringdown_modes`` estimates the eigenvalues and residues present in a
 simulated signal with a matrix pencil (one SVD and one small eigenproblem,
@@ -41,6 +45,9 @@ DT_MIN = 1e-5      # shortest error-controlled step, s
 RTOL = 1e-5        # relative tolerance of the step error
 ATOL = 1e-8        # absolute floor of the step error's scale
 H_MAX = 0.04       # longest step, s (see simulate)
+# samples per dense-output pass (see _Recorder): enough to spread numpy's
+# call overhead, few enough that the pass stays in cache
+DENSE_BLOCK = 1024
 
 EVENT_KINDS = ("three_phase_fault", "clear_fault", "load_step", "line_trip")
 DEFAULT_FAULT_ADMITTANCE = 1e4     # a bolted fault's shunt, pu
@@ -289,15 +296,19 @@ def _dopri_step(evaluate, x, f, h):
     return k, x1, free1
 
 
-def _dense(x, x1, k, h, theta):
-    """States at the fractions ``theta`` (1-D) of a step: the 4th-order
-    interpolant of Hairer's CONTD5, one row per fraction."""
+def _dense(x, x1, k, h, theta, step):
+    """States at the fractions ``theta`` (1-D) of steps: the 4th-order
+    interpolant of Hairer's CONTD5, one row per fraction.  The steps are
+    stacked on a leading axis (``x``, ``x1`` and ``k`` of each, ``h`` its
+    size), and ``step[j]`` is the step of fraction ``theta[j]``."""
     dx = x1 - x
-    r3 = h * k[0] - dx
-    r4 = dx - h * k[6] - r3
+    h = h[:, None]
+    r3 = h * k[:, 0] - dx
+    r4 = dx - h * k[:, 6] - r3
     r5 = h * (_DP_D @ k)
     s = theta[:, None]
-    return x + s * (dx + (1.0 - s) * (r3 + s * (r4 + (1.0 - s) * r5)))
+    return x[step] + s * (dx[step] + (1.0 - s) * (
+        r3[step] + s * (r4[step] + (1.0 - s) * r5[step])))
 
 
 def _starting_step(evaluate, x, f, rtol):
@@ -312,43 +323,101 @@ def _starting_step(evaluate, x, f, rtol):
 
 
 class _Recorder:
-    """Samples of the run, one segment at a time.  ``add`` stores times
-    and states; ``close`` takes the voltages of the segment's samples from
-    one ``solve_network`` over the stacked samples, with the bits of a
-    solve per sample, then their device outputs and power-balance residual,
-    also stacked.  A single-sample network solve thus runs once per model
-    evaluation, never per recorded sample."""
+    """Samples of the run, one segment at a time.  ``step`` keeps what an
+    accepted step already holds, its start ``t``, size ``h``, states ``x``
+    and ``x1`` at its ends and stages ``k``, with the end ``stop`` of its
+    samples in the segment's sample times.  The dense output of the pending
+    steps is evaluated in one stacked pass of ``_dense``, and clipped once,
+    when ``DENSE_BLOCK`` samples are pending and when the segment closes.
+    ``hold`` records a stretch whose samples all equal one state as that
+    row and its times.  ``close`` takes the voltages of the segment's
+    samples from one ``solve_network`` over the stacked samples (over the
+    one row of a held stretch, broadcast over its times), with the bits of
+    a solve per sample, then their device outputs and power-balance
+    residual, also stacked.  A single-sample network solve thus runs once
+    per model evaluation, never per recorded sample."""
 
-    def __init__(self, model: DynamicSystem):
+    def __init__(self, model: DynamicSystem, clip):
         self.model = model
+        self.clip = clip
         self.names = [str(lab) for lab in model.state_labels()]
         self.bus_ids = [b.id for b in model.network.buses]
-        # samples of the open segment
+        # the open segment: its grid and sample times, the first of those
+        # not evaluated yet, its evaluated samples, or its held row and
+        # times, and the pending steps, the last one ending the segment
+        # if ``ends``
+        self.grid: GridModel | None = None
+        self.samples = np.empty(0)
+        self.i = 0
         self.t: list[np.ndarray] = []
         self.x: list[np.ndarray] = []
-        self.grid: GridModel | None = None
+        self.held: tuple | None = None
+        self.steps: list[tuple] = []
+        self.ends = False
         # (time, states, voltages, outputs) of each closed segment
         self.done: list[tuple] = []
         self.max_residual = 0.0
 
-    def add(self, t, x, grid):
+    def open(self, grid, samples):
+        self.grid, self.samples, self.i = grid, samples, 0
+
+    def add(self, t, x):
         self.t.append(t)
         self.x.append(x)
-        self.grid = grid
+
+    def hold(self, t, x):
+        self.held = (t, x)
+
+    def step(self, t, h, x, x1, k, stop, last):
+        self.steps.append((t, h, x, x1, k, stop))
+        self.ends = last
+        if stop - self.i >= DENSE_BLOCK:
+            self._flush()
+
+    def _flush(self):
+        """The pending steps' samples, in one pass of ``_dense``; a
+        segment's last sample is its last step's end itself."""
+        if not self.steps:
+            return
+        t, h, x, x1, k, stop = zip(*self.steps)
+        self.steps = []
+        step = np.repeat(np.arange(len(stop)), np.diff((self.i,) + stop))
+        h = np.array(h)
+        times = self.samples[self.i:stop[-1]]
+        xs = _dense(np.array(x), np.array(x1), np.array(k), h,
+                    (times - np.array(t)[step]) / h[step], step)
+        if self.ends:
+            xs[-1] = x1[-1]
+        self.clip(xs)
+        self.add(times, xs)
+        self.i = stop[-1]
 
     def close(self):
         """Close the open segment.  Its samples leave the buffer first, so
         a sample without a network solution raises ``SystemModelError``
         and leaves only the closed segments."""
-        if not self.t:
+        self._flush()
+        held = self.held is not None
+        if held:
+            # the row twice: the audit's product over one row would take
+            # numpy's vector-matrix route, which rounds unlike a stack's
+            t, x = self.held[0], np.tile(self.held[1], (2, 1))
+        elif self.t:
+            t, x = np.concatenate(self.t), np.concatenate(self.x)
+        else:
             return
-        t, x = np.concatenate(self.t), np.concatenate(self.x)
-        self.t, self.x = [], []
+        self.t, self.x, self.held = [], [], None
         v = self.model.solve_network(x, self.grid)
         outputs = self.model.device_outputs(x, v)
         res = self.model.power_balance_residual(v, outputs, grid=self.grid)
         self.max_residual = max(self.max_residual, float(res.max()))
-        self.done.append((t, x, v[:, :len(self.bus_ids)], outputs))
+        v = v[:, :len(self.bus_ids)]
+        if held:                        # one row, over the held times
+            x, v = (np.broadcast_to(a[0], (t.size, a.shape[1]))
+                    for a in (x, v))
+            outputs = {key: np.broadcast_to(o[0], t.shape)
+                       for key, o in outputs.items()}
+        self.done.append((t, x, v, outputs))
 
     def trace(self, events) -> Trace:
         """The run so far; a rotor speed outside its device's protection
@@ -480,10 +549,15 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     free of the recording grid: ``dt_max`` is only the sample spacing, with
     ``ceil(length / dt_max)`` evenly spaced samples per segment, whose
     states come from the dense output of the step that contains them (a
-    segment's last sample is that step's end itself).  Each stage solves
-    the network once; the samples' voltages, device outputs and
-    ``max_balance_residual`` are computed once per segment, over its
-    stacked samples, the voltages by one broadcast ``solve_network``.
+    segment's last sample is that step's end itself).  The step loop does
+    no work for them: the recorder keeps each such step as it is and
+    evaluates the pending steps' dense output, and clips it onto the
+    limiter bounds, in one stacked pass once ``DENSE_BLOCK`` samples are
+    pending and when the segment closes, with the bits of a pass per step.
+    Each stage solves the network once; the samples' voltages, device
+    outputs and ``max_balance_residual`` are computed once per segment,
+    over its stacked samples, the voltages by one broadcast
+    ``solve_network``.
 
     Steps are at most ``H_MAX`` (40 ms): h|lambda| <= 2.6 for the largest
     |lambda| of the packaged studies (65.6/s), inside the method's real
@@ -493,8 +567,10 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     The quiet stretch before the first event is not integrated when the
     first segment ends at an event before ``t_end``, every limited state
     lies strictly inside its bounds at the start state ``x0``, and
-    ``max|f(x0)| * t_first <= ATOL``: that segment's samples are ``x0``
-    and integration starts at the event.  Over a stretch of length t the
+    ``max|f(x0)| * t_first <= ATOL``: that segment's samples are ``x0``,
+    recorded as that one row and their times, whose voltages, device
+    outputs and residual come from one solve of the row, and integration
+    starts at the event.  Over a stretch of length t the
     state moves by about ``|f(x0)| t``, which the error control cannot tell
     from standing still within its absolute floor ``ATOL``.  The rule reads
     only ``f(x0)``, the segment's first evaluation and the stretch's only
@@ -545,8 +621,8 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                          f"{model.n_states} states")
 
     segments = _segments(model, events, t_end)
-    rec = _Recorder(model)
     limiters = _Limiters(model)
+    rec = _Recorder(model, limiters.clip)
 
     t = 0.0
     try:
@@ -557,16 +633,18 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
             n = max(1, int(np.ceil((seg_end - seg_start) / dt_max - 1e-9)))
             samples = seg_start + np.arange(1, n + 1) * ((seg_end - seg_start)
                                                          / n)
+            rec.open(grid, samples)
             i = 0                       # the segment's next sample
             f = limiters.start(x, grid)
             h, rejected, last = None, False, False
             if seg_start == 0.0:
-                rec.add(np.zeros(1), x[None, :].copy(), grid)
                 # the quiet stretch before the first event (see docstring)
                 if (seg_end < t_end and limiters.inside(x)
                         and np.abs(f).max() * seg_end <= ATOL):
-                    rec.add(samples, np.broadcast_to(x, (n, x.size)), grid)
+                    rec.hold(np.concatenate(([0.0], samples)), x)
                     t, last = seg_end, True
+                else:
+                    rec.add(np.zeros(1), x[None, :].copy())
             while not last:
                 if h is None:           # a fresh start
                     h, rejected = _starting_step(evaluate, x, f, rtol), False
@@ -599,19 +677,17 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                 stop = n if last else min(
                     int(np.searchsorted(samples, t1, side="right")), n - 1)
                 if stop > i:
-                    xs = _dense(x, x1, k, step, (samples[i:stop] - t) / step)
-                    if last:
-                        xs[-1] = x1
-                    limiters.clip(xs)
-                    rec.add(samples[i:stop], xs, grid)
+                    rec.step(t, step, x, x1, k, stop, last)
                     i = stop
                 if switch is None:
                     x, f, t = x1, k[6], t1
                     continue
-                # end the step at the switch and start afresh
+                # end the step at the switch and start afresh, from a copy
+                # of x1: the recorder may still hold it
                 _, g, bound = switch
-                x = x1 if theta == 1.0 else _dense(x, x1, k, step,
-                                                   np.array([theta]))[0]
+                x = x1.copy() if theta == 1.0 else _dense(
+                    x[None], x1[None], k[None], np.array([step]),
+                    np.array([theta]), [0])[0]
                 if bound is None:
                     del limiters.held[g]
                 else:

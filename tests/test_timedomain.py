@@ -271,9 +271,17 @@ def test_the_quiet_stretch_before_the_first_event_is_held_at_x0(
 
     tr = simulate(model, events=[event], t_end=t_end)
     assert evaluations_before_the_event() == 1
+    assert tr.time.size == 3002
     quiet = tr.time <= t_first + 1e-9
     assert quiet.sum() == 1001
-    assert tr.states[quiet].tobytes() == np.tile(x0, (1001, 1)).tobytes()
+    held = np.tile(x0, (1001, 1))
+    assert tr.states[quiet].tobytes() == held.tobytes()
+    # the held row is solved by itself; its voltages and outputs are those
+    # of a stacked solve of the whole stretch, row for row
+    v = model.solve_network(held, model.base_grid)
+    assert tr.voltages[quiet].tobytes() == v[:, :len(tr.bus_ids)].tobytes()
+    for key, val in model.device_outputs(held, v).items():
+        assert tr.outputs[key][quiet].tobytes() == val.tobytes(), key
 
     head = simulate(model, t_end=t_first)
     assert len(grids) > 1                   # an eventless run integrates
@@ -301,6 +309,98 @@ def test_the_quiet_stretch_before_the_first_event_is_held_at_x0(
     grids.clear()
     simulate(model, equilibrium=x, events=[event], t_end=1.1)
     assert evaluations_before_the_event() > 100
+
+
+def _per_step_and_block_runs(monkeypatch, run):
+    """``run()`` as a trace (or the partial trace of its error) with a
+    dense-output pass per step (``DENSE_BLOCK`` = 1) and by the block, and
+    the number of passes each made."""
+    dense = timedomain._dense
+    runs = []
+    for block in (1, timedomain.DENSE_BLOCK):
+        passes = []
+        monkeypatch.setattr(timedomain, "DENSE_BLOCK", block)
+        monkeypatch.setattr(timedomain, "_dense", lambda *args:
+                            passes.append(1) or dense(*args))
+        try:
+            tr = run()
+        except SimulationError as exc:
+            tr = exc.trace
+        runs.append((tr, len(passes)))
+    return runs
+
+
+def _assert_same_bits(a, b):
+    assert a.time.tobytes() == b.time.tobytes()
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.voltages.tobytes() == b.voltages.tobytes()
+    assert sorted(a.outputs) == sorted(b.outputs)
+    for key in a.outputs:
+        assert a.outputs[key].tobytes() == b.outputs[key].tobytes(), key
+    assert repr(a.max_balance_residual) == repr(b.max_balance_residual)
+
+
+@pytest.mark.parametrize("run, n_samples", [
+    (lambda: simulate(_lifted_model("B_voltage_support"), t_end=4.0,
+                      events=[Event("three_phase_fault", 1.0,
+                                    branch="L8-9b",
+                                    duration=cycles(8.967147957042918))]),
+     4002),
+    (lambda: simulate(_packaged_model("B_voltage_support"), t_end=2.0,
+                      events=[Event("three_phase_fault", 1.0,
+                                    branch="L8-9a", duration=cycles(5.9))]),
+     2002),
+    (lambda: simulate(_lifted_model("A"), t_end=8.0,
+                      events=[Event("three_phase_fault", 1.0,
+                                    branch="L8-9a",
+                                    duration=cycles(9.361392482090672))]),
+     8002),
+    # a 100-pu fault at case C's bus 9 collapses the network 11.76 ms into
+    # the fault, part way through a segment, with steps still pending
+    (lambda: simulate(_packaged_model("C_voltage"), t_end=1.0,
+                      events=[Event("three_phase_fault", 0.5, bus=9,
+                                    admittance=100.0, duration=cycles(6))]),
+     512),
+], ids=["fault_sim", "limits_hold_and_release", "case_A_8s", "collapse"])
+def test_the_block_pass_has_the_bits_of_a_pass_per_step(monkeypatch, run,
+                                                        n_samples):
+    # the recorder evaluates the dense output of up to DENSE_BLOCK pending
+    # samples at once; every elementwise operation keeps its operands, so
+    # the trace keeps the bits of a pass per step, and a failing close
+    # still evaluates the pending steps first
+    (each, n_each), (block, n_block) = _per_step_and_block_runs(monkeypatch,
+                                                                run)
+    _assert_same_bits(each, block)
+    assert block.time.size == n_samples
+    assert n_block < n_each
+    if n_samples == 8002:        # blocks that end part way through segments
+        assert n_block > 3
+
+
+def test_a_switch_at_a_step_end_restarts_from_a_copy_of_it(monkeypatch):
+    # the recorder keeps an accepted step's end x1 until its block pass; a
+    # switch at theta = 1 restarts from x1 clamped onto the bound, which
+    # must not reach the pending step, whose samples would then be
+    # interpolated towards the bound.  Forced here on G1.efd, well inside
+    # its bounds, at the 5th accepted step.
+    model = build_system("A")
+    g = [str(lab) for lab in model.state_labels()].index("G1.efd")
+    hi = next(hi for k, _, hi in model.limits() if k == g)
+    first_switch = _Limiters.first_switch
+    forced = []
+
+    def forcing(self, x, x1, free1):
+        switch = first_switch(self, x, x1, free1)
+        forced.append(x1[g])
+        return (1.0, g, hi) if len(forced) == 5 else switch
+
+    monkeypatch.setattr(_Limiters, "first_switch", forcing)
+    (each, _), (block, _) = _per_step_and_block_runs(
+        monkeypatch, lambda: forced.clear() or simulate(model, t_end=0.5))
+    assert forced[4] < hi - 1.0          # far from the bound it is put on
+    _assert_same_bits(each, block)
+    # the clamp took effect: efd leaps towards the bound, then is released
+    assert block.column("G1.efd").max() > forced[4] + 1.0
 
 
 # -- event mechanics -----------------------------------------------------------------
@@ -429,14 +529,14 @@ def test_stall_below_dt_min_reports_partial_progress(system_a, monkeypatch):
 
 
 # with a load step at t = 14 ms the first segment is the quiet stretch at
-# the equilibrium: solve 1 is f(x0) and solve 2 the broadcast over its
-# samples, which are held at x0 without a step.  Solve 3 enters the next
-# segment and solve 4 is its probe; its first step (solves 5-10) is
-# rejected, the retry from 14 ms is accepted (11-16) and the next step
-# starts at 24.419 ms (17-22).  So the 3rd network solve is the segment
-# entry after the event and the 20th a stage of the step from 24.419 ms.
-# Every solve after the injected failure fails too, so the open segment's
-# samples cannot be closed and the trace ends at 14 ms.
+# the equilibrium: solve 1 is f(x0) and solve 2 that of its held row,
+# which stands for all its samples, held at x0 without a step.  Solve 3
+# enters the next segment and solve 4 is its probe; its first step
+# (solves 5-10) is rejected, the retry from 14 ms is accepted (11-16) and
+# the next step starts at 24.419 ms (17-22).  So the 3rd network solve
+# is the segment entry after the event and the 20th a stage of the step
+# from 24.419 ms.  Every solve after the injected failure fails too, so
+# the open segment's samples cannot be closed and the trace ends at 14 ms.
 @pytest.mark.parametrize("fail_after, t_fail", [(19, 0.024419), (2, 0.014)],
                          ids=["stage", "segment_entry"])
 def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
