@@ -33,31 +33,37 @@ def _complex_array(re, im):
 # The operations whose float and array forms differ.  Each device equation,
 # and the network's closed form (``DynamicSystem.solve_network``), is
 # written once, in real arithmetic over its state columns, with the table
-# ``OPS[x.ndim]``: Python floats and numpy scalars for one sample (1-D
-# states), arrays over a leading sample axis for a stack (2-D).  One model
-# evaluation takes one list in and gives one array out: ``states`` turns
-# the whole state vector into a list of floats (a stack: into its columns)
-# once, each device reads its slice of that list, computes its internal
-# quantities (a machine's E'') and Norton source once, and returns its rates
-# as a plain list, and ``array`` builds the one derivative array from all
-# of them (``DynamicSystem._evaluate``).  Each array
-# form has the bits of its scalar form: ``np.hypot`` those of ``abs`` of a
-# complex (``np.abs`` rounds differently), ``cmul`` writes the product out
-# as the scalar one does, (ac - bd) + (ad + bc)j (numpy's vectorized
-# product rounds differently), ``dot`` and ``matvec`` are stacked
-# ``matmul``s, so each row takes the BLAS dot or gemv of the scalar call,
-# and ``max``/``min`` keep Python's choice of operand (the first unless the
-# second is strictly beyond it), NaN and signed zeros included.  ``phase``
+# ``OPS[x.ndim]``: Python numbers for one sample (1-D states), arrays over
+# a leading sample axis for a stack (2-D).  One model evaluation takes one
+# list in and gives one array out: ``states`` turns the whole state vector
+# into a list of floats (a stack: into its columns) once, each device reads
+# its slice of that list, computes its internal quantities (a machine's
+# E'') and Norton source once, and returns its rates as a plain list, and
+# ``array`` builds the one derivative array from all of them
+# (``DynamicSystem._evaluate``).  On one sample no numpy scalar arises:
+# the sources stay Python complex numbers through the closed form, and
+# numpy sees them only in ``matvec``, the BLAS gemv of the bus voltages
+# (a stacked ``matmul`` on a stack, so each row takes its sample's gemv).
+# Each array form has the bits of its scalar form: ``np.hypot`` those of
+# ``abs`` of a complex (``np.abs`` rounds differently), ``cmul`` writes the
+# product out as the scalar one does, (ac - bd) + (ad + bc)j (numpy's
+# vectorized product rounds differently), ``dot`` is the ordered sum of
+# the products, which ``np.einsum`` forms row by row, and ``max``/``min``
+# choose the operand as Python's builtins do (the first unless the second
+# is strictly beyond it), NaN and signed zeros included; on one sample
+# they are that comparison, which is quicker than the builtins.  ``phase``
 # and ``pow`` run per element on a stack, because ``np.arctan2`` and
 # ``np.power`` round differently from ``cmath.phase`` and ``**``; squares
-# are products in both forms, because a numpy scalar's ``** 2`` rounds
-# through ``pow``.  ``column`` copies, where ``states`` may give a view.
+# are products in both forms, and a complex quotient is written out,
+# because numpy's complex ``/`` rounds unlike Python's.
 SCALAR = SimpleNamespace(
-    states=np.ndarray.tolist, array=np.array, complex=complex,
-    cos=math.cos, sin=math.sin, modulus=abs, phase=cmath.phase, pow=pow,
-    max=max, min=min, where=lambda cond, a, b: a if cond else b,
-    column=operator.getitem, dot=np.dot, cmul=operator.mul, sqrt=math.sqrt,
-    any=bool, matvec=np.matmul)
+    states=np.ndarray.tolist, array=lambda f: np.fromiter(f, float, len(f)),
+    complex=complex, cos=math.cos, sin=math.sin, modulus=abs,
+    phase=cmath.phase, pow=pow, max=lambda a, b: b if b > a else a,
+    min=lambda a, b: b if b < a else a,
+    where=lambda cond, a, b: a if cond else b,
+    dot=lambda a, b: sum(map(operator.mul, a, b)), cmul=operator.mul,
+    sqrt=math.sqrt, any=bool, matvec=lambda z, i: z @ np.array(i))
 STACK = SimpleNamespace(
     states=np.transpose, array=lambda cols: np.stack(cols, axis=-1),
     complex=_complex_array,
@@ -66,11 +72,11 @@ STACK = SimpleNamespace(
     pow=lambda a, n: np.array([s ** n for s in a.tolist()]),
     max=lambda a, b: np.where(b > a, b, a),
     min=lambda a, b: np.where(b < a, b, a), where=np.where,
-    column=lambda a, k: a[:, k].copy(),
-    dot=lambda a, b: (a[:, None, :] @ b[:, None])[:, 0, 0],
+    dot=lambda a, b: np.einsum("mj,j->m", np.stack(a, axis=-1), b),
     cmul=lambda a, b: _complex_array(a.real * b.real - a.imag * b.imag,
                                      a.real * b.imag + a.imag * b.real),
-    sqrt=np.sqrt, any=np.any, matvec=lambda a, b: (a @ b[..., None])[..., 0])
+    sqrt=np.sqrt, any=np.any,
+    matvec=lambda z, i: (z @ np.stack(i, axis=-1)[..., None])[..., 0])
 OPS = (None, SCALAR, STACK)
 
 

@@ -211,7 +211,8 @@ class Dfig(DeviceModel):
         self.p_mech = None
         self.v_ref = None
         self.q_ref = None
-        self._omega_s = None
+        # what ``rates`` reads of the parameters and omega_s
+        self._coef = None
 
     def initialize(self, v, s_gen_system, system_base_mva, omega_s):
         p = self.params
@@ -232,7 +233,18 @@ class Dfig(DeviceModel):
         self.p_mech = p0
         self.v_ref = vm
         self.q_ref = q0
-        self._omega_s = omega_s
+        # the factors of ``rates`` that depend only on the parameters and
+        # omega_s, each formed as its term would form it in place, so the
+        # rates round alike; the reactive gains are those of its mode
+        voltage = p.control_mode == "voltage"
+        self._coef = (
+            p.freq_filter_time * omega_s, p.droop.rocof_filter_time, p.mppt,
+            p.droop, p.p_ctrl_omega ** 2, 2.0 * p.p_ctrl_zeta * p.p_ctrl_omega,
+            p.v_floor, p.i_pmax, p.t_current, p.v_filter_time,
+            2.0 * p.h_turbine, voltage, p.kv_i if voltage else p.kq_i,
+            p.kv_p if voltage else p.kq_p, p.i_qmax, p.droop_omega ** 2,
+            2.0 * p.droop_zeta * p.droop_omega, p.freq_filter_time,
+            p.mppt_filter_time)
         return np.array([
             speed0, p0, 0.0, 0.0, 0.0, i_p0, vm, i_q0, i_q0, np.angle(v),
             0.0, p0,
@@ -251,64 +263,58 @@ class Dfig(DeviceModel):
         return ((Q_CTRL, -self.params.i_qmax, self.params.i_qmax),)
 
     def rates(self, states, internal, v, m):
-        p = self.params
         (speed, p_cmd, p_rate, droop_p, droop_rate, i_p, v_filt, q_ctrl, i_q,
          angle_filt, rocof_filt, p_track) = states
+        (tf_omega_s, t_rocof, mppt, droop, p_omega2, p_damp, v_floor, i_pmax,
+         t_current, t_v, two_h, voltage, k_i, k_p, i_qmax, droop_omega2,
+         droop_damp, t_f, t_mppt) = self._coef
         vm = m.modulus(v)
         # washout frequency estimate from the bus angle; wrap-safe difference
         dth = _wrap_angle(m.phase(v) - angle_filt)
-        delta_f = dth / (p.freq_filter_time * self._omega_s)
-        rocof = (delta_f - rocof_filt) / p.droop.rocof_filter_time
+        delta_f = dth / tf_omega_s
+        rocof = (delta_f - rocof_filt) / t_rocof
 
-        p_opt = p.mppt.p_opt(speed, m)
-        droop_target = frequency_support_reference(0.0, delta_f, rocof, p.droop)
+        p_opt = mppt.p_opt(speed, m)
+        droop_target = frequency_support_reference(0.0, delta_f, rocof, droop)
         p_ref = p_track + droop_p
 
         # active channel
         d_p_cmd = p_rate
-        d_p_rate = (p.p_ctrl_omega ** 2) * (p_ref - p_cmd) \
-            - 2.0 * p.p_ctrl_zeta * p.p_ctrl_omega * p_rate
-        i_cmd = m.min(m.max(p_cmd / m.max(v_filt, p.v_floor), 0.0), p.i_pmax)
-        d_i_p = (i_cmd - i_p) / p.t_current
-        d_v_filt = (vm - v_filt) / p.v_filter_time
+        d_p_rate = p_omega2 * (p_ref - p_cmd) - p_damp * p_rate
+        i_cmd = m.min(m.max(p_cmd / m.max(v_filt, v_floor), 0.0), i_pmax)
+        d_i_p = (i_cmd - i_p) / t_current
+        d_v_filt = (vm - v_filt) / t_v
 
         # drive train
         p_elec = vm * i_p
-        d_speed = (self.p_mech - p_elec) / (2.0 * p.h_turbine
-                                           * m.max(speed, 0.05))
+        d_speed = (self.p_mech - p_elec) / (two_h * m.max(speed, 0.05))
 
-        # reactive channel
-        if p.control_mode == "voltage":
-            err = self.v_ref - vm
-            d_q_ctrl = p.kv_i * err
-            iq_cmd = q_ctrl + p.kv_p * err
-        else:
-            err = self.q_ref - vm * i_q
-            d_q_ctrl = p.kq_i * err
-            iq_cmd = q_ctrl + p.kq_p * err
-        d_i_q = (m.min(m.max(iq_cmd, -p.i_qmax), p.i_qmax) - i_q) / p.t_current
+        # reactive channel (voltage-control or constant-Q outer loop)
+        err = self.v_ref - vm if voltage else self.q_ref - vm * i_q
+        d_q_ctrl = k_i * err
+        iq_cmd = q_ctrl + k_p * err
+        d_i_q = (m.min(m.max(iq_cmd, -i_qmax), i_qmax) - i_q) / t_current
 
         return [
             d_speed,
             d_p_cmd,
             d_p_rate,
             droop_rate,
-            (p.droop_omega ** 2) * (droop_target - droop_p)
-            - 2.0 * p.droop_zeta * p.droop_omega * droop_rate,
+            droop_omega2 * (droop_target - droop_p) - droop_damp * droop_rate,
             d_i_p,
             d_v_filt,
             d_q_ctrl,
             d_i_q,
-            dth / p.freq_filter_time,
+            dth / t_f,
             rocof,
-            (p_opt - p_track) / p.mppt_filter_time,
+            (p_opt - p_track) / t_mppt,
         ]
 
     def outputs(self, x, v):
         x, v = np.asarray(x), np.asarray(v)
         vm = np.hypot(v.real, v.imag)     # the bits of abs() of a complex
         dth = _wrap_angle(np.arctan2(v.imag, v.real) - x[..., 9])
-        delta_f = dth / (self.params.freq_filter_time * self._omega_s)
+        delta_f = dth / self._coef[0]        # freq_filter_time * omega_s
         return {
             "rotor_speed": x[..., 0],
             "active_power": vm * x[..., 5],

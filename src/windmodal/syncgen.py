@@ -97,12 +97,11 @@ class SyncGen(DeviceModel):
         self.params = params
         self.v_ref = None
         self.pm_ref = None
-        self._omega_s = None
-        # 1 / (ra + j xd''), and the ratio and denominator of Python's
-        # complex division by ra + j xd'' (Smith's, scaled by xd'' > ra)
+        # what ``rates`` reads of the parameters and omega_s, set by
+        # initialize()
+        self._coef = None
+        # 1 / (ra + j xd'')
         self._y_dev = 1.0 / complex(params.ra, params.xd_st)
-        ratio = params.ra / params.xd_st
-        self._z_div = (ratio, params.ra * ratio + params.xd_st)
 
     # -- network interface ------------------------------------------------
 
@@ -126,7 +125,18 @@ class SyncGen(DeviceModel):
 
     def initialize(self, v, s_gen_system, system_base_mva, omega_s):
         p = self.params
-        self._omega_s = omega_s
+        # the ratio and denominator of Python's complex division by
+        # ra + j xd'' (Smith's, scaled by xd'' > ra), then the factors of
+        # ``rates`` that depend only on the parameters and omega_s, each
+        # formed as its term would form it in place, so the rates round
+        # alike
+        ratio = p.ra / p.xd_st
+        self._coef = (
+            ratio, p.ra * ratio + p.xd_st, p.t1 / p.t2, 1.0 - p.t1 / p.t2,
+            p.t3 / p.t4, 1.0 - p.t3 / p.t4, p.k_pss, p.vs_max, omega_s,
+            p.d_pu, 2.0 * p.h_s, p.xd - p.xd_t, p.td0_t, p.xq - p.xq_t,
+            p.tq0_t, p.xd_t - p.xd_st, p.td0_st, p.xq_t - p.xq_st, p.tq0_st,
+            p.ka, p.ta, p.t_gov, p.t_washout, p.t2, p.t4)
         s_dev = s_gen_system * system_base_mva / p.base_mva
         i = np.conj(s_dev / v)
         # internal emf along the q axis fixes the rotor angle
@@ -169,14 +179,15 @@ class SyncGen(DeviceModel):
         return ((EFD, p.efd_min, p.efd_max),)
 
     def rates(self, states, emf, v, m):
-        p = self.params
         (delta, speed, eq_t, ed_t, eq_st, ed_st, efd, pm,
          pss_w, pss_a, pss_b) = states
+        (r, den, lead1, lag1, lead2, lag2, k_pss, vs_max, omega_s, d_pu,
+         two_h, xd_xd_t, td0_t, xq_xq_t, tq0_t, xd_t_xd_st, td0_st,
+         xq_t_xq_st, tq0_st, ka, ta, t_gov, t_washout, t2, t4) = self._coef
         e_re, e_im, c, s = emf
         # stator current (E'' - v) / (ra + j xd''), divided as Python's
         # complex ``/`` does (numpy's division rounds differently)
         a_re, a_im = e_re - v.real, e_im - v.imag
-        r, den = self._z_div
         i_re = (a_re * r + a_im) / den
         i_im = (a_im * r - a_re) / den
         # stator current in the machine frame: i_net * conj(rotation)
@@ -186,22 +197,22 @@ class SyncGen(DeviceModel):
 
         # stabilizer chain: washout then two lead-lags, clamped output
         y_w = speed - pss_w
-        y_1 = (p.t1 / p.t2) * y_w + (1.0 - p.t1 / p.t2) * pss_a
-        y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
-        v_s = m.min(m.max(p.k_pss * y_2, -p.vs_max), p.vs_max)
+        y_1 = lead1 * y_w + lag1 * pss_a
+        y_2 = lead2 * y_1 + lag2 * pss_b
+        v_s = m.min(m.max(k_pss * y_2, -vs_max), vs_max)
 
         return [
-            self._omega_s * speed,
-            (pm - te - p.d_pu * speed) / (2.0 * p.h_s),
-            (efd - eq_t - (p.xd - p.xd_t) * id_) / p.td0_t,
-            (-ed_t + (p.xq - p.xq_t) * iq) / p.tq0_t,
-            (eq_t - eq_st - (p.xd_t - p.xd_st) * id_) / p.td0_st,
-            (ed_t - ed_st + (p.xq_t - p.xq_st) * iq) / p.tq0_st,
-            (p.ka * (self.v_ref - m.modulus(v) + v_s) - efd) / p.ta,
-            (self.pm_ref - pm) / p.t_gov,
-            y_w / p.t_washout,
-            (y_w - pss_a) / p.t2,
-            (y_1 - pss_b) / p.t4,
+            omega_s * speed,
+            (pm - te - d_pu * speed) / two_h,
+            (efd - eq_t - xd_xd_t * id_) / td0_t,
+            (-ed_t + xq_xq_t * iq) / tq0_t,
+            (eq_t - eq_st - xd_t_xd_st * id_) / td0_st,
+            (ed_t - ed_st + xq_t_xq_st * iq) / tq0_st,
+            (ka * (self.v_ref - m.modulus(v) + v_s) - efd) / ta,
+            (self.pm_ref - pm) / t_gov,
+            y_w / t_washout,
+            (y_w - pss_a) / t2,
+            (y_1 - pss_b) / t4,
         ]
 
     def outputs(self, x, v):

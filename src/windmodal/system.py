@@ -20,15 +20,20 @@ One evaluation is one list in and one array out, written once over
 Python list once (a stack: its columns), each device computes its internal
 quantities and Norton source once from its slice of that list (a machine's
 E'' once), the closed form runs once, and each device returns its rates as
-a plain list, of which one array is built.  ``rhs`` and ``solve_network``
-(and the devices' ``source_current`` and ``derivatives``) are thin wrappers
-over that pass.  The assembled object implements the model protocol used
-by ``modal.linearize`` and the time-domain integrator: ``rhs``,
-``equilibrium``, ``state_labels`` and ``limits`` (the devices' limits on
-system state indices); the integrator evaluates only ``rhs``.  ``rhs``
-accepts a leading sample axis, so ``modal.jacobian`` evaluates all 2n
-perturbed points of a state matrix at once, in the same pass over arrays
-of samples, each row with the bits of ``rhs`` on its sample alone.
+a plain list, of which one array is built.  On one sample the sources stay
+Python complex numbers through the closed form, with the converter's
+impedance row held per grid as Python numbers, so no numpy scalar arises;
+numpy builds the one source array of the bus-voltage product, and the
+stacked form keeps each row's bits (see ``devices.OPS``).  ``rhs`` and
+``solve_network`` (and the devices' ``source_current`` and
+``derivatives``) are thin wrappers over that pass.  The assembled object
+implements the model protocol used by ``modal.linearize`` and the
+time-domain integrator: ``rhs``, ``equilibrium``, ``state_labels`` and
+``limits`` (the devices' limits on system state indices); the integrator
+evaluates only ``rhs``.  ``rhs`` accepts a leading sample axis, so
+``modal.jacobian`` evaluates all 2n perturbed points of a state matrix at
+once, in the same pass over arrays of samples, each row with the bits of
+``rhs`` on its sample alone.
 
 Event support lives here as grid variants built from the script's active
 events: a three-phase fault (bus shunt, or midpoint shunt on a split
@@ -63,6 +68,10 @@ class GridModel:
     y: np.ndarray
     # impedance columns Z[:, device rows] (n_aug × k), in device order
     z_dev: np.ndarray = field(repr=False)
+    # the converter bus r's row Z[r, device rows] with its own entry
+    # zeroed, and that entry Z[r, r], as Python complex numbers; None
+    # without a converter
+    z_conv: tuple | None = field(default=None, repr=False)
 
 
 class DynamicSystem:
@@ -194,11 +203,16 @@ class DynamicSystem:
         positive root exists the network cannot carry the injection
         (voltage collapse) and ``SystemModelError`` is raised.
 
+        ``w_r`` is the ordered sum of its products, and the quotient is
+        ``c w_r conj(m - z c) / |w_r|^2``: products and one real division,
+        which round alike on Python numbers and on arrays.
+
         ``x`` may carry a leading sample axis; the voltages then have it,
         and each row has the bits of a call on that sample alone.  The
         closed form is written once, in ``_evaluate``, with the operations
-        ``OPS[x.ndim]`` (``devices.OPS``), and ``rhs`` runs it in the same
-        pass that gives the derivatives.
+        ``OPS[x.ndim]`` (``devices.OPS``): Python numbers on one sample,
+        up to the matrix-vector product of the voltages.  ``rhs`` runs it
+        in the same pass that gives the derivatives.
         """
         return self._evaluate(x, grid, rates=False)[0]
 
@@ -213,15 +227,15 @@ class DynamicSystem:
         states = [cols[sl] for sl in self._slices]
         inner = [dev.internal(s, ops) for dev, s in zip(self.devices, states)]
         base = self.network.base_mva
-        i = ops.array([dev.source(s, e, ops, base) for dev, s, e
-                       in zip(self.devices, states, inner)])
+        i = [dev.source(s, e, ops, base) for dev, s, e
+             in zip(self.devices, states, inner)]
         k = self._converter
         if k is not None:
-            c = ops.column(i, k)
-            i[..., k] = 0.0
-            z_r = grid.z_dev[self._rows[k]]
-            w = ops.dot(i, z_r)
-            zc = ops.cmul(z_r[k], c)
+            # the row's own entry is zero, so w sums the other sources
+            z_row, z = grid.z_conv
+            c = i[k]
+            w = ops.dot(i, z_row)
+            zc = ops.cmul(z, c)
             a = ops.modulus(w)
             disc = a * a - zc.imag * zc.imag
             m = zc.real + ops.sqrt(ops.max(disc, 0.0))
@@ -231,7 +245,12 @@ class DynamicSystem:
                     f"no network solution: converter {dev.device_id} injects "
                     f"more current than bus {dev.bus_id} can carry (voltage "
                     "collapse)")
-            i[..., k] = ops.cmul(c, w) / (m - zc)
+            # c w / (m - zc) as c w conj(m - zc) / |w|^2, since
+            # |m - zc| = |w|: products and one real division, which
+            # round alike in both forms
+            p, d, q = ops.cmul(c, w), m - zc.real, a * a
+            i[k] = ops.complex((p.real * d - p.imag * zc.imag) / q,
+                               (p.real * zc.imag + p.imag * d) / q)
         v = ops.matvec(grid.z_dev, i)
         if not rates:
             return v, None
@@ -334,7 +353,14 @@ class DynamicSystem:
             raise SystemModelError(
                 "admittance matrix is singular: no path to ground from bus "
                 + ", ".join(str(b) for b in self._floating_buses(y)))
-        return GridModel(y=y, z_dev=lu_solve(lu, unit))
+        z_dev = lu_solve(lu, unit)
+        k = self._converter
+        if k is None:
+            return GridModel(y=y, z_dev=z_dev)
+        z_row = z_dev[self._rows[k]].tolist()
+        z = z_row[k]
+        z_row[k] = 0j
+        return GridModel(y=y, z_dev=z_dev, z_conv=(z_row, z))
 
     def _floating_buses(self, y: np.ndarray) -> list[int]:
         """Ids of the buses whose connected component of ``y``'s branches
@@ -369,7 +395,8 @@ class DynamicSystem:
         are folded into ``grid.y``, so they are taken out of it for the
         network side: ``sum_r P_r - Re(V^T conj(Y_nf V))``.  ``v`` and the
         outputs may carry a leading sample axis, and the residual then has
-        one value per sample."""
+        one value per sample, each with the bits it has in any stack of
+        two or more samples."""
         grid = grid if grid is not None else self._base_grid
         base = self.network.base_mva
         y_nf = grid.y.copy()
@@ -378,9 +405,15 @@ class DynamicSystem:
             y_nf[row, row] -= dev.norton_admittance(base)
             p_dev += (outputs[f"{dev.device_id}.active_power"]
                       * dev.params.base_mva / base)
-        i_net = v @ y_nf.T
-        p_net = (v.real * i_net.real + v.imag * i_net.imag).sum(axis=-1)
-        return np.abs(p_dev - p_net)
+        rows = v.reshape(-1, v.shape[-1])
+        n = len(rows)
+        if n == 1:
+            # a single row takes numpy's vector-matrix (gemv) route, which
+            # rounds unlike the matrix product (gemm) of a stack: make two
+            rows = rows.repeat(2, axis=0)
+        i_net = rows @ y_nf.T
+        p_net = (rows.real * i_net.real + rows.imag * i_net.imag).sum(axis=-1)
+        return np.abs(p_dev - p_net[:n].reshape(v.shape[:-1]))
 
 
 def assemble(network: Network, devices: list[DeviceModel],

@@ -399,9 +399,7 @@ class _Recorder:
         self._flush()
         held = self.held is not None
         if held:
-            # the row twice: the audit's product over one row would take
-            # numpy's vector-matrix route, which rounds unlike a stack's
-            t, x = self.held[0], np.tile(self.held[1], (2, 1))
+            t, x = self.held[0], self.held[1][None]
         elif self.t:
             t, x = np.concatenate(self.t), np.concatenate(self.x)
         else:

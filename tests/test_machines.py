@@ -463,7 +463,7 @@ def complex_form_derivatives(gen, x, v):
     y_2 = (p.t3 / p.t4) * y_1 + (1.0 - p.t3 / p.t4) * pss_b
     v_s = min(max(p.k_pss * y_2, -p.vs_max), p.vs_max)
     return np.array([
-        gen._omega_s * speed,
+        OMEGA_S * speed,
         (pm - te - p.d_pu * speed) / (2.0 * p.h_s),
         (efd - eq_t - (p.xd - p.xd_t) * id_) / p.td0_t,
         (-ed_t + (p.xq - p.xq_t) * iq) / p.tq0_t,

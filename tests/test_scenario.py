@@ -537,6 +537,28 @@ def test_overrides_patch_device_parameters():
         build_scenario_system(dataclasses.replace(
             sc, overrides=(Override("G1", "inertia", 7.0),), sha256=""))
 
+    # each override reaches rhs, through the coefficients that a device
+    # computes once from its parameters: at one perturbed state, the row
+    # that reads the coefficient moves, with the network solution the same
+    def system(overrides):
+        net, devices = build_scenario_system(dataclasses.replace(
+            sc, overrides=overrides, sha256=""))
+        return assemble(net, devices, solve_power_flow(net, tol=1e-12))
+
+    ref = system(())
+    names = [str(lab) for lab in ref.state_labels()]
+    x = ref.equilibrium() + 0.02 * np.random.default_rng(5).standard_normal(
+        ref.n_states)
+    for device, field, value, row in [
+            ("G1", "t1", 0.08, "G1.pss_lead2"),
+            ("G1", "xd_t", 0.35, "G1.eq_t"),
+            ("W1", "p_ctrl_omega", 12.0, "W1.p_cmd_rate"),
+            ("W1", "freq_filter_time", 0.04, "W1.angle_filt")]:
+        model = system((Override(device, field, value),))
+        assert np.array_equal(model.solve_network(x), ref.solve_network(x))
+        k = names.index(row)
+        assert model.rhs(x)[k] != ref.rhs(x)[k], (device, field)
+
 
 @pytest.mark.parametrize("device, name", [
     ("W1", "droop"), ("W1", "mppt"), ("W1", "control_mode"),

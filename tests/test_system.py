@@ -100,6 +100,29 @@ def test_power_balance_residual_is_tiny_at_equilibrium(system_a, system_b):
         assert res < 1e-10
 
 
+@pytest.mark.parametrize("name", ["A", "C_voltage"])
+def test_power_balance_residual_has_a_stacks_bits_on_any_number_of_rows(
+        name):
+    # numpy's product over one row takes the vector-matrix (gemv) route,
+    # over two or more the matrix (gemm) one, which round differently; the
+    # residual gives a sample the same bits alone and in a stack
+    model = packaged_system(name)
+    x, v = model.equilibrium(), model.equilibrium_voltages
+    one = model.power_balance_residual(v, model.device_outputs(x, v))
+    assert one.shape == ()
+    for n in (1, 2, 3, 1001):
+        xs, vs = (np.broadcast_to(a, (n, a.size)) for a in (x, v))
+        res = model.power_balance_residual(vs, model.device_outputs(xs, vs))
+        assert res.shape == (n,)
+        assert np.array_equal(bits(res), bits(np.full(n, one))), n
+    xs = x + 0.02 * np.random.default_rng(3).standard_normal((1001, x.size))
+    vs = model.solve_network(xs)
+    res = model.power_balance_residual(vs, model.device_outputs(xs, vs))
+    alone = [model.power_balance_residual(v1, model.device_outputs(x1, v1))
+             for x1, v1 in zip(xs, vs)]
+    assert np.array_equal(bits(res), bits(np.array(alone)))
+
+
 def injection(dev, x, v, base):
     """A device's source current at terminal voltage ``v``; a converter's
     current takes the angle of ``v``."""
@@ -393,14 +416,14 @@ def reference_solve(model, x, grid, tol=1e-14, max_iter=2000):
     raise AssertionError(f"reference iteration stalled at step {delta:.2e}")
 
 
-@pytest.mark.parametrize("name", ["A", "B_voltage_support",
+@pytest.mark.parametrize("name", ["A", "B_voltage_support", "C_voltage",
                                   "C_reactive_power_support"])
 def test_closed_form_network_solve_matches_the_fixed_point(name):
     # every device-bus impedance column enters each solve, so the variants
-    # check them all, on the base and on an augmented grid
+    # check them all, on the base and on an augmented grid, at 20 drawn
+    # states each; C has no G4, so its converter bus sees another row
     model = packaged_system(name)
     rng = np.random.default_rng(7)
-    x = model.equilibrium() + 0.02 * rng.standard_normal(model.n_states)
     last_bus = model.devices[-1].bus_id     # the converter bus, if any
     grids = [
         model.base_grid,
@@ -412,9 +435,12 @@ def test_closed_form_network_solve_matches_the_fixed_point(name):
                             load_step(9, 1.2)]),
     ]
     for k, g in enumerate(grids):
-        v = model.solve_network(x, grid=g)
-        assert np.max(np.abs(v - reference_solve(model, x, g))) <= 1e-10, \
-            f"grid {k}"
+        for _ in range(20):
+            x = model.equilibrium() + 0.02 * rng.standard_normal(
+                model.n_states)
+            v = model.solve_network(x, grid=g)
+            assert np.max(np.abs(v - reference_solve(model, x, g))) \
+                <= 1e-10, f"grid {k}"
 
 
 def test_network_solve_names_voltage_collapse():
