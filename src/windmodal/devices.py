@@ -183,11 +183,14 @@ class DeviceModel:
         states = m.states(x)
         return m.array(self.rates(states, self.internal(states, m), v, m))
 
-    def outputs(self, x: np.ndarray, v) -> dict:
+    def outputs(self, x: np.ndarray, v, internal=None) -> dict:
         """Per-device trace quantities (per unit on the device base).
 
         ``x`` may carry a leading sample axis, with ``v`` the matching
         terminal voltages; each quantity then has that axis too.
+        ``internal`` is what ``internal`` gives at ``x`` (on a stack, with
+        ``STACK`` over ``x.T``) when the caller has it already, as
+        ``DynamicSystem.observe`` does; ``None`` has it computed here.
         """
         return {}
 

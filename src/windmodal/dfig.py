@@ -69,7 +69,9 @@ class MpptCurve:
     """Cubic tracking curve: zero below cut-in, k*w^3 up to rated, then flat.
 
     With the defaults (k=1, rated speed 1.0) the curve tops out at exactly
-    1.0 pu, so the flat segment doubles as the pitch limiter.
+    1.0 pu, so the flat segment doubles as the pitch limiter.  That top,
+    ``p_rated``, is computed once, when the curve is made; it is not a
+    field.
     """
 
     k_opt: float = 1.0
@@ -83,10 +85,9 @@ class MpptCurve:
         if not 0.0 < self.k_opt < math.inf:
             raise DeviceError("k_opt must be positive and finite")
         require_finite(self)
-
-    @property
-    def p_rated(self) -> float:
-        return self.k_opt * self.speed_rated ** 3
+        # read by every ``p_opt``; frozen, so set past ``__setattr__``
+        object.__setattr__(self, "p_rated",
+                           self.k_opt * self.speed_rated ** 3)
 
     def p_opt(self, speed, m=SCALAR):
         """Tracking power at ``speed``, clamped to the domain
@@ -310,7 +311,7 @@ class Dfig(DeviceModel):
             (p_opt - p_track) / t_mppt,
         ]
 
-    def outputs(self, x, v):
+    def outputs(self, x, v, internal=None):
         x, v = np.asarray(x), np.asarray(v)
         vm = np.hypot(v.real, v.imag)     # the bits of abs() of a complex
         dth = _wrap_angle(np.arctan2(v.imag, v.real) - x[..., 9])

@@ -215,11 +215,11 @@ class SyncGen(DeviceModel):
             (y_1 - pss_b) / t4,
         ]
 
-    def outputs(self, x, v):
+    def outputs(self, x, v, emf=None):
         # the emf's product written out for the bits of one sample at a
         # time, as in ``_subtransient_emf``
         x, v = np.asarray(x), np.asarray(v)
-        e_re, e_im, _, _ = _subtransient_emf(STACK, x.T)
+        e_re, e_im, _, _ = self.internal(x.T, STACK) if emf is None else emf
         i_net = ((e_re + 1j * e_im - v)
                  / complex(self.params.ra, self.params.xd_st))
         speed = 1.0 + x[..., 1]

@@ -24,9 +24,10 @@ a plain list, of which one array is built.  On one sample the sources stay
 Python complex numbers through the closed form, with the converter's
 impedance row held per grid as Python numbers, so no numpy scalar arises;
 numpy builds the one source array of the bus-voltage product, and the
-stacked form keeps each row's bits (see ``devices.OPS``).  ``rhs`` and
-``solve_network`` (and the devices' ``source_current`` and
-``derivatives``) are thin wrappers over that pass.  The assembled object
+stacked form keeps each row's bits (see ``devices.OPS``).  ``rhs``,
+``solve_network`` and ``observe`` (and the devices' ``source_current``
+and ``derivatives``) are thin wrappers over that pass; ``observe`` hands
+each device's internal quantities on to its trace outputs.  The assembled object
 implements the model protocol used by ``modal.linearize`` and the
 time-domain integrator: ``rhs``, ``equilibrium``, ``state_labels`` and
 ``limits`` (the devices' limits on system state indices); the integrator
@@ -218,9 +219,10 @@ class DynamicSystem:
 
     def _evaluate(self, x: np.ndarray, grid: GridModel | None,
                   rates: bool = True):
-        """``(V, dx/dt)``, ``dx/dt`` ``None`` unless ``rates``: the one
-        pass behind ``rhs`` and ``solve_network`` (see the module
-        docstring).  The closed form is ``solve_network``'s."""
+        """``(V, dx/dt)``, or unless ``rates`` ``(V, internals)``, each
+        device's ``internal``: the one pass behind ``rhs``,
+        ``solve_network`` and ``observe`` (see the module docstring).  The
+        closed form is ``solve_network``'s."""
         grid = grid if grid is not None else self._base_grid
         ops = OPS[x.ndim]
         cols = ops.states(x)
@@ -253,7 +255,7 @@ class DynamicSystem:
                                (p.real * zc.imag + p.imag * d) / q)
         v = ops.matvec(grid.z_dev, i)
         if not rates:
-            return v, None
+            return v, inner
         f = []
         for dev, s, e, v_r in zip(self.devices, states, inner,
                                   ops.states(v.take(self._rows, axis=-1))):
@@ -377,12 +379,25 @@ class DynamicSystem:
 
     # -- diagnostics ---------------------------------------------------------
 
+    def observe(self, x: np.ndarray, grid: GridModel | None = None):
+        """``(V, outputs)``: ``solve_network`` at the states ``x`` and the
+        ``device_outputs`` at those voltages, with the bits of both, from
+        one pass that hands each device's ``internal`` (a machine's E'') to
+        its outputs, as it does to its rates."""
+        v, inner = self._evaluate(x, grid, rates=False)
+        return v, self._outputs(x, v, inner)
+
     def device_outputs(self, x: np.ndarray, v: np.ndarray) -> dict:
-        """Trace quantities keyed ``"<device>.<quantity>"``.  ``x`` and
-        ``v`` may carry a leading sample axis; the values then have it."""
+        """Trace quantities keyed ``"<device>.<quantity>"``, each device
+        computing its ``internal`` itself.  ``x`` and ``v`` may carry a
+        leading sample axis; the values then have it."""
+        return self._outputs(x, v, [None] * len(self.devices))
+
+    def _outputs(self, x, v, inner) -> dict:
         out = {}
-        for dev, sl, row in zip(self.devices, self._slices, self._rows):
-            for key, val in dev.outputs(x[..., sl], v[..., row]).items():
+        for dev, sl, row, e in zip(self.devices, self._slices, self._rows,
+                                   inner):
+            for key, val in dev.outputs(x[..., sl], v[..., row], e).items():
                 out[f"{dev.device_id}.{key}"] = val
         return out
 

@@ -14,11 +14,13 @@ fails before anything is integrated.  The devices' non-windup limiters
 held and released by the integrator alone, which locates each bound
 crossing and each release inside its step.  The step loop only
 integrates: it hands each accepted step that contains samples, as it
-holds it, to the recorder, which evaluates the dense output of up to
-``DENSE_BLOCK`` pending samples in one stacked pass; bus voltages, device
-outputs and the power-balance audit of the samples are computed
-afterwards, once per segment, and the quiet stretch held before the
-first event is solved as one row.
+holds it, to the recorder, which writes each sample of the trace once,
+into buffers sized before the first step.  The dense output of up to
+``DENSE_BLOCK`` pending samples is one stacked pass, one small product
+per step, straight into their rows; bus voltages, device outputs and the
+power-balance audit of the samples are computed afterwards, once per
+segment, from one pass that computes each machine's E'' once per sample,
+and the quiet stretch held before the first event is solved as one row.
 
 ``ringdown_modes`` estimates the eigenvalues and residues present in a
 simulated signal with a matrix pencil (one SVD and one small eigenproblem,
@@ -296,19 +298,31 @@ def _dopri_step(evaluate, x, f, h):
     return k, x1, free1
 
 
-def _dense(x, x1, k, h, theta, step):
-    """States at the fractions ``theta`` (1-D) of steps: the 4th-order
-    interpolant of Hairer's CONTD5, one row per fraction.  The steps are
-    stacked on a leading axis (``x``, ``x1`` and ``k`` of each, ``h`` its
-    size), and ``step[j]`` is the step of fraction ``theta[j]``."""
-    dx = x1 - x
+def _dense(x, x1, k, h, theta, step, out):
+    """States at the fractions ``theta`` (1-D) of steps, written into the
+    rows of ``out`` and returned: the 4th-order interpolant of Hairer's
+    CONTD5, one row per fraction.  The steps are stacked on a leading axis
+    (``x``, ``x1`` and ``k`` of each, ``h`` its size), and ``step[j]`` is
+    the step of fraction ``theta[j]``, in ascending order.  CONTD5 regrouped
+    is ``x + s dx + su r3 + s su r4 + su su r5`` with ``su = s (1 - s)``, so
+    the samples of a step are one product of their coefficients ``[1, s,
+    su, s su, su su]`` (one row per sample) with the step's rows ``[x, dx,
+    r3, r4, r5]``, each formed once for all stacked steps."""
+    rows = np.empty((x.shape[0], 5, x.shape[1]))
+    rows[:, 0] = x
+    dx = np.subtract(x1, x, out=rows[:, 1])
     h = h[:, None]
-    r3 = h * k[:, 0] - dx
-    r4 = dx - h * k[:, 6] - r3
-    r5 = h * (_DP_D @ k)
-    s = theta[:, None]
-    return x[step] + s * (dx[step] + (1.0 - s) * (
-        r3[step] + s * (r4[step] + (1.0 - s) * r5[step])))
+    r3 = np.subtract(h * k[:, 0], dx, out=rows[:, 2])
+    np.subtract(dx - h * k[:, 6], r3, out=rows[:, 3])
+    np.multiply(h, _DP_D @ k, out=rows[:, 4])
+    su = theta * (1.0 - theta)
+    coef = np.column_stack((np.ones_like(theta), theta, su, theta * su,
+                            su * su))
+    a = 0
+    for j, b in enumerate(np.bincount(step).cumsum().tolist()):
+        np.matmul(coef[a:b], rows[j], out=out[a:b])
+        a = b
+    return out
 
 
 def _starting_step(evaluate, x, f, rtol):
@@ -323,50 +337,57 @@ def _starting_step(evaluate, x, f, rtol):
 
 
 class _Recorder:
-    """Samples of the run, one segment at a time.  ``step`` keeps what an
-    accepted step already holds, its start ``t``, size ``h``, states ``x``
-    and ``x1`` at its ends and stages ``k``, with the end ``stop`` of its
-    samples in the segment's sample times.  The dense output of the pending
-    steps is evaluated in one stacked pass of ``_dense``, and clipped once,
-    when ``DENSE_BLOCK`` samples are pending and when the segment closes.
-    ``hold`` records a stretch whose samples all equal one state as that
-    row and its times.  ``close`` takes the voltages of the segment's
-    samples from one ``solve_network`` over the stacked samples (over the
-    one row of a held stretch, broadcast over its times), with the bits of
-    a solve per sample, then their device outputs and power-balance
-    residual, also stacked.  A single-sample network solve thus runs once
-    per model evaluation, never per recorded sample."""
+    """The trace of a run, written once into buffers of the planned
+    ``rows``: row 0 at t = 0, then each segment's sample times in turn,
+    one segment open at a time.  ``step`` keeps what an accepted step
+    already holds, its start ``t``, size ``h``, states ``x`` and ``x1`` at
+    its ends and stages ``k``, with the end ``stop`` of its samples in the
+    segment's sample times.  The dense output of the pending steps is
+    written into their samples' rows by one stacked pass of ``_dense``,
+    and clipped there, when ``DENSE_BLOCK`` samples are pending and when
+    the segment closes.  ``start`` writes the t = 0 row; a held stretch
+    repeats it over every sample of its segment.  ``close`` writes the
+    voltages and device outputs of the segment's rows from one
+    ``DynamicSystem.observe`` over the stacked samples (over the one row of
+    a held stretch, broadcast over its rows), with the bits of a solve per
+    sample and each machine's E'' computed once, and takes their
+    power-balance residual, also stacked.  A single-sample network solve
+    thus runs once per model evaluation, never per recorded sample."""
 
-    def __init__(self, model: DynamicSystem, clip):
+    def __init__(self, model: DynamicSystem, clip, rows: int):
         self.model = model
         self.clip = clip
         self.names = [str(lab) for lab in model.state_labels()]
         self.bus_ids = [b.id for b in model.network.buses]
-        # the open segment: its grid and sample times, the first of those
-        # not evaluated yet, its evaluated samples, or its held row and
-        # times, and the pending steps, the last one ending the segment
-        # if ``ends``
+        self.time = np.empty(rows)
+        self.states = np.empty((rows, model.n_states))
+        self.voltages = np.empty((rows, len(self.bus_ids)), dtype=complex)
+        self.outputs: dict[str, np.ndarray] = {}   # keyed at the first close
+        # the rows of the closed segments
+        self.n = 0
+        # the open segment: its grid and sample times, the row of its first
+        # sample and the first of its rows (after row 0, t = 0), the number
+        # of samples evaluated, whether they are held, and the pending
+        # steps, the last one ending the segment if ``ends``
         self.grid: GridModel | None = None
         self.samples = np.empty(0)
+        self.row = self.lo = 1
         self.i = 0
-        self.t: list[np.ndarray] = []
-        self.x: list[np.ndarray] = []
-        self.held: tuple | None = None
+        self.held = False
         self.steps: list[tuple] = []
         self.ends = False
-        # (time, states, voltages, outputs) of each closed segment
-        self.done: list[tuple] = []
         self.max_residual = 0.0
 
     def open(self, grid, samples):
+        """Open a segment at the first row not yet taken."""
         self.grid, self.samples, self.i = grid, samples, 0
+        self.time[self.row:self.row + samples.size] = samples
 
-    def add(self, t, x):
-        self.t.append(t)
-        self.x.append(x)
-
-    def hold(self, t, x):
-        self.held = (t, x)
+    def start(self, x, held):
+        """The t = 0 row ``x``, the first of the open segment; if ``held``,
+        every sample of the segment equals it."""
+        self.time[0], self.states[0] = 0.0, x
+        self.lo, self.held = 0, held
 
     def step(self, t, h, x, x1, k, stop, last):
         self.steps.append((t, h, x, x1, k, stop))
@@ -384,46 +405,48 @@ class _Recorder:
         step = np.repeat(np.arange(len(stop)), np.diff((self.i,) + stop))
         h = np.array(h)
         times = self.samples[self.i:stop[-1]]
-        xs = _dense(np.array(x), np.array(x1), np.array(k), h,
-                    (times - np.array(t)[step]) / h[step], step)
+        xs = self.states[self.row + self.i:self.row + stop[-1]]
+        _dense(np.array(x), np.array(x1), np.array(k), h,
+               (times - np.array(t)[step]) / h[step], step, xs)
         if self.ends:
             xs[-1] = x1[-1]
         self.clip(xs)
-        self.add(times, xs)
         self.i = stop[-1]
 
     def close(self):
-        """Close the open segment.  Its samples leave the buffer first, so
-        a sample without a network solution raises ``SystemModelError``
-        and leaves only the closed segments."""
+        """Close the open segment at its last evaluated sample.  The
+        segment is left before its rows are solved, so a sample without a
+        network solution raises ``SystemModelError`` and leaves only the
+        closed segments."""
         self._flush()
-        held = self.held is not None
-        if held:
-            t, x = self.held[0], self.held[1][None]
-        elif self.t:
-            t, x = np.concatenate(self.t), np.concatenate(self.x)
-        else:
+        lo = self.lo
+        hi = self.row + (self.samples.size if self.held else self.i)
+        held = self.held
+        self.row = self.lo = hi
+        self.i, self.held = 0, False
+        if hi == lo:
             return
-        self.t, self.x, self.held = [], [], None
-        v = self.model.solve_network(x, self.grid)
-        outputs = self.model.device_outputs(x, v)
+        x = self.states[lo:lo + 1 if held else hi]    # held: one row
+        v, outputs = self.model.observe(x, self.grid)
         res = self.model.power_balance_residual(v, outputs, grid=self.grid)
         self.max_residual = max(self.max_residual, float(res.max()))
-        v = v[:, :len(self.bus_ids)]
-        if held:                        # one row, over the held times
-            x, v = (np.broadcast_to(a[0], (t.size, a.shape[1]))
-                    for a in (x, v))
-            outputs = {key: np.broadcast_to(o[0], t.shape)
-                       for key, o in outputs.items()}
-        self.done.append((t, x, v, outputs))
+        if held:                        # the one row over the held rows
+            self.states[lo + 1:hi] = x
+        self.voltages[lo:hi] = v[:, :len(self.bus_ids)]
+        if not self.outputs:
+            self.outputs = {key: np.empty(self.time.size) for key in outputs}
+        for key, o in outputs.items():
+            self.outputs[key][lo:hi] = o
+        self.n = hi
 
     def trace(self, events) -> Trace:
-        """The run so far; a rotor speed outside its device's protection
-        band is logged here, once per device and run."""
+        """The run so far, the rows of its closed segments; a rotor speed
+        outside its device's protection band is logged here, once per
+        device and run."""
         self.close()
-        ts, xs, vs, outs = zip(*self.done)
-        time = np.concatenate(ts)
-        outputs = {k: np.concatenate([o[k] for o in outs]) for k in outs[0]}
+        n = self.n
+        time = self.time[:n]
+        outputs = {key: o[:n] for key, o in self.outputs.items()}
         for dev in self.model.devices:
             if dev.speed_band is None:
                 continue
@@ -437,9 +460,9 @@ class _Recorder:
                     speed[out[0]], time[out[0]], lo, hi)
         return Trace(
             time=time,
-            states=np.concatenate(xs),
+            states=self.states[:n],
             state_names=self.names,
-            voltages=np.concatenate(vs),
+            voltages=self.voltages[:n],
             bus_ids=self.bus_ids,
             outputs=outputs,
             events=tuple(events),
@@ -547,15 +570,22 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     free of the recording grid: ``dt_max`` is only the sample spacing, with
     ``ceil(length / dt_max)`` evenly spaced samples per segment, whose
     states come from the dense output of the step that contains them (a
-    segment's last sample is that step's end itself).  The step loop does
-    no work for them: the recorder keeps each such step as it is and
-    evaluates the pending steps' dense output, and clips it onto the
-    limiter bounds, in one stacked pass once ``DENSE_BLOCK`` samples are
-    pending and when the segment closes, with the bits of a pass per step.
-    Each stage solves the network once; the samples' voltages, device
-    outputs and ``max_balance_residual`` are computed once per segment,
-    over its stacked samples, the voltages by one broadcast
-    ``solve_network``.
+    segment's last sample is that step's end itself).  That plan, and with
+    it the trace's row count, is known before the first step, so the trace
+    is allocated once and each row is written once.  The step loop does
+    no work for the samples: the recorder keeps each such step as it is
+    and writes the pending steps' dense output into the trace, and clips
+    it there onto the limiter bounds, in one stacked pass once
+    ``DENSE_BLOCK`` samples are pending and when the segment closes, with
+    the bits of a pass per step.  The dense output is CONTD5 regrouped as
+    ``x + s dx + s(1-s) r3 + s^2(1-s) r4 + s^2(1-s)^2 r5`` for the fraction
+    ``s`` of the step: each step's samples are one product of their five
+    coefficients with the step's five rows, within a few units in the last
+    place of the Horner form.  Each stage solves the network once; the
+    samples' voltages, device outputs and ``max_balance_residual`` are
+    computed once per segment, over its stacked samples, by one broadcast
+    network solve (``DynamicSystem.observe``) that computes each machine's
+    E'' once for both voltages and outputs.
 
     Steps are at most ``H_MAX`` (40 ms): h|lambda| <= 2.6 for the largest
     |lambda| of the packaged studies (65.6/s), inside the method's real
@@ -618,31 +648,35 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
         raise ValueError(f"equilibrium has shape {x.shape}; model has "
                          f"{model.n_states} states")
 
-    segments = _segments(model, events, t_end)
+    # each segment's sample times, all known before the first step
+    plan = []
+    for seg_start, seg_end, grid in _segments(model, events, t_end):
+        length = seg_end - seg_start
+        n = max(1, int(np.ceil(length / dt_max - 1e-9)))
+        samples = seg_start + np.arange(1, n + 1) * (length / n)
+        plan.append((seg_start, seg_end, grid, samples))
     limiters = _Limiters(model)
-    rec = _Recorder(model, limiters.clip)
+    rec = _Recorder(model, limiters.clip,
+                    1 + sum(samples.size for *_, samples in plan))
 
     t = 0.0
     try:
-        for seg_start, seg_end, grid in segments:
+        for seg_start, seg_end, grid, samples in plan:
             def evaluate(z):
                 return limiters.evaluate(z, grid)
 
-            n = max(1, int(np.ceil((seg_end - seg_start) / dt_max - 1e-9)))
-            samples = seg_start + np.arange(1, n + 1) * ((seg_end - seg_start)
-                                                         / n)
+            n = samples.size
             rec.open(grid, samples)
             i = 0                       # the segment's next sample
             f = limiters.start(x, grid)
             h, rejected, last = None, False, False
             if seg_start == 0.0:
                 # the quiet stretch before the first event (see docstring)
-                if (seg_end < t_end and limiters.inside(x)
-                        and np.abs(f).max() * seg_end <= ATOL):
-                    rec.hold(np.concatenate(([0.0], samples)), x)
+                held = (seg_end < t_end and limiters.inside(x)
+                        and np.abs(f).max() * seg_end <= ATOL)
+                rec.start(x, held)
+                if held:
                     t, last = seg_end, True
-                else:
-                    rec.add(np.zeros(1), x[None, :].copy())
             while not last:
                 if h is None:           # a fresh start
                     h, rejected = _starting_step(evaluate, x, f, rtol), False
@@ -685,7 +719,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                 _, g, bound = switch
                 x = x1.copy() if theta == 1.0 else _dense(
                     x[None], x1[None], k[None], np.array([step]),
-                    np.array([theta]), [0])[0]
+                    np.array([theta]), [0], np.empty((1, x.size)))[0]
                 if bound is None:
                     del limiters.held[g]
                 else:
@@ -701,7 +735,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
             pass            # the open segment's samples are left out
         raise SimulationError(
             f"network solution failed at t={t:.6f}s: {exc}",
-            rec.trace(events) if rec.done else None) from exc
+            rec.trace(events) if rec.n else None) from exc
 
     return rec.trace(events)
 

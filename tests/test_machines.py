@@ -136,6 +136,11 @@ def test_mppt_curve_shape():
     assert abs(c.p_opt(0.8) - 0.8 ** 3) < 1e-15
     assert c.p_opt(1.2) == c.p_rated     # flat above rated
     assert c.speed_at(0.512) == pytest.approx(0.8, abs=1e-12)
+    # the top is computed once per curve, not a field that a scenario
+    # could set or that its hash would see
+    c = dataclasses.replace(c, k_opt=1.1, speed_rated=0.9)
+    assert c.p_rated == 1.1 * 0.9 ** 3
+    assert "p_rated" not in dataclasses.asdict(c)
 
 
 def test_mppt_curve_clamps_out_of_domain_speed(caplog):

@@ -25,11 +25,13 @@ from scipy.linalg import expm
 
 import windmodal
 from windmodal import timedomain
+from windmodal.devices import STACK
 from windmodal.modal import analyze_modes, linearize
 from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (Override, build_scenario_system,
                                 load_packaged_scenario, run_scenario,
                                 simulate_scenario)
+from windmodal.syncgen import SyncGen
 from windmodal.system import SystemModelError, assemble
 from windmodal.timedomain import (DEFAULT_FAULT_ADMITTANCE, RTOL, Event,
                                   RingdownError, SimulationError, Trace,
@@ -340,27 +342,36 @@ def _assert_same_bits(a, b):
     assert repr(a.max_balance_residual) == repr(b.max_balance_residual)
 
 
+# the benchmark's fault_sim setting
+_FAULT_SIM = ("B_voltage_support", 4.0,
+              Event("three_phase_fault", 1.0, branch="L8-9b",
+                    duration=cycles(8.967147957042918)))
+# the packaged limits, which this fault holds and releases
+_LIMITS = ("B_voltage_support", 2.0,
+           Event("three_phase_fault", 1.0, branch="L8-9a",
+                 duration=cycles(5.9)))
+# a 100-pu fault at case C's bus 9 collapses the network 11.76 ms into the
+# fault, part way through a segment, with steps still pending
+_COLLAPSE = ("C_voltage", 1.0,
+             Event("three_phase_fault", 0.5, bus=9, admittance=100.0,
+                   duration=cycles(6)))
+
+
+def _run(model, setting):
+    """``simulate`` of a setting's one event on ``model``."""
+    _, t_end, event = setting
+    return simulate(model, events=[event], t_end=t_end)
+
+
 @pytest.mark.parametrize("run, n_samples", [
-    (lambda: simulate(_lifted_model("B_voltage_support"), t_end=4.0,
-                      events=[Event("three_phase_fault", 1.0,
-                                    branch="L8-9b",
-                                    duration=cycles(8.967147957042918))]),
-     4002),
-    (lambda: simulate(_packaged_model("B_voltage_support"), t_end=2.0,
-                      events=[Event("three_phase_fault", 1.0,
-                                    branch="L8-9a", duration=cycles(5.9))]),
-     2002),
+    (lambda: _run(_lifted_model("B_voltage_support"), _FAULT_SIM), 4002),
+    (lambda: _run(_packaged_model("B_voltage_support"), _LIMITS), 2002),
     (lambda: simulate(_lifted_model("A"), t_end=8.0,
                       events=[Event("three_phase_fault", 1.0,
                                     branch="L8-9a",
                                     duration=cycles(9.361392482090672))]),
      8002),
-    # a 100-pu fault at case C's bus 9 collapses the network 11.76 ms into
-    # the fault, part way through a segment, with steps still pending
-    (lambda: simulate(_packaged_model("C_voltage"), t_end=1.0,
-                      events=[Event("three_phase_fault", 0.5, bus=9,
-                                    admittance=100.0, duration=cycles(6))]),
-     512),
+    (lambda: _run(_packaged_model("C_voltage"), _COLLAPSE), 512),
 ], ids=["fault_sim", "limits_hold_and_release", "case_A_8s", "collapse"])
 def test_the_block_pass_has_the_bits_of_a_pass_per_step(monkeypatch, run,
                                                         n_samples):
@@ -401,6 +412,107 @@ def test_a_switch_at_a_step_end_restarts_from_a_copy_of_it(monkeypatch):
     _assert_same_bits(each, block)
     # the clamp took effect: efd leaps towards the bound, then is released
     assert block.column("G1.efd").max() > forced[4] + 1.0
+
+
+def _contd5_horner(x, x1, k, h, theta, step):
+    """The reference form of ``timedomain._dense``: CONTD5 in Horner's
+    form, over full-size rows gathered per sample."""
+    dx = x1 - x
+    h = h[:, None]
+    r3 = h * k[:, 0] - dx
+    r4 = dx - h * k[:, 6] - r3
+    r5 = h * (timedomain._DP_D @ k)
+    s = theta[:, None]
+    return x[step] + s * (dx[step] + (1.0 - s) * (
+        r3[step] + s * (r4[step] + (1.0 - s) * r5[step])))
+
+
+@pytest.mark.parametrize("model, setting", [
+    (lambda: _lifted_model("B_voltage_support"), _FAULT_SIM),
+    (lambda: _packaged_model("B_voltage_support"), _LIMITS),
+], ids=["fault_sim", "limits_hold_and_release"])
+def test_the_dense_output_is_contd5(monkeypatch, model, setting):
+    # each step's samples are one product of their coefficients with the
+    # step's five rows, which rounds unlike the Horner form: every pass,
+    # the switch points' single rows too, must match it on the same
+    # arguments within 1e-13 of the larger of |x| and |x1|
+    dense = timedomain._dense
+    passes = []
+
+    def checked(*args):
+        x, x1, step = args[0], args[1], args[5]
+        got = dense(*args)
+        want = _contd5_horner(*args[:6])
+        scale = np.maximum(np.abs(x), np.abs(x1))[step]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        passes.append(len(step))
+        return got
+
+    monkeypatch.setattr(timedomain, "_dense", checked)
+    _run(model(), setting)
+    assert sum(passes) > 1000            # the samples after the event
+    if setting is _LIMITS:              # restarts at limiter switches
+        assert passes.count(1) > 0
+
+
+def test_a_segment_close_solves_each_machines_emf_once(monkeypatch):
+    # the recorder's pass over a segment's samples hands each machine's E''
+    # from the network solve to its outputs: one stacked call of
+    # ``internal`` per machine and segment, and the outputs of
+    # ``device_outputs`` at ``solve_network``, bit for bit
+    study, t_end, event = _LIMITS
+    model = _packaged_model(study)
+    internal = SyncGen.internal
+    stacked = []
+
+    def counted(self, states, m):
+        if m is STACK:
+            stacked.append(self.device_id)
+        return internal(self, states, m)
+
+    monkeypatch.setattr(SyncGen, "internal", counted)
+    tr = simulate(model, events=[event], t_end=t_end)
+    monkeypatch.undo()
+    segments = timedomain._segments(model, [event], t_end)
+    machines = [d for d in model.devices if isinstance(d, SyncGen)]
+    assert len(stacked) == len(machines) * len(segments) == 12
+    lo = 0
+    for _, t1, grid in segments:
+        hi = int(np.searchsorted(tr.time, t1 + 5e-4))
+        x = tr.states[lo:hi]
+        v = model.solve_network(x, grid)
+        assert tr.voltages[lo:hi].tobytes() == \
+            v[:, :len(tr.bus_ids)].tobytes()
+        for key, val in model.device_outputs(x, v).items():
+            assert tr.outputs[key][lo:hi].tobytes() == val.tobytes(), key
+        lo = hi
+    assert lo == tr.time.size
+
+
+@pytest.mark.parametrize("setting, rows", [
+    (_FAULT_SIM, 4002), (_COLLAPSE, 512)], ids=["fault_sim", "collapse"])
+def test_the_trace_is_written_once_and_complete(monkeypatch, setting, rows):
+    # the trace buffers are allocated for the planned rows before the first
+    # step; poisoned here, every row the trace returns must have been
+    # written, and a run that fails returns its closed segments' rows
+    init = timedomain._Recorder.__init__
+
+    def poisoned(self, *args):
+        init(self, *args)
+        for buffer in (self.time, self.states, self.voltages):
+            buffer.fill(np.nan)
+
+    monkeypatch.setattr(timedomain._Recorder, "__init__", poisoned)
+    study, _, _ = setting
+    try:
+        tr = _run(_packaged_model(study), setting)
+    except SimulationError as exc:
+        tr = exc.trace
+    assert tr.time.size == rows
+    assert np.all(np.diff(tr.time) > 0.0)
+    for a in (tr.time, tr.states, tr.voltages, *tr.outputs.values()):
+        assert len(a) == rows
+        assert np.all(np.isfinite(a))
 
 
 # -- event mechanics -----------------------------------------------------------------
