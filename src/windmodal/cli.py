@@ -26,8 +26,6 @@ from . import scenario as sc
 from .powerflow import solve_power_flow
 from .smib import (SmibParams, smib_eigenvalues, smib_sensitivity_grid,
                    write_grid_csv)
-from .system import SystemModelError
-from .timedomain import SimulationError
 from .twoarea import CASES, two_area_network
 
 OUTPUT_DIR_ENV = "WINDMODAL_OUTPUT_DIR"
@@ -302,8 +300,7 @@ def main(argv=None) -> int:
         args.formats = ["csv"]
     try:
         return args.fn(args)
-    except (sc.ScenarioError, sc.PipelineError, SimulationError,
-            SystemModelError) as exc:
+    except sc.PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

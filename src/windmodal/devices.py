@@ -94,14 +94,12 @@ def require_finite(params) -> None:
 class DeviceModel:
     """Base class: identity, state labelling, and the network contract."""
 
-    #: "synchronous" or "converter"; drives participation bookkeeping.
+    #: "synchronous" or "converter"; drives participation bookkeeping.  A
+    #: converter injects ``c·V/|V|``: a current of fixed size that follows
+    #: the terminal-voltage angle.  Its ``source_current`` returns ``c``,
+    #: and ``DynamicSystem.solve_network`` places the angle in closed
+    #: form; it accepts at most one converter.
     device_class = "synchronous"
-
-    #: True when the injected current is ``c·V/|V|``: a current of fixed
-    #: size that follows the terminal-voltage angle.  ``source_current``
-    #: then returns ``c``, and ``DynamicSystem.solve_network`` places the
-    #: angle in closed form; it accepts at most one such device.
-    source_depends_on_v = False
 
     state_names: tuple[str, ...] = ()
 
@@ -143,8 +141,8 @@ class DeviceModel:
         return None
 
     def source(self, states, internal, m, system_base_mva: float):
-        """Norton source current on the system base; ``c`` when
-        ``source_depends_on_v``."""
+        """Norton source current on the system base; ``c`` for a
+        converter (see ``device_class``)."""
         raise NotImplementedError
 
     def rates(self, states, internal, v, m) -> list:

@@ -186,7 +186,6 @@ class Dfig(DeviceModel):
     """Dynamic model of the aggregated farm; see the module docstring."""
 
     device_class = "converter"
-    source_depends_on_v = True
 
     speed_band = ROTOR_SPEED_BOUNDS
 

@@ -85,7 +85,6 @@ class SyncGen(DeviceModel):
     pss_washout, pss_lead1, pss_lead2.  Speed is the per-unit deviation."""
 
     device_class = "synchronous"
-    source_depends_on_v = False
 
     state_names = (
         "delta", "speed", "eq_t", "ed_t", "eq_st", "ed_st",

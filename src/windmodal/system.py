@@ -100,7 +100,7 @@ class DynamicSystem:
                 )
             seen_buses.add(dev.bus_id)
         converters = [k for k, dev in enumerate(self.devices)
-                      if dev.source_depends_on_v]
+                      if dev.device_class == "converter"]
         if len(converters) > 1:
             raise SystemModelError(
                 "more than one device has a voltage-dependent source; the "

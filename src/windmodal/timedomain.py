@@ -13,14 +13,14 @@ fails before anything is integrated.  The devices' non-windup limiters
 (the machines' field voltage, the converter's reactive integrator) are
 held and released by the integrator alone, which locates each bound
 crossing and each release inside its step.  The step loop only
-integrates: it hands each accepted step that contains samples, as it
-holds it, to the recorder, which writes each sample of the trace once,
-into buffers sized before the first step.  The dense output of up to
-``DENSE_BLOCK`` pending samples is one stacked pass, one small product
-per step, straight into their rows; bus voltages, device outputs and the
-power-balance audit of the samples are computed afterwards, once per
-segment, from one pass that computes each machine's E'' once per sample,
-and the quiet stretch held before the first event is solved as one row.
+integrates: it hands each accepted step, as it holds it, to the recorder,
+which writes each sample of the trace once, into buffers sized before the
+first step.  When a segment closes, its samples are matched to its steps
+and their dense output is one stacked pass, one small product per step,
+straight into their rows; their bus voltages, device outputs and
+power-balance audit follow from one pass that computes each machine's E''
+once per sample, and the quiet stretch held before the first event is
+solved as one row.
 
 ``ringdown_modes`` estimates the eigenvalues and residues present in a
 simulated signal with a matrix pencil (one SVD and one small eigenproblem,
@@ -47,9 +47,6 @@ DT_MIN = 1e-5      # shortest error-controlled step, s
 RTOL = 1e-5        # relative tolerance of the step error
 ATOL = 1e-8        # absolute floor of the step error's scale
 H_MAX = 0.04       # longest step, s (see simulate)
-# samples per dense-output pass (see _Recorder): enough to spread numpy's
-# call overhead, few enough that the pass stays in cache
-DENSE_BLOCK = 1024
 
 EVENT_KINDS = ("three_phase_fault", "clear_fault", "load_step", "line_trip")
 DEFAULT_FAULT_ADMITTANCE = 1e4     # a bolted fault's shunt, pu
@@ -339,20 +336,19 @@ def _starting_step(evaluate, x, f, rtol):
 class _Recorder:
     """The trace of a run, written once into buffers of the planned
     ``rows``: row 0 at t = 0, then each segment's sample times in turn,
-    one segment open at a time.  ``step`` keeps what an accepted step
-    already holds, its start ``t``, size ``h``, states ``x`` and ``x1`` at
-    its ends and stages ``k``, with the end ``stop`` of its samples in the
-    segment's sample times.  The dense output of the pending steps is
-    written into their samples' rows by one stacked pass of ``_dense``,
-    and clipped there, when ``DENSE_BLOCK`` samples are pending and when
-    the segment closes.  ``start`` writes the t = 0 row; a held stretch
-    repeats it over every sample of its segment.  ``close`` writes the
-    voltages and device outputs of the segment's rows from one
-    ``DynamicSystem.observe`` over the stacked samples (over the one row of
-    a held stretch, broadcast over its rows), with the bits of a solve per
-    sample and each machine's E'' computed once, and takes their
-    power-balance residual, also stacked.  A single-sample network solve
-    thus runs once per model evaluation, never per recorded sample."""
+    one segment open at a time.  ``step`` keeps an accepted step as the
+    step loop holds it: its start ``t``, size ``h``, states ``x`` and
+    ``x1`` at its ends, stages ``k`` and the point ``t1`` it was used up
+    to.  ``close`` maps the segment's samples to its steps, writes their
+    dense output into their rows in one stacked pass of ``_dense`` and
+    clips it there; a held stretch repeats the t = 0 row of ``start`` over
+    every sample of its segment.  It then writes the voltages and device
+    outputs of the segment's rows from one ``DynamicSystem.observe`` over
+    the stacked samples (over the one row of a held stretch, broadcast
+    over its rows), with the bits of a solve per sample and each machine's
+    E'' computed once, and takes their power-balance residual, also
+    stacked.  A single-sample network solve thus runs once per model
+    evaluation, never per recorded sample."""
 
     def __init__(self, model: DynamicSystem, clip, rows: int):
         self.model = model
@@ -366,21 +362,18 @@ class _Recorder:
         # the rows of the closed segments
         self.n = 0
         # the open segment: its grid and sample times, the row of its first
-        # sample and the first of its rows (after row 0, t = 0), the number
-        # of samples evaluated, whether they are held, and the pending
-        # steps, the last one ending the segment if ``ends``
+        # sample and the first of its rows (after row 0, t = 0), whether
+        # its samples are held, and its steps
         self.grid: GridModel | None = None
         self.samples = np.empty(0)
         self.row = self.lo = 1
-        self.i = 0
         self.held = False
         self.steps: list[tuple] = []
-        self.ends = False
         self.max_residual = 0.0
 
     def open(self, grid, samples):
         """Open a segment at the first row not yet taken."""
-        self.grid, self.samples, self.i = grid, samples, 0
+        self.grid, self.samples = grid, samples
         self.time[self.row:self.row + samples.size] = samples
 
     def start(self, x, held):
@@ -389,41 +382,38 @@ class _Recorder:
         self.time[0], self.states[0] = 0.0, x
         self.lo, self.held = 0, held
 
-    def step(self, t, h, x, x1, k, stop, last):
-        self.steps.append((t, h, x, x1, k, stop))
-        self.ends = last
-        if stop - self.i >= DENSE_BLOCK:
-            self._flush()
+    def step(self, t, h, x, x1, k, t1):
+        self.steps.append((t, h, x, x1, k, t1))
 
-    def _flush(self):
-        """The pending steps' samples, in one pass of ``_dense``; a
-        segment's last sample is its last step's end itself."""
-        if not self.steps:
-            return
-        t, h, x, x1, k, stop = zip(*self.steps)
-        self.steps = []
-        step = np.repeat(np.arange(len(stop)), np.diff((self.i,) + stop))
-        h = np.array(h)
-        times = self.samples[self.i:stop[-1]]
-        xs = self.states[self.row + self.i:self.row + stop[-1]]
-        _dense(np.array(x), np.array(x1), np.array(k), h,
-               (times - np.array(t)[step]) / h[step], step, xs)
-        if self.ends:
-            xs[-1] = x1[-1]
-        self.clip(xs)
-        self.i = stop[-1]
-
-    def close(self):
-        """Close the open segment at its last evaluated sample.  The
-        segment is left before its rows are solved, so a sample without a
-        network solution raises ``SystemModelError`` and leaves only the
-        closed segments."""
-        self._flush()
-        lo = self.lo
-        hi = self.row + (self.samples.size if self.held else self.i)
-        held = self.held
+    def close(self, complete=False):
+        """Close the open segment.  Each sample goes to the first step
+        whose ``t1`` reaches it; a ``complete`` segment ends at its last
+        step, which takes its last sample as that step's end itself, and
+        any other ends at the last sample its steps reach, short of the
+        segment's last.  The segment is left before its rows are solved,
+        so a sample without a network solution raises ``SystemModelError``
+        and leaves only the closed segments."""
+        n = self.samples.size if complete or self.held else 0
+        if self.steps:
+            t, h, x, x1, k, t1 = zip(*self.steps)
+            self.steps = []
+            if not complete:
+                n = min(int(np.searchsorted(self.samples, t1[-1], "right")),
+                        self.samples.size - 1)
+            times = self.samples[:n]
+            step = np.searchsorted(t1, times)
+            if complete:
+                step[-1] = len(t1) - 1
+            h = np.array(h)
+            xs = self.states[self.row:self.row + n]
+            _dense(np.array(x), np.array(x1), np.array(k), h,
+                   (times - np.array(t)[step]) / h[step], step, xs)
+            if complete:
+                xs[-1] = x1[-1]
+            self.clip(xs)
+        lo, hi, held = self.lo, self.row + n, self.held
         self.row = self.lo = hi
-        self.i, self.held = 0, False
+        self.held = False
         if hi == lo:
             return
         x = self.states[lo:lo + 1 if held else hi]    # held: one row
@@ -573,11 +563,11 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     segment's last sample is that step's end itself).  That plan, and with
     it the trace's row count, is known before the first step, so the trace
     is allocated once and each row is written once.  The step loop does
-    no work for the samples: the recorder keeps each such step as it is
-    and writes the pending steps' dense output into the trace, and clips
-    it there onto the limiter bounds, in one stacked pass once
-    ``DENSE_BLOCK`` samples are pending and when the segment closes, with
-    the bits of a pass per step.  The dense output is CONTD5 regrouped as
+    no work for the samples: the recorder keeps each accepted step as it
+    is and, when the segment closes, writes the dense output of all its
+    samples into the trace, and clips it there onto the limiter bounds, in
+    one stacked pass with the bits of a pass per step.  The dense output
+    is CONTD5 regrouped as
     ``x + s dx + s(1-s) r3 + s^2(1-s) r4 + s^2(1-s)^2 r5`` for the fraction
     ``s`` of the step: each step's samples are one product of their five
     coefficients with the step's five rows, within a few units in the last
@@ -665,9 +655,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
             def evaluate(z):
                 return limiters.evaluate(z, grid)
 
-            n = samples.size
             rec.open(grid, samples)
-            i = 0                       # the segment's next sample
             f = limiters.start(x, grid)
             h, rejected, last = None, False, False
             if seg_start == 0.0:
@@ -705,17 +693,12 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                 theta = 1.0 if switch is None else switch[0]
                 last = last and theta == 1.0
                 t1 = seg_end if last else t + theta * step
-                # the samples in (t, t1]
-                stop = n if last else min(
-                    int(np.searchsorted(samples, t1, side="right")), n - 1)
-                if stop > i:
-                    rec.step(t, step, x, x1, k, stop, last)
-                    i = stop
+                rec.step(t, step, x, x1, k, t1)
                 if switch is None:
                     x, f, t = x1, k[6], t1
                     continue
                 # end the step at the switch and start afresh, from a copy
-                # of x1: the recorder may still hold it
+                # of x1: the recorder holds it
                 _, g, bound = switch
                 x = x1.copy() if theta == 1.0 else _dense(
                     x[None], x1[None], k[None], np.array([step]),
@@ -726,7 +709,7 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
                     x[g] = bound
                     limiters.held[g] = 0.0
                 t, f, h = t1, limiters.start(x, grid), None
-            rec.close()
+            rec.close(complete=True)
     except SystemModelError as exc:
         # no network solution at some state (e.g. voltage collapse)
         try:

@@ -222,6 +222,19 @@ def test_powerflow_tags_a_bad_override_with_its_stage(tmp_path, capsys):
         "error: [build] override device 'G9' not in scenario")
 
 
+def test_report_names_the_study_whose_build_fails(tmp_path, capsys):
+    # report tags a failed study with its name and goes on; it writes no
+    # report for it and exits 1
+    path = tmp_path / "stray.json"
+    path.write_text('{"base_case": "B", "overrides": '
+                    '[{"device": "G9", "field": "h_s", "value": 5.0}]}')
+    out = tmp_path / "out"
+    assert main(["report", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"{path}: [build] override device 'G9' not in scenario")
+    assert not list(out.glob("report_*"))
+
+
 @pytest.mark.parametrize("name", ["../escaped", "a\\b", "a\0b"],
                          ids=["slash", "backslash", "nul"])
 def test_a_name_that_cannot_be_a_file_stem_fails_at_load(tmp_path, capsys,

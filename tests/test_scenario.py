@@ -129,6 +129,11 @@ def test_two_area_network_rejects_an_unknown_control_mode(case):
         two_area_network(case, control_mode="bogus")
 
 
+def test_two_area_network_rejects_an_unknown_case():
+    with pytest.raises(ValueError, match="^unknown case 'D'"):
+        two_area_network("D")
+
+
 def test_fields_the_hash_leaves_out_must_keep_their_defaults():
     # to_dict, and so sha256, omits them; were they free, these unequal
     # scenarios would share the hash of the default one
@@ -237,6 +242,16 @@ def test_parse_rejects_a_field_the_event_kind_does_not_use(event, key):
         parse_scenario({"base_case": "B", "events": [event]})
     without = {k: v for k, v in event.items() if k != key}
     parse_scenario({"base_case": "B", "events": [without]})    # fine
+
+
+def test_scenario_file_with_a_negative_droop_gain_is_rejected(tmp_path):
+    # DroopParams owns the check; the parser names the section
+    path = tmp_path / "negative_kp.json"
+    path.write_text('{"base_case": "B", "frequency_support": true, '
+                    '"droop": {"kp": -1.0}}')
+    with pytest.raises(ScenarioError, match=r"^droop: droop gains must be "
+                                            r"finite and nonnegative \(kp=-1"):
+        load_scenario(path)
 
 
 def test_scenario_file_with_a_nan_event_time_is_rejected(tmp_path):
@@ -580,6 +595,16 @@ def test_override_of_a_governor_field_fails_at_build(name):
     bad = Scenario(base_case="A", overrides=(Override("G1", name, 0.05),))
     with pytest.raises(PipelineError, match=rf"^\[build\] override field "
                        rf"'{name}' is not a parameter of G1$"):
+        run_scenario(bad)
+
+
+def test_an_exciter_limit_below_the_field_voltage_fails_at_assembly():
+    # the override builds; the machine's initialization then finds its
+    # field voltage at the operating point outside [efd_min, efd_max]
+    bad = Scenario(base_case="A", overrides=(Override("G1", "efd_max", 1.0),))
+    with pytest.raises(PipelineError, match=r"^\[assemble\] G1: field "
+                       r"voltage 1\.693 pu at the operating point violates "
+                       "the exciter limits$"):
         run_scenario(bad)
 
 

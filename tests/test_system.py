@@ -127,7 +127,7 @@ def injection(dev, x, v, base):
     """A device's source current at terminal voltage ``v``; a converter's
     current takes the angle of ``v``."""
     i = dev.source_current(x, base)
-    return i * v / abs(v) if dev.source_depends_on_v else i
+    return i * v / abs(v) if dev.device_class == "converter" else i
 
 
 def with_loads(y, idx, net, pf):

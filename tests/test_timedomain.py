@@ -35,7 +35,7 @@ from windmodal.syncgen import SyncGen
 from windmodal.system import SystemModelError, assemble
 from windmodal.timedomain import (DEFAULT_FAULT_ADMITTANCE, RTOL, Event,
                                   RingdownError, SimulationError, Trace,
-                                  _Limiters, cycles, ringdown_fit,
+                                  _Limiters, _Recorder, cycles, ringdown_fit,
                                   ringdown_modes, simulate)
 
 from conftest import build_system
@@ -182,6 +182,14 @@ def test_sample_spacing_leaves_the_final_state_bit_for_bit(system_a):
     assert tr1.states[-1].tobytes() == tr2.states[-1].tobytes()
 
 
+def test_simulate_rejects_a_bad_rtol_or_start_state(system_a):
+    with pytest.raises(ValueError, match=r"^rtol must lie in \(0, 1\)$"):
+        simulate(system_a, t_end=0.1, rtol=1.0)
+    with pytest.raises(ValueError, match=r"^equilibrium has shape \(3,\); "
+                                         "model has 44 states$"):
+        simulate(system_a, equilibrium=np.zeros(3), t_end=0.1)
+
+
 def test_refining_rtol_tenfold_barely_moves_a_load_step_run(system_a):
     # criterion 9's dt-halving check refines only the sample grid; refining
     # the step tolerance must change the run, but only a little
@@ -314,16 +322,34 @@ def test_the_quiet_stretch_before_the_first_event_is_held_at_x0(
 
 
 def _per_step_and_block_runs(monkeypatch, run):
-    """``run()`` as a trace (or the partial trace of its error) with a
-    dense-output pass per step (``DENSE_BLOCK`` = 1) and by the block, and
-    the number of passes each made."""
+    """``run()`` as a trace (or the partial trace of its error) with each
+    accepted step kept as a copy of what the step loop hands over and each
+    stacked dense-output pass run as one call of ``_dense`` per step on the
+    same arguments, and as it is, and the number of calls each made."""
     dense = timedomain._dense
+    step = _Recorder.step
+    passes = []
+
+    def per_step(x, x1, k, h, theta, step, out):
+        bounds = np.searchsorted(step, np.arange(len(x) + 1))
+        for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            passes.append(1)
+            dense(x[j:j + 1], x1[j:j + 1], k[j:j + 1], h[j:j + 1],
+                  theta[a:b], np.zeros(b - a, dtype=int), out[a:b])
+        return out
+
+    def stacked(*args):
+        passes.append(1)
+        return dense(*args)
+
+    def copied(rec, t, h, x, x1, k, t1):
+        step(rec, t, h, x.copy(), x1.copy(), k.copy(), t1)
+
     runs = []
-    for block in (1, timedomain.DENSE_BLOCK):
-        passes = []
-        monkeypatch.setattr(timedomain, "DENSE_BLOCK", block)
-        monkeypatch.setattr(timedomain, "_dense", lambda *args:
-                            passes.append(1) or dense(*args))
+    for pass_, keep in ((per_step, copied), (stacked, step)):
+        passes.clear()
+        monkeypatch.setattr(timedomain, "_dense", pass_)
+        monkeypatch.setattr(_Recorder, "step", keep)
         try:
             tr = run()
         except SimulationError as exc:
@@ -375,25 +401,26 @@ def _run(model, setting):
 ], ids=["fault_sim", "limits_hold_and_release", "case_A_8s", "collapse"])
 def test_the_block_pass_has_the_bits_of_a_pass_per_step(monkeypatch, run,
                                                         n_samples):
-    # the recorder evaluates the dense output of up to DENSE_BLOCK pending
-    # samples at once; every elementwise operation keeps its operands, so
-    # the trace keeps the bits of a pass per step, and a failing close
-    # still evaluates the pending steps first
+    # the recorder evaluates the dense output of a segment's samples at
+    # once, when it closes; every elementwise operation keeps its operands,
+    # so the trace keeps the bits of a pass per step, and a failing close
+    # still evaluates the segment's steps first
     (each, n_each), (block, n_block) = _per_step_and_block_runs(monkeypatch,
                                                                 run)
     _assert_same_bits(each, block)
     assert block.time.size == n_samples
     assert n_block < n_each
-    if n_samples == 8002:        # blocks that end part way through segments
-        assert n_block > 3
+    if n_samples == 8002:        # one per integrated segment: the fault's
+        assert n_block == 2      # and the 6.8 s after it
 
 
 def test_a_switch_at_a_step_end_restarts_from_a_copy_of_it(monkeypatch):
-    # the recorder keeps an accepted step's end x1 until its block pass; a
-    # switch at theta = 1 restarts from x1 clamped onto the bound, which
-    # must not reach the pending step, whose samples would then be
-    # interpolated towards the bound.  Forced here on G1.efd, well inside
-    # its bounds, at the 5th accepted step.
+    # the recorder keeps an accepted step's end x1 until its segment
+    # closes; a switch at theta = 1 restarts from x1 clamped onto the
+    # bound, which must not reach the kept step, whose samples would then
+    # be interpolated towards the bound (the reference keeps a copy of
+    # each step as handed over).  Forced here on G1.efd, well inside its
+    # bounds, at the 5th accepted step.
     model = build_system("A")
     g = [str(lab) for lab in model.state_labels()].index("G1.efd")
     hi = next(hi for k, _, hi in model.limits() if k == g)
@@ -1022,6 +1049,12 @@ def test_ringdown_fit_window_selects_the_late_mode():
     fit = ringdown_fit(t, y, window=(12.0, 30.0))
     assert fit.omega == pytest.approx(2.0, rel=0.01)
     assert fit.sigma == pytest.approx(-0.05, rel=0.1)
+
+
+def test_ringdown_fit_rejects_time_and_signal_of_unequal_length():
+    t = np.linspace(0.0, 10.0, 200)
+    with pytest.raises(ValueError, match="equal size"):
+        ringdown_fit(t, np.cos(2.0 * t[:-1]))
 
 
 def test_ringdown_fit_needs_enough_peaks():
