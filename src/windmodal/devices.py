@@ -19,6 +19,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .tracing import GUARD, RAISES, traced
+
 
 class DeviceError(ValueError):
     pass
@@ -34,16 +36,20 @@ def _complex_array(re, im):
 # and the network's closed form (``DynamicSystem.solve_network``), is
 # written once, in real arithmetic over its state columns, with the table
 # ``OPS[x.ndim]``: Python numbers for one sample (1-D states), arrays over
-# a leading sample axis for a stack (2-D).  One model evaluation takes one
-# list in and gives one array out: ``states`` turns the whole state vector
-# into a list of floats (a stack: into its columns) once, each device reads
-# its slice of that list, computes its internal quantities (a machine's
-# E'') and Norton source once, and returns its rates as a plain list, and
-# ``array`` builds the one derivative array from all of them
-# (``DynamicSystem._evaluate``).  On one sample no numpy scalar arises:
-# the sources stay Python complex numbers through the closed form, and
-# numpy sees them only in ``matvec``, the BLAS gemv of the bus voltages
-# (a stacked ``matmul`` on a stack, so each row takes its sample's gemv).
+# a leading sample axis for a stack (2-D), and at index 0 ``TRACE``, for
+# a traced state vector (``tracing.TracedVector``, ``ndim`` 0), which
+# records the ``SCALAR`` form of each operation.  One model evaluation
+# takes one list in and gives one array out: ``states`` turns the whole
+# state vector into a list of floats (a stack: into its columns) once,
+# each device reads its slice of that list, computes its internal
+# quantities (a machine's E'') and Norton source once, and returns its
+# rates as a plain list, and ``array`` builds the one derivative array
+# from all of them (``DynamicSystem._evaluate``).  On one sample no numpy
+# scalar arises: the sources stay Python complex numbers through the
+# closed form, and numpy sees them only in ``matvec``, the BLAS gemv of
+# the bus voltages (a stacked ``matmul`` on a stack, so each row takes its
+# sample's gemv).  ``guard`` raises ``error(message)`` if ``cond`` holds
+# (on a stack: for any sample).
 # Each array form has the bits of its scalar form: ``np.hypot`` those of
 # ``abs`` of a complex (``np.abs`` rounds differently), ``cmul`` writes the
 # product out as the scalar one does, (ac - bd) + (ad + bc)j (numpy's
@@ -56,16 +62,23 @@ def _complex_array(re, im):
 # ``np.power`` round differently from ``cmath.phase`` and ``**``; squares
 # are products in both forms, and a complex quotient is written out,
 # because numpy's complex ``/`` rounds unlike Python's.
+def _raise_if(cond, error, message):
+    if cond:
+        raise error(message)
+
+
 SCALAR = SimpleNamespace(
-    states=np.ndarray.tolist, array=lambda f: np.fromiter(f, float, len(f)),
+    states=np.ndarray.tolist, take=lambda v, rows: v.take(rows).tolist(),
+    array=lambda f: np.fromiter(f, float, len(f)),
     complex=complex, cos=math.cos, sin=math.sin, modulus=abs,
     phase=cmath.phase, pow=pow, max=lambda a, b: b if b > a else a,
     min=lambda a, b: b if b < a else a,
     where=lambda cond, a, b: a if cond else b,
     dot=lambda a, b: sum(map(operator.mul, a, b)), cmul=operator.mul,
-    sqrt=math.sqrt, any=bool, matvec=lambda z, i: z @ np.array(i))
+    sqrt=math.sqrt, guard=_raise_if, matvec=lambda z, i: z @ np.array(i))
 STACK = SimpleNamespace(
-    states=np.transpose, array=lambda cols: np.stack(cols, axis=-1),
+    states=np.transpose, take=lambda v, rows: v.take(rows, axis=-1).T,
+    array=lambda cols: np.stack(cols, axis=-1),
     complex=_complex_array,
     cos=np.cos, sin=np.sin, modulus=lambda z: np.hypot(z.real, z.imag),
     phase=lambda z: np.array([cmath.phase(s) for s in z.tolist()]),
@@ -75,9 +88,40 @@ STACK = SimpleNamespace(
     dot=lambda a, b: np.einsum("mj,j->m", np.stack(a, axis=-1), b),
     cmul=lambda a, b: _complex_array(a.real * b.real - a.imag * b.imag,
                                      a.real * b.imag + a.imag * b.real),
-    sqrt=np.sqrt, any=np.any,
+    sqrt=np.sqrt,
+    guard=lambda cond, error, message: _raise_if(np.any(cond), error,
+                                                 message),
     matvec=lambda z, i: (z @ np.stack(i, axis=-1)[..., None])[..., 0])
-OPS = (None, SCALAR, STACK)
+# Each template is the SCALAR form, spelled with the names of TRACE_NAMES
+# (a method as its function); an operation that can raise (a division, a
+# domain or overflow error, the guard) is marked so, and keeps its place.
+TRACE = SimpleNamespace(
+    states=lambda x: x.tape.unpack("tolist({0})", (x,), x.size),
+    take=lambda v, rows: v.tape.unpack("tolist(take({0}, {1}))", (v, rows),
+                                       len(rows)),
+    array=lambda f: _trace_array(f, len(f)),
+    complex=traced("complex({0}, {1})", complex),
+    cos=traced("cos({0})", math.cos, RAISES),
+    sin=traced("sin({0})", math.sin, RAISES),
+    modulus=traced("abs({0})", abs, RAISES),
+    phase=traced("phase({0})", cmath.phase, RAISES),
+    pow=traced("pow({0}, {1})", pow, RAISES),
+    max=traced("{1} if {1} > {0} else {0}", SCALAR.max),
+    min=traced("{1} if {1} < {0} else {0}", SCALAR.min),
+    where=traced("{1} if {0} else {2}", SCALAR.where),
+    dot=traced("sum(map(mul, {0}, {1}))", SCALAR.dot),
+    cmul=traced("{0} * {1}", operator.mul),
+    sqrt=traced("sqrt({0})", math.sqrt, RAISES),
+    guard=traced("if {0}: raise {1}({2})", _raise_if, GUARD),
+    matvec=traced("{0} @ array({1})", SCALAR.matvec))
+_trace_array = traced("fromiter({0}, float, {1})",
+                      lambda f, n: np.fromiter(f, float, n))
+TRACE_NAMES = dict(
+    tolist=np.ndarray.tolist, take=np.ndarray.take, fromiter=np.fromiter,
+    float=float, complex=complex, cos=math.cos, sin=math.sin, abs=abs,
+    phase=cmath.phase, pow=pow, sum=sum, map=map, mul=operator.mul,
+    sqrt=math.sqrt, array=np.array)
+OPS = (TRACE, SCALAR, STACK)
 
 
 def require_finite(params) -> None:

@@ -30,11 +30,19 @@ and ``derivatives``) are thin wrappers over that pass; ``observe`` hands
 each device's internal quantities on to its trace outputs.  The assembled object
 implements the model protocol used by ``modal.linearize`` and the
 time-domain integrator: ``rhs``, ``equilibrium``, ``state_labels`` and
-``limits`` (the devices' limits on system state indices); the integrator
-evaluates only ``rhs``.  ``rhs`` accepts a leading sample axis, so
-``modal.jacobian`` evaluates all 2n perturbed points of a state matrix at
-once, in the same pass over arrays of samples, each row with the bits of
-``rhs`` on its sample alone.
+``limits`` (the devices' limits on system state indices).  ``rhs`` accepts
+a leading sample axis, so ``modal.jacobian`` evaluates all 2n perturbed
+points of a state matrix at once, in the same pass over arrays of samples,
+each row with the bits of ``rhs`` on its sample alone.
+
+The integrator evaluates ``generate_rhs()``, built once per run: the same
+pass run once on traced values (``devices.TRACE``) and written out by
+``tracing.Tape`` as one straight-line function of one sample, with no loop
+over the devices and the bits and errors of ``rhs``.  Its parameters,
+setpoints and literals are default arguments, so the compiled code is
+shared by every system of one structure.  ``rhs``, ``solve_network``,
+``observe`` and the stacked forms stay interpreted, so the modal path and
+the sweep trace and compile nothing.
 
 Event support lives here as grid variants built from the script's active
 events: a three-phase fault (bus shunt, or midpoint shunt on a split
@@ -52,10 +60,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .devices import OPS, DeviceModel
+from .devices import OPS, TRACE_NAMES, DeviceModel
 from .modal import EQUILIBRIUM_TOL, StateLabel
 from .network import Network, build_ybus, stamp_branch
 from .powerflow import PowerFlowSolution
+from .tracing import Tape
 
 
 class SystemModelError(RuntimeError):
@@ -107,6 +116,13 @@ class DynamicSystem:
                 "network solve handles a single converter bus"
             )
         self._converter = converters[0] if converters else None
+        if converters:
+            dev = self.devices[converters[0]]
+            # the text of the closed form's error: no network solution
+            self._collapse = (
+                f"no network solution: converter {dev.device_id} injects "
+                f"more current than bus {dev.bus_id} can carry (voltage "
+                "collapse)")
 
         # state bookkeeping
         self._labels: list[StateLabel] = []
@@ -179,6 +195,23 @@ class DynamicSystem:
         with the bits of a call on that sample alone."""
         return self._evaluate(x, grid)[1]
 
+    def generate_rhs(self):
+        """``rhs`` on one sample as one generated straight-line function
+        ``f(x, grid)`` (``grid`` not ``None``), with the bits of ``rhs``
+        and its errors, the first one first.  It is ``_evaluate`` run once
+        on traced values (``devices.TRACE``) and written out by
+        ``tracing.Tape``: no loop over the devices, every parameter,
+        setpoint, literal and the device rows default arguments, and the
+        grid's ``z_dev`` and ``z_conv`` read from ``grid``, so one function
+        serves every grid of this system and its code object every system
+        of its structure.  Tracing costs about a millisecond per call;
+        compiling, a few more, once per structure."""
+        tape = Tape()
+        x, grid = tape.parameter("x", self.n_states), tape.parameter("grid")
+        traced = GridModel(None, tape.record("{0}.z_dev", (grid,)),
+                           tuple(tape.unpack("{0}.z_conv", (grid,), 2)))
+        return tape.function(self._evaluate(x, traced)[1], TRACE_NAMES)
+
     # -- network solution --------------------------------------------------
 
     @property
@@ -241,12 +274,8 @@ class DynamicSystem:
             a = ops.modulus(w)
             disc = a * a - zc.imag * zc.imag
             m = zc.real + ops.sqrt(ops.max(disc, 0.0))
-            if ops.any((disc < 0.0) | (m <= 0.0)):
-                dev = self.devices[k]
-                raise SystemModelError(
-                    f"no network solution: converter {dev.device_id} injects "
-                    f"more current than bus {dev.bus_id} can carry (voltage "
-                    "collapse)")
+            ops.guard((disc < 0.0) | (m <= 0.0), SystemModelError,
+                      self._collapse)
             # c w / (m - zc) as c w conj(m - zc) / |w|^2, since
             # |m - zc| = |w|: products and one real division, which
             # round alike in both forms
@@ -258,7 +287,7 @@ class DynamicSystem:
             return v, inner
         f = []
         for dev, s, e, v_r in zip(self.devices, states, inner,
-                                  ops.states(v.take(self._rows, axis=-1))):
+                                  ops.take(v, self._rows)):
             f += dev.rates(s, e, v_r, ops)
         return v, ops.array(f)
 

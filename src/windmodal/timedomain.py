@@ -467,11 +467,12 @@ class _Limiters:
     positive value pushes against the bound.  A held state's row of every
     stage is zero, so the state keeps its bits through steps and dense
     output; no device equation reads another state's derivative, so no
-    other row changes.  Each evaluation, one ``model.rhs`` call, also
-    gives the held rows' free values, so holding costs no extra one."""
+    other row changes.  Each evaluation, one call of the run's generated
+    ``rhs`` (``DynamicSystem.generate_rhs``, built here), also gives the
+    held rows' free values, so holding costs no extra one."""
 
     def __init__(self, model: DynamicSystem):
-        self.model = model
+        self.rhs = model.generate_rhs()
         # (system state index, lo, hi) of every limited state
         self.bounds = model.limits()
         self._index = [g for g, _, _ in self.bounds]
@@ -485,9 +486,9 @@ class _Limiters:
         return free if x[g] >= hi else -free
 
     def evaluate(self, x, grid):
-        """``(f, free)``: ``model.rhs`` with the held rows zeroed, and
-        their values before, in the order of ``held``."""
-        f = self.model.rhs(x, grid)
+        """``(f, free)``: ``rhs`` with the held rows zeroed, and their
+        values before, in the order of ``held``."""
+        f = self.rhs(x, grid)
         free = ()
         if self.held:
             held = list(self.held)
@@ -571,11 +572,15 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     ``x + s dx + s(1-s) r3 + s^2(1-s) r4 + s^2(1-s)^2 r5`` for the fraction
     ``s`` of the step: each step's samples are one product of their five
     coefficients with the step's five rows, within a few units in the last
-    place of the Horner form.  Each stage solves the network once; the
-    samples' voltages, device outputs and ``max_balance_residual`` are
-    computed once per segment, over its stacked samples, by one broadcast
-    network solve (``DynamicSystem.observe``) that computes each machine's
-    E'' once for both voltages and outputs.
+    place of the Horner form.  Each stage is one call of the run's
+    generated ``rhs`` (``DynamicSystem.generate_rhs``, built when the run
+    starts: about a millisecond of tracing, and a few more of compiling
+    on the first run of a model structure), which has the bits of
+    ``model.rhs`` and solves the network once; the samples' voltages,
+    device outputs and ``max_balance_residual`` are computed once per
+    segment, over its stacked samples, by one broadcast network solve
+    (``DynamicSystem.observe``) that computes each machine's E'' once for
+    both voltages and outputs.
 
     Steps are at most ``H_MAX`` (40 ms): h|lambda| <= 2.6 for the largest
     |lambda| of the packaged studies (65.6/s), inside the method's real

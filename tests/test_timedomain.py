@@ -203,6 +203,13 @@ def test_refining_rtol_tenfold_barely_moves_a_load_step_run(system_a):
     assert 0.0 < worst <= 10.0 * RTOL
 
 
+def _hook_generated_rhs(monkeypatch, model, wrap):
+    """Have ``simulate`` evaluate ``model`` through ``wrap(rhs)``, ``rhs``
+    the run's generated function (``DynamicSystem.generate_rhs``)."""
+    generate = model.generate_rhs
+    monkeypatch.setattr(model, "generate_rhs", lambda: wrap(generate()))
+
+
 def _lifted_model(study):
     """A packaged study with the exciter limits out of reach, as in the
     benchmark's fault workloads."""
@@ -270,8 +277,7 @@ def test_the_quiet_stretch_before_the_first_event_is_held_at_x0(
     event = Event("three_phase_fault", t_first, branch="L8-9b",
                   duration=cycles(8.967147957042918))
     grids = []
-    rhs = model.rhs
-    monkeypatch.setattr(model, "rhs", lambda x, grid=None:
+    _hook_generated_rhs(monkeypatch, model, lambda rhs: lambda x, grid:
                         grids.append(grid) or rhs(x, grid))
 
     def evaluations_before_the_event():
@@ -681,16 +687,20 @@ def test_stall_below_dt_min_reports_partial_progress(system_a, monkeypatch):
 def test_network_failure_mid_run_keeps_the_partial_trace(monkeypatch,
                                                          fail_after, t_fail):
     model = build_system("A")
-    evaluate = model._evaluate     # every network solve, in rhs or not
+    # every network solve: a model evaluation, one call of the run's
+    # generated rhs, or the recorder's solve of a segment's samples
     calls = []
 
-    def failing(x, grid, rates=True):
-        calls.append(1)
-        if len(calls) > fail_after:
-            raise SystemModelError("injected network failure")
-        return evaluate(x, grid, rates)
+    def failing(solve):
+        def solve_or_fail(x, grid):
+            calls.append(1)
+            if len(calls) > fail_after:
+                raise SystemModelError("injected network failure")
+            return solve(x, grid)
+        return solve_or_fail
 
-    monkeypatch.setattr(model, "_evaluate", failing)
+    _hook_generated_rhs(monkeypatch, model, failing)
+    monkeypatch.setattr(model, "observe", failing(model.observe))
     with pytest.raises(SimulationError,
                        match=f"network solution failed at t={t_fail:.6f}s"
                              ".*injected") as err:
@@ -793,16 +803,20 @@ def test_a_derivative_that_turns_nan_stalls_the_run(monkeypatch):
     # every retry, never accepts it: the run ends in a stall with the
     # finite part of its history
     model = build_system("A")
-    g2 = model.devices[1]
-    finite = g2.rates
+    g2 = [k for k, lab in enumerate(model.state_labels())
+          if lab.device_id == "G2"]
     calls = []
 
-    def turns_nan(*args):
-        calls.append(1)
-        dx = finite(*args)
-        return [r * math.nan for r in dx] if len(calls) > 100 else dx
+    def turns_nan(finite):
+        def rhs(x, grid):
+            calls.append(1)
+            dx = finite(x, grid)
+            if len(calls) > 100:
+                dx[g2] *= math.nan          # G2's rates turn NaN
+            return dx
+        return rhs
 
-    monkeypatch.setattr(g2, "rates", turns_nan)
+    _hook_generated_rhs(monkeypatch, model, turns_nan)
     with pytest.raises(SimulationError, match="integration stalled") as err:
         simulate(model, events=[Event("load_step", 0.01, bus=7, scale=1.1)],
                  t_end=0.5)
@@ -919,12 +933,17 @@ def test_a_held_limiter_costs_no_extra_evaluation(monkeypatch):
     # the free derivatives a release test reads come from the step's last
     # stage, so every device runs exactly once per model evaluation even
     # while a limiter is held (re-running the devices at each step's end
-    # made 41 more calls here)
+    # made 41 more calls here, so the evaluations are pinned: 463, as when
+    # each device's rates ran once per evaluation).  Each device's rates
+    # run once, traced into the run's generated rhs, which runs each of
+    # them once per call; no device runs on one sample outside it
     model = _packaged_model("A")
     evaluations, calls = [], {dev.device_id: [] for dev in model.devices}
-    rhs = model.rhs
-    monkeypatch.setattr(model, "rhs", lambda x, grid=None:
+    _hook_generated_rhs(monkeypatch, model, lambda rhs: lambda x, grid:
                         evaluations.append(1) or rhs(x, grid))
+    ndims, evaluate = [], model._evaluate
+    monkeypatch.setattr(model, "_evaluate", lambda x, grid, rates=True:
+                        ndims.append(x.ndim) or evaluate(x, grid, rates))
     for dev in model.devices:
         monkeypatch.setattr(dev, "rates",
                             lambda *args, f=dev.rates,
@@ -934,9 +953,26 @@ def test_a_held_limiter_costs_no_extra_evaluation(monkeypatch):
     tr = simulate(model, events=[ev], t_end=2.0)
     efd = tr.column("G1.efd")
     assert efd.max() == 6.0 and efd.min() == 0.0     # held on both bounds
-    assert len(evaluations) > 0
-    assert {k: len(n) for k, n in calls.items()} == dict.fromkeys(
-        calls, len(evaluations))
+    assert len(evaluations) == 463
+    assert 1 not in ndims
+    assert {k: len(n) for k, n in calls.items()} == dict.fromkeys(calls, 1)
+
+
+def test_a_lifted_fault_run_makes_a_fixed_number_of_evaluations(
+        monkeypatch):
+    # the benchmark's fault_sim setting at a fixed fault: B_voltage_support
+    # with the exciter limits out of reach, an 8-cycle L8-9a fault at 1 s,
+    # 4 s.  965 evaluations, as when the integrator called the interpreted
+    # rhs: the generated one changes no step
+    model = _lifted_model("B_voltage_support")
+    evaluations = []
+    _hook_generated_rhs(monkeypatch, model, lambda rhs: lambda x, grid:
+                        evaluations.append(1) or rhs(x, grid))
+    tr = simulate(model, events=[Event("three_phase_fault", 1.0,
+                                       branch="L8-9a", duration=cycles(8))],
+                  t_end=4.0)
+    assert tr.time.size == 4002
+    assert len(evaluations) == 965
 
 
 # -- trace bookkeeping -------------------------------------------------------------------
