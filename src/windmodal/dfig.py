@@ -64,53 +64,41 @@ class DroopParams:
             raise DeviceError("rocof_filter_time must be positive and finite")
 
 
-@dataclass(frozen=True)
-class MpptCurve:
-    """Cubic tracking curve: zero below cut-in, k*w^3 up to rated, then flat.
+# The cubic tracking curve P_opt(w): zero at and below cut-in, K_OPT*w^3 up
+# to rated speed, then flat at P_RATED.  With K_OPT = 1 and rated speed 1.0
+# the top is exactly 1.0 pu, so the flat segment doubles as the pitch
+# limiter.  Speeds are clamped to [0, SPEED_MAX], the top of the protection
+# band.
+K_OPT = 1.0
+SPEED_CUTIN = 0.5
+SPEED_RATED = 1.0
+SPEED_MAX = ROTOR_SPEED_BOUNDS[1]
+P_RATED = K_OPT * SPEED_RATED ** 3
 
-    With the defaults (k=1, rated speed 1.0) the curve tops out at exactly
-    1.0 pu, so the flat segment doubles as the pitch limiter.  That top,
-    ``p_rated``, is computed once, when the curve is made; it is not a
-    field.
-    """
 
-    k_opt: float = 1.0
-    speed_cutin: float = 0.5
-    speed_rated: float = 1.0
-    speed_max: float = 1.3
+def p_opt(speed, m=SCALAR):
+    """Tracking power at ``speed``, clamped to the domain [0, SPEED_MAX]
+    without a log record: every speed outside it is also outside the
+    protection band, which a simulation reports once.  ``speed`` may be an
+    array of samples, with ``m=devices.STACK``."""
+    speed = m.min(m.max(speed, 0.0), SPEED_MAX)
+    p = m.min(K_OPT * m.pow(speed, 3), P_RATED)
+    return m.where(speed <= SPEED_CUTIN, 0.0, p)
 
-    def __post_init__(self):
-        if not 0.0 < self.speed_cutin < self.speed_rated:
-            raise DeviceError("need 0 < speed_cutin < speed_rated")
-        if not 0.0 < self.k_opt < math.inf:
-            raise DeviceError("k_opt must be positive and finite")
-        require_finite(self)
-        # read by every ``p_opt``; frozen, so set past ``__setattr__``
-        object.__setattr__(self, "p_rated",
-                           self.k_opt * self.speed_rated ** 3)
 
-    def p_opt(self, speed, m=SCALAR):
-        """Tracking power at ``speed``, clamped to the domain
-        [0, speed_max] without a log record: every speed outside it is also
-        outside the protection band, which a simulation reports once.
-        ``speed`` may be an array of samples, with ``m=devices.STACK``."""
-        speed = m.min(m.max(speed, 0.0), self.speed_max)
-        p = m.min(self.k_opt * m.pow(speed, 3), self.p_rated)
-        return m.where(speed <= self.speed_cutin, 0.0, p)
-
-    def speed_at(self, power: float) -> float:
-        """Inverse of the cubic segment; errors outside the tracking range."""
-        if not 0.0 < power <= self.p_rated:
-            raise DeviceError(
-                f"power {power:.4f} pu is outside the tracking range "
-                f"(0, {self.p_rated:.4f}]"
-            )
-        speed = (power / self.k_opt) ** (1.0 / 3.0)
-        if speed <= self.speed_cutin:
-            raise DeviceError(
-                f"power {power:.4f} pu would require operating below cut-in"
-            )
-        return speed
+def speed_at(power: float) -> float:
+    """Inverse of the cubic segment; errors outside the tracking range."""
+    if not 0.0 < power <= P_RATED:
+        raise DeviceError(
+            f"power {power:.4f} pu is outside the tracking range "
+            f"(0, {P_RATED:.4f}]"
+        )
+    speed = (power / K_OPT) ** (1.0 / 3.0)
+    if speed <= SPEED_CUTIN:
+        raise DeviceError(
+            f"power {power:.4f} pu would require operating below cut-in"
+        )
+    return speed
 
 
 def frequency_support_reference(p_opt: float, delta_f: float, rocof: float,
@@ -170,7 +158,6 @@ class DfigParams:
 
     control_mode: str = "voltage"  # one of CONTROL_MODES
     droop: DroopParams = field(default_factory=DroopParams)
-    mppt: MpptCurve = field(default_factory=MpptCurve)
 
     def __post_init__(self):
         check_control_mode(self.control_mode)
@@ -223,7 +210,7 @@ class Dfig(DeviceModel):
             )
         s_dev = s_gen_system * system_base_mva / p.base_mva
         p0, q0 = s_dev.real, s_dev.imag
-        speed0 = p.mppt.speed_at(p0)  # errors if dispatch is off the curve
+        speed0 = speed_at(p0)  # errors if dispatch is off the curve
         i_p0 = p0 / vm
         i_q0 = q0 / vm
         if i_p0 > p.i_pmax or abs(i_q0) > p.i_qmax:
@@ -238,8 +225,8 @@ class Dfig(DeviceModel):
         # rates round alike; the reactive gains are those of its mode
         voltage = p.control_mode == "voltage"
         self._coef = (
-            p.freq_filter_time * omega_s, p.droop.rocof_filter_time, p.mppt,
-            p.droop, p.p_ctrl_omega ** 2, 2.0 * p.p_ctrl_zeta * p.p_ctrl_omega,
+            p.freq_filter_time * omega_s, p.droop.rocof_filter_time, p.droop,
+            p.p_ctrl_omega ** 2, 2.0 * p.p_ctrl_zeta * p.p_ctrl_omega,
             p.v_floor, p.i_pmax, p.t_current, p.v_filter_time,
             2.0 * p.h_turbine, voltage, p.kv_i if voltage else p.kq_i,
             p.kv_p if voltage else p.kq_p, p.i_qmax, p.droop_omega ** 2,
@@ -265,7 +252,7 @@ class Dfig(DeviceModel):
     def rates(self, states, internal, v, m):
         (speed, p_cmd, p_rate, droop_p, droop_rate, i_p, v_filt, q_ctrl, i_q,
          angle_filt, rocof_filt, p_track) = states
-        (tf_omega_s, t_rocof, mppt, droop, p_omega2, p_damp, v_floor, i_pmax,
+        (tf_omega_s, t_rocof, droop, p_omega2, p_damp, v_floor, i_pmax,
          t_current, t_v, two_h, voltage, k_i, k_p, i_qmax, droop_omega2,
          droop_damp, t_f, t_mppt) = self._coef
         vm = m.modulus(v)
@@ -274,7 +261,7 @@ class Dfig(DeviceModel):
         delta_f = dth / tf_omega_s
         rocof = (delta_f - rocof_filt) / t_rocof
 
-        p_opt = mppt.p_opt(speed, m)
+        p_curve = p_opt(speed, m)
         droop_target = frequency_support_reference(0.0, delta_f, rocof, droop)
         p_ref = p_track + droop_p
 
@@ -307,7 +294,7 @@ class Dfig(DeviceModel):
             d_i_q,
             dth / t_f,
             rocof,
-            (p_opt - p_track) / t_mppt,
+            (p_curve - p_track) / t_mppt,
         ]
 
     def outputs(self, x, v, internal=None):

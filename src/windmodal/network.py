@@ -1,8 +1,9 @@
 """Bus/branch network model and admittance-matrix assembly.
 
 Everything is per unit on the system MVA base.  Branches use the standard
-pi model with an off-nominal tap on the from side; loads live on the buses
-as constant P/Q.  The admittance matrix holds the branches alone: dynamic
+pi model at nominal ratio, and every branch is in service: one leaves the
+grid only through a ``line_trip`` event.  Loads live on the buses as
+constant P/Q.  The admittance matrix holds the branches alone: dynamic
 studies fold the loads in as constant impedances at the power-flow voltages
 (``system.DynamicSystem``).
 """
@@ -25,11 +26,10 @@ class Bus:
     id: int
     kind: str = "pq"
     voltage_mag: float = 1.0   # setpoint for slack/pv, initial guess for pq
-    voltage_angle: float = 0.0  # rad; only the slack angle is held
     p_load: float = 0.0        # pu on system base; negative q_load = shunt cap
     q_load: float = 0.0
-    p_gen: float = 0.0         # scheduled generation (pv/pq); slack is solved
-    q_gen: float = 0.0         # scheduled only where no voltage regulation
+    p_gen: float = 0.0         # scheduled P (pv/pq); the slack's is solved,
+                               # and so is Q wherever a voltage is held
 
     def __post_init__(self):
         if self.kind not in BUS_KINDS:
@@ -45,8 +45,6 @@ class Branch:
     x: float
     r: float = 0.0
     b_shunt: float = 0.0  # total line charging
-    tap: float = 1.0      # from-side off-nominal ratio
-    in_service: bool = True
     name: str = ""
 
     def __post_init__(self):
@@ -54,8 +52,6 @@ class Branch:
             raise NetworkError(f"branch {self.label}: from and to bus coincide")
         if self.r == 0.0 and self.x == 0.0:
             raise NetworkError(f"branch {self.label}: zero series impedance")
-        if self.tap <= 0.0:
-            raise NetworkError(f"branch {self.label}: tap must be positive")
 
     @property
     def label(self) -> str:
@@ -119,9 +115,8 @@ class Network:
             raise NetworkError("network has no buses")
         adj: dict[int, set[int]] = {b.id: set() for b in self.buses}
         for br in self.branches:
-            if br.in_service:
-                adj[br.from_bus].add(br.to_bus)
-                adj[br.to_bus].add(br.from_bus)
+            adj[br.from_bus].add(br.to_bus)
+            adj[br.to_bus].add(br.from_bus)
         seen = {self.buses[0].id}
         stack = [self.buses[0].id]
         while stack:
@@ -136,11 +131,11 @@ class Network:
             )
 
 
-def build_ybus(network: Network) -> tuple[np.ndarray, dict[int, int]]:
-    """Bus admittance matrix of the in-service branches and the bus-id to
-    row index map.
+def build_ybus(network: Network) -> np.ndarray:
+    """Bus admittance matrix of the branches, rows in bus order
+    (``Network.index``).
 
-    Off-diagonals carry -y_series/tap; diagonals accumulate series terms and
+    Off-diagonals carry -y_series; diagonals accumulate series terms and
     half line charging.  Loads are not in it: the power flow holds them as
     constant P/Q, and ``DynamicSystem`` adds them as constant impedances.
     """
@@ -148,19 +143,18 @@ def build_ybus(network: Network) -> tuple[np.ndarray, dict[int, int]]:
     n = network.n_bus
     y = np.zeros((n, n), dtype=complex)
     for br in network.branches:
-        if br.in_service:
-            stamp_branch(y, idx[br.from_bus], idx[br.to_bus], br.y_series,
-                         br.b_shunt, br.tap)
-    return y, idx
+        stamp_branch(y, idx[br.from_bus], idx[br.to_bus], br.y_series,
+                     br.b_shunt)
+    return y
 
 
 def stamp_branch(y: np.ndarray, f: int, t: int, y_series: complex,
-                 b_shunt: float, tap: float = 1.0, sign: float = 1.0) -> None:
+                 b_shunt: float, sign: float = 1.0) -> None:
     """Add (``sign=1``) or remove (``sign=-1``) one pi branch between rows
-    ``f`` and ``t`` of ``y``: series admittance ``y_series``, total line
-    charging ``b_shunt`` and an off-nominal ``tap`` on the from side."""
+    ``f`` and ``t`` of ``y``: series admittance ``y_series`` and total line
+    charging ``b_shunt``."""
     sh = 1j * b_shunt / 2.0
-    y[f, f] += sign * (y_series + sh) / tap ** 2
+    y[f, f] += sign * (y_series + sh)
     y[t, t] += sign * (y_series + sh)
-    y[f, t] -= sign * y_series / tap
-    y[t, f] -= sign * y_series / tap
+    y[f, t] -= sign * y_series
+    y[t, f] -= sign * y_series

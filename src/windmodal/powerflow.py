@@ -70,7 +70,9 @@ def _jacobian(v, ybus, pvpq, pq):
 def solve_power_flow(network: Network, tol: float = 1e-12,
                      max_iter: int = 50) -> PowerFlowSolution:
     """Solve the network's steady state from a flat start, the regulated
-    buses at their setpoints.
+    buses at their setpoints and the slack at angle 0.  A bus schedules P
+    ``p_gen - p_load`` and Q ``-q_load``; the slack's P and the Q of the
+    regulated buses are solved.
 
     Raises :class:`PowerFlowError` with the final mismatch if Newton does
     not reach ``tol`` within ``max_iter`` iterations, or if the Jacobian
@@ -78,26 +80,23 @@ def solve_power_flow(network: Network, tol: float = 1e-12,
     """
     if tol <= 0.0:
         raise PowerFlowError("tolerance must be positive")
-    ybus, _ = build_ybus(network)
+    ybus = build_ybus(network)
     n = network.n_bus
     kinds = np.array([b.kind for b in network.buses])
-    slack = int(np.flatnonzero(kinds == "slack")[0])
     pv = np.flatnonzero(kinds == "pv")
     pq = np.flatnonzero(kinds == "pq")
     pvpq = np.concatenate([pv, pq]).astype(int)
 
     p_load = np.array([b.p_load for b in network.buses])
     q_load = np.array([b.q_load for b in network.buses])
-    s_sched = np.array([complex(b.p_gen - b.p_load, b.q_gen - b.q_load)
+    s_sched = np.array([complex(b.p_gen - b.p_load, -b.q_load)
                         for b in network.buses])
 
     vm = np.ones(n)
     for i, b in enumerate(network.buses):
         if b.kind in ("slack", "pv"):
             vm[i] = b.voltage_mag
-    va = np.zeros(n)
-    va[slack] = network.buses[slack].voltage_angle
-    v = vm * np.exp(1j * va)
+    v = vm.astype(complex)
 
     iterations = 0
     mis = _mismatch(v, ybus, s_sched)

@@ -150,7 +150,7 @@ class DynamicSystem:
             if b.p_load != 0.0 or b.q_load != 0.0:
                 self._load_admittance[self._idx[b.id]] = \
                     complex(b.p_load, -b.q_load) / abs(pf.voltage(b.id)) ** 2
-        y, _ = build_ybus(network)
+        y = build_ybus(network)
         y[np.diag_indices_from(y)] += self._load_admittance
         for dev, row in zip(self.devices, self._rows):
             y[row, row] += dev.norton_admittance(base)
@@ -202,14 +202,17 @@ class DynamicSystem:
         on traced values (``devices.TRACE``) and written out by
         ``tracing.Tape``: no loop over the devices, every parameter,
         setpoint, literal and the device rows default arguments, and the
-        grid's ``z_dev`` and ``z_conv`` read from ``grid``, so one function
-        serves every grid of this system and its code object every system
-        of its structure.  Tracing costs about a millisecond per call;
-        compiling, a few more, once per structure."""
+        grid's ``z_dev`` (and with a converter ``z_conv``) read from
+        ``grid``, so one function serves every grid of this system and its
+        code object every system of its structure.  Tracing costs about a
+        millisecond per call; compiling, a few more, once per structure."""
         tape = Tape()
         x, grid = tape.parameter("x", self.n_states), tape.parameter("grid")
-        traced = GridModel(None, tape.record("{0}.z_dev", (grid,)),
-                           tuple(tape.unpack("{0}.z_conv", (grid,), 2)))
+        z_dev = tape.record("{0}.z_dev", (grid,))
+        # a system with no converter has no z_conv, and reads none
+        z_conv = (None if self._converter is None
+                  else tuple(tape.unpack("{0}.z_conv", (grid,), 2)))
+        traced = GridModel(None, z_dev, z_conv)
         return tape.function(self._evaluate(x, traced)[1], TRACE_NAMES)
 
     # -- network solution --------------------------------------------------
@@ -323,20 +326,11 @@ class DynamicSystem:
 
         for name in out_branches:
             br = self.network.branch(name)
-            if not br.in_service:
-                raise SystemModelError(f"branch {name!r} is already out")
             stamp_branch(y, self._idx[br.from_bus], self._idx[br.to_bus],
-                         br.y_series, br.b_shunt, br.tap, sign=-1.0)
+                         br.y_series, br.b_shunt, sign=-1.0)
 
         for k, f in enumerate(midpoint):
             br = self.network.branch(f.branch)
-            if not br.in_service:
-                raise SystemModelError(f"branch {f.branch!r} is already out")
-            if br.tap != 1.0:
-                raise SystemModelError(
-                    f"midpoint fault on off-nominal-tap branch {f.branch!r} "
-                    "is not supported"
-                )
             if f.branch in out_branches:
                 raise SystemModelError(
                     f"branch {f.branch!r} cannot be both faulted and out"

@@ -116,16 +116,16 @@ def _occurrences(template):
     return tuple(template.count("{%d}" % i) for i in range(4))
 
 
-def _count(uses, template, operands, sign):
-    """Add ``sign`` to the uses of the traced values among ``operands``,
-    once for each time their place appears in ``template``."""
+def _count(uses, template, operands):
+    """Count a use of each traced value among ``operands`` for each time
+    its place appears in ``template``."""
     for a, n in zip(operands, _occurrences(template)):
         if type(a) is tuple:
             for item in a:
                 if isinstance(item, Traced):
-                    uses[item.node] += sign * n
+                    uses[item.node] += n
         elif isinstance(a, Traced):
-            uses[a.node] += sign * n
+            uses[a.node] += n
 
 
 class Tape:
@@ -156,7 +156,7 @@ class Tape:
 
     def record(self, template, operands, kind=PURE):
         """A traced operation on ``operands``, a tuple."""
-        _count(self.uses, template, operands, 1)
+        _count(self.uses, template, operands)
         return self._add(kind, template, operands)
 
     def unpack(self, template, operands, n):
@@ -178,19 +178,12 @@ class Tape:
 
     def source(self, output):
         """``(source, constants)``: the function's text, and the values of
-        its default arguments, in order."""
+        its default arguments, in order.  A value that nothing uses and
+        that cannot raise is not written, but the values it reads keep
+        that use: the traced code should compute nothing it drops."""
         nodes = self.nodes
         uses = self.uses.copy()
         uses[output.node] += 1
-        # a value nothing uses is left out, unless it can raise; operands
-        # come before their users, so one sweep back finds them all
-        for k in range(len(nodes) - 1, -1, -1):
-            kind, template, operands = nodes[k]
-            if uses[k] == 0 and kind in (PURE, UNPACK, ITEM):
-                if kind == ITEM:
-                    uses[operands[0].node] -= 1
-                else:
-                    _count(uses, template, operands, -1)
 
         names: dict[int, str] = {}
         params, constants, body = [], [], []
@@ -233,8 +226,9 @@ class Tape:
                         *(f"    {line}\n" for line in body)]), constants
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _code(source: str) -> CodeType:
-    """The code object of the one function that ``source`` defines."""
+    """The code object of the one function that ``source`` defines, kept
+    for every source: one per model structure, and a run builds few."""
     module = compile(source, "<generated>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))

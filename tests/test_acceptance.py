@@ -217,7 +217,7 @@ def test_criterion_9_property_suite(reports, system_a, system_b_support):
     def reinsertion(case):
         net = two_area_network(case)
         pf = solve_power_flow(net, tol=1e-12)
-        y, _ = build_ybus(net)
+        y = build_ybus(net)
         s = pf.v * np.conj(y @ pf.v)
         sched = (pf.p_gen - pf.p_load) + 1j * (pf.q_gen - pf.q_load)
         return float(np.max(np.abs(s - sched)))

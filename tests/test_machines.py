@@ -18,8 +18,9 @@ from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
                                 packaged_scenario_names)
 from windmodal.system import assemble
+from windmodal import dfig
 from windmodal.dfig import (Q_CTRL, Dfig, DfigParams, DroopParams,
-                            MpptCurve, frequency_support_reference)
+                            frequency_support_reference, p_opt, speed_at)
 from windmodal.syncgen import EFD, SyncGen, SyncGenParams
 from windmodal.timedomain import simulate
 
@@ -131,35 +132,33 @@ def test_governor_holds_dispatch_when_disabled():
 
 
 def test_mppt_curve_shape():
-    c = MpptCurve()
-    assert c.p_opt(0.3) == 0.0           # below cut-in
-    assert abs(c.p_opt(0.8) - 0.8 ** 3) < 1e-15
-    assert c.p_opt(1.2) == c.p_rated     # flat above rated
-    assert c.speed_at(0.512) == pytest.approx(0.8, abs=1e-12)
-    # the top is computed once per curve, not a field that a scenario
-    # could set or that its hash would see
-    c = dataclasses.replace(c, k_opt=1.1, speed_rated=0.9)
-    assert c.p_rated == 1.1 * 0.9 ** 3
-    assert "p_rated" not in dataclasses.asdict(c)
+    assert p_opt(0.3) == 0.0             # below cut-in
+    assert abs(p_opt(0.8) - 0.8 ** 3) < 1e-15
+    assert p_opt(1.2) == dfig.P_RATED == 1.0   # flat above rated
+    assert speed_at(0.512) == pytest.approx(0.8, abs=1e-12)
+    # the curve's domain ends where the protection band does
+    assert dfig.SPEED_MAX is dfig.ROTOR_SPEED_BOUNDS[1]
+    # the curve is the model's, not a parameter a scenario could set
+    assert "mppt" not in {f.name for f in dataclasses.fields(DfigParams)}
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        DfigParams(mppt=None)
 
 
 def test_mppt_curve_clamps_out_of_domain_speed(caplog):
     # no log record: such a speed is outside the protection band too, and
     # Dfig reports that once per device
-    c = MpptCurve()
     with caplog.at_level("DEBUG"):
-        assert c.p_opt(2.0) == c.p_rated
-        assert c.p_opt(2.0) == c.p_rated
-        assert c.p_opt(-0.5) == 0.0
+        assert p_opt(2.0) == dfig.P_RATED
+        assert p_opt(2.0) == dfig.P_RATED
+        assert p_opt(-0.5) == 0.0
     assert not caplog.records
 
 
 def test_mppt_inverse_rejects_untrackable_power():
-    c = MpptCurve()
     with pytest.raises(DeviceError, match="outside the tracking range"):
-        c.speed_at(1.5)
+        speed_at(1.5)
     with pytest.raises(DeviceError, match="below cut-in"):
-        c.speed_at(0.01)
+        speed_at(0.01)
 
 
 # -- droop law ---------------------------------------------------------------
@@ -332,15 +331,12 @@ def test_dfig_params_validation():
         with pytest.raises(DeviceError, match="h_turbine must be positive "
                            "and finite"):
             DfigParams(h_turbine=bad)
-        with pytest.raises(DeviceError, match="k_opt must be positive and "
-                           "finite"):
-            MpptCurve(k_opt=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("cls, name", [
     pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
-    for cls in (SyncGenParams, DfigParams, MpptCurve)
+    for cls in (SyncGenParams, DfigParams)
     for f in dataclasses.fields(cls) if isinstance(f.default, float)])
 def test_every_float_parameter_must_be_finite(cls, name, bad):
     # a NaN limit would fail every comparison and so switch the limit off
@@ -436,10 +432,9 @@ def test_dfig_stack_has_the_bits_of_one_sample_at_a_time(mode, droop):
     # every branch: speed below 0.05, below cut-in, on the curve, above
     # rated and above speed_max; the current command at 0 and at i_pmax;
     # the voltage filter below its floor; the reactive command clamped
-    curve = p.mppt
-    for band in ((-1.0, 0.05), (0.05, curve.speed_cutin),
-                 (curve.speed_cutin, curve.speed_rated),
-                 (curve.speed_rated, curve.speed_max), (curve.speed_max, 9)):
+    for band in ((-1.0, 0.05), (0.05, dfig.SPEED_CUTIN),
+                 (dfig.SPEED_CUTIN, dfig.SPEED_RATED),
+                 (dfig.SPEED_RATED, dfig.SPEED_MAX), (dfig.SPEED_MAX, 9)):
         assert ((speed > band[0]) & (speed < band[1])).any(), band
     i_cmd = p_cmd / np.maximum(v_filt, p.v_floor)
     assert (i_cmd < 0.0).any() and (i_cmd > p.i_pmax).any()

