@@ -9,11 +9,12 @@ matrix in the toolkit comes from one routine, ``jacobian``: it stacks the
 2n central-difference points and evaluates the model once on the stack, so
 a model's ``rhs`` accepts a leading sample axis.
 
-Rows come from one eigensolve per matrix (``mode_spectrum``) and one array
-rule that classifies the eigenvalues of any number of matrices and picks
-each one's dominant modes with a stable sort.  ``analyze_modes`` is the
-one-matrix case; a gain sweep makes one pass over all its cells
-(``dominant_rows``) and builds rows only for the dominant modes.
+Rows come from one eigensolve and one real inverse per matrix
+(``mode_spectrum``) and one array rule that classifies the eigenvalues of
+any number of matrices and picks each one's dominant modes with a stable
+sort.  ``analyze_modes`` is the one-matrix case; a gain sweep makes one
+pass over all its cells (``dominant_rows``) and builds rows only for the
+dominant modes.
 """
 
 from __future__ import annotations
@@ -84,10 +85,12 @@ class StateMatrix:
 class ModalDecomposition:
     """Eigenvalues with biorthogonal right/left eigenvector sets.
 
-    Right eigenvectors (columns of ``right``) have unit 2-norm.  Left
-    eigenvectors (columns of ``left``) are scaled so that
+    Right eigenvectors (columns of ``right``) have unit 2-norm, and the
+    two columns of a complex pair are exact conjugates.  Left eigenvectors
+    (columns of ``left``) are scaled so that
     ``left[:, i].conj() @ right[:, i] == 1``; for distinct modes the product
-    is zero, which is what makes participation factors sum to one.
+    is zero, which is what makes participation factors sum to one.  Both
+    sets come from one real basis and its inverse (``_eigenpairs``).
     """
 
     eigenvalues: np.ndarray
@@ -179,17 +182,26 @@ def linearize(model, equilibrium: np.ndarray | None = None,
 def decompose(state_matrix: StateMatrix) -> ModalDecomposition:
     """Eigendecomposition with normalized right/left eigenvector pairs.
 
-    The left set is the inverse of the right one, so the inverse must be
-    accurate: a matrix whose eigenvector matrix ``R`` cannot be inverted,
-    or whose Frobenius condition number ``||R||_F ||R^-1||_F`` is not
-    finite or exceeds 1e10, is rejected as defective.  The columns of ``R``
-    have unit norm, so that number is ``sqrt(n) ||R^-1||_F`` and comes from
-    the inverse already in hand.  It is never below the 2-norm condition
-    number (``||M||_2 <= ||M||_F``), so, up to rounding of order
+    Both sets come from the real basis of ``_eigenpairs`` and its one
+    inverse.  The left set is the inverse of the right one, so the inverse
+    must be accurate: a matrix whose eigenvector matrix ``R`` cannot be
+    inverted, or whose Frobenius condition number ``||R||_F ||R^-1||_F``
+    is not finite or exceeds 1e10, is rejected as defective.  The columns
+    of ``R`` have unit norm, so that number is ``sqrt(n) ||R^-1||_F`` and
+    comes from the inverse already in hand.  It is never below the 2-norm
+    condition number (``||M||_2 <= ||M||_F``), so, up to rounding of order
     ``cond * eps``, it rejects every matrix a 2-norm guard with the same
     bound would.
     """
-    eigvals, right, left_rows = _eigenpairs(state_matrix.a)
+    eigvals, basis, inv_basis, _, _ = _eigenpairs(state_matrix.a)
+    up = np.flatnonzero(eigvals.imag > 0.0)
+    right = basis.astype(complex)
+    right[:, up] += 1j * basis[:, up + 1]
+    right[:, up + 1] = right[:, up].conj()
+    left_rows = inv_basis.astype(complex)
+    left_rows[up] -= 1j * inv_basis[up + 1]
+    left_rows[up] *= 0.5
+    left_rows[up + 1] = left_rows[up].conj()
     # Store left eigenvectors as columns satisfying left^H A = lam left^H.
     return ModalDecomposition(
         eigenvalues=eigvals,
@@ -200,29 +212,61 @@ def decompose(state_matrix: StateMatrix) -> ModalDecomposition:
 
 
 def _eigenpairs(a: np.ndarray):
-    """``(eigenvalues, R, inv(R))`` of ``a``, the columns of ``R`` of unit
-    norm, behind the conditioning guard ``decompose`` describes."""
-    eigvals, right = np.linalg.eig(a)
-    norms = np.linalg.norm(right, axis=0)
-    if np.any(norms == 0.0):
+    """``(eigenvalues, B, inv(B), |R|^2, |inv(R)|^2)`` of ``a``, behind the
+    conditioning guard ``decompose`` describes.
+
+    ``eig`` of a real matrix returns each complex pair as adjacent entries
+    j, j + 1, Im lam > 0 first, with ``lam[j + 1] == conj(lam[j])``
+    exactly; anything else raises ``ModalError``.  The unit-norm
+    eigenvector matrix is ``R = B T`` with ``B`` real: a pair's columns in
+    ``B`` are the real and imaginary parts of eig's column j, and T is
+    [[1, 1], [i, -i]] on the pair, so column j + 1 of ``R`` is
+    ``conj(R[:, j])`` by construction; T is 1 on a real mode.  So rows a,
+    b of ``inv(B)`` give the rows (a - i b) / 2 and (a + i b) / 2 of
+    ``inv(R)``, and a real mode's row is its row of ``inv(B)``.  ``|R|^2``
+    and ``|inv(R)|^2`` hold the squared magnitudes of the entries.  On a
+    pair, ``B`` is ``R`` times a unitary scaled by 1/sqrt(2), so inverting
+    ``B`` is as well conditioned as inverting ``R``.
+    """
+    eigvals, vectors = np.linalg.eig(a)
+    imag = eigvals.imag
+    up = np.flatnonzero(imag > 0.0)
+    down = up + 1
+    if (np.count_nonzero(imag) != 2 * up.size
+            or not (eigvals.take(down, mode="clip")
+                    == eigvals[up].conj()).all()):
+        raise ModalError(
+            "eig did not return each complex pair as adjacent conjugate "
+            "eigenvalues, positive imaginary part first; the real "
+            "eigenvector basis needs that layout"
+        )
+    basis = vectors.real.copy()
+    basis[:, down] = vectors.imag[:, up]
+    norms_sq = np.square(basis).sum(axis=0)
+    norms_sq[up] = norms_sq[down] = norms_sq[up] + norms_sq[down]
+    if not norms_sq.all():
         raise ModalError("degenerate right eigenvector")
-    right = right / norms
-    # Rows of inv(right) are the left eigenvectors already scaled to
-    # w_i @ u_j = delta_ij. Guard against a defective/near-defective matrix,
-    # where this inverse loses all accuracy.
+    basis /= np.sqrt(norms_sq)
+    # Guard against a defective/near-defective matrix, where this inverse
+    # loses all accuracy.
     try:
-        left_rows = np.linalg.inv(right)
+        inv_basis = np.linalg.inv(basis)
     except np.linalg.LinAlgError:
         cond = math.inf
     else:
         with np.errstate(over="ignore"):    # an overflow reads as inf
-            cond = math.sqrt(a.shape[0]) * np.linalg.norm(left_rows)
+            left_sq = np.square(inv_basis)
+            left_sq[up] = left_sq[down] = 0.25 * (left_sq[up]
+                                                  + left_sq[down])
+            cond = math.sqrt(a.shape[0] * left_sq.sum())
     if not np.isfinite(cond) or cond > 1e10:
         raise ModalError(
             f"eigenvector matrix condition number {cond:.3e}; the state "
             "matrix is defective or too close to defective for modal analysis"
         )
-    return eigvals, right, left_rows
+    right_sq = np.square(basis)
+    right_sq[:, up] = right_sq[:, down] = right_sq[:, up] + right_sq[:, down]
+    return eigvals, basis, inv_basis, right_sq, left_sq
 
 
 def participation_products(dec: ModalDecomposition) -> np.ndarray:
@@ -231,23 +275,37 @@ def participation_products(dec: ModalDecomposition) -> np.ndarray:
     Entry (k, i) is right[k, i] * left_row[i, k]; each column sums to exactly
     one by biorthogonality.
     """
-    return _participation(dec.right, dec.left.conj().T)
-
-
-def _participation(right: np.ndarray, left_rows: np.ndarray) -> np.ndarray:
-    """``participation_products`` from ``R`` and the rows of ``inv(R)``."""
-    return right * left_rows.T
+    return dec.right * dec.left.conj()
 
 
 def participation_factors(dec: ModalDecomposition) -> np.ndarray:
     """Participation magnitudes normalized to unit column sum."""
-    return _unit_columns(np.abs(participation_products(dec)))
+    return _unit_participation(_abs2(dec.right), _abs2(dec.left.T)).T
 
 
-def _unit_columns(mags: np.ndarray) -> np.ndarray:
-    sums = mags.sum(axis=0)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return np.square(z.real) + np.square(z.imag)
+
+
+def _unit_participation(right_sq: np.ndarray,
+                        left_sq: np.ndarray) -> np.ndarray:
+    """Participation magnitudes ``|R_kj| |w_jk|``, modes x states, each row
+    scaled to unit sum, from ``|R_kj|^2`` (states x modes) and ``|w_jk|^2``
+    (modes x states, C-contiguous, scaled in place).
+
+    ``mode_spectrum`` passes the squares of ``_eigenpairs`` and
+    ``participation_factors`` those of ``decompose``'s vectors: on a pair,
+    0.25 (a^2 + b^2) and (a/2)^2 + (b/2)^2 are the same bits, barring
+    underflow.  The rows are C-contiguous, so numpy sums each as it sums a
+    single vector: a mode's row has the same bits whichever other modes
+    are computed with it.
+    """
+    left_sq *= right_sq.T
+    mags = np.sqrt(left_sq, out=left_sq)
+    sums = mags.sum(axis=1)
     sums[sums == 0.0] = 1.0
-    return mags / sums
+    mags /= sums[:, None]
+    return mags
 
 
 def ccbg_pi(participation: np.ndarray, labels: list[StateLabel]) -> float:
@@ -258,7 +316,7 @@ def ccbg_pi(participation: np.ndarray, labels: list[StateLabel]) -> float:
     system, in [0, 1] by construction.
     """
     p = np.abs(np.asarray(participation, dtype=float))
-    return float(_converter_fractions(p[:, None], converter_mask(labels))[0])
+    return float(_converter_fractions(p[None, :], converter_mask(labels))[0])
 
 
 def converter_mask(labels: list[StateLabel]) -> np.ndarray:
@@ -267,14 +325,15 @@ def converter_mask(labels: list[StateLabel]) -> np.ndarray:
 
 
 def _converter_fractions(p: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``ccbg_pi`` of each column of the magnitudes ``p`` (states x modes).
+    """``ccbg_pi`` of each row of the magnitudes ``p`` (modes x states,
+    C-contiguous).
 
-    Each column is summed as one contiguous row, the order numpy sums a
-    single vector in, so a column's share has the bits of that vector's.
+    Each row is summed as one contiguous row, the order numpy sums a
+    single vector in, so a row's share has the bits of that vector's.
     """
-    total = np.ascontiguousarray(p.T).sum(axis=1)
-    conv = np.ascontiguousarray(p[mask].T).sum(axis=1)
-    total[total == 0.0] = 1.0       # an all-zero column has share 0
+    total = p.sum(axis=1)
+    conv = p.compress(mask, axis=1).sum(axis=1)
+    total[total == 0.0] = 1.0       # an all-zero row has share 0
     return conv / total
 
 
@@ -319,17 +378,18 @@ def mode_spectrum(a: np.ndarray, converter: np.ndarray):
     """``(eigenvalues, shares)`` of the modes of ``a`` that get a row, in
     ``eig`` order, with ``decompose``'s guard and errors.
 
-    ``converter`` marks the converter states (``converter_mask``).
+    ``converter`` marks the converter states (``converter_mask``).  The
+    participation comes from the real basis and its one inverse
+    (``_eigenpairs``), for the modes that get a row only, with the bits of
+    ``participation_factors``.
     """
-    lam, right, left_rows = _eigenpairs(a)
+    lam, _, _, right_sq, left_sq = _eigenpairs(a)
     # the conjugate partner (imag < 0) carries the same information;
     # np.hypot has the bits of abs() of each complex, np.abs of the array
     # may differ in the last one
     keep = (lam.imag >= 0.0) & (np.hypot(lam.real, lam.imag) > ZERO_MODE_TOL)
-    # all columns: numpy sums an (n, 1) array's column pairwise, so one
-    # kept mode would move its share's last bit
-    pf = _unit_columns(np.abs(_participation(right, left_rows)))
-    return lam[keep], _converter_fractions(pf[:, keep], converter)
+    pf = _unit_participation(right_sq[:, keep], left_sq[keep])
+    return lam[keep], _converter_fractions(pf, converter)
 
 
 def _mode_table(lam: np.ndarray, share: np.ndarray):

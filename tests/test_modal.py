@@ -13,14 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import windmodal.scenario
+from windmodal.dfig import DEFAULT_GAIN_GRID
 from windmodal.modal import (ZERO_MODE_TOL, ModalError, Mode, StateLabel,
-                             StateMatrix, analyze_modes, ccbg_pi,
-                             classify_mode, damping_ratio, decompose,
-                             dominant_modes, dominant_rows, jacobian,
-                             linearize, participation_factors,
+                             StateMatrix, _eigenpairs, analyze_modes,
+                             ccbg_pi, classify_mode, converter_mask,
+                             damping_ratio, decompose, dominant_modes,
+                             dominant_rows, jacobian, linearize,
+                             mode_spectrum, participation_factors,
                              participation_products)
-from windmodal.scenario import (Scenario, _dominant_rows, assemble,
-                                build_scenario_system, load_packaged_scenario,
+from windmodal.scenario import (Scenario, _affine_gain_model, _dominant_rows,
+                                assemble, build_scenario_system,
+                                load_packaged_scenario,
                                 packaged_scenario_names,
                                 run_sensitivity_sweep, solve_power_flow)
 
@@ -181,6 +184,11 @@ def test_a_singular_eigenvector_matrix_is_rejected_as_defective():
         with pytest.raises(ModalError, match="defective"):
             decompose(StateMatrix(a=np.diag(np.ones(n - 1), 1),
                                   labels=labels(n)))
+        a = StateMatrix(a=np.diag(np.ones(n - 1), 1), labels=labels(n))
+        with pytest.raises(ModalError, match="defective"):
+            mode_spectrum(a.a, converter_mask(a.labels))
+        with pytest.raises(ModalError, match="defective"):
+            analyze_modes(a)
 
 
 @st.composite
@@ -208,12 +216,21 @@ def test_the_conditioning_guard_is_never_below_the_2_norm_condition(a):
     # Each side carries a relative rounding error of order cond * eps
     # (the smallest singular value, the inverse), so the floor allows
     # 8 cond * eps; the largest deficit seen in 20000 draws was
-    # 1.5 cond * eps.
+    # 1.5 cond * eps with the complex inverse and 1.0 cond * eps with the
+    # real basis.
     n = a.shape[0]
-    vectors = np.linalg.eig(a)[1]
-    right = vectors / np.linalg.norm(vectors, axis=0)
+    lam, vectors = np.linalg.eig(a)
+    norms = np.sqrt(np.square(vectors.real).sum(axis=0)
+                    + np.square(vectors.imag).sum(axis=0))
+    right = vectors.real / norms + 1j * (vectors.imag / norms)
+    # inv(R) from the inverse of the real basis of R: a pair's rows
+    # count half
+    basis = np.where(lam.imag < 0.0, -right.imag, right.real)
     try:
-        guard = math.sqrt(n) * np.linalg.norm(np.linalg.inv(right))
+        with np.errstate(over="ignore"):
+            rows = np.square(np.linalg.inv(basis)).sum(axis=1)
+            guard = math.sqrt(n * (rows[lam.imag == 0.0].sum()
+                                   + 0.5 * rows[lam.imag != 0.0].sum()))
     except np.linalg.LinAlgError:
         guard = math.inf
     cond = np.linalg.cond(right)
@@ -227,6 +244,104 @@ def test_the_conditioning_guard_is_never_below_the_2_norm_condition(a):
         # so an accepted matrix also passes a 2-norm guard of equal bound
         assert cond <= 1e10 * (1.0 + 8.0 * np.finfo(float).eps * 1e10)
         assert np.array_equal(dec.right, right)
+
+
+def _complex_reference(a, converter):
+    """Eigenvalues, shares and guard of the reported modes of ``a`` from
+    the complex inverse of the unit-column eigenvector matrix: the
+    reference for the real basis of ``modal._eigenpairs``."""
+    lam, vectors = np.linalg.eig(a)
+    right = vectors / np.linalg.norm(vectors, axis=0)
+    left_rows = np.linalg.inv(right)
+    guard = math.sqrt(a.shape[0]) * np.linalg.norm(left_rows)
+    keep = (lam.imag >= 0.0) & (np.hypot(lam.real, lam.imag) > ZERO_MODE_TOL)
+    pf = np.abs(right * left_rows.T)
+    pf = pf / pf.sum(axis=0)
+    share = pf[converter][:, keep].sum(axis=0) / pf[:, keep].sum(axis=0)
+    return lam[keep], share, guard
+
+
+def _reference_matrices():
+    """The nine studies' state matrices, then every cell of the default
+    6 x 6 grids of the four unsupported wind studies."""
+    for name in packaged_scenario_names():
+        net, devices = build_scenario_system(load_packaged_scenario(name))
+        yield linearize(assemble(net, devices, solve_power_flow(net)))
+    k_star = max(DEFAULT_GAIN_GRID)
+    for name in ("B_voltage", "B_reactive_power", "C_voltage",
+                 "C_reactive_power"):
+        a00, g_p, g_i, labs = _affine_gain_model(
+            load_packaged_scenario(name), k_star, k_star)
+        for kin in DEFAULT_GAIN_GRID:
+            for kp in DEFAULT_GAIN_GRID:
+                yield StateMatrix(a00 + kp * g_p + kin * g_i, labs)
+
+
+def test_the_real_basis_matches_the_complex_inverse():
+    # the largest share difference seen is 1.1e-11, the largest relative
+    # guard difference 4.5e-11
+    for a in _reference_matrices():
+        converter = converter_mask(a.labels)
+        lam_ref, share_ref, guard_ref = _complex_reference(a.a, converter)
+        lam, share = mode_spectrum(a.a, converter)
+        assert np.array_equal(lam, lam_ref)
+        assert np.max(np.abs(share - share_ref)) <= 1e-9
+        left_sq = _eigenpairs(a.a)[4]
+        guard = math.sqrt(a.a.shape[0] * left_sq.sum())
+        assert abs(guard - guard_ref) <= 1e-9 * guard_ref
+        rows = _rows_by_the_scalar_formulas(lam, share)
+        rows_ref = _rows_by_the_scalar_formulas(lam_ref, share_ref)
+        assert [m.classification for m in rows] == \
+            [m.classification for m in rows_ref]
+        (dominant,), (dominant_ref,) = (dominant_rows([(lam, share)]),
+                                        dominant_rows([(lam_ref, share_ref)]))
+        assert [(m.classification, m.real, m.imag) for m in dominant] == \
+            [(m.classification, m.real, m.imag) for m in dominant_ref]
+
+
+@settings(max_examples=300, deadline=None)
+@given(eigenproblems())
+def test_eig_returns_the_pair_layout_of_the_real_basis(a):
+    # each complex pair adjacent, Im > 0 first, exact conjugates; and the
+    # real basis accepts and rejects as the complex inverse does, but
+    # within the rounding of either guard, 8 cond * eps, of the bound
+    lam, vectors = np.linalg.eig(a)
+    up = np.flatnonzero(lam.imag > 0.0)
+    assert np.count_nonzero(lam.imag) == 2 * up.size
+    assert np.array_equal(lam[up + 1], lam[up].conj())
+    assert np.array_equal(vectors[:, up + 1], vectors[:, up].conj())
+    right = vectors / np.linalg.norm(vectors, axis=0)
+    try:
+        with np.errstate(over="ignore"):
+            guard = math.sqrt(a.shape[0]) * np.linalg.norm(
+                np.linalg.inv(right))
+    except np.linalg.LinAlgError:
+        guard = math.inf
+    cond = np.linalg.cond(right)
+    try:
+        decompose(StateMatrix(a=a, labels=labels(a.shape[0])))
+    except ModalError:
+        accepted = False
+    else:
+        accepted = True
+    if not abs(guard - 1e10) <= 8.0 * np.finfo(float).eps * cond * 1e10:
+        assert accepted == (guard <= 1e10)
+
+
+def test_a_changed_eig_layout_fails_loudly(monkeypatch):
+    # the conjugate of each pair first: the real basis would be wrong
+    eig = np.linalg.eig
+
+    def conjugate_first(a):
+        lam, vectors = eig(a)
+        return lam.conj(), vectors.conj()
+
+    monkeypatch.setattr(np.linalg, "eig", conjugate_first)
+    a = StateMatrix(a=oscillator(0.1, 2.0), labels=labels(2))
+    for call in (decompose, analyze_modes,
+                 lambda a: mode_spectrum(a.a, converter_mask(a.labels))):
+        with pytest.raises(ModalError, match="layout"):
+            call(a)
 
 
 def test_participation_columns_sum_to_one():
