@@ -147,9 +147,10 @@ class DeviceModel:
 
     state_names: tuple[str, ...] = ()
 
-    #: Protection band ``(lo, hi)`` of the ``rotor_speed`` output, pu, or
-    #: ``None``.  A simulation logs the first sample outside it, once per
-    #: run; the model itself never checks it.
+    #: Protection band ``(lo, hi)`` of the recorded ``rotor_speed`` (an
+    #: output, or a state of that name), pu, or ``None``.  A simulation
+    #: logs the first sample outside it, once per run; the model itself
+    #: never checks it.
     speed_band: tuple[float, float] | None = None
 
     def __init__(self, device_id: str, bus_id: int):
@@ -233,6 +234,8 @@ class DeviceModel:
         ``internal`` is what ``internal`` gives at ``x`` (on a stack, with
         ``STACK`` over ``x.T``) when the caller has it already, as
         ``DynamicSystem.observe`` does; ``None`` has it computed here.
+        A quantity that is one of the states is left out: a trace records
+        it once, as the state.
         """
         return {}
 

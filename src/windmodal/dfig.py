@@ -101,17 +101,17 @@ def speed_at(power: float) -> float:
     return speed
 
 
-def frequency_support_reference(p_opt: float, delta_f: float, rocof: float,
+def frequency_support_reference(delta_f: float, rocof: float,
                                 droop: DroopParams) -> float:
-    """Active-power reference with the droop terms applied.
+    """Droop power, the support added to the tracked active-power reference.
 
     ``delta_f`` is the per-unit frequency deviation, ``rocof`` its filtered
-    derivative in pu/s.  Disabled droop returns ``p_opt`` untouched, which is
-    also what zero gains produce.
+    derivative in pu/s.  Disabled droop gives 0.0, which is also what zero
+    gains produce.
     """
     if not droop.enabled:
-        return p_opt
-    return p_opt - droop.kp * delta_f - droop.kin * rocof
+        return 0.0
+    return -droop.kp * delta_f - droop.kin * rocof
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ class Dfig(DeviceModel):
         rocof = (delta_f - rocof_filt) / t_rocof
 
         p_curve = p_opt(speed, m)
-        droop_target = frequency_support_reference(0.0, delta_f, rocof, droop)
+        droop_target = frequency_support_reference(delta_f, rocof, droop)
         p_ref = p_track + droop_p
 
         # active channel
@@ -302,8 +302,7 @@ class Dfig(DeviceModel):
         vm = np.hypot(v.real, v.imag)     # the bits of abs() of a complex
         dth = _wrap_angle(np.arctan2(v.imag, v.real) - x[..., 9])
         delta_f = dth / self._coef[0]        # freq_filter_time * omega_s
-        return {
-            "rotor_speed": x[..., 0],
+        return {       # the rotor speed is state 0, recorded once as such
             "active_power": vm * x[..., 5],
             "reactive_power": vm * x[..., 8],
             "bus_frequency": 1.0 + delta_f,

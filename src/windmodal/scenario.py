@@ -30,7 +30,6 @@ from .dfig import CONTROL_MODES, DEFAULT_GAIN_GRID, DfigParams, DroopParams
 from .modal import (Mode, analyze_modes, converter_mask, dominant_modes,
                     dominant_rows, linearize, mode_spectrum)
 from .powerflow import solve_power_flow
-from .syncgen import SyncGenParams
 from .system import assemble
 from .timedomain import Event, Trace, cycles, simulate
 from .twoarea import CASES, build_two_area
@@ -73,8 +72,11 @@ class Scenario:
 
     ``droop.enabled`` always mirrors ``frequency_support``, and the gains
     keep their defaults without support; case A carries no wind farm so the
-    support and farm fields, ``control_mode`` too, must stay at their
-    defaults there.  ``to_dict`` (and so ``sha256``) omits only such fields.
+    support fields and ``control_mode`` must stay at their defaults there.
+    ``to_dict`` (and so ``sha256``) omits only such fields.  The case fixes
+    the farm rating (``twoarea.DEFAULT_WIND_MVA``) and every machine
+    parameter; ``overrides`` change a parameter of one device, the
+    stabilizer gain ``k_pss`` of a machine among them.
     """
 
     base_case: str
@@ -83,8 +85,6 @@ class Scenario:
     control_mode: str = DfigParams.control_mode
     frequency_support: bool = False
     droop: DroopParams = field(default_factory=DroopParams)
-    wind_mva: float | None = None
-    k_pss: float = SyncGenParams.k_pss
     overrides: tuple[Override, ...] = ()
     events: tuple[Event, ...] = ()
     sha256: str = ""
@@ -103,8 +103,6 @@ class Scenario:
                 raise ScenarioError(
                     "frequency_support: case A has no wind farm to provide "
                     "support")
-            if self.wind_mva is not None:
-                raise ScenarioError("wind_mva: case A has no wind farm")
             if self.control_mode != DfigParams.control_mode:
                 raise ScenarioError("control_mode: case A has no wind farm")
         if self.droop.enabled != self.frequency_support:
@@ -114,10 +112,6 @@ class Scenario:
         if not self.frequency_support and self.droop != DroopParams():
             raise ScenarioError("droop: droop gains apply only when "
                                 "frequency_support is true")
-        if self.wind_mva is not None and not 0.0 < self.wind_mva < math.inf:
-            raise ScenarioError("wind_mva: must be positive and finite")
-        if not 0.0 <= self.k_pss < math.inf:
-            raise ScenarioError("k_pss: must be non-negative and finite")
         if not self.sha256:
             object.__setattr__(self, "sha256", _canonical_hash(self))
 
@@ -136,10 +130,6 @@ class Scenario:
             if self.frequency_support:
                 out["droop"] = {k: float(getattr(self.droop, k))
                                 for k in _DROOP_KEYS}
-            if self.wind_mva is not None:
-                out["wind_mva"] = float(self.wind_mva)
-        if self.k_pss != SyncGenParams.k_pss:
-            out["k_pss"] = float(self.k_pss)
         if self.overrides:
             out["overrides"] = [dict(dataclasses.asdict(o),
                                      value=float(o.value))
@@ -254,11 +244,11 @@ def parse_scenario(obj: dict, name_hint: str = "",
     _require(isinstance(obj, dict), "scenario", "must be a JSON object")
     _check_keys(obj, {"base_case": True, "name": False, "description": False,
                       "control_mode": False, "frequency_support": False,
-                      "droop": False, "wind_mva": False, "k_pss": False,
-                      "overrides": False, "events": False}, "")
+                      "droop": False, "overrides": False, "events": False},
+                "")
     base_case = obj["base_case"]
     if base_case == "A":
-        for key in ("control_mode", "frequency_support", "droop", "wind_mva"):
+        for key in ("control_mode", "frequency_support", "droop"):
             _require(key not in obj, key,
                      "case A has no wind farm; this key does not apply")
 
@@ -308,14 +298,12 @@ def parse_scenario(obj: dict, name_hint: str = "",
     description = obj.get("description", "")
     _require(isinstance(description, str), "description", "must be a string")
 
-    kwargs: dict = {key: _number(obj, key, "")
-                    for key in ("wind_mva", "k_pss") if key in obj}
-    if "control_mode" in obj:
-        kwargs["control_mode"] = obj["control_mode"]
     return Scenario(base_case=base_case, name=name, description=description,
+                    control_mode=obj.get("control_mode",
+                                         DfigParams.control_mode),
                     frequency_support=support, droop=droop,
                     overrides=tuple(overrides), events=events,
-                    sha256=sha256, **kwargs)
+                    sha256=sha256)
 
 
 def _parse_bytes(raw: bytes, name: str, where) -> Scenario:
@@ -424,10 +412,8 @@ def _dominant_rows(modes: list[Mode]) -> tuple[Mode, ...]:
 
 def build_scenario_system(scenario: Scenario):
     """Network and devices for a scenario, overrides applied."""
-    net, devices = build_two_area(
-        scenario.base_case, droop=scenario.droop,
-        wind_mva=scenario.wind_mva, control_mode=scenario.control_mode,
-        k_pss=scenario.k_pss)
+    net, devices = build_two_area(scenario.base_case, droop=scenario.droop,
+                                  control_mode=scenario.control_mode)
     for ov in scenario.overrides:
         hits = [i for i, d in enumerate(devices) if d.device_id == ov.device]
         if not hits:

@@ -39,6 +39,7 @@ import numpy as np
 # only the wrap point of the benchmark's ``timedomain.lu_factor_calls``
 from scipy.linalg import lu_factor  # noqa: F401
 
+from .network import NetworkError
 from .system import DynamicSystem, GridModel, SystemModelError
 
 logger = logging.getLogger(__name__)
@@ -247,7 +248,7 @@ def _segments(model: DynamicSystem, events, t_end: float):
         active = faults + trips + list(steps.values())
         try:
             grid = model.grid_variant(active) if active else model.base_grid
-        except SystemModelError as exc:
+        except (SystemModelError, NetworkError) as exc:
             raise SimulationError(f"cannot build event grid: {exc}") from exc
     return segments + [(t0, t_end, grid)]
 
@@ -435,29 +436,28 @@ class _Recorder:
         device and run."""
         self.close()
         n = self.n
-        time = self.time[:n]
-        outputs = {key: o[:n] for key, o in self.outputs.items()}
+        trace = Trace(
+            time=self.time[:n],
+            states=self.states[:n],
+            state_names=self.names,
+            voltages=self.voltages[:n],
+            bus_ids=self.bus_ids,
+            outputs={key: o[:n] for key, o in self.outputs.items()},
+            events=tuple(events),
+            max_balance_residual=self.max_residual,
+        )
         for dev in self.model.devices:
             if dev.speed_band is None:
                 continue
             lo, hi = dev.speed_band
-            speed = outputs[f"{dev.device_id}.rotor_speed"]
+            speed = trace.column(f"{dev.device_id}.rotor_speed")
             out = np.flatnonzero((speed < lo) | (speed > hi))
             if out.size:
                 logger.warning(
                     "%s: rotor speed %.3f pu at t=%.3fs is outside the "
                     "protection band [%.2f, %.2f]", dev.device_id,
-                    speed[out[0]], time[out[0]], lo, hi)
-        return Trace(
-            time=time,
-            states=self.states[:n],
-            state_names=self.names,
-            voltages=self.voltages[:n],
-            bus_ids=self.bus_ids,
-            outputs=outputs,
-            events=tuple(events),
-            max_balance_residual=self.max_residual,
-        )
+                    speed[out[0]], trace.time[out[0]], lo, hi)
+        return trace
 
 
 class _Limiters:

@@ -55,35 +55,30 @@ def _step_up(name: str, f: int, t: int, mva: float, x_pu: float) -> Branch:
                   name=name)
 
 
-def machine_params(area: int, k_pss: float) -> SyncGenParams:
+def machine_params(area: int) -> SyncGenParams:
     """Round-rotor 900 MVA unit; area 2 carries slightly less inertia.
 
     Mechanical power follows its dispatch (``SyncGen`` has no governor), the
-    standard setup for small-signal studies on this system.  The stabilizer's
-    second stage rolls off below ~3 rad/s so the tie-line mode stays poorly
-    damped at the study's stabilizer gain, which is the condition the
-    frequency-support comparisons start from.
+    standard setup for small-signal studies on this system.  The stabilizer
+    gain is ``SyncGenParams.k_pss``; its second stage rolls off below
+    ~3 rad/s so the tie-line mode stays poorly damped at that gain, which is
+    the condition the frequency-support comparisons start from.
     """
     return SyncGenParams(
         base_mva=MACHINE_BASE_MVA,
         h_s=6.5 if area == 1 else 6.175,
-        k_pss=k_pss,
         t3=0.3,
     )
 
 
-def _farm_mva(case: str, wind_mva: float | None) -> float | None:
-    return DEFAULT_WIND_MVA.get(case) if wind_mva is None else wind_mva
-
-
-def two_area_network(case: str = "A", wind_mva: float | None = None,
+def two_area_network(case: str = "A",
                      control_mode: str = DfigParams.control_mode) -> Network:
     """Buses and branches of one benchmark case.
 
-    Owns the case check, the farm rating default (``DEFAULT_WIND_MVA``) and
-    the farm bus kind: PV when the farm regulates its voltage
-    (``control_mode="voltage"``), PQ when it holds its reactive power; any
-    other ``control_mode`` is rejected, in every case.
+    Owns the case check, the farm rating (``DEFAULT_WIND_MVA``: 300 MVA in
+    case B, 600 MVA in case C) and the farm bus kind: PV when the farm
+    regulates its voltage (``control_mode="voltage"``), PQ when it holds its
+    reactive power; any other ``control_mode`` is rejected, in every case.
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
@@ -95,8 +90,8 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
     q9 = (100.0 - 350.0) * LOAD_SCALE / SYSTEM_BASE_MVA
     disp = DISPATCH_MW / SYSTEM_BASE_MVA
 
-    wind_mva = _farm_mva(case, wind_mva)
-    wind_p = 0.0 if case == "A" else WIND_FRACTION * wind_mva / SYSTEM_BASE_MVA
+    wind_mva = DEFAULT_WIND_MVA.get(case, 0.0)
+    wind_p = WIND_FRACTION * wind_mva / SYSTEM_BASE_MVA
 
     # The farm displaces output from the unit it sits next to: in case B that
     # unit backs down by the wind export, in case C it is retired outright.
@@ -143,26 +138,26 @@ def two_area_network(case: str = "A", wind_mva: float | None = None,
 
 
 def build_two_area(case: str = "A", droop: DroopParams | None = None,
-                   wind_mva: float | None = None,
-                   control_mode: str = DfigParams.control_mode,
-                   k_pss: float = SyncGenParams.k_pss):
+                   control_mode: str = DfigParams.control_mode):
     """Network and device list for one benchmark case, ready to solve.
 
     Owns which machines each case keeps (case C retires G4).  Its defaults
-    are their owners': ``SyncGenParams.k_pss``, ``DfigParams.control_mode``
-    and a disabled ``DroopParams()``.  The network, the farm rating and the
-    farm bus kind come from ``two_area_network``.
+    are their owners': ``DfigParams.control_mode`` and a disabled
+    ``DroopParams()``; every machine's parameters, the stabilizer gain
+    included, come from ``machine_params``; a scenario's overrides change
+    them per machine.  The network, the farm rating and the farm bus
+    kind come from ``two_area_network``.
     """
-    net = two_area_network(case, wind_mva=wind_mva, control_mode=control_mode)
+    net = two_area_network(case, control_mode=control_mode)
     devices: list[DeviceModel] = [
-        SyncGen("G1", 1, machine_params(1, k_pss)),
-        SyncGen("G2", 2, machine_params(1, k_pss)),
-        SyncGen("G3", 3, machine_params(2, k_pss)),
+        SyncGen("G1", 1, machine_params(1)),
+        SyncGen("G2", 2, machine_params(1)),
+        SyncGen("G3", 3, machine_params(2)),
     ]
     if case != "C":
-        devices.append(SyncGen("G4", 4, machine_params(2, k_pss)))
+        devices.append(SyncGen("G4", 4, machine_params(2)))
     if case != "A":
-        params = DfigParams(base_mva=_farm_mva(case, wind_mva),
+        params = DfigParams(base_mva=DEFAULT_WIND_MVA[case],
                             control_mode=control_mode,
                             droop=droop or DroopParams())
         devices.append(Dfig("W1", 12, params))

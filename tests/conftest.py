@@ -21,10 +21,10 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def build_system(case="A", droop=None, control_mode="voltage", k_pss=10.0):
+def build_system(case="A", droop=None, control_mode="voltage"):
     """Network + devices + power flow, assembled into a DynamicSystem."""
     net, devices = build_two_area(case, droop=droop,
-                                  control_mode=control_mode, k_pss=k_pss)
+                                  control_mode=control_mode)
     pf = solve_power_flow(net, tol=PF_TOL)
     return assemble(net, devices, pf)
 

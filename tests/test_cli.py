@@ -163,8 +163,8 @@ def test_sweep_exits_1_when_the_gain_model_is_not_affine(tmp_path, capsys,
                                                          monkeypatch):
     monkeypatch.setattr(
         windmodal.dfig, "frequency_support_reference",
-        lambda p_opt, delta_f, rocof, droop:
-            p_opt - droop.kp ** 2 * delta_f - droop.kin * rocof)
+        lambda delta_f, rocof, droop:
+            -droop.kp ** 2 * delta_f - droop.kin * rocof)
     assert main(["sweep", "--scenario", "B_voltage", "--kp", "0:10:10",
                  "--kin", "0", "--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
@@ -192,11 +192,12 @@ def test_unknown_scenario_exits_nonzero_with_stage(capsys):
 
 def test_a_number_too_large_for_a_float_is_a_load_error(tmp_path, capsys):
     path = tmp_path / "huge.json"
-    path.write_text('{"base_case": "B", "k_pss": 1' + "0" * 400 + "}")
+    path.write_text('{"base_case": "B", "overrides": [{"device": "G1", '
+                    '"field": "k_pss", "value": 1' + "0" * 400 + "}]}")
     assert main(["modal", "--scenario", str(path), "--out",
                  str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: [load] k_pss: too large for a float")
+        "error: [load] overrides[0].value: too large for a float")
 
 
 @pytest.mark.parametrize("argv", [

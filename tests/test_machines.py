@@ -166,12 +166,12 @@ def test_mppt_inverse_rejects_untrackable_power():
 
 def test_support_reference_arithmetic():
     droop = DroopParams(kp=20.0, kin=5.0, enabled=True)
-    assert frequency_support_reference(0.8, 0.01, 0.002, droop) == \
-        pytest.approx(0.8 - 0.2 - 0.01)
+    assert frequency_support_reference(0.01, 0.002, droop) == \
+        pytest.approx(-0.2 - 0.01)
     off = DroopParams(kp=20.0, kin=5.0, enabled=False)
-    assert frequency_support_reference(0.8, 0.01, 0.002, off) == 0.8
+    assert frequency_support_reference(0.01, 0.002, off) == 0.0
     zero = DroopParams(enabled=True)
-    assert frequency_support_reference(0.8, 0.01, 0.002, zero) == 0.8
+    assert frequency_support_reference(0.01, 0.002, zero) == 0.0
 
 
 def test_droop_params_validation():

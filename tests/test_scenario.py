@@ -100,10 +100,8 @@ def test_parse_scenario_fills_support_gain_defaults():
 
 
 def test_study_defaults_are_read_from_their_owners():
-    sc = Scenario(base_case="A")
-    assert sc.k_pss == SyncGenParams.k_pss
-    assert "k_pss" not in sc.to_dict()
-    assert Scenario(base_case="A", k_pss=5.0).to_dict()["k_pss"] == 5.0
+    _, devices = build_scenario_system(Scenario(base_case="A"))
+    assert {d.params.k_pss for d in devices} == {SyncGenParams.k_pss}
     # the farm bus kind follows the control mode
     kinds = {}
     for mode in CONTROL_MODES:
@@ -120,6 +118,26 @@ def test_study_defaults_are_read_from_their_owners():
         tw = next(b for b in net.branches if b.name == "TW")
         assert farm.params.base_mva == DEFAULT_WIND_MVA[case]
         assert tw.x == pytest.approx(0.10 * 100.0 / DEFAULT_WIND_MVA[case])
+
+
+@pytest.mark.parametrize("key, value", [("k_pss", 5.0), ("wind_mva", 300.0)])
+def test_a_stabilizer_gain_or_farm_rating_is_no_scenario_field(key, value):
+    # a machine's gain is an override, and each case fixes its farm rating
+    with pytest.raises(TypeError, match=key):
+        Scenario(base_case="B", **{key: value})
+    with pytest.raises(ScenarioError, match=rf"^{key}: unknown key$"):
+        parse_scenario({"base_case": "B", key: value})
+
+
+def test_overrides_set_the_stabilizer_gain_of_each_machine(tmp_path):
+    machines = ("G1", "G2", "G3", "G4")
+    path = tmp_path / "pss.json"
+    path.write_text(json.dumps({"base_case": "B", "overrides": [
+        {"device": g, "field": "k_pss", "value": 5.0} for g in machines]}))
+    _, devices = build_scenario_system(load_scenario(path))
+    gains = {d.device_id: d.params.k_pss for d in devices
+             if d.device_id in machines}
+    assert gains == dict.fromkeys(machines, 5.0)
 
 
 @pytest.mark.parametrize("case", ["A", "B", "C"])
@@ -155,15 +173,8 @@ def test_fields_the_hash_leaves_out_must_keep_their_defaults():
     (dict(base_case="B", control_mode="droop"), "control_mode"),
     (dict(base_case="A", frequency_support=True,
           droop=DroopParams(kp=20.0, enabled=True)), "no wind farm"),
-    (dict(base_case="A", wind_mva=300.0), "no wind farm"),
-    (dict(base_case="B", wind_mva=-1.0), "must be positive"),
-    (dict(base_case="B", k_pss=-2.0), "k_pss"),
     (dict(base_case="B", frequency_support=False,
           droop=DroopParams(kp=20.0, enabled=True)), "must match"),
-    (dict(base_case="B", wind_mva=math.nan), "wind_mva"),
-    (dict(base_case="B", wind_mva=math.inf), "wind_mva"),
-    (dict(base_case="B", k_pss=math.nan), "k_pss"),
-    (dict(base_case="B", k_pss=math.inf), "k_pss"),
 ])
 def test_scenario_object_validation(kwargs, message):
     with pytest.raises(ScenarioError, match=message):
@@ -190,7 +201,7 @@ def test_parse_rejects_unknown_keys_with_their_path():
 def test_parse_rejects_farm_keys_for_the_no_wind_case():
     for key, value in [("control_mode", "voltage"),
                        ("frequency_support", False),
-                       ("droop", {}), ("wind_mva", 300.0)]:
+                       ("droop", {})]:
         with pytest.raises(ScenarioError, match="case A has no wind farm"):
             parse_scenario({"base_case": "A", key: value})
 
@@ -266,7 +277,9 @@ def test_scenario_file_with_a_nan_event_time_is_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("obj, where", [
-    ({"base_case": "B", "k_pss": 10 ** 400}, "k_pss"),
+    ({"base_case": "B", "overrides": [{"device": "G1", "field": "k_pss",
+                                       "value": 10 ** 400}]},
+     r"overrides\[0\]\.value"),
     ({"base_case": "B", "events": [{"kind": "load_step",
                                     "t_start": 10 ** 400, "bus": 7}]},
      r"events\[0\]\.t_start"),
@@ -290,9 +303,11 @@ def test_parse_rejects_a_target_the_event_kind_ignores(event, message):
 
 def test_parse_type_checks():
     with pytest.raises(ScenarioError, match="must be a number"):
-        parse_scenario({"base_case": "B", "k_pss": "ten"})
+        parse_scenario({"base_case": "B", "overrides": [
+            {"device": "G1", "field": "k_pss", "value": "ten"}]})
     with pytest.raises(ScenarioError, match="must be a number"):
-        parse_scenario({"base_case": "B", "k_pss": True})
+        parse_scenario({"base_case": "B", "overrides": [
+            {"device": "G1", "field": "k_pss", "value": True}]})
     with pytest.raises(ScenarioError, match="true or false"):
         parse_scenario({"base_case": "B", "frequency_support": 1})
     with pytest.raises(ScenarioError, match="integer bus id"):
@@ -320,7 +335,6 @@ _FULL_SCENARIO = {
     "base_case": "B", "name": "n", "description": "d",
     "control_mode": "voltage", "frequency_support": True,
     "droop": {"kp": 5.0, "kin": 1.0, "rocof_filter_time": 0.1},
-    "wind_mva": 300.0, "k_pss": 10.0,
     "overrides": [{"device": "G1", "field": "h", "value": 6.0}],
     "events": [{"kind": "three_phase_fault", "t_start": 1.0,
                 "branch": "L8-9a", "duration": 0.1, "admittance": 1e4},
@@ -334,8 +348,6 @@ _NULL_CASES = [
     (("control_mode",), "expected one of"),
     (("frequency_support",), "must be true or false"),
     (("droop",), "must be an object"),
-    (("wind_mva",), "must be a number"),
-    (("k_pss",), "must be a number"),
     (("overrides",), "must be a list"),
     (("events",), "must be a list"),
     (("droop", "kp"), "must be a number"),
@@ -387,7 +399,7 @@ def test_scenario_hash_is_canonical():
 
 
 @pytest.mark.parametrize("kwargs, zero", [
-    (dict(base_case="B"), dict(k_pss=0.0)),
+    (dict(base_case="B"), dict(overrides=(Override("G1", "k_pss", 0.0),))),
     (dict(base_case="B", frequency_support=True),
      dict(droop=DroopParams(kp=0.0, kin=0.0, enabled=True))),
     (dict(base_case="A"), dict(overrides=(Override("G1", "d_pu", 0.0),))),
@@ -419,8 +431,8 @@ def test_a_signed_zero_leaves_the_scenario_and_its_hash_unchanged(kwargs,
 
 
 @pytest.mark.parametrize("kwargs, whole, real", [
-    (dict(base_case="B"), dict(k_pss=5), dict(k_pss=5.0)),
-    (dict(base_case="B"), dict(wind_mva=300), dict(wind_mva=300.0)),
+    (dict(base_case="B"), dict(overrides=(Override("G1", "k_pss", 5),)),
+     dict(overrides=(Override("G1", "k_pss", 5.0),))),
     (dict(base_case="B", frequency_support=True),
      dict(droop=DroopParams(kp=20, enabled=True)),
      dict(droop=DroopParams(kp=20.0, enabled=True))),
@@ -428,7 +440,7 @@ def test_a_signed_zero_leaves_the_scenario_and_its_hash_unchanged(kwargs,
      dict(overrides=(Override("G1", "h_s", 5.0),))),
     (dict(base_case="A"), dict(events=(Event("load_step", 1, bus=7),)),
      dict(events=(Event("load_step", 1.0, bus=7),))),
-], ids=["k_pss", "wind_mva", "droop", "override", "t_start"])
+], ids=["k_pss", "droop", "override", "t_start"])
 def test_a_whole_number_leaves_the_scenario_and_its_hash_unchanged(
         kwargs, whole, real):
     # 5 == 5.0, and the parser makes every such field a float, so the
@@ -754,8 +766,8 @@ def test_sweep_rejects_a_model_that_is_not_affine_in_the_gains(
         scenario_b, monkeypatch):
     # a support law quadratic in kp: the basis points cannot see it, the
     # check point (kp*/2, kin*/2) must
-    def quadratic(p_opt, delta_f, rocof, droop):
-        return p_opt - droop.kp ** 2 * delta_f - droop.kin * rocof
+    def quadratic(delta_f, rocof, droop):
+        return -droop.kp ** 2 * delta_f - droop.kin * rocof
 
     monkeypatch.setattr(windmodal.dfig, "frequency_support_reference",
                         quadratic)

@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from windmodal.dfig import CONTROL_MODES, DroopParams
 from windmodal.scenario import (Override, Scenario, ScenarioError,
                                 _event_to_dict, _parse_event, parse_scenario)
-from windmodal.syncgen import SyncGenParams
 from windmodal.timedomain import DEFAULT_FAULT_ADMITTANCE, EVENT_KINDS, Event
 from windmodal.twoarea import CASES
 
@@ -46,9 +45,8 @@ NAME = st.text(st.characters(exclude_characters="/\\\0"), max_size=6)
 
 # the fields that the second scenario of a pair may take from another draw;
 # the farm fields go together, since they must agree with the case
-GROUPS = (("base_case", "control_mode", "frequency_support", "droop",
-           "wind_mva"), ("name",), ("description",), ("k_pss",),
-          ("overrides",), ("events",))
+GROUPS = (("base_case", "control_mode", "frequency_support", "droop"),
+          ("name",), ("description",), ("overrides",), ("events",))
 
 
 @st.composite
@@ -85,13 +83,11 @@ def scenarios(draw):
             farm["droop"] = DroopParams(
                 kp=draw(NONNEG_OR_INT), kin=draw(NONNEG_OR_INT),
                 rocof_filter_time=draw(POSITIVE_OR_INT), enabled=True)
-        farm["wind_mva"] = draw(st.none() | POSITIVE_OR_INT)
     overrides = st.builds(Override, TEXT, TEXT,
                           st.floats(allow_nan=False) | st.integers(
                               min_value=-2 ** 53, max_value=2 ** 53))
     return Scenario(
         case, name=draw(NAME), description=draw(TEXT),
-        k_pss=draw(st.just(SyncGenParams.k_pss) | NONNEG_OR_INT),
         overrides=tuple(draw(st.lists(overrides, max_size=2))),
         events=tuple(draw(st.lists(events(), max_size=2))), **farm)
 

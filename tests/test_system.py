@@ -87,8 +87,10 @@ def test_device_outputs_exposes_every_device(system_b):
     out = system_b.device_outputs(x0, system_b.equilibrium_voltages)
     for dev in ("G1", "G2", "G3", "G4", "W1"):
         assert f"{dev}.active_power" in out
-        assert out[f"{dev}.rotor_speed"] == pytest.approx(1.0, abs=1e-9) \
-            or dev == "W1"
+    for dev in ("G1", "G2", "G3", "G4"):
+        assert out[f"{dev}.rotor_speed"] == pytest.approx(1.0, abs=1e-9)
+    # the farm's rotor speed is one of its states, recorded as such
+    assert "W1.rotor_speed" not in out
 
 
 def test_power_balance_residual_is_tiny_at_equilibrium(system_a, system_b):

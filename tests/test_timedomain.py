@@ -28,9 +28,9 @@ from windmodal import timedomain
 from windmodal.devices import STACK
 from windmodal.modal import analyze_modes, linearize
 from windmodal.powerflow import solve_power_flow
-from windmodal.scenario import (Override, build_scenario_system,
-                                load_packaged_scenario, run_scenario,
-                                simulate_scenario)
+from windmodal.scenario import (Override, PipelineError,
+                                build_scenario_system, load_packaged_scenario,
+                                run_scenario, simulate_scenario)
 from windmodal.syncgen import SyncGen
 from windmodal.system import SystemModelError, assemble
 from windmodal.timedomain import (DEFAULT_FAULT_ADMITTANCE, RTOL, Event,
@@ -783,6 +783,24 @@ def test_an_islanding_trip_fails_by_name_before_any_step(study, branch,
     assert err.value.trace is None
 
 
+@pytest.mark.parametrize("event", [
+    Event("line_trip", 0.5, branch="nope"),
+    Event("three_phase_fault", 0.5, branch="nope", duration=cycles(6)),
+], ids=["line_trip", "three_phase_fault"])
+def test_an_unknown_branch_fails_by_name_before_any_step(system_a, event):
+    # as for an unknown bus: simulate names the grid it cannot build before
+    # any step, and the pipeline tags that with its stage
+    with pytest.raises(SimulationError, match="^cannot build event grid: "
+                       "no branch named 'nope'$") as err:
+        simulate(system_a, t_end=1.0, events=[event])
+    assert err.value.trace is None
+    scenario = dataclasses.replace(load_packaged_scenario("A"),
+                                   events=(event,), sha256="")
+    with pytest.raises(PipelineError, match=r"^\[simulate\] cannot build "
+                       "event grid: no branch named 'nope'$"):
+        simulate_scenario(scenario, t_end=1.0)
+
+
 def test_recorded_voltages_are_the_network_solution_of_each_sample():
     # the recorder solves the network once per segment over the stacked
     # samples; on a grid that never changes the voltages must be the
@@ -1035,6 +1053,18 @@ def test_trace_lookup_and_csv_round_trip(tmp_path, system_a):
                                                        rel=1e-9)
     assert float(rows[0]["bus8.vm"]) == pytest.approx(
         tr.voltage_magnitude(8)[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("study", ["B_voltage_support", "C_reactive_power"])
+def test_a_wind_trace_names_each_column_once(tmp_path, study):
+    # the farm's rotor speed is a state; no output repeats it
+    tr = simulate(_packaged_model(study), t_end=0.05)
+    path = tmp_path / "trace.csv"
+    tr.to_csv(path)
+    header = path.read_text().splitlines()[0].split(",")
+    assert len(header) == len(set(header))
+    speed = tr.states[:, tr.state_names.index("W1.rotor_speed")]
+    assert np.array_equal(tr.column("W1.rotor_speed"), speed)
 
 
 # -- ringdown fitting ---------------------------------------------------------------------
