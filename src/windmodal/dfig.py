@@ -297,6 +297,16 @@ class Dfig(DeviceModel):
             (p_curve - p_track) / t_mppt,
         ]
 
+    def gain_rows(self, a, offset):
+        """``(r, g_p, g_i)`` for ``a``, the state matrix at zero droop gains
+        with this farm's states from ``offset``: at (K_p, K_in) row ``r``
+        gains K_p*g_p + K_in*g_i, -omega_d^2 times the gradients of df and
+        rocof, rows of ``a``: d(angle_filt)/dt / omega_s, d(rocof_filt)/dt."""
+        r, angle, rocof = (offset + self.state_names.index(name) for name
+                           in ("droop_rate", "angle_filt", "rocof_filt"))
+        tf_omega_s, *_, w2, _, t_f, _ = self._coef      # w2 = omega_d^2
+        return r, -w2 * t_f / tf_omega_s * a[angle], -w2 * a[rocof]
+
     def outputs(self, x, v, internal=None):
         x, v = np.asarray(x), np.asarray(v)
         vm = np.hypot(v.real, v.imag)     # the bits of abs() of a complex

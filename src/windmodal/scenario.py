@@ -5,10 +5,10 @@ whether frequency support is active, optional parameter overrides, and a
 disturbance script.  ``run_scenario`` drives power flow, assembly,
 linearization and modal analysis, annotating any failure with the pipeline
 stage that raised it.  ``run_sensitivity_sweep`` maps the dominant modes
-over a droop-gain grid from one power flow and four linearizations, since
-the state matrix is affine in the gains.  Reports and sweeps export as CSV or
-as structured text that parses back into an equal object, so archived
-results can be diffed and reloaded faithfully.
+over a droop-gain grid from one power flow and two linearizations, since
+the gains move one row of the state matrix, linearly.  Reports and sweeps
+export as CSV or as structured text that parses back into an equal object,
+so archived results can be diffed and reloaded faithfully.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ from .twoarea import CASES, build_two_area
 
 DEFAULT_SUPPORT_KP = 20.0
 DEFAULT_SUPPORT_KIN = 0.0
-# Largest relative gap between the affine sweep matrix and a direct
-# linearization at the check point (see _affine_gain_model).
-AFFINE_TOL = 1e-9
+AFFINE_TOL = 1e-9       # the sweep's affinity guard (_affine_gain_model)
 _DROOP_KEYS = ("kp", "kin", "rocof_filter_time")     # a file's droop block
 
 _MODE_CLASSES = ("inter_area", "local", "converter_control", "other")
@@ -443,10 +441,10 @@ def _stage(stage: str, fn, *args, **kwargs):
         raise PipelineError(stage, str(e), getattr(e, "trace", None)) from e
 
 
-def _assembled(scenario: Scenario):
-    """``(net, pf, system)``: the staged build, power flow and assembly."""
+def _assembled(scenario: Scenario, pf=None):
+    """``(net, pf, system)``: build, power flow (or ``pf``), assembly."""
     net, devices = _stage("build", build_scenario_system, scenario)
-    pf = _stage("powerflow", solve_power_flow, net)
+    pf = pf or _stage("powerflow", solve_power_flow, net)
     return net, pf, _stage("assemble", assemble, net, devices, pf)
 
 
@@ -487,43 +485,31 @@ def simulate_scenario(scenario: Scenario, t_end: float = 25.0,
 
 
 def _with_gains(scenario: Scenario, kp: float, kin: float) -> Scenario:
-    droop = DroopParams(kp=kp, kin=kin,
-                        rocof_filter_time=scenario.droop.rocof_filter_time,
-                        enabled=True)
+    droop = dataclasses.replace(scenario.droop, kp=kp, kin=kin, enabled=True)
     return dataclasses.replace(scenario, frequency_support=True, droop=droop,
                                sha256="")
 
 
 def _affine_gain_model(scenario: Scenario, kp_star: float, kin_star: float):
-    """``A00, G_p, G_i, labels`` of A(K_p, K_in) = A00 + K_p*G_p + K_in*G_i.
-
-    One power flow serves four linearizations: the basis points (0, 0),
-    (K_p*, 0) and (0, K_in*), and the check point (K_p*/2, K_in*/2), where
-    the affine matrix must match a direct linearization to AFFINE_TOL.
-    """
-    def built_at(kp, kin):
-        return _stage("build", build_scenario_system,
-                      _with_gains(scenario, kp, kin))
-
-    def linearized(net, devices):
-        system = _stage("assemble", assemble, net, devices, pf)
-        return _stage("linearize", linearize, system)
-
-    net, devices = built_at(0.0, 0.0)
-    pf = _stage("powerflow", solve_power_flow, net)
-    base = linearized(net, devices)
-    g_p = (linearized(*built_at(kp_star, 0.0)).a - base.a) / kp_star
-    g_i = (linearized(*built_at(0.0, kin_star)).a - base.a) / kin_star
+    """``A00, r, g_p, g_i, labels``: A(K_p, K_in) is A00 plus K_p*g_p +
+    K_in*g_i in row ``r`` (``Dfig.gain_rows``).  One power flow serves two
+    linearizations: A00 at zero gains, and the check point (K_p*/2,
+    K_in*/2), where that matrix must match a direct one to AFFINE_TOL."""
+    _, pf, system = _assembled(_with_gains(scenario, 0.0, 0.0))
+    base = _stage("linearize", linearize, system)
+    farm = next(d for d in system.devices if d.device_class == "converter")
+    r, g_p, g_i = farm.gain_rows(base.a, converter_mask(base.labels).argmax())
     kp_c, kin_c = kp_star / 2.0, kin_star / 2.0
-    direct = linearized(*built_at(kp_c, kin_c)).a
-    residual = (np.max(np.abs(direct - (base.a + kp_c * g_p + kin_c * g_i)))
-                / max(1.0, np.max(np.abs(direct))))
+    check = _assembled(_with_gains(scenario, kp_c, kin_c), pf)[2]
+    gap = _stage("linearize", linearize, check).a - base.a
+    gap[r] -= kp_c * g_p + kin_c * g_i
+    residual = np.max(np.abs(gap)) / max(1.0, np.max(np.abs(base.a)))
     if not residual <= AFFINE_TOL:       # a NaN residual fails too
         raise PipelineError(
             "linearize", f"state matrix is not affine in the droop gains: "
             f"relative residual {residual:.3e} at (kp={kp_c:g}, "
             f"kin={kin_c:g}) exceeds the tolerance {AFFINE_TOL:g}")
-    return base.a, g_p, g_i, base.labels
+    return base.a, r, g_p, g_i, base.labels
 
 
 def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
@@ -531,17 +517,16 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
     """Dominant modes over a droop-gain grid.
 
     The gains enter the model only through the farm's droop target, linearly,
-    and leave the equilibrium unchanged, so the state matrix is affine in
-    them.  The sweep solves the power flow once, linearizes four systems on
-    it (see ``_affine_gain_model``; K* is the largest finite grid value of
-    each gain, or 1 if that is 0) and runs one eigensolve
-    (``mode_spectrum``) per (K_in, K_p) cell on A00 + K_p*G_p + K_in*G_i,
-    one cell at a time, so no stack of cell matrices is held.  One array
-    pass over all the cells' eigenvalues (``dominant_rows``) then picks
-    each cell's dominant rows, the rows ``dominant_modes`` picks from
-    ``analyze_modes`` of the cell's matrix.  A failure in the shared work is
-    recorded, with its stage tag, in every cell; a cell with invalid gains
-    or a failed eigensolve records its own error, and the sweep continues.
+    and leave the equilibrium unchanged, so a cell's state matrix is A00
+    plus gain rows (``_affine_gain_model``; K* is the largest finite grid
+    value of each gain, or 1 if that is 0): one power flow and two
+    linearizations, then one eigensolve (``mode_spectrum``) per (K_in, K_p)
+    cell, one at a time, and one array pass over all their eigenvalues
+    (``dominant_rows``) picks each cell's dominant rows, the rows
+    ``dominant_modes`` picks from ``analyze_modes`` of its matrix.  A
+    failure in the shared work is recorded, with its stage tag, in every
+    cell; a cell with invalid gains or a failed eigensolve records its own
+    error, and the sweep continues.
     """
     if scenario.base_case == "A":
         raise PipelineError("build", "sweep needs a wind farm; case A has "
@@ -554,7 +539,7 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
 
     shared_error = ""
     try:
-        a00, g_p, g_i, labels = _affine_gain_model(
+        a00, r, g_p, g_i, labels = _affine_gain_model(
             scenario, k_star(kp_values), k_star(kin_values))
     except PipelineError as exc:
         shared_error = str(exc)
@@ -568,9 +553,10 @@ def run_sensitivity_sweep(scenario: Scenario, kp_values=None,
             try:
                 DroopParams(kp=kp, kin=kin)     # rejects invalid gains
                 if not error:
-                    spectra[len(grid)] = _stage(
-                        "modal", mode_spectrum, a00 + kp * g_p + kin * g_i,
-                        converter)
+                    a = a00.copy()
+                    a[r] += kp * g_p + kin * g_i
+                    spectra[len(grid)] = _stage("modal", mode_spectrum, a,
+                                                converter)
             except Exception as exc:
                 error = str(exc)
             grid.append((kp, kin, error))

@@ -78,6 +78,9 @@ class SyncGenParams:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise DeviceError(f"{name} must be positive and finite")
         require_finite(self)
+        if not (self.ka > 0.0 and self.k_pss >= 0.0):
+            raise DeviceError(f"need ka > 0 and k_pss >= 0 (ka={self.ka}, "
+                              f"k_pss={self.k_pss})")
 
 
 class SyncGen(DeviceModel):

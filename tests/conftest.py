@@ -29,6 +29,15 @@ def build_system(case="A", droop=None, control_mode="voltage"):
     return assemble(net, devices, pf)
 
 
+def cell_matrix(a00, r, g_p, g_i, kp, kin):
+    """A sweep cell's state matrix, formed as ``run_sensitivity_sweep``
+    forms it from ``_affine_gain_model``: A00 with ``kp*g_p + kin*g_i``
+    added to its row ``r``."""
+    a = a00.copy()
+    a[r] += kp * g_p + kin * g_i
+    return a
+
+
 @pytest.fixture(scope="session")
 def system_a():
     return build_system("A")

@@ -27,6 +27,8 @@ from windmodal.scenario import (Scenario, _affine_gain_model, _dominant_rows,
                                 packaged_scenario_names,
                                 run_sensitivity_sweep, solve_power_flow)
 
+from conftest import cell_matrix
+
 
 def labels(n, device_class="synchronous", prefix="g"):
     return [StateLabel(f"{prefix}{k}", "x", device_class) for k in range(n)]
@@ -270,11 +272,11 @@ def _reference_matrices():
     k_star = max(DEFAULT_GAIN_GRID)
     for name in ("B_voltage", "B_reactive_power", "C_voltage",
                  "C_reactive_power"):
-        a00, g_p, g_i, labs = _affine_gain_model(
-            load_packaged_scenario(name), k_star, k_star)
+        *model, labs = _affine_gain_model(load_packaged_scenario(name),
+                                          k_star, k_star)
         for kin in DEFAULT_GAIN_GRID:
             for kp in DEFAULT_GAIN_GRID:
-                yield StateMatrix(a00 + kp * g_p + kin * g_i, labs)
+                yield StateMatrix(cell_matrix(*model, kp, kin), labs)
 
 
 def test_the_real_basis_matches_the_complex_inverse():
@@ -544,23 +546,22 @@ def test_dominant_rows_picks_each_cell_on_its_own():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_sweep_cell_whose_matrix_fails_fails_alone(monkeypatch):
     # an oscillator plus a 2 x 2 block that is a Jordan block at kin = 1;
-    # kp = 10 overflows one entry to inf
+    # kp = 10 overflows one entry of the gain row to inf
     a00 = np.zeros((4, 4))
     a00[:2, :2] = oscillator(0.05, 3.0)
     a00[2:, 2:] = [[-1.0, 1.0], [0.0, -2.0]]
-    g_p = np.zeros((4, 4))
-    g_p[0, 1] = 1e308
-    g_i = np.zeros((4, 4))
-    g_i[3, 3] = 1.0
+    g_p = np.array([1e308, 0.0, 0.0, 0.0])
+    g_i = np.array([0.0, 0.0, 0.0, 1.0])
     labs = labels(2) + labels(2, "converter", prefix="w")
     monkeypatch.setattr(windmodal.scenario, "_affine_gain_model",
-                        lambda *args: (a00, g_p, g_i, labs))
+                        lambda *args: (a00, 3, g_p, g_i, labs))
     scenario = Scenario(base_case="B")
     sweep = run_sensitivity_sweep(scenario, kp_values=(0.0, 10.0),
                                   kin_values=(0.0, 1.0, 0.5))
     errors = {}
     for cell in sweep.cells:
-        a = StateMatrix(a00 + cell.kp * g_p + cell.kin * g_i, labs)
+        a = StateMatrix(cell_matrix(a00, 3, g_p, g_i, cell.kp, cell.kin),
+                        labs)
         try:
             want = _dominant_rows(analyze_modes(a))
         except (ModalError, np.linalg.LinAlgError) as exc:

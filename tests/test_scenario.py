@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
 from windmodal.syncgen import SyncGenParams
 from windmodal.timedomain import Event, cycles
 from windmodal.twoarea import DEFAULT_WIND_MVA, two_area_network
+
+from conftest import cell_matrix
 
 PACKAGED = {
     "A",
@@ -660,6 +663,42 @@ def test_nonfinite_limit_or_gain_fails_at_build_naming_the_field(
     assert err.value.stage == "build"
 
 
+@pytest.mark.parametrize("case, name, value", [
+    ("B", "k_pss", -2.0), ("A", "k_pss", -1e-12), ("A", "ka", 0.0),
+    ("B", "ka", -200.0),
+])
+def test_a_negative_stabilizer_gain_or_no_exciter_gain_fails_at_build(
+        case, name, value):
+    # a negative k_pss used to build and report; ka = 0 failed only at
+    # assembly, as a NaN derivative of G1.efd after a division warning
+    bad = Scenario(base_case=case, overrides=(Override("G1", name, value),))
+    message = (r"^\[build\] need ka > 0 and k_pss >= 0 \(.*"
+               + re.escape(f"{name}={value}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PipelineError, match=message) as err:
+            run_scenario(bad)
+    assert err.value.stage == "build"
+
+
+def test_the_gain_checks_leave_the_packaged_reports_unchanged():
+    # every machine's ka and k_pss set, through overrides and so through
+    # the checks, to the values it has: each report is the same text
+    for name in packaged_scenario_names():
+        scen = load_packaged_scenario(name)
+        _, devices = build_scenario_system(scen)
+        same = tuple(Override(d.device_id, f, getattr(d.params, f))
+                     for d in devices if d.device_class == "synchronous"
+                     for f in ("ka", "k_pss"))
+        patched = dataclasses.replace(scen, overrides=scen.overrides + same,
+                                      sha256=scen.sha256)
+        assert report_to_text(run_scenario(patched)) == \
+            report_to_text(run_scenario(scen))
+    # zero is a stabilizer gain: the machine runs without its stabilizer
+    assert run_scenario(Scenario(base_case="A", overrides=(
+        Override("G1", "k_pss", 0.0),))).dominant
+
+
 def test_simulate_scenario_runs_the_packaged_fault(report_a):
     tr = simulate_scenario(load_packaged_scenario("A"), t_end=1.2)
     v8 = tr.voltage_magnitude(8)
@@ -722,8 +761,9 @@ def test_export_report_writes_stable_bytes(tmp_path, report_a):
 
 
 def test_sweep_grid_ordering_and_affine_equivalence():
-    # the sweep builds every cell from four linearizations; each cell must
-    # match a full run_scenario at its gains
+    # the sweep builds every cell from A00 and the farm's gain rows, out of
+    # two linearizations; each cell must match a full run_scenario at its
+    # gains
     assert len(DEFAULT_GAIN_GRID) == 6
     kp_values, kin_values = (0.0, 10.0, 35.0), (0.0, 20.0, 50.0)
     for name in ("B_voltage", "C_reactive_power"):
@@ -753,13 +793,81 @@ def test_sweep_cells_are_the_dominant_rows_of_a_full_workup(name):
     scenario = load_packaged_scenario(name)
     sweep = run_sensitivity_sweep(scenario)
     k_star = max(DEFAULT_GAIN_GRID)
-    a00, g_p, g_i, labels = _affine_gain_model(scenario, k_star, k_star)
+    *model, labels = _affine_gain_model(scenario, k_star, k_star)
     assert len(sweep.cells) == 36
     for cell in sweep.cells:
-        a = StateMatrix(a00 + cell.kp * g_p + cell.kin * g_i, labels)
+        a = StateMatrix(cell_matrix(*model, cell.kp, cell.kin), labels)
         assert not cell.error
         assert cell.dominant == _dominant_rows(analyze_modes(a)), \
             (cell.kp, cell.kin)
+
+
+def _difference_quotients(scenario, k_star):
+    """``A00, G_p, G_i`` as the sweep formed them before the farm declared
+    its gain rows: difference quotients of direct linearizations at K*,
+    all on the power flow of the zero-gain build."""
+    net, _ = build_scenario_system(_with_gains(scenario, 0.0, 0.0))
+    pf = solve_power_flow(net)
+
+    def a_at(kp, kin):
+        net, devices = build_scenario_system(_with_gains(scenario, kp, kin))
+        return linearize(assemble(net, devices, pf)).a
+
+    a00 = a_at(0.0, 0.0)
+    return (a00, (a_at(k_star, 0.0) - a00) / k_star,
+            (a_at(0.0, k_star) - a00) / k_star)
+
+
+@pytest.mark.parametrize("name", ["B_voltage", "B_reactive_power",
+                                  "C_voltage", "C_reactive_power"])
+def test_declared_gain_rows_match_difference_quotients(name):
+    # the quotients are nonzero in the droop row alone, and the declared
+    # rows match them to 2.0e-16 of max|G| (measured); the default sweep's
+    # dominant rows match cells built from the quotients
+    scenario = load_packaged_scenario(name)
+    k_star = max(DEFAULT_GAIN_GRID)
+    a00, r, g_p, g_i, labels = _affine_gain_model(scenario, k_star, k_star)
+    ref_a00, ref_p, ref_i = _difference_quotients(scenario, k_star)
+    assert np.array_equal(a00, ref_a00)
+    assert str(labels[r]) == "W1.droop_rate"
+    for got, want in ((g_p, ref_p), (g_i, ref_i)):
+        assert np.flatnonzero(want.any(axis=1)).tolist() == [r]
+        assert np.max(np.abs(got - want[r])) <= 1e-12 * np.max(np.abs(want))
+    for cell in run_sensitivity_sweep(scenario).cells:
+        old = StateMatrix(ref_a00 + cell.kp * ref_p + cell.kin * ref_i,
+                          labels)
+        want = _dominant_rows(analyze_modes(old))
+        assert [m.classification for m in cell.dominant] == \
+            [m.classification for m in want]
+        for got, ref in zip(cell.dominant, want):
+            for f in ("real", "imag", "damping", "frequency_hz", "ccbg_pi"):
+                assert abs(getattr(got, f) - getattr(ref, f)) <= 1e-9, \
+                    (cell.kp, cell.kin, f)
+
+
+def _counted(monkeypatch, name):
+    """Calls of ``windmodal.scenario.<name>``, counted from here on."""
+    real = getattr(windmodal.scenario, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(windmodal.scenario, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("kp_values, kin_values", [
+    (None, None), ((0.0, 20.0), (0.0,))])
+def test_a_sweep_solves_one_power_flow_and_linearizes_twice(
+        scenario_b, monkeypatch, kp_values, kin_values):
+    # A00, whose rows give the gain rows, and the check point
+    power_flows = _counted(monkeypatch, "solve_power_flow")
+    linearizations = _counted(monkeypatch, "linearize")
+    sweep = run_sensitivity_sweep(scenario_b, kp_values, kin_values)
+    assert not any(c.error for c in sweep.cells)
+    assert (len(power_flows), len(linearizations)) == (1, 2)
 
 
 def test_sweep_rejects_a_model_that_is_not_affine_in_the_gains(
@@ -782,20 +890,20 @@ def test_sweep_rejects_a_model_that_is_not_affine_in_the_gains(
 
 def test_sweep_affinity_guard_fires_on_a_nan_residual(scenario_b,
                                                       monkeypatch):
-    # poison the check-point linearization, the last of the four
+    # poison the check-point linearization, the second of the two
     real = windmodal.scenario.linearize
     calls = []
 
     def poisoned(system):
         calls.append(1)
         sm = real(system)
-        return StateMatrix(sm.a * np.nan, sm.labels) if len(calls) == 4 \
+        return StateMatrix(sm.a * np.nan, sm.labels) if len(calls) == 2 \
             else sm
 
     monkeypatch.setattr(windmodal.scenario, "linearize", poisoned)
     sweep = run_sensitivity_sweep(scenario_b, kp_values=(0.0, 20.0),
                                   kin_values=(0.0,))
-    assert len(calls) == 4
+    assert len(calls) == 2
     for cell in sweep.cells:
         assert not cell.dominant
         assert cell.error.startswith("[linearize] state matrix is not affine")
