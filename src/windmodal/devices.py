@@ -6,13 +6,16 @@ dynamic admittance matrix once, and a source current set by the device
 states (for a converter, its size; the network solve gives it the angle of
 the terminal voltage).
 Both are expressed on the system MVA base; everything inside ``rates``
-stays on the device base.
+stays on the device base.  A parameter class declares each number's domain
+with its field, and ``parameter_class`` checks them on construction.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
+import graphlib
 import math
 import operator
 from types import SimpleNamespace
@@ -124,15 +127,59 @@ TRACE_NAMES = dict(
 OPS = (TRACE, SCALAR, STACK)
 
 
-def require_finite(params) -> None:
-    """Reject a parameter dataclass with a NaN or infinite float field,
-    naming the field.  Comparison checks let NaN through, so without this a
-    NaN limit such as ``i_pmax`` silently switches the limit off.  Reads by
-    name: ``vars`` builds a ``__dict__``, whose fields CPython reads slowly."""
-    for f in dataclasses.fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DeviceError(f"{f.name} must be finite")
+# A number parameter declares its domain with its field, by the wrapper of
+# its default: ``positive``, ``nonnegative``, ``finite``, or ``above`` a
+# field of its class (an order such as xd > xd_t).  A domain is a lower
+# bound, strict unless ``strict=False``, and holds no NaN or infinity.
+def above(lower, default, strict=True):
+    return dataclasses.field(default=default,
+                             metadata={"domain": (lower, strict)})
+
+
+positive = functools.partial(above, 0.0)
+nonnegative = functools.partial(above, 0.0, strict=False)
+finite = functools.partial(above, -math.inf)
+_PHRASES = {(0.0, True): "positive and finite", (-math.inf, True): "finite",
+            (0.0, False): "finite and nonnegative"}
+
+
+@functools.cache
+def parameter_domains(cls) -> dict:
+    """``{name: (lower, strict)}`` for the fields of ``cls`` that declare a
+    domain, each after the field that bounds it."""
+    domains = {f.name: f.metadata["domain"] for f in dataclasses.fields(cls)
+               if "domain" in f.metadata}
+    after = {name: [lower] if isinstance(lower, str) else []
+             for name, (lower, _) in domains.items()}
+    return {name: domains[name]
+            for name in graphlib.TopologicalSorter(after).static_order()}
+
+
+def parameter_class(error):
+    """Decorator: ``cls`` as a frozen dataclass whose construction raises
+    ``error`` at the first field outside its domain, naming the field, the
+    domain and the value, then runs the class's own ``__post_init__`` (the
+    rules that are no domain).  The check is compiled once per class: a
+    loop over the table would cost more than a small class's ``__init__``."""
+    def decorate(cls):
+        rules = cls.__dict__.get("__post_init__")
+        cls.__post_init__ = rules       # so that ``__init__`` calls it
+        cls = dataclasses.dataclass(frozen=True)(cls)
+        lines = ["def check(p):"]
+        for name, (lower, strict) in parameter_domains(cls).items():
+            bound = f"p.{lower}" if isinstance(lower, str) else repr(lower)
+            chain = f"finite with {name} > {lower} = {{{bound}!r}}"
+            phrase = _PHRASES.get((lower, strict), chain)
+            lines.append(f" if not {bound} {'<' if strict else '<='} p.{name}"
+                         f" < inf: raise error(f'{name} must be {phrase}, "
+                         f"got {{p.{name}!r}}')")
+        if rules:
+            lines.append(" rules(p)")
+        namespace = {"inf": math.inf, "error": error, "rules": rules}
+        exec("\n".join(lines), namespace)
+        cls.__post_init__ = namespace["check"]
+        return cls
+    return decorate
 
 
 class DeviceModel:

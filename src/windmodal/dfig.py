@@ -20,11 +20,12 @@ winds the reference back down, and the rotor recovers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
-from .devices import SCALAR, DeviceError, DeviceModel, require_finite
+from .devices import (SCALAR, DeviceError, DeviceModel, nonnegative,
+                      parameter_class, positive)
 
 # Rotor-speed protection band, per unit.  A simulation logs an excursion
 # on the recorded speed (``DeviceModel.speed_band``); nothing trips.
@@ -45,23 +46,14 @@ def check_control_mode(mode: str) -> None:
             map(repr, CONTROL_MODES)) + f", got {mode!r}")
 
 
-@dataclass(frozen=True)
+@parameter_class(DeviceError)
 class DroopParams:
     """Gains of the primary-support law, per unit on the device base."""
 
-    kp: float = 0.0
-    kin: float = 0.0
-    rocof_filter_time: float = 0.1
+    kp: float = nonnegative(0.0)
+    kin: float = nonnegative(0.0)
+    rocof_filter_time: float = positive(0.1)
     enabled: bool = False
-
-    def __post_init__(self):
-        if not (0.0 <= self.kp < math.inf and 0.0 <= self.kin < math.inf):
-            raise DeviceError(
-                "droop gains must be finite and nonnegative "
-                f"(kp={self.kp}, kin={self.kin})"
-            )
-        if not 0.0 < self.rocof_filter_time < math.inf:
-            raise DeviceError("rocof_filter_time must be positive and finite")
 
 
 # The cubic tracking curve P_opt(w): zero at and below cut-in, K_OPT*w^3 up
@@ -114,7 +106,7 @@ def frequency_support_reference(delta_f: float, rocof: float,
     return -droop.kp * delta_f - droop.kin * rocof
 
 
-@dataclass(frozen=True)
+@parameter_class(DeviceError)
 class DfigParams:
     """Aggregated-farm parameters, per unit on ``base_mva``.
 
@@ -123,28 +115,28 @@ class DfigParams:
     controls, so the model carries no induction-machine constants.
     """
 
-    base_mva: float = 300.0
-    h_turbine: float = 4.0  # lumped drive-train inertia, s
+    base_mva: float = positive(300.0)
+    h_turbine: float = positive(4.0)  # lumped drive-train inertia, s
 
     # converter current control
-    t_current: float = 0.02
-    i_pmax: float = 1.2
-    i_qmax: float = 0.66
-    v_filter_time: float = 0.05
-    v_floor: float = 0.2
+    t_current: float = positive(0.02)
+    i_pmax: float = positive(1.2)
+    i_qmax: float = positive(0.66)
+    v_filter_time: float = positive(0.05)
+    v_floor: float = positive(0.2)
 
     # farm-level active-power command dynamics; the speed-tracking power
     # reference is deliberately slow so fast power moves come only from the
     # frequency-support path
-    p_ctrl_omega: float = 16.3  # rad/s
-    p_ctrl_zeta: float = 0.125
-    mppt_filter_time: float = 5.0
+    p_ctrl_omega: float = positive(16.3)  # rad/s
+    p_ctrl_zeta: float = positive(0.125)
+    mppt_filter_time: float = positive(5.0)
 
     # reactive channel (voltage-control or constant-Q outer loop)
-    kv_p: float = 0.0
-    kv_i: float = 20.0
-    kq_p: float = 0.0
-    kq_i: float = 2.0
+    kv_p: float = nonnegative(0.0)
+    kv_i: float = nonnegative(20.0)
+    kq_p: float = nonnegative(0.0)
+    kq_i: float = nonnegative(2.0)
 
     # frequency measurement and droop actuation.  The actuation stage is a
     # damped second-order tracker: nearly transparent at electromechanical
@@ -152,21 +144,15 @@ class DfigParams:
     # dynamics live.  Its poles are kept away from the ROCOF washout pole so
     # the independent channels never produce a repeated eigenvalue (which
     # would defeat modal analysis).
-    freq_filter_time: float = 0.025
-    droop_omega: float = 26.0
-    droop_zeta: float = 0.40
+    freq_filter_time: float = positive(0.025)
+    droop_omega: float = positive(26.0)
+    droop_zeta: float = positive(0.40)
 
     control_mode: str = "voltage"  # one of CONTROL_MODES
     droop: DroopParams = field(default_factory=DroopParams)
 
     def __post_init__(self):
         check_control_mode(self.control_mode)
-        for name in ("base_mva", "h_turbine", "t_current", "v_filter_time",
-                     "mppt_filter_time", "freq_filter_time", "droop_omega",
-                     "droop_zeta"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DeviceError(f"{name} must be positive and finite")
-        require_finite(self)
 
 
 class Dfig(DeviceModel):

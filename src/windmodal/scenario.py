@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .devices import parameter_domains
 from .dfig import CONTROL_MODES, DEFAULT_GAIN_GRID, DfigParams, DroopParams
 from .modal import (Mode, analyze_modes, converter_mask, dominant_modes,
                     dominant_rows, linearize, mode_spectrum)
@@ -37,7 +38,7 @@ from .twoarea import CASES, build_two_area
 DEFAULT_SUPPORT_KP = 20.0
 DEFAULT_SUPPORT_KIN = 0.0
 AFFINE_TOL = 1e-9       # the sweep's affinity guard (_affine_gain_model)
-_DROOP_KEYS = ("kp", "kin", "rocof_filter_time")     # a file's droop block
+_DROOP_KEYS = tuple(parameter_domains(DroopParams))  # a file's droop block
 
 _MODE_CLASSES = ("inter_area", "local", "converter_control", "other")
 
@@ -72,9 +73,9 @@ class Scenario:
     keep their defaults without support; case A carries no wind farm so the
     support fields and ``control_mode`` must stay at their defaults there.
     ``to_dict`` (and so ``sha256``) omits only such fields.  The case fixes
-    the farm rating (``twoarea.DEFAULT_WIND_MVA``) and every machine
-    parameter; ``overrides`` change a parameter of one device, the
-    stabilizer gain ``k_pss`` of a machine among them.
+    each device's parameters; ``overrides`` change a number parameter of
+    one device other than its rating ``base_mva``, the stabilizer gain
+    ``k_pss`` of a machine among them.
     """
 
     base_case: str
@@ -420,13 +421,15 @@ def build_scenario_system(scenario: Scenario):
                                 f"scenario (devices: {known})")
         i = hits[0]
         dev = devices[i]
-        types = {f.name: f.type for f in dataclasses.fields(dev.params)}
-        if ov.field not in types:
+        if ov.field not in {f.name for f in dataclasses.fields(dev.params)}:
             raise ScenarioError(f"override field {ov.field!r} is not a "
                                 f"parameter of {ov.device}")
-        if types[ov.field] != "float":    # postponed annotations are text
+        if ov.field not in parameter_domains(type(dev.params)):
             raise ScenarioError(f"override field {ov.field!r} of "
                                 f"{ov.device} is not a number parameter")
+        if ov.field == "base_mva":
+            raise ScenarioError(f"override field 'base_mva' of {ov.device} "
+                                "is fixed by the case")
         params = dataclasses.replace(dev.params, **{ov.field: ov.value})
         devices[i] = type(dev)(dev.device_id, dev.bus_id, params)
     return net, devices

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .devices import finite, nonnegative, parameter_class, positive
 from .dfig import DEFAULT_GAIN_GRID
 from .modal import StateLabel, damping_ratio
 
@@ -29,27 +30,25 @@ class SmibError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@parameter_class(SmibError)
 class SmibParams:
     """The six numbers of the swing equation above: machine constants and
     the droop gains K_p and K_in, which default to zero (no support).
 
     Defaults reproduce the reference operating point used across the test
-    suite: H = 3.5 s, K_D = 10, K_S = 0.75, 60 Hz.  Construction rejects a
-    negative or non-finite gain and a nonpositive 2H + K_in.
+    suite: H = 3.5 s, K_D = 10, K_S = 0.75, 60 Hz.  Construction checks each
+    number against its declared domain (``devices.parameter_class``) and
+    rejects a nonpositive 2H + K_in.
     """
 
-    h_s: float = 3.5
-    k_damping: float = 10.0
-    k_synchronizing: float = 0.75
-    omega0: float = 377.0  # conventional 60 Hz synchronous speed, rad/s
-    kp: float = 0.0
-    kin: float = 0.0
+    h_s: float = finite(3.5)
+    k_damping: float = nonnegative(10.0)
+    k_synchronizing: float = positive(0.75)
+    omega0: float = positive(377.0)  # 60 Hz synchronous speed, rad/s
+    kp: float = nonnegative(0.0)
+    kin: float = nonnegative(0.0)
 
     def __post_init__(self):
-        if not (0.0 <= self.kp < math.inf and 0.0 <= self.kin < math.inf):
-            raise SmibError("droop gains must be finite and nonnegative "
-                            f"(kp={self.kp}, kin={self.kin})")
         m = 2.0 * self.h_s + self.kin
         if not m > 0.0:
             raise SmibError(

@@ -12,11 +12,11 @@ Field voltage has a non-windup limit (``limits``) that the integrator holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import STACK, DeviceError, DeviceModel, require_finite
+from .devices import (STACK, DeviceError, DeviceModel, above, finite,
+                      nonnegative, parameter_class, positive)
 
 # index of the limited state: field voltage
 EFD = 6
@@ -24,44 +24,44 @@ EFD = 6
 _QUARTER_TURN = math.pi / 2.0
 
 
-@dataclass(frozen=True)
+@parameter_class(DeviceError)
 class SyncGenParams:
     """Machine and control constants, per unit on ``base_mva``."""
 
-    base_mva: float = 900.0
-    h_s: float = 6.5       # inertia constant, s
-    d_pu: float = 0.0      # damping torque coefficient
-    ra: float = 0.0025
-    xd: float = 1.8
-    xq: float = 1.7
-    xd_t: float = 0.3      # transient reactances
-    xq_t: float = 0.55
-    xd_st: float = 0.25    # subtransient; d and q must match
-    xq_st: float = 0.25
-    td0_t: float = 8.0     # open-circuit time constants, s
-    tq0_t: float = 0.45
-    td0_st: float = 0.03
-    tq0_st: float = 0.05
+    base_mva: float = positive(900.0)
+    h_s: float = positive(6.5)        # inertia constant, s
+    d_pu: float = nonnegative(0.0)    # damping torque coefficient
+    ra: float = nonnegative(0.0025)
+    xd: float = above("xd_t", 1.8)
+    xq: float = above("xq_t", 1.7)
+    xd_t: float = above("xd_st", 0.3)     # transient reactances
+    xq_t: float = above("xq_st", 0.55)
+    xd_st: float = above("ra", 0.25)      # subtransient; d and q must match
+    xq_st: float = positive(0.25)
+    td0_t: float = positive(8.0)      # open-circuit time constants, s
+    tq0_t: float = positive(0.45)
+    td0_st: float = positive(0.03)
+    tq0_st: float = positive(0.05)
 
     # static exciter
-    ka: float = 200.0
-    ta: float = 0.02
-    efd_max: float = 6.0
-    efd_min: float = 0.0
+    ka: float = positive(200.0)
+    ta: float = positive(0.02)
+    efd_max: float = above("efd_min", 6.0)
+    efd_min: float = finite(0.0)
 
     # power system stabilizer on speed deviation
-    k_pss: float = 10.0
-    t_washout: float = 10.0
-    t1: float = 0.05
-    t2: float = 0.02
-    t3: float = 3.0
-    t4: float = 5.4
-    vs_max: float = 0.2
+    k_pss: float = nonnegative(10.0)
+    t_washout: float = positive(10.0)
+    t1: float = nonnegative(0.05)
+    t2: float = positive(0.02)
+    t3: float = nonnegative(3.0)
+    t4: float = positive(5.4)
+    vs_max: float = nonnegative(0.2)
 
     # turbine: pm is a first-order lag to its dispatch in (pm_min, pm_max)
-    t_gov: float = 0.5
-    pm_max: float = 1.0
-    pm_min: float = 0.0
+    t_gov: float = positive(0.5)
+    pm_max: float = above("pm_min", 1.0)
+    pm_min: float = nonnegative(0.0)
 
     def __post_init__(self):
         if self.xd_st != self.xq_st:
@@ -69,18 +69,6 @@ class SyncGenParams:
                 "equal subtransient reactances are required for the complex "
                 f"Norton interface (xd_st={self.xd_st}, xq_st={self.xq_st})"
             )
-        if not (self.xd > self.xd_t > self.xd_st > self.ra >= 0.0):
-            raise DeviceError("need xd > xd_t > xd_st > ra >= 0")
-        if not (self.xq > self.xq_t > self.xq_st > 0.0):
-            raise DeviceError("need xq > xq_t > xq_st > 0")
-        for name in ("h_s", "td0_t", "tq0_t", "td0_st", "tq0_st", "ta",
-                     "t_gov", "t_washout", "t2", "t4", "base_mva"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DeviceError(f"{name} must be positive and finite")
-        require_finite(self)
-        if not (self.ka > 0.0 and self.k_pss >= 0.0):
-            raise DeviceError(f"need ka > 0 and k_pss >= 0 (ka={self.ka}, "
-                              f"k_pss={self.k_pss})")
 
 
 class SyncGen(DeviceModel):

@@ -17,6 +17,7 @@ from windmodal.devices import DeviceError
 from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (build_scenario_system, load_packaged_scenario,
                                 packaged_scenario_names)
+from windmodal.smib import SmibError, SmibParams
 from windmodal.system import assemble
 from windmodal import dfig
 from windmodal.dfig import (Q_CTRL, Dfig, DfigParams, DroopParams,
@@ -110,7 +111,7 @@ def test_syncgen_rejects_dispatch_outside_limits():
     (dict(h_s=math.nan), "h_s must be positive and finite"),
     (dict(td0_t=math.inf), "td0_t must be positive and finite"),
     (dict(ra=0.25), "xd_st > ra"),
-    (dict(ra=-0.01), "ra >= 0"),
+    (dict(ra=-0.01), "ra must be finite and nonnegative"),
 ])
 def test_syncgen_parameter_validation(kwargs, match):
     with pytest.raises(DeviceError, match=match):
@@ -336,11 +337,12 @@ def test_dfig_params_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("cls, name", [
     pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
-    for cls in (SyncGenParams, DfigParams)
+    for cls in (SyncGenParams, DfigParams, DroopParams, SmibParams)
     for f in dataclasses.fields(cls) if isinstance(f.default, float)])
 def test_every_float_parameter_must_be_finite(cls, name, bad):
     # a NaN limit would fail every comparison and so switch the limit off
-    with pytest.raises(DeviceError, match=rf"\b{name}\b"):
+    error = SmibError if cls is SmibParams else DeviceError
+    with pytest.raises(error, match=rf"^{name} must be .*, got {bad}$"):
         cls(**{name: bad})
 
 

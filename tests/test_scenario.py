@@ -263,8 +263,8 @@ def test_scenario_file_with_a_negative_droop_gain_is_rejected(tmp_path):
     path = tmp_path / "negative_kp.json"
     path.write_text('{"base_case": "B", "frequency_support": true, '
                     '"droop": {"kp": -1.0}}')
-    with pytest.raises(ScenarioError, match=r"^droop: droop gains must be "
-                                            r"finite and nonnegative \(kp=-1"):
+    with pytest.raises(ScenarioError, match=r"^droop: kp must be finite "
+                                            r"and nonnegative, got -1\.0$"):
         load_scenario(path)
 
 
@@ -657,8 +657,11 @@ def test_nonfinite_override_fails_at_build_naming_the_field(case, device,
 def test_nonfinite_limit_or_gain_fails_at_build_naming_the_field(
         case, device, name, value):
     bad = Scenario(base_case=case, overrides=(Override(device, name, value),))
-    with pytest.raises(PipelineError, match=rf"\[build\] {name} must be "
-                       "finite") as err:
+    domain = {"i_pmax": "positive and finite", "i_qmax": "positive and finite",
+              "ka": "positive and finite", "xd": "finite with xd > xd_t = 0.3",
+              }.get(name, "finite and nonnegative")
+    message = re.escape(f"[build] {name} must be {domain}, got {value!r}")
+    with pytest.raises(PipelineError, match=f"^{message}$") as err:
         run_scenario(bad)
     assert err.value.stage == "build"
 
@@ -672,8 +675,10 @@ def test_a_negative_stabilizer_gain_or_no_exciter_gain_fails_at_build(
     # a negative k_pss used to build and report; ka = 0 failed only at
     # assembly, as a NaN derivative of G1.efd after a division warning
     bad = Scenario(base_case=case, overrides=(Override("G1", name, value),))
-    message = (r"^\[build\] need ka > 0 and k_pss >= 0 \(.*"
-               + re.escape(f"{name}={value}"))
+    domain = "positive and finite" if name == "ka" else \
+        "finite and nonnegative"
+    message = "^" + re.escape(f"[build] {name} must be {domain}, "
+                              f"got {value!r}") + "$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PipelineError, match=message) as err:
@@ -924,7 +929,7 @@ def test_sweep_cell_with_a_non_finite_gain_fails_alone(scenario_b, bad_kp):
     sweep = run_sensitivity_sweep(scenario_b, kp_values=(bad_kp, 10.0),
                                   kin_values=(0.0,))
     bad, good = sweep.cells
-    assert bad.error.startswith("droop gains must be finite and nonnegative")
+    assert bad.error == f"kp must be finite and nonnegative, got {bad_kp!r}"
     assert not bad.dominant
     assert not good.error and good.dominant
 

@@ -86,6 +86,22 @@ def test_a_negative_or_nonfinite_gain_is_rejected(gains):
         SmibParams().with_gains(kp, kin)
 
 
+@pytest.mark.parametrize("name, value, domain", [
+    ("k_damping", math.nan, "finite and nonnegative"),
+    ("k_damping", -1.0, "finite and nonnegative"),
+    ("k_synchronizing", math.nan, "positive and finite"),
+    ("k_synchronizing", 0.0, "positive and finite"),
+    ("omega0", math.nan, "positive and finite"),
+    ("omega0", -377.0, "positive and finite"),
+])
+def test_a_machine_constant_outside_its_domain_is_rejected(name, value,
+                                                           domain):
+    # a NaN constant used to give NaN eigenvalues, flagged not oscillatory
+    with pytest.raises(SmibError,
+                       match=rf"^{name} must be {domain}, got {value!r}$"):
+        SmibParams(**{name: value})
+
+
 @pytest.mark.parametrize("h_s, kin", [(0.0, 0.0), (-1.0, 2.0), (-3.0, 1.0)])
 def test_a_nonpositive_effective_inertia_fails_at_construction(h_s, kin):
     with pytest.raises(SmibError, match=r"effective inertia 2H \+ K_in"):
