@@ -26,19 +26,27 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .devices import parameter_domains
-from .dfig import CONTROL_MODES, DEFAULT_GAIN_GRID, DfigParams, DroopParams
+from .devices import DeviceError, parameter_domains
+from .dfig import (DEFAULT_GAIN_GRID, DfigParams, DroopParams,
+                   check_control_mode)
 from .modal import (Mode, analyze_modes, converter_mask, dominant_modes,
                     dominant_rows, linearize, mode_spectrum)
 from .powerflow import solve_power_flow
 from .system import assemble
-from .timedomain import Event, Trace, cycles, simulate
+from .timedomain import EVENT_FIELDS, Event, Trace, cycles, simulate
 from .twoarea import CASES, build_two_area
 
 DEFAULT_SUPPORT_KP = 20.0
 DEFAULT_SUPPORT_KIN = 0.0
 AFFINE_TOL = 1e-9       # the sweep's affinity guard (_affine_gain_model)
 _DROOP_KEYS = tuple(parameter_domains(DroopParams))  # a file's droop block
+# a file event's keys: the fields of Event, those without a default
+# required, and duration_cycles, the file's alias of duration
+_EVENT_KEYS = {f.name: f.default is dataclasses.MISSING
+               for f in dataclasses.fields(Event)} | {"duration_cycles": False}
+# each field that Event defaults to a value, not None, and the kind taking it
+_DEFAULTED_FIELDS = {name: kind for kind, (_, takes) in EVENT_FIELDS.items()
+                     for name in takes if getattr(Event, name) is not None}
 
 _MODE_CLASSES = ("inter_area", "local", "converter_control", "other")
 
@@ -94,9 +102,10 @@ class Scenario:
         if self.base_case not in CASES:
             raise ScenarioError(f"base_case: expected one of {CASES}, "
                                 f"got {self.base_case!r}")
-        if self.control_mode not in CONTROL_MODES:
-            raise ScenarioError(f"control_mode: expected one of "
-                                f"{CONTROL_MODES}, got {self.control_mode!r}")
+        try:
+            check_control_mode(self.control_mode)
+        except DeviceError as exc:
+            raise ScenarioError(f"control_mode: {exc}") from exc
         if self.base_case == "A":
             if self.frequency_support or self.droop.enabled:
                 raise ScenarioError(
@@ -153,17 +162,16 @@ def _canonical_hash(scenario: Scenario) -> str:
 
 
 def _event_to_dict(ev: Event) -> dict:
+    where, takes = EVENT_FIELDS[ev.kind]
     out: dict = {"kind": ev.kind, "t_start": float(ev.t_start)}
-    if ev.bus is not None:
-        out["bus"] = ev.bus
-    if ev.branch is not None:
-        out["branch"] = ev.branch
-    if ev.duration is not None:
-        out["duration"] = float(ev.duration)
-    if ev.kind == "three_phase_fault":
-        out["admittance"] = float(ev.admittance)
-    if ev.kind == "load_step":
-        out["scale"] = float(ev.scale)
+    for name in where:
+        value = getattr(ev, name)
+        if value is not None:
+            out[name] = value
+    for name in takes:
+        value = getattr(ev, name)
+        if value is not None:
+            out[name] = float(value)
     return out
 
 
@@ -201,34 +209,29 @@ def _number(obj: dict, key: str, path: str) -> float | None:
 
 def _parse_event(obj: dict, path: str) -> Event:
     _require(isinstance(obj, dict), path, "must be an object")
-    _check_keys(obj, {"kind": True, "t_start": True, "bus": False,
-                      "branch": False, "duration": False,
-                      "duration_cycles": False, "admittance": False,
-                      "scale": False}, path)
+    _check_keys(obj, _EVENT_KEYS, path)
     _require(isinstance(obj["kind"], str), f"{path}.kind", "must be a string")
     if "duration" in obj and "duration_cycles" in obj:
         raise ScenarioError(f"{path}.duration_cycles: give either duration "
                             "or duration_cycles, not both")
-    duration = _number(obj, "duration", f"{path}.")
-    n_cycles = _number(obj, "duration_cycles", f"{path}.")
-    if n_cycles is not None:
-        duration = cycles(n_cycles)
-    kwargs = {}
-    for key, kind in (("admittance", "three_phase_fault"),
-                      ("scale", "load_step")):
-        if key in obj:
-            _require(obj["kind"] == kind, f"{path}.{key}",
-                     f"applies only to a {kind} event")
-            kwargs[key] = _number(obj, key, f"{path}.")
-    t_start = _number(obj, "t_start", f"{path}.")
+    # Event cannot tell these fields given at their defaults from left out;
+    # it rejects every other field that the kind does not take
+    for key, kind in _DEFAULTED_FIELDS.items():
+        _require(key not in obj or obj["kind"] == kind, f"{path}.{key}",
+                 f"applies only to a {kind} event")
     # an explicit null is a wrong type here, not an absent key
     for key, message in (("bus", "must be an integer bus id"),
                          ("branch", "must be a branch name")):
         _require(key not in obj or obj[key] is not None, f"{path}.{key}",
                  message)
+    numbers = {key: _number(obj, key, f"{path}.") for key in obj
+               if key not in ("kind", "bus", "branch")}
+    n_cycles = numbers.pop("duration_cycles", None)
+    if n_cycles is not None:
+        numbers["duration"] = cycles(n_cycles)
     try:
-        return Event(kind=obj["kind"], t_start=t_start, bus=obj.get("bus"),
-                     branch=obj.get("branch"), duration=duration, **kwargs)
+        return Event(obj["kind"], bus=obj.get("bus"),
+                     branch=obj.get("branch"), **numbers)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 

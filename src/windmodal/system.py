@@ -48,8 +48,9 @@ Event support lives here as grid variants built from the script's active
 events: a three-phase fault (bus shunt, or midpoint shunt on a split
 branch), a tripped branch, a scaled load.  Each variant is a fresh matrix
 built from the unmodified base, so clearing an event is exact by
-construction.  The events are read by their fields alone, so this module
-does not import the time-domain one that defines them.
+construction.  The events are read by their fields alone; only the names
+of their kinds come from the time-domain module that defines them, looked
+up when a variant is built, since that module imports this one.
 """
 
 from __future__ import annotations
@@ -299,22 +300,26 @@ class DynamicSystem:
     def grid_variant(self, events) -> GridModel:
         """Admittance matrix with the active events applied to the base.
 
-        ``events`` are three-phase faults, line trips and load steps, of
-        which only ``kind``, ``bus``, ``branch``, ``admittance`` and
-        ``scale`` are read.  They apply in a fixed order: the line trips,
-        then the faults at branch midpoints, then those at buses, then the
-        load steps, each in the order given, so the admittance sums do not
-        depend on how the kinds are interleaved.  A load step scales the
-        base load of its bus, one step per bus.  Midpoint faults append one
-        bus per faulted branch; everything else keeps the base dimensions.
+        ``events`` are of the kinds in ``timedomain.EVENT_KINDS``
+        (three-phase faults, line trips and load steps), of which only
+        ``kind``, ``bus``, ``branch``, ``admittance`` and ``scale`` are
+        read; every kind changes the grid.  They apply in a fixed order: the
+        line trips, then the faults at branch midpoints, then those at
+        buses, then the load steps, each in the order given, so the
+        admittance sums do not depend on how the kinds are interleaved.  A
+        load step scales the base load of its bus, one step per bus.
+        Midpoint faults append one bus per faulted branch; everything else
+        keeps the base dimensions.
         Built fresh from the unmodified base so variants never accumulate.
         """
-        by_kind = {"line_trip": [], "three_phase_fault": [], "load_step": []}
+        from .timedomain import EVENT_KINDS    # timedomain imports this module
+        by_kind = {kind: [] for kind in EVENT_KINDS}
         for ev in events:
             if ev.kind not in by_kind:
-                raise SystemModelError(f"a {ev.kind} event changes no grid")
+                raise SystemModelError(f"unknown event kind {ev.kind!r}")
             by_kind[ev.kind].append(ev)
-        trips, faults, steps = by_kind.values()
+        trips, faults, steps = (by_kind[kind] for kind in (
+            "line_trip", "three_phase_fault", "load_step"))
         out_branches = [ev.branch for ev in trips]
         if len({ev.bus for ev in steps}) != len(steps):
             raise SystemModelError("more than one load step on a bus")

@@ -8,7 +8,7 @@ come from each step's dense output.  Disturbances never mutate the model:
 the event script becomes a list of segments of constant grid before the
 first step, each grid rebuilt from the unmodified base by
 ``DynamicSystem.grid_variant`` from the script's own events active then, so
-clearing a fault restores the pre-fault matrices exactly and a script error
+a fault's expiry restores the pre-fault matrices exactly and a script error
 fails before anything is integrated.  The devices' non-windup limiters
 (the machines' field voltage, the converter's reactive integrator) are
 held and released by the integrator alone, which locates each bound
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 # only the wrap point of the benchmark's ``timedomain.lu_factor_calls``
@@ -49,7 +49,15 @@ RTOL = 1e-5        # relative tolerance of the step error
 ATOL = 1e-8        # absolute floor of the step error's scale
 H_MAX = 0.04       # longest step, s (see simulate)
 
-EVENT_KINDS = ("three_phase_fault", "clear_fault", "load_step", "line_trip")
+# each kind of event: the fields that say where it acts (it takes exactly
+# one of them) and the optional fields it takes; it leaves every other field
+# of ``Event`` at its default
+EVENT_FIELDS = {
+    "three_phase_fault": (("bus", "branch"), ("duration", "admittance")),
+    "load_step": (("bus",), ("scale",)),
+    "line_trip": (("branch",), ()),
+}
+EVENT_KINDS = tuple(EVENT_FIELDS)
 DEFAULT_FAULT_ADMITTANCE = 1e4     # a bolted fault's shunt, pu
 
 
@@ -76,15 +84,14 @@ class Event:
 
     ``three_phase_fault`` inserts a large shunt at a bus or at the midpoint
     of a named branch; with a ``duration`` it clears itself, otherwise it
-    stays on until a matching ``clear_fault`` (or the end of the run).
-    ``clear_fault`` removes an active fault.  ``line_trip`` takes a
-    branch out of service permanently; ``load_step`` rescales the load at a
-    bus by ``scale`` from ``t_start`` on.  Only a fault expires, so any
-    other kind with a ``duration`` is rejected; likewise an ``admittance``
-    on any kind but a fault, a ``scale`` on any kind but a load step, and a
-    ``bus`` on a line trip or a ``branch`` on a load step.  A ``bus`` is an
-    ``int`` (not a ``bool``) and a ``branch`` a ``str``, the types the
-    scenario parser reads back.
+    stays on to the end of the run.  ``line_trip`` takes a branch out of
+    service permanently; ``load_step`` rescales the load at a bus by
+    ``scale`` from ``t_start`` on.  ``EVENT_FIELDS`` lists where each kind
+    acts and the optional fields it takes; a field a kind does not take
+    must keep its default, so a ``duration`` on any kind but a fault, say,
+    is rejected rather than ignored.  A ``bus`` is an ``int`` (not a
+    ``bool``) and a ``branch`` a ``str``, the types the scenario parser
+    reads back.
     """
 
     kind: str
@@ -108,38 +115,28 @@ class Event:
         if self.branch is not None and not isinstance(self.branch, str):
             raise ValueError(f"event branch {self.branch!r}: must be a "
                              "branch name")
-        if self.kind in ("three_phase_fault", "clear_fault"):
-            if (self.bus is None) == (self.branch is None):
-                raise ValueError(f"{self.kind} needs exactly one of bus "
-                                 "or branch")
-        if self.duration is not None and self.kind != "three_phase_fault":
-            raise ValueError(f"{self.kind} takes no duration; only a "
-                             "three_phase_fault expires")
-        if (self.admittance != DEFAULT_FAULT_ADMITTANCE
-                and self.kind != "three_phase_fault"):
-            raise ValueError(f"{self.kind} takes no admittance; only a "
-                             "three_phase_fault inserts one")
-        if self.scale != 1.0 and self.kind != "load_step":
-            raise ValueError(f"{self.kind} takes no scale; only a load_step "
-                             "rescales a load")
-        if self.kind == "three_phase_fault":
-            if self.duration is not None and not (
-                    math.isfinite(self.duration) and self.duration > 0.0):
-                raise ValueError("fault duration must be finite and positive")
-            if not (math.isfinite(self.admittance) and self.admittance > 0.0):
-                raise ValueError("fault admittance must be finite and "
-                                 "positive")
-        if self.kind == "line_trip" and self.branch is None:
-            raise ValueError("line_trip needs a branch name")
-        if self.kind == "load_step":
-            if self.bus is None:
-                raise ValueError("load_step needs a bus id")
-            if not (math.isfinite(self.scale) and self.scale >= 0.0):
-                raise ValueError("load_step scale must be finite and "
-                                 "non-negative")
-        stray = {"line_trip": "bus", "load_step": "branch"}.get(self.kind)
-        if stray is not None and getattr(self, stray) is not None:
-            raise ValueError(f"{self.kind} takes no {stray}")
+        for name, unset in _UNTAKEN[self.kind]:
+            if getattr(self, name) != unset:
+                raise ValueError(f"{self.kind} takes no {name}")
+        # a bus or branch that the kind does not take has failed above
+        if (self.bus is None) == (self.branch is None):
+            where = EVENT_FIELDS[self.kind][0]
+            raise ValueError(f"{self.kind} needs " + (
+                "exactly one of " + " or ".join(where) if len(where) > 1
+                else {"bus": "a bus id", "branch": "a branch name"}[where[0]]))
+        if self.duration is not None and not (
+                math.isfinite(self.duration) and self.duration > 0.0):
+            raise ValueError("fault duration must be finite and positive")
+        if not (math.isfinite(self.admittance) and self.admittance > 0.0):
+            raise ValueError("fault admittance must be finite and positive")
+        if not (math.isfinite(self.scale) and self.scale >= 0.0):
+            raise ValueError("load_step scale must be finite and non-negative")
+
+
+# kind -> ((field, default), ...) of the fields that kind does not take
+_UNTAKEN = {kind: tuple((f.name, f.default) for f in fields(Event)
+                        if f.name not in ("kind", "t_start", *where, *takes))
+            for kind, (where, takes) in EVENT_FIELDS.items()}
 
 
 @dataclass
@@ -196,23 +193,22 @@ def _segments(model: DynamicSystem, events, t_end: float):
 
     Events apply in stable order of ``t_start``; a fault with a
     ``duration`` expires at ``t_start + duration``, before the events that
-    start at that time; the expiry removes that fault only, and nothing if
-    a ``clear_fault`` removed it already.  A load step replaces an earlier
-    one on its bus.  Each time at
-    which anything happens starts a segment with a grid built from the
-    events active then (the base grid once nothing is active); changes at
-    or after ``t_end`` never apply.
+    start at that time, and one without stays on to ``t_end``.  A load step
+    replaces an earlier one on its bus.  Each time at which anything
+    happens starts a segment with a grid built from the events active then
+    (the base grid once nothing is active); changes at or after ``t_end``
+    never apply, and an event starting there is logged as ignored.
     """
     # time -> [(event, starts)]: each event, and each timed fault again
     # where it expires (appended first, since its fault started earlier)
     changes: dict[float, list] = {}
     for ev in sorted(events, key=lambda e: e.t_start):
-        if ev.t_start > t_end:
-            logger.warning("event at t=%.3fs is beyond t_end=%.3fs; ignored",
-                           ev.t_start, t_end)
+        if ev.t_start >= t_end:
+            logger.warning("event at t=%.3fs is at or beyond t_end=%.3fs; "
+                           "ignored", ev.t_start, t_end)
             continue
         changes.setdefault(ev.t_start, []).append((ev, True))
-        if ev.kind == "three_phase_fault" and ev.duration is not None:
+        if ev.duration is not None:
             changes.setdefault(ev.t_start + ev.duration, []).append(
                 (ev, False))
 
@@ -225,18 +221,9 @@ def _segments(model: DynamicSystem, events, t_end: float):
             t0 = t
         for ev, starts in changes[t]:
             if not starts:
-                if ev in faults:
-                    faults.remove(ev)
+                faults.remove(ev)
             elif ev.kind == "three_phase_fault":
                 faults.append(ev)
-            elif ev.kind == "clear_fault":
-                kept = [f for f in faults
-                        if (f.bus, f.branch) != (ev.bus, ev.branch)]
-                if len(kept) == len(faults):
-                    where = f"bus {ev.bus}" if ev.branch is None else ev.branch
-                    raise SimulationError(f"clear_fault at t={t:.4f}s: no "
-                                          f"active fault on {where}")
-                faults = kept
             elif ev.kind == "line_trip":
                 if any(trip.branch == ev.branch for trip in trips):
                     raise SimulationError(
@@ -616,18 +603,17 @@ def simulate(model: DynamicSystem, equilibrium: np.ndarray | None = None,
     evaluation, only a switch does.
 
     The event script is turned into segments of constant grid before the
-    first step, so a script error (clearing a fault that is not on,
-    tripping a branch twice, a grid that cannot be built) raises
-    :class:`SimulationError` before any integration.  Every segment starts
-    afresh, with Hairer's starting step, and its last step lands exactly on
-    its end; steps shortened to land on a segment end or a limiter switch
-    may be shorter than ``DT_MIN``.  A rejected step whose retry would be
-    shorter than ``DT_MIN`` ends the run with ``integration stalled``; a
-    step whose error estimate is not finite (a NaN derivative) is
-    rejected, so it ends the same way.  On a stall, or a network solve
-    that fails at a stage or a sample, the partial history is attached to
-    the raised :class:`SimulationError` (``None`` if the network fails at
-    t = 0, before anything is recorded).
+    first step, so a script error (tripping a branch twice, a grid that
+    cannot be built) raises :class:`SimulationError` before any integration.
+    Every segment starts afresh, with Hairer's starting step, and its last
+    step lands exactly on its end; steps shortened to land on a segment end
+    or a limiter switch may be shorter than ``DT_MIN``.  A rejected step
+    whose retry would be shorter than ``DT_MIN`` ends the run with
+    ``integration stalled``; a step whose error estimate is not finite (a
+    NaN derivative) is rejected, so it ends the same way.  On a stall, or a
+    network solve that fails at a stage or a sample, the partial history is
+    attached to the raised :class:`SimulationError` (``None`` if the network
+    fails at t = 0, before anything is recorded).
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be finite and positive")

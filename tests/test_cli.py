@@ -256,6 +256,17 @@ def test_powerflow_names_events_that_are_not_a_list(tmp_path, capsys):
         "error: [load] events: must be a list")
 
 
+def test_an_unknown_control_mode_is_a_load_error(tmp_path, capsys):
+    # in the words of the farm's own check, as two_area_network says it
+    path = tmp_path / "mode.json"
+    path.write_text('{"base_case": "B", "control_mode": "droop"}')
+    assert main(["modal", "--scenario", str(path), "--out",
+                 str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: [load] control_mode: control_mode must be 'voltage' or "
+        "'reactive_power', got 'droop'\n")
+
+
 def test_invalid_gain_spec_is_a_usage_error(capsys):
     for spec in ("5:1:1", "0:inf:10"):
         with pytest.raises(SystemExit) as exc:

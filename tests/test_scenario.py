@@ -23,7 +23,8 @@ from windmodal.powerflow import solve_power_flow
 from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
                                 Report, Scenario, ScenarioError,
                                 _affine_gain_model, _dominant_rows,
-                                _with_gains, assemble, build_scenario_system,
+                                _event_to_dict, _parse_event, _with_gains,
+                                assemble, build_scenario_system,
                                 export_report, load_packaged_scenario,
                                 load_scenario,
                                 packaged_scenario_names, parse_report,
@@ -33,7 +34,7 @@ from windmodal.scenario import (DEFAULT_GAIN_GRID, PipelineError, Override,
                                 simulate_scenario, sweep_to_csv,
                                 sweep_to_text)
 from windmodal.syncgen import SyncGenParams
-from windmodal.timedomain import Event, cycles
+from windmodal.timedomain import EVENT_FIELDS, EVENT_KINDS, Event, cycles
 from windmodal.twoarea import DEFAULT_WIND_MVA, two_area_network
 
 from conftest import cell_matrix
@@ -226,6 +227,12 @@ def test_parse_event_duration_forms():
     with pytest.raises(ScenarioError, match="unknown event kind"):
         parse_scenario({"base_case": "B", "events": [
             {"kind": "earthquake", "t_start": 1.0}]})
+    # a fault ends by its duration or at the end of the run, never by a
+    # second event
+    with pytest.raises(ScenarioError, match=r"^events\[0\]: unknown event "
+                                            r"kind 'clear_fault'"):
+        parse_scenario({"base_case": "B", "events": [
+            {"kind": "clear_fault", "t_start": 1.0, "bus": 8}]})
     # only a fault expires
     for event in ({"kind": "load_step", "t_start": 0.1, "bus": 7,
                    "scale": 1.1, "duration": 0.05},
@@ -245,8 +252,8 @@ def test_parse_event_duration_forms():
       "scale": 1.0}, "scale"),
     ({"kind": "load_step", "t_start": 0.1, "bus": 7, "admittance": 1e4},
      "admittance"),
-    ({"kind": "clear_fault", "t_start": 0.1, "bus": 8, "admittance": 1e4},
-     "admittance"),
+    ({"kind": "line_trip", "t_start": 0.1, "branch": "L8-9b",
+      "admittance": 50.0}, "admittance"),
 ])
 def test_parse_rejects_a_field_the_event_kind_does_not_use(event, key):
     # to_dict would drop the stray field: the scenario would compare
@@ -256,6 +263,42 @@ def test_parse_rejects_a_field_the_event_kind_does_not_use(event, key):
         parse_scenario({"base_case": "B", "events": [event]})
     without = {k: v for k, v in event.items() if k != key}
     parse_scenario({"base_case": "B", "events": [without]})    # fine
+
+
+# a value of each field that some kind of event takes, and a valid event
+# of each kind that the field is added to; a bus or branch replaces the
+# event's own target
+_EVENT_FIELD_VALUES = {"bus": 8, "branch": "L8-9a", "duration": 0.1,
+                       "admittance": 50.0, "scale": 1.1}
+_MINIMAL_EVENTS = {"three_phase_fault": {"bus": 9}, "load_step": {"bus": 7},
+                   "line_trip": {"branch": "L8-9b"}}
+
+
+@pytest.mark.parametrize("field", _EVENT_FIELD_VALUES)
+@pytest.mark.parametrize("kind", EVENT_KINDS)
+def test_event_and_parser_agree_on_the_fields_of_each_kind(kind, field):
+    event = {"kind": kind, "t_start": 0.1, **_MINIMAL_EVENTS[kind]}
+    if field in ("bus", "branch"):
+        event.pop("bus", None)
+        event.pop("branch", None)
+    event[field] = _EVENT_FIELD_VALUES[field]
+    where, takes = EVENT_FIELDS[kind]
+    if field in where + takes:
+        parsed = _parse_event(event, "events[0]")
+        assert parsed == Event(**event)
+        # every field the kind takes that is given or set, and no other
+        written = _event_to_dict(parsed)
+        assert written[field] == event[field]
+        assert set(written) == {"kind", "t_start"} | {
+            name for name in where + takes
+            if getattr(parsed, name) is not None}
+    else:
+        with pytest.raises(ValueError, match=f"^{kind} takes no {field}$"):
+            Event(**event)
+        with pytest.raises(ScenarioError,
+                           match=rf"^events\[0\](\.{field}: applies only to "
+                                 rf"a \w+ event|: {kind} takes no {field})$"):
+            _parse_event(event, "events[0]")
 
 
 def test_scenario_file_with_a_negative_droop_gain_is_rejected(tmp_path):
@@ -348,7 +391,8 @@ _FULL_SCENARIO = {
 _NULL_CASES = [
     (("name",), "must be a string"),
     (("description",), "must be a string"),
-    (("control_mode",), "expected one of"),
+    (("control_mode",), "control_mode must be 'voltage' or "
+                        "'reactive_power', got None"),
     (("frequency_support",), "must be true or false"),
     (("droop",), "must be an object"),
     (("overrides",), "must be a list"),

@@ -27,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 from windmodal.dfig import CONTROL_MODES, DroopParams
 from windmodal.scenario import (Override, Scenario, ScenarioError,
                                 _event_to_dict, _parse_event, parse_scenario)
-from windmodal.timedomain import DEFAULT_FAULT_ADMITTANCE, EVENT_KINDS, Event
+from windmodal.timedomain import (DEFAULT_FAULT_ADMITTANCE, EVENT_FIELDS,
+                                  EVENT_KINDS, Event)
 from windmodal.twoarea import CASES
 
 PROPERTY = settings(max_examples=100, derandomize=True, database=None,
@@ -54,19 +55,18 @@ def events(draw):
     """A valid ``Event`` of any kind."""
     kind = draw(st.sampled_from(EVENT_KINDS))
     kwargs = {"t_start": draw(NONNEG_OR_INT)}
-    if kind in ("three_phase_fault", "clear_fault"):
+    if kind == "three_phase_fault":
         if draw(st.booleans()):
             kwargs["bus"] = draw(st.integers())
         else:
             kwargs["branch"] = draw(TEXT)
-    if kind == "three_phase_fault":
         kwargs["duration"] = draw(st.none() | POSITIVE_OR_INT)
         kwargs["admittance"] = draw(st.just(DEFAULT_FAULT_ADMITTANCE)
                                     | POSITIVE_OR_INT)
     elif kind == "load_step":
         kwargs["bus"] = draw(st.integers())
         kwargs["scale"] = draw(NONNEG_OR_INT)
-    elif kind == "line_trip":
+    else:
         kwargs["branch"] = draw(TEXT)
     return Event(kind, **kwargs)
 
@@ -157,11 +157,9 @@ def event_objects(draw):
     """An event mapping as a file gives it: the keys its kind takes, each
     present or not, numbers as floats or integers, valid or not."""
     kind = draw(st.sampled_from(EVENT_KINDS))
-    keys = {"three_phase_fault": ("bus", "branch", "duration",
-                                  "duration_cycles", "admittance"),
-            "clear_fault": ("bus", "branch"),
-            "load_step": ("bus", "scale"),
-            "line_trip": ("branch",)}[kind]
+    where, takes = EVENT_FIELDS[kind]
+    keys = where + takes + (("duration_cycles",) if "duration" in takes
+                            else ())
     obj = {"kind": kind, "t_start": draw(NUMBERS)}
     for key in keys:
         if draw(st.booleans()):

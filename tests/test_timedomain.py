@@ -52,7 +52,7 @@ def test_cycles_converts_to_seconds():
 def test_event_validation():
     Event("three_phase_fault", 1.0, bus=8, duration=0.1)          # fine
     Event("three_phase_fault", 1.0, branch="L8-9a", duration=0.1)  # fine
-    Event("three_phase_fault", 1.0, bus=8)   # no duration: until cleared
+    Event("three_phase_fault", 1.0, bus=8)   # no duration: to the end
     with pytest.raises(ValueError, match="exactly one"):
         Event("three_phase_fault", 1.0, duration=0.1)
     with pytest.raises(ValueError, match="exactly one"):
@@ -82,15 +82,13 @@ def test_event_validation():
         Event("load_step", 0.1, bus=7, scale=1.1, duration=0.05)
     with pytest.raises(ValueError, match="line_trip takes no duration"):
         Event("line_trip", 0.1, branch="L8-9b", duration=0.2)
-    with pytest.raises(ValueError, match="clear_fault takes no duration"):
-        Event("clear_fault", 0.1, bus=8, duration=0.2)
 
 
 @pytest.mark.parametrize("field, event", [
     ("scale", dict(kind="three_phase_fault", bus=8, scale=3.0)),
     ("scale", dict(kind="line_trip", branch="L8-9b", scale=0.5)),
-    ("scale", dict(kind="clear_fault", bus=8, scale=math.nan)),
-    ("admittance", dict(kind="clear_fault", bus=8, admittance=5.0)),
+    ("duration", dict(kind="load_step", bus=7, scale=1.1, duration=0.05)),
+    ("duration", dict(kind="line_trip", branch="L8-9b", duration=math.nan)),
     ("admittance", dict(kind="load_step", bus=7, scale=1.1, admittance=5.0)),
     ("admittance", dict(kind="line_trip", branch="L8-9b",
                         admittance=math.inf)),
@@ -595,21 +593,6 @@ def test_line_trip_is_permanent(system_a):
     assert abs(v8_end - tr.voltage_magnitude(8)[0]) > 1e-4
 
 
-def test_fault_with_explicit_clear_event(system_a):
-    evs = [Event("three_phase_fault", 0.3, bus=8),
-           Event("clear_fault", 0.4, bus=8)]
-    tr = simulate(system_a, events=evs, t_end=1.0, dt_max=1e-3)
-    k_during = int(np.argmin(np.abs(tr.time - 0.35)))
-    assert tr.voltage_magnitude(8)[k_during] < 0.1
-    assert tr.voltage_magnitude(8)[-1] > 0.8
-
-
-def test_clearing_a_nonexistent_fault_fails(system_a):
-    with pytest.raises(SimulationError, match="no active fault"):
-        simulate(system_a, events=[Event("clear_fault", 0.2, bus=8)],
-                 t_end=0.5)
-
-
 def test_tripping_the_same_branch_twice_fails(system_a):
     evs = [Event("line_trip", 0.1, branch="L8-9b"),
            Event("line_trip", 0.2, branch="L8-9b")]
@@ -630,22 +613,32 @@ def test_a_second_load_step_on_a_bus_replaces_the_first(system_a):
     assert last.z_dev.tobytes() == alone.z_dev.tobytes()
 
 
-def test_a_timed_fault_cleared_already_expires_quietly(system_a):
-    timed = Event("three_phase_fault", 0.25, bus=8, duration=0.25)
-    clear = Event("clear_fault", 0.375, bus=8)
-    segments = timedomain._segments(system_a, [timed, clear], 1.0)
-    assert [(t0, t1) for t0, t1, _ in segments] == \
-        [(0.0, 0.25), (0.25, 0.375), (0.375, 0.5), (0.5, 1.0)]
-    grids = [grid for _, _, grid in segments]
-    assert grids[1] is not system_a.base_grid
-    assert all(grid is system_a.base_grid for grid in grids[2:])
-    # the expiry removes its own fault only, not a later one on that bus
-    later = Event("three_phase_fault", 0.4375, bus=8)
-    segments = timedomain._segments(system_a, [timed, clear, later], 1.0)
-    assert [t0 for t0, _, _ in segments] == [0.0, 0.25, 0.375, 0.4375, 0.5]
-    faulted = system_a.grid_variant([later]).y.tobytes()
-    assert [grid.y.tobytes() == faulted for _, _, grid in segments] == \
-        [False, True, False, True, True]
+def test_a_fault_without_a_duration_stays_on_to_the_end(system_a):
+    fault = Event("three_phase_fault", 0.25, bus=8)
+    segments = timedomain._segments(system_a, [fault], 1.0)
+    assert [(t0, t1) for t0, t1, _ in segments] == [(0.0, 0.25), (0.25, 1.0)]
+    assert segments[0][2] is system_a.base_grid
+    assert segments[1][2].y.tobytes() == \
+        system_a.grid_variant([fault]).y.tobytes()
+    tr = simulate(system_a, events=[fault], t_end=0.4, dt_max=1e-3)
+    assert np.all(tr.voltage_magnitude(8)[tr.time > 0.26] < 0.1)
+    # an earlier timed fault on that bus expires alone
+    timed = Event("three_phase_fault", 0.125, bus=8, duration=0.25)
+    segments = timedomain._segments(system_a, [timed, fault], 1.0)
+    assert [t0 for t0, _, _ in segments] == [0.0, 0.125, 0.25, 0.375]
+    assert [grid.y.tobytes() for _, _, grid in segments] == [
+        system_a.grid_variant(active).y.tobytes()
+        for active in ([], [timed], [timed, fault], [fault])]
+
+
+def test_an_event_at_t_end_is_ignored_with_a_warning(system_a, caplog):
+    # a change at t_end never applies, like one after it
+    with caplog.at_level(logging.WARNING, logger="windmodal.timedomain"):
+        segments = timedomain._segments(
+            system_a, [Event("line_trip", 0.5, branch="L8-9b")], 0.5)
+    assert segments == [(0.0, 0.5, system_a.base_grid)]
+    assert [rec.message for rec in caplog.records] == [
+        "event at t=0.500s is at or beyond t_end=0.500s; ignored"]
 
 
 def test_events_beyond_the_horizon_are_ignored_with_a_warning(system_a,
@@ -744,11 +737,10 @@ def test_simulate_rejects_bad_time_arguments(system_a, kwargs):
 
 
 @pytest.mark.parametrize("events", [
-    [Event("clear_fault", 20.0, bus=8)],
     [Event("line_trip", 20.0, branch="L7-8a"),
      Event("line_trip", 20.0, branch="L7-8a")],
     [Event("load_step", 20.0, bus=8, scale=1.1)],
-], ids=["clear_without_fault", "second_trip", "load_free_bus"])
+], ids=["second_trip", "load_free_bus"])
 def test_script_errors_fail_before_any_network_solve(monkeypatch, events):
     model = build_system("A")
     evaluate = model._evaluate     # every network solve, in rhs or not
